@@ -14,11 +14,11 @@ import sys
 
 import numpy as np
 
-from .diffusion import centralized_model, decentralized_model
+from .diffusion import centralized_model
 from .errors import InvalidConfig, WsnGainError
-from .estimator import GainVector, received_by_sink, run_consensus, simulate_measurement
-from .gainopt import ConstraintSpec, OptimizerConfig, optimize, optimize_decentralized, optimize_phase_only_uqp
-from .harness import ExperimentConfig, columns_for, render_csv, run_experiment
+from .estimator import GainVector
+from .gainopt import ConstraintSpec, OptimizerConfig, optimize_decentralized
+from .harness import ExperimentConfig, columns_for, consensus_trace, optimize_for, render_csv, run_experiment
 from .netgraph import random_connected_topology
 from .scenario import (
     CentralizedScenario,
@@ -121,11 +121,7 @@ def _cmd_optimize(args) -> int:
     else:
         scen = gen_centralized_scenario(args.n, args.m, NoiseConfig(**noise_kw), seed=args.seed)
     if isinstance(scen, CentralizedScenario):
-        model = centralized_model(scen)
-        if constraint.kind == "phase":
-            gains, trace = optimize_phase_only_uqp(model, opt_cfg)
-        else:
-            gains, trace = optimize(model, constraint, opt_cfg)
+        gains, trace = optimize_for(centralized_model(scen), constraint, opt_cfg)
     else:
         gains, trace, plan = optimize_decentralized(scen, constraint, opt_cfg,
                                                     refresh_plan=not args.freeze_plan)
@@ -140,26 +136,12 @@ def _cmd_simulate_consensus(args) -> int:
         scen = load_scenario(args.scenario)
         if isinstance(scen, CentralizedScenario):
             raise InvalidConfig("consensus needs a decentralized scenario")
-        n = scen.num_sensors
     else:
         topo = random_connected_topology(args.n, args.edge_prob, args.seed)
         scen = gen_decentralized_scenario(topo, NoiseConfig(**noise_kw),
                                           complex(args.theta), seed=args.seed)
-        n = args.n
-    gains = GainVector(np.ones(n, dtype=complex))
-    _, plan = decentralized_model(scen, gains)
-    rng = np.random.default_rng(args.seed)
-    w = simulate_measurement(scen, gains, plan, rng)
-    report = run_consensus(scen, gains, plan, received_by_sink(plan, w),
-                           max_iter=args.max_iter, tol=args.tol, rho=args.rho)
-    rows = []
-    for it, est in enumerate(report.per_node_trace):
-        for node in range(1, n + 1):
-            e = est[node - 1]
-            rows.append({"iter": it, "node": node,
-                         "theta_hat_re": float(np.real(e)),
-                         "theta_hat_im": float(np.imag(e)),
-                         "abs_err": float(abs(e - report.theta_hat))})
+    rows, report, plan = consensus_trace(scen, np.random.default_rng(args.seed),
+                                         args.max_iter, args.tol, args.rho)
     if args.dump_plan:
         json.dump(plan.to_json_dict(), sys.stderr)
         sys.stderr.write("\n")

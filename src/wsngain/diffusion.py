@@ -81,27 +81,40 @@ class GlobalModel:
         return self.H.shape[0]
 
 
-def information_value(sink: int, gains, scenario: DecentralizedScenario) -> float:
-    """Local information value of a sink over its strict neighbors.
+def link_terms(scenario: DecentralizedScenario, gains, sinks, parents):
+    """Per-link arrays (h a, d, |h a|^2 / d), d = |h a|^2 sigma_v^2 + sigma_n^2,
+    over the directed links (sinks[l], parents[l]).
 
-    With diagonal noise this is
-    sum_k |h_{i,k} a_k|^2 / (|h_{i,k} a_k|^2 sigma_{v,k}^2 + sigma_n^2),
-    the inverse variance of the sink's local ML estimate.
+    The last is the link's information term; a sink's information value
+    sums it over the sink's links.
     """
     a = _gain_values(gains)
-    sn2 = scenario.comm_noise_var
-    total = 0.0
-    for k in scenario.topology.neighbors(sink):
-        ha = scenario.link_gain[(sink, k)] * a[k - 1]
-        p = abs(ha) ** 2
-        total += p / (p * scenario.sensor_noise_var[k - 1] + sn2)
-    return float(total)
+    links = zip(np.asarray(sinks).tolist(), np.asarray(parents).tolist())
+    h = np.array([scenario.link_gain[link] for link in links], dtype=complex)
+    k = np.asarray(parents, dtype=int) - 1
+    ha = h * a[k]
+    # np.abs of a complex array may take a CPU-specific SIMD path; hypot
+    # rounds |h a| as scalar abs() does
+    p = np.hypot(ha.real, ha.imag) ** 2
+    denom = p * np.asarray(scenario.sensor_noise_var, dtype=float)[k] + scenario.comm_noise_var
+    return ha, denom, p / denom
+
+
+def information_value(sink: int, gains, scenario: DecentralizedScenario) -> float:
+    """Local information value of a sink over its strict neighbors (the sum
+    of their :func:`link_terms` information terms), the inverse variance of
+    the sink's local ML estimate."""
+    parents = scenario.topology.neighbors(sink)
+    return float(np.sum(link_terms(scenario, gains, [sink] * len(parents), parents)[2]))
 
 
 def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:
     """Information values for all sinks, indexed by node - 1."""
-    n = scenario.topology.num_nodes
-    return np.array([information_value(i, gains, scenario) for i in range(1, n + 1)])
+    topo = scenario.topology
+    sinks = np.repeat(np.arange(1, topo.num_nodes + 1), topo.degrees())
+    parents = np.concatenate(topo.neighbor_seq)
+    _, _, info = link_terms(scenario, gains, sinks, parents)
+    return np.bincount(sinks - 1, weights=info, minlength=topo.num_nodes)
 
 
 def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:

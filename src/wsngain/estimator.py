@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diffusion import CompressionPlan, GlobalModel
+from .diffusion import CompressionPlan, GlobalModel, _gain_values, link_terms
 from .errors import DegenerateGains, InvalidConfig, NoConvergence
 from .netgraph import Topology
 from .scenario import CentralizedScenario, DecentralizedScenario
@@ -40,10 +40,6 @@ class GainVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def _gain_values(gains) -> np.ndarray:
-    return np.asarray(getattr(gains, "values", gains), dtype=complex)
 
 
 def combined_covariance(model: GlobalModel, gains) -> np.ndarray:
@@ -134,6 +130,14 @@ def received_by_sink(plan: CompressionPlan, stacked: np.ndarray) -> dict[int, np
     return out
 
 
+def _state_terms(ha: np.ndarray, denom: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # conj(h a) y / d per link; the product is spelled out in real arithmetic
+    # because numpy's vectorized complex product may fuse multiply-adds,
+    # which makes its last bit depend on the CPU
+    prod = (ha.real * y.real + ha.imag * y.imag) + 1j * (ha.real * y.imag - ha.imag * y.real)
+    return prod / denom
+
+
 def local_mle(sink: int, gains, scenario: DecentralizedScenario, received) -> tuple[complex, float]:
     """Initial local estimate of a sink from its strict neighbors.
 
@@ -141,18 +145,13 @@ def local_mle(sink: int, gains, scenario: DecentralizedScenario, received) -> tu
     S^sink.  Returns (estimate, variance); the variance is exactly the
     inverse of the sink's information value.
     """
-    a = _gain_values(gains)
     neighbors = scenario.topology.neighbors(sink)
     y = np.asarray(received, dtype=complex)
     if len(y) != len(neighbors):
         raise InvalidConfig(f"expected {len(neighbors)} samples for sink {sink}")
-    info = 0.0
-    num = 0.0 + 0.0j
-    for y_k, k in zip(y, neighbors):
-        ha = scenario.link_gain[(sink, k)] * a[k - 1]
-        denom = abs(ha) ** 2 * scenario.sensor_noise_var[k - 1] + scenario.comm_noise_var
-        info += abs(ha) ** 2 / denom
-        num += np.conj(ha) * y_k / denom
+    ha, denom, terms = link_terms(scenario, gains, [sink] * len(neighbors), neighbors)
+    info = float(np.sum(terms))
+    num = complex(np.sum(_state_terms(ha, denom, y)))
     if info < INFO_FLOOR:
         raise DegenerateGains(f"sink {sink} neighborhood carries no information")
     return complex(num / info), 1.0 / info
@@ -217,23 +216,22 @@ class EstimateReport:
 def initial_streams(scenario: DecentralizedScenario, gains, plan: CompressionPlan, received_per_node):
     """Per-node information and state information values over retained rows.
 
-    I_i(0) sums |h a|^2 / (|h a|^2 sigma_v^2 + sigma_n^2) over sink i's
+    I_i(0) sums the :func:`link_terms` information term over sink i's
     retained parents; P_i(0) is the matching data-weighted sum.  Their
     network totals give the global MLE as theta_hat = sum P / sum I.
     """
-    a = _gain_values(gains)
     n = scenario.topology.num_nodes
-    i0 = np.zeros(n)
-    p0 = np.zeros(n, dtype=complex)
+    samples = []
     for sink, parents in enumerate(plan.retained_rows, start=1):
         y = np.asarray(received_per_node.get(sink, ()), dtype=complex)
         if len(y) != len(parents):
             raise InvalidConfig(f"sink {sink} expects {len(parents)} retained samples")
-        for y_k, k in zip(y, parents):
-            ha = scenario.link_gain[(sink, k)] * a[k - 1]
-            denom = abs(ha) ** 2 * scenario.sensor_noise_var[k - 1] + scenario.comm_noise_var
-            i0[sink - 1] += abs(ha) ** 2 / denom
-            p0[sink - 1] += np.conj(ha) * y_k / denom
+        samples.append(y)
+    sinks, parents = np.array(list(plan.rows()), dtype=int).reshape(-1, 2).T
+    ha, denom, terms = link_terms(scenario, gains, sinks, parents)
+    i0 = np.bincount(sinks - 1, weights=terms, minlength=n)
+    p0 = np.zeros(n, dtype=complex)
+    np.add.at(p0, sinks - 1, _state_terms(ha, denom, np.concatenate(samples)))
     return i0, p0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import GlobalModel, decentralized_model
+from .diffusion import GlobalModel, _gain_values, decentralized_model
 from .errors import (
     Eta0TooSmall,
     InvalidConfig,
@@ -221,7 +221,7 @@ def eta0_bound(model: GlobalModel, margin: float = 1.1) -> float:
 
 def build_lifted(model: GlobalModel, gains, eta0: float) -> np.ndarray:
     """Bordered Hermitian matrix R = [[eta0, (Ha)^H], [Ha, H D V D^H H^H + sigma_n^2 I]]."""
-    a = np.asarray(getattr(gains, "values", gains), dtype=complex)
+    a = _gain_values(gains)
     m = model.num_rows
     b = model.H @ a
     core = (model.H * (np.abs(a) ** 2 * model.sensor_noise_var)[None, :]) @ model.H.conj().T
@@ -503,6 +503,32 @@ def _restart_points(n, constraint, config, model, model_fn):
     return points[: config.restarts]
 
 
+def _best_of_starts(model, model_fn, starts, constraint, config, t0):
+    """One cyclic run per start; the best (variance, start index) wins.
+
+    Returns (gains, trace) with the wall time counted from t0.
+    """
+    best_key, best_run = None, None
+    for idx, a0 in enumerate(starts):
+        run = _cyclic_run(model, model_fn, a0, constraint, config)
+        key = (run.variance, idx)
+        if best_key is None or key < best_key:
+            best_key, best_run = key, run
+    gains = GainVector(best_run.gains, constraint)
+    trace = OptimizerTrace(
+        eta_per_outer=best_run.etas,
+        inner_objective=best_run.inner_objs,
+        final_gains=gains,
+        final_variance=best_run.variance,
+        wall_time_s=time.perf_counter() - t0,
+        restart_index=best_key[1],
+        segment_breaks=best_run.breaks,
+        stationarity_residual=best_run.stationarity_residual,
+        inner_segments=best_run.inner_segments,
+    )
+    return gains, trace
+
+
 def optimize(model: GlobalModel, constraint: ConstraintSpec,
              config: OptimizerConfig = OptimizerConfig(),
              model_fn=None) -> tuple[GainVector, OptimizerTrace]:
@@ -534,28 +560,9 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     auxiliary vector for a0 before any gain update, and every cycle
     decreases eta.
     """
-    n = model.num_sensors
     t0 = time.perf_counter()
-    best_key, best_run = None, None
-    for idx, a0 in enumerate(_restart_points(n, constraint, config, model, model_fn)):
-        run = _cyclic_run(model, model_fn, a0, constraint, config)
-        key = (run.variance, idx)
-        if best_key is None or key < best_key:
-            best_key, best_run = key, run
-    wall = time.perf_counter() - t0
-    gains = GainVector(best_run.gains, constraint)
-    trace = OptimizerTrace(
-        eta_per_outer=best_run.etas,
-        inner_objective=best_run.inner_objs,
-        final_gains=gains,
-        final_variance=best_run.variance,
-        wall_time_s=wall,
-        restart_index=best_key[1],
-        segment_breaks=best_run.breaks,
-        stationarity_residual=best_run.stationarity_residual,
-        inner_segments=best_run.inner_segments,
-    )
-    return gains, trace
+    starts = _restart_points(model.num_sensors, constraint, config, model, model_fn)
+    return _best_of_starts(model, model_fn, starts, constraint, config, t0)
 
 
 def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
@@ -569,20 +576,7 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     """
     a0 = np.asarray(a0, dtype=complex)
     constraint.check(a0)
-    t0 = time.perf_counter()
-    run = _cyclic_run(model, model_fn, a0, constraint, config)
-    gains = GainVector(run.gains, constraint)
-    trace = OptimizerTrace(
-        eta_per_outer=run.etas,
-        inner_objective=run.inner_objs,
-        final_gains=gains,
-        final_variance=run.variance,
-        wall_time_s=time.perf_counter() - t0,
-        segment_breaks=run.breaks,
-        stationarity_residual=run.stationarity_residual,
-        inner_segments=run.inner_segments,
-    )
-    return gains, trace
+    return _best_of_starts(model, model_fn, [a0], constraint, config, time.perf_counter())
 
 
 def optimize_decentralized(scenario: DecentralizedScenario, constraint: ConstraintSpec,
@@ -595,13 +589,9 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
     (refresh_plan=False freezes the plan of the starting point).
     Returns (gains, trace, plan) with the plan matching the final gains.
     """
-    if refresh_plan:
-        model_fn = lambda a: decentralized_model(scenario, a)[0]  # noqa: E731
-        start_model, _ = decentralized_model(scenario, constraint.initial_point(scenario.num_sensors))
-        gains, trace = optimize(start_model, constraint, config, model_fn=model_fn)
-    else:
-        start_model, _ = decentralized_model(scenario, constraint.initial_point(scenario.num_sensors))
-        gains, trace = optimize(start_model, constraint, config)
+    start_model, _ = decentralized_model(scenario, constraint.initial_point(scenario.num_sensors))
+    model_fn = (lambda a: decentralized_model(scenario, a)[0]) if refresh_plan else None
+    gains, trace = optimize(start_model, constraint, config, model_fn=model_fn)
     _, plan = decentralized_model(scenario, gains)
     return gains, trace, plan
 

@@ -41,7 +41,7 @@ SELECTION_COLUMNS = ("sigma_n2", "method", "mean_variance")
 ORACLE_GAP_COLUMNS = ("seed", "N", "variance_opt", "variance_best", "ratio", "hit")
 CONSENSUS_COLUMNS = ("iter", "node", "theta_hat_re", "theta_hat_im", "abs_err")
 
-KINDS = ("sweep-N", "sweep-noise", "consensus", "selection", "oracle-gap")
+KINDS = ("sweep-N", "consensus", "selection", "oracle-gap")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class ExperimentConfig:
             raise InvalidConfig("realizations must be at least 1")
         if self.kind in ("sweep-N", "oracle-gap", "consensus") and not self.n_values:
             raise InvalidConfig(f"{self.kind} needs a nonempty n_values")
-        if self.kind in ("selection", "sweep-noise") and not self.sigma_grid:
+        if self.kind == "selection" and not self.sigma_grid:
             raise InvalidConfig(f"{self.kind} needs a nonempty sigma_grid")
         if self.kind == "selection" and self.constraint.kind != "select":
             raise InvalidConfig("selection experiments need a select constraint")
@@ -168,7 +168,7 @@ def baseline_selection(model, k_active: int, policy: str) -> tuple[GainVector, f
     return gains, global_variance(model, gains)
 
 
-def _optimize_for(model, constraint, opt_config):
+def optimize_for(model, constraint, opt_config):
     # phase-only runs go through the constant-matrix fast path
     if constraint.kind == "phase":
         return optimize_phase_only_uqp(model, opt_config)
@@ -196,7 +196,7 @@ def run_sweep(config: ExperimentConfig):
             model = centralized_model(scen)
             try:
                 opt_cfg = replace(config.optimizer, seed=derived_seed(config.seed, n, i, 1))
-                _, trace = _optimize_for(model, config.constraint, opt_cfg)
+                _, trace = optimize_for(model, config.constraint, opt_cfg)
                 t0 = time.perf_counter()
                 _, v_ones = baseline_all_ones(model)
                 ones_time = time.perf_counter() - t0
@@ -320,35 +320,32 @@ def run_oracle_gap(config: ExperimentConfig):
     return rows, meta
 
 
-def run_consensus_experiment(config: ExperimentConfig):
-    """One decentralized consensus run with a per-iteration trace.
+def consensus_trace(scenario, rng, max_iter: int, tol: float, rho: float):
+    """One consensus run under all-ones gains with a per-iteration trace.
 
-    Generates a random connected network, a decentralized scenario, one
-    round of measurements, and drives all nodes to the global estimate.
-    Returns (rows, report) with one row per (iteration, node).
+    Builds the compression plan, draws one round of measurements from rng
+    and drives all nodes to the global estimate.  Returns (rows, report,
+    plan) with one row per (iteration, node).
     """
+    gains = GainVector(np.ones(scenario.num_sensors, dtype=complex))
+    _, plan = decentralized_model(scenario, gains)
+    w = simulate_measurement(scenario, gains, plan, rng)
+    report = run_consensus(scenario, gains, plan, received_by_sink(plan, w),
+                           max_iter=max_iter, tol=tol, rho=rho)
+    rows = [{"iter": it, "node": node, "theta_hat_re": float(np.real(e)),
+             "theta_hat_im": float(np.imag(e)), "abs_err": float(abs(e - report.theta_hat))}
+            for it, est in enumerate(report.per_node_trace) for node, e in enumerate(est, start=1)]
+    return rows, report, plan
+
+
+def run_consensus_experiment(config: ExperimentConfig):
+    """:func:`consensus_trace` on a random connected network; returns (rows, report)."""
     n = config.n_values[0]
     topo = random_connected_topology(n, config.edge_probability, derived_seed(config.seed, 11))
     scen = gen_decentralized_scenario(topo, config.noise, config.theta,
                                       seed=derived_seed(config.seed, 12))
-    gains = GainVector(np.ones(n, dtype=complex))
-    _, plan = decentralized_model(scen, gains)
     rng = np.random.default_rng(derived_seed(config.seed, 13))
-    w = simulate_measurement(scen, gains, plan, rng)
-    received = received_by_sink(plan, w)
-    report = run_consensus(scen, gains, plan, received,
-                           max_iter=config.max_iter, tol=config.tol, rho=config.rho)
-    rows = []
-    for it, est in enumerate(report.per_node_trace):
-        for node in range(1, n + 1):
-            e = est[node - 1]
-            rows.append({
-                "iter": it,
-                "node": node,
-                "theta_hat_re": float(np.real(e)),
-                "theta_hat_im": float(np.imag(e)),
-                "abs_err": float(abs(e - report.theta_hat)),
-            })
+    rows, report, _ = consensus_trace(scen, rng, config.max_iter, config.tol, config.rho)
     return rows, report
 
 
@@ -356,7 +353,7 @@ def run_experiment(config: ExperimentConfig):
     """Dispatch on the experiment kind; returns (rows, metadata_or_report)."""
     if config.kind == "sweep-N":
         return run_sweep(config)
-    if config.kind in ("selection", "sweep-noise"):
+    if config.kind == "selection":
         return run_selection_experiment(config)
     if config.kind == "oracle-gap":
         return run_oracle_gap(config)
@@ -366,7 +363,7 @@ def run_experiment(config: ExperimentConfig):
 def columns_for(kind: str) -> tuple[str, ...]:
     if kind == "sweep-N":
         return SWEEP_COLUMNS
-    if kind in ("selection", "sweep-noise"):
+    if kind == "selection":
         return SELECTION_COLUMNS
     if kind == "oracle-gap":
         return ORACLE_GAP_COLUMNS

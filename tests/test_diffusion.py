@@ -24,6 +24,7 @@ from wsngain import (
     information_value,
     random_connected_topology,
 )
+from wsngain.estimator import initial_streams
 from wsngain.scenario import DecentralizedScenario
 
 TOY_TREE = build_topology(6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
@@ -61,20 +62,31 @@ def test_information_value_two_identical_neighbors():
 
 
 def test_information_value_matches_dense_oracle():
-    # diagonal closed form vs a dense covariance solve on random scenarios
+    # diagonal closed form vs a dense covariance solve on random scenarios:
+    # the one-sink value, the table entry, and I_i(0) over the plan's rows
     rng = np.random.default_rng(3)
+
+    def dense(sink, parents, scen, a):
+        h_rows = np.zeros((len(parents), 7), dtype=complex)
+        for r, k in enumerate(parents):
+            h_rows[r, k - 1] = scen.link_gain[(sink, k)]
+        return oracles.dense_information(h_rows, a, scen.sensor_noise_var, scen.comm_noise_var)
+
     for seed in range(5):
         topo = random_connected_topology(7, 0.5, seed=seed)
         scen = gen_decentralized_scenario(topo, NoiseConfig(), 1 + 0j, seed=seed)
         a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        table = information_table(a, scen)
+        _, plan = decentralized_model(scen, a)
+        # I_i(0) does not depend on the samples
+        zeros = {sink: np.zeros(len(rows)) for sink, rows in enumerate(plan.retained_rows, start=1)}
+        i0, _ = initial_streams(scen, a, plan, zeros)
         for sink in range(1, 8):
-            parents = topo.neighbors(sink)
-            h_rows = np.zeros((len(parents), 7), dtype=complex)
-            for r, k in enumerate(parents):
-                h_rows[r, k - 1] = scen.link_gain[(sink, k)]
-            want = oracles.dense_information(h_rows, a, scen.sensor_noise_var, scen.comm_noise_var)
-            got = information_value(sink, a, scen)
-            assert got == pytest.approx(want, rel=1e-10)
+            want = dense(sink, topo.neighbors(sink), scen, a)
+            assert information_value(sink, a, scen) == pytest.approx(want, rel=1e-10)
+            assert table[sink - 1] == pytest.approx(want, rel=1e-10)
+            retained = plan.retained_rows[sink - 1]
+            assert i0[sink - 1] == pytest.approx(dense(sink, retained, scen, a), rel=1e-10)
 
 
 def test_assign_carriers_toy_tree():

@@ -234,7 +234,6 @@ def test_consensus_experiment_trace_rows():
 def test_run_experiment_dispatch_and_columns():
     assert columns_for("sweep-N") == SWEEP_COLUMNS
     assert columns_for("selection") == SELECTION_COLUMNS
-    assert columns_for("sweep-noise") == SELECTION_COLUMNS
     assert columns_for("oracle-gap") == ORACLE_GAP_COLUMNS
     assert columns_for("consensus") == CONSENSUS_COLUMNS
     config = ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=2, seed=10)
@@ -255,6 +254,8 @@ def test_experiment_config_validation():
                          constraint=ConstraintSpec.fixed_energy())
     with pytest.raises(InvalidConfig):
         ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=0)
+    with pytest.raises(InvalidConfig):
+        ExperimentConfig(kind="sweep-noise", sigma_grid=(1.0,))
 
 
 # --------------------------------------------------------------------- CSV
