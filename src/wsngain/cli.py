@@ -174,7 +174,6 @@ def _experiment_config(kind: str, args, defaults: dict) -> ExperimentConfig:
     if getattr(args, "no_runtime", False):
         fields["include_runtime"] = False
     fields["seed"] = args.seed
-    fields.pop("optimizer_defaults", None)
     return ExperimentConfig(**fields)
 
 

@@ -127,17 +127,13 @@ def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:
     info = np.asarray(info, dtype=float)
     if len(info) != topology.num_nodes:
         raise InconsistentPlan("information table length does not match topology")
-    carrier = []
-    for i in range(1, topology.num_nodes + 1):
-        best = None
-        for j in topology.neighbors(i):
-            if best is None or info[j - 1] > info[best - 1]:
-                best = j
-        carrier.append(best)
+    values = info.tolist()
+    # max keeps the first maximum and neighbours ascend: ties go to the lowest index
+    carrier = [max(nbrs, key=lambda j: values[j - 1]) for nbrs in topology.neighbor_seq]
     retained: list[list[int]] = [[] for _ in range(topology.num_nodes)]
     for parent, sink in enumerate(carrier, start=1):
         retained[sink - 1].append(parent)
-    retained_rows = tuple(tuple(sorted(row)) for row in retained)
+    retained_rows = tuple(tuple(row) for row in retained)
     r = 2 * topology.num_edges - topology.num_nodes
     return CompressionPlan(tuple(carrier), retained_rows, r, topology.num_nodes)
 

@@ -24,7 +24,12 @@ from .errors import (
     NoDescent,
     ZeroVectorWarning,
 )
-from .estimator import GainVector, _information_and_weights, global_variance
+from .estimator import (
+    GainVector,
+    _information_and_weights,
+    combined_covariance,
+    global_variance,
+)
 from .scenario import DecentralizedScenario
 
 LAMBDA_FLOOR = 1e-12
@@ -160,9 +165,9 @@ class OptimizerConfig:
     """Knobs of the cyclic optimizer.
 
     eta0_margin and lambda_margin multiply the corner-constant bound and
-    the largest-eigenvalue estimate; inner_iters caps the power-method-like
-    iterations per outer cycle; outer iterations stop once |eta_k -
-    eta_{k+1}| <= outer_tol.
+    the largest eigenvalue of the inner quadratic; inner_iters caps the
+    power-method-like iterations per outer cycle; outer iterations stop
+    once |eta_k - eta_{k+1}| <= outer_tol.
     """
 
     eta0_margin: float = 1.1
@@ -224,13 +229,11 @@ def build_lifted(model: GlobalModel, gains, eta0: float) -> np.ndarray:
     a = _gain_values(gains)
     m = model.num_rows
     b = model.H @ a
-    core = (model.H * (np.abs(a) ** 2 * model.sensor_noise_var)[None, :]) @ model.H.conj().T
-    core += model.noise_var * np.eye(m)
     r = np.zeros((m + 1, m + 1), dtype=complex)
     r[0, 0] = eta0
     r[0, 1:] = b.conj()
     r[1:, 0] = b
-    r[1:, 1:] = core
+    r[1:, 1:] = combined_covariance(model, a)
     return r
 
 
@@ -282,36 +285,37 @@ def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel, eta0: float):
     return q, c1
 
 
-def shift_quadratic(q: np.ndarray, margin: float = 1.05, power_iters: int = 100):
+def shift_quadratic(q: np.ndarray, margin: float = 1.05):
     """Positive-definite shift Q~ = lambda I - Q with lambda > lambda_max(Q).
 
-    lambda is margin times a power-iteration estimate of the largest
-    eigenvalue (run on Q + ||Q||_F I so the dominant eigenvalue is the
-    algebraic maximum, then de-shifted).  When the estimate is not
-    positive, a small floor keeps Q~ well defined; ||Q||_F itself bounds
-    the spectral radius and serves as the certified fallback.
+    Q is the arrow matrix of build_inner_quadratic: diagonal d >= 0,
+    border g, zero corner.  lambda_max is the largest root of the secular
+    equation lambda = sum |g_i|^2 / (lambda - d_i) (Golub 1973), found by
+    bisection on [max(max d, ||g||), max d + ||g||]: interlacing gives
+    lambda_max >= max d, d >= 0 gives lambda_max^2 >= ||g||^2, and Weyl's
+    inequality gives the upper end.  The bracket spans at most a factor 2,
+    so about 55 halvings reach adjacent floats; lambda is margin times the
+    final upper end.  Q = 0 (zero gains) gets a small floor instead.
     """
-    n = q.shape[0]
-    fro = float(np.linalg.norm(q, "fro"))
-    if fro == 0.0:
+    d = np.real(np.diag(q))[:-1]
+    g2 = np.abs(q[:-1, -1]) ** 2
+    d_max = float(d.max())
+    g_norm = float(np.sqrt(g2.sum()))
+    lo, hi = max(d_max, g_norm), d_max + g_norm
+    if hi == 0.0:
         lam = LAMBDA_FLOOR
-        return lam * np.eye(n, dtype=complex), lam
-    # deterministic start with a mild ramp so it is never orthogonal
-    # to the top eigenspace by symmetry
-    b = (1.0 + 0.01 * np.arange(n)).astype(complex)
-    b /= np.linalg.norm(b)
-    shifted = q + fro * np.eye(n, dtype=complex)
-    rayleigh = 0.0
-    for _ in range(power_iters):
-        nb = shifted @ b
-        nrm = np.linalg.norm(nb)
-        if nrm == 0.0:
+        return lam * np.eye(q.shape[0], dtype=complex), lam
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        b = nb / nrm
-        rayleigh = float(np.real(b.conj() @ (shifted @ b)))
-    est = rayleigh - fro
-    lam = margin * est if est > 0 else LAMBDA_FLOOR * max(1.0, fro)
-    return lam * np.eye(n, dtype=complex) - q, lam
+        # above max d the secular function is >= 0 exactly from lambda_max on
+        if mid - np.sum(g2 / (mid - d)) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    lam = margin * hi
+    return lam * np.eye(q.shape[0], dtype=complex) - q, lam
 
 
 def _quantize_phases(angles: np.ndarray, q_levels: int) -> np.ndarray:
@@ -428,9 +432,9 @@ def _cyclic_run(model, model_fn, a0, constraint, config):
 
     Each outer cycle solves the auxiliary vector exactly first, so the
     eta trace is anchored at eta(a0) and descends monotonically;
-    the gain update then runs the shifted power iterations.  If the inner
-    objective ever decreases (an eigenvalue estimate fell short), the
-    cycle retries once with the certified Frobenius shift.
+    the gain update then runs the shifted power iterations once.  The
+    shift exceeds the exact top eigenvalue of the inner quadratic, so a
+    decreasing inner objective means lost precision and raises NoDescent.
     """
     m = model_fn(a0) if model_fn is not None else model
     eta0 = eta0_bound(m, config.eta0_margin)
@@ -469,12 +473,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config):
         q_tilde, _ = shift_quadratic(q, config.lambda_margin)
         a_new, objs = inner_power_iterations(a, q_tilde, constraint, config.inner_iters)
         if not _nondecreasing(objs):
-            # certified fallback: the Frobenius norm bounds the spectral radius
-            lam = config.lambda_margin * float(np.linalg.norm(q, "fro"))
-            q_tilde = lam * np.eye(q.shape[0], dtype=complex) - q
-            a_new, objs = inner_power_iterations(a, q_tilde, constraint, config.inner_iters)
-            if not _nondecreasing(objs):
-                raise NoDescent("inner objective decreased under the certified shift")
+            raise NoDescent("inner objective decreased under the exact shift")
         inner_objs.extend(objs)
         seg_lens.append(len(objs))
         a = a_new
@@ -602,8 +601,7 @@ def uqp_matrix(model: GlobalModel) -> np.ndarray:
     Valid because V is diagonal and |a_i| = 1 makes D V D^H = V, so the
     combined covariance no longer depends on the gains.
     """
-    core = (model.H * model.sensor_noise_var[None, :]) @ model.H.conj().T
-    core += model.noise_var * np.eye(model.num_rows)
+    core = combined_covariance(model, np.ones(model.num_sensors))
     return model.H.conj().T @ np.linalg.solve(core, model.H)
 
 
@@ -633,12 +631,7 @@ def optimize_phase_only_uqp(model: GlobalModel,
     constraint = ConstraintSpec.phase_only()
     max_iters = config.max_outer * config.inner_iters
     best = None
-    for ridx in range(config.restarts):
-        if ridx == 0:
-            a = np.ones(n, dtype=complex)
-        else:
-            rng = np.random.default_rng((config.seed, ridx))
-            a = constraint.random_point(n, rng)
+    for ridx, a in enumerate(_restart_points(n, constraint, config, model, None)):
         objs = [float(np.real(a.conj() @ (b_mat @ a)))]
         for _ in range(max_iters):
             a_new = uqp_step(b_mat, a)

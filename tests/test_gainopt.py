@@ -5,6 +5,8 @@ R=[[2,1],[1,2]], y=(1,-0.5), eta=1.5, Q=[[0.25,-0.5],[-0.5,0]],
 C1=eta0+0.25, all derivable with a 2x2 inversion by hand.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,15 +186,51 @@ def test_shift_zero_matrix():
     assert np.allclose(q_tilde, lam * np.eye(3))
 
 
+def random_arrow(rng, n):
+    """Arrow matrix as build_inner_quadratic makes it: diagonal d >= 0,
+    complex border g, zero corner."""
+    d = rng.exponential(size=n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q = np.zeros((n + 1, n + 1), dtype=complex)
+    q[:n, :n] = np.diag(d)
+    q[:n, n] = g
+    q[n, :n] = g.conj()
+    return q
+
+
 def test_shift_positive_definite_random():
     rng = np.random.default_rng(5)
     for _ in range(25):
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        q = (g + g.conj().T) / 2.0
+        q = random_arrow(rng, 6)
         q_tilde, lam = shift_quadratic(q)
         evs = np.linalg.eigvalsh(q_tilde)
         assert evs.min() > 0
         assert lam > np.linalg.eigvalsh(q).max()
+
+
+def test_shift_is_margin_times_top_eigenvalue():
+    # tight to rounding, also where |g|^2 is near the underflow threshold:
+    # the lambda floor is for Q = 0 only
+    rng = np.random.default_rng(6)
+    for n, scale, margin, _ in itertools.product((1, 2, 6, 40), (1.0, 1e-150), (1.05, 1.5), range(5)):
+        q = scale * random_arrow(rng, n)
+        _, lam = shift_quadratic(q, margin)
+        top = np.linalg.eigvalsh(q).max()
+        assert np.isfinite(lam) and lam > 0
+        assert abs(lam / margin - top) <= 1e-12 * top
+
+
+def test_shift_border_zero_at_largest_diagonal():
+    # the top eigenvector is e_1 alone, so lambda_max = max d, above the
+    # largest root of the secular equation over the other entries
+    q = np.zeros((4, 4), dtype=complex)
+    q[:3, :3] = np.diag([5.0, 1.0, 0.5])
+    q[1:3, 3] = [1.0 + 1.0j, -0.5]
+    q[3, 1:3] = q[1:3, 3].conj()
+    assert np.linalg.eigvalsh(q).max() == pytest.approx(5.0, rel=1e-14)
+    _, lam = shift_quadratic(q, 1.05)
+    assert lam / 1.05 == pytest.approx(5.0, rel=1e-12)
+    assert lam > 5.0
 
 
 # --------------------------------------------------------------- projections
