@@ -35,10 +35,8 @@ from .errors import (
     ZeroVectorWarning,
 )
 from .estimator import (
-    AdmmState,
     EstimateReport,
     GainVector,
-    admm_step,
     global_mle,
     global_variance,
     local_mle,
@@ -70,7 +68,6 @@ from .harness import (
     baseline_exhaustive_quantized,
     baseline_selection,
     derived_seed,
-    emit_csv,
     render_csv,
     run_experiment,
 )
@@ -90,7 +87,6 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmState",
     "CentralizedScenario",
     "CompressionPlan",
     "ConstraintSpec",
@@ -115,7 +111,6 @@ __all__ = [
     "Topology",
     "WsnGainError",
     "ZeroVectorWarning",
-    "admm_step",
     "assemble_global_model",
     "assign_carriers",
     "baseline_all_ones",
@@ -127,7 +122,6 @@ __all__ = [
     "centralized_model",
     "decentralized_model",
     "derived_seed",
-    "emit_csv",
     "eta0_bound",
     "from_json_dict",
     "gen_centralized_scenario",

@@ -110,11 +110,9 @@ def information_value(sink: int, gains, scenario: DecentralizedScenario) -> floa
 
 def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:
     """Information values for all sinks, indexed by node - 1."""
-    topo = scenario.topology
-    sinks = np.repeat(np.arange(1, topo.num_nodes + 1), topo.degrees())
-    parents = np.concatenate(topo.neighbor_seq)
+    sinks, parents = scenario.topology.directed_links()
     _, _, info = link_terms(scenario, gains, sinks, parents)
-    return np.bincount(sinks - 1, weights=info, minlength=topo.num_nodes)
+    return np.bincount(sinks - 1, weights=info, minlength=scenario.topology.num_nodes)
 
 
 def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:

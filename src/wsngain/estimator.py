@@ -16,7 +16,6 @@ import numpy as np
 
 from .diffusion import CompressionPlan, GlobalModel, _gain_values, link_terms
 from .errors import DegenerateGains, InvalidConfig, NoConvergence
-from .netgraph import Topology
 from .scenario import CentralizedScenario, DecentralizedScenario
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -157,50 +156,23 @@ def local_mle(sink: int, gains, scenario: DecentralizedScenario, received) -> tu
     return complex(num / info), 1.0 / info
 
 
-@dataclass(frozen=True)
-class AdmmState:
-    """One consensus stream: per-node copies, duals, step size, iteration.
-
-    The full estimator runs two instances: a real-valued stream for the
-    information values and a complex one for the state information values
-    (the updates are linear with real coefficients, so complex payloads
-    split into two independent real streams automatically).
-    """
-
-    values: np.ndarray = field(repr=False)
-    duals: np.ndarray = field(repr=False)
-    rho: float = 1.0
-    k: int = 0
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise InvalidConfig("ADMM step rho must be positive")
-        if self.values.shape != self.duals.shape:
-            raise InvalidConfig("values and duals must have matching shapes")
-
-
-def _admm_update(values, duals, adj, deg, rho, x):
-    neighbor_sum = adj @ values
-    new_values = (rho * deg * values + rho * neighbor_sum - duals + x) / (1.0 + 2.0 * rho * deg)
-    new_duals = duals + rho * (deg * new_values - adj @ new_values)
-    return new_values, new_duals
-
-
-def admm_step(state: AdmmState, topology: Topology, x) -> AdmmState:
-    """One synchronous ADMM consensus round.
+def _admm_round(values, duals, x, parents, starts, deg, rho):
+    """One synchronous ADMM consensus round on the directed links.
 
     y_i <- (rho d_i y_i + rho sum_{j in S^i} y_j - lambda_i + x_i) / (1 + 2 rho d_i)
     lambda_i <- lambda_i + rho (d_i y_i_new - sum_{j in S^i} y_j_new)
 
     All nodes read the previous round's neighbor values (bulk update).
+    ``parents`` holds the 0-based parent of every link, sink-major, and
+    ``starts`` the offset of each sink's first link; every node has a
+    neighbor, so ``reduceat`` yields one neighbor sum per node.  Complex
+    payloads run as two independent real streams, since the coefficients
+    are real.
     """
-    x = np.asarray(x)
-    if x.shape != state.values.shape:
-        raise InvalidConfig("payload length does not match state")
-    adj = topology.adjacency()
-    deg = topology.degrees().astype(float)
-    new_values, new_duals = _admm_update(state.values, state.duals, adj, deg, state.rho, x)
-    return AdmmState(new_values, new_duals, state.rho, state.k + 1)
+    neighbor_sum = np.add.reduceat(values[parents], starts)
+    new_values = (rho * deg * values + rho * neighbor_sum - duals + x) / (1.0 + 2.0 * rho * deg)
+    new_duals = duals + rho * (deg * new_values - np.add.reduceat(new_values[parents], starts))
+    return new_values, new_duals
 
 
 @dataclass(frozen=True)
@@ -259,11 +231,17 @@ def run_consensus(
 
     Raises
     ------
+    InvalidConfig
+        For tol <= 0, rho <= 0, max_iter < 0 or an unknown stop_mode.
     NoConvergence
         After max_iter rounds; the exception carries the partial report.
     """
     if tol <= 0:
         raise InvalidConfig("tolerance must be positive")
+    if rho <= 0:
+        raise InvalidConfig("ADMM step rho must be positive")
+    if max_iter < 0:
+        raise InvalidConfig("max_iter must be non-negative")
     if stop_mode not in ("analytic", "trailing"):
         raise InvalidConfig("stop_mode must be 'analytic' or 'trailing'")
     topo = scenario.topology
@@ -274,8 +252,10 @@ def run_consensus(
     theta_ml = complex(np.sum(p0) / total_info)
     variance = 1.0 / total_info
 
-    adj = topo.adjacency()
-    deg = topo.degrees().astype(float)
+    parents = topo.directed_links()[1] - 1
+    degrees = topo.degrees()
+    starts = np.cumsum(degrees) - degrees
+    deg = degrees.astype(float)  # float once, not on every round
     i_vals, i_duals = i0.astype(float).copy(), np.zeros(topo.num_nodes)
     p_vals, p_duals = p0.astype(complex).copy(), np.zeros(topo.num_nodes, dtype=complex)
 
@@ -296,7 +276,7 @@ def run_consensus(
             return EstimateReport(theta_ml, variance, k, tuple(trace) if record_trace else None)
         if k == max_iter:
             break
-        i_vals, i_duals = _admm_update(i_vals, i_duals, adj, deg, rho, i0)
-        p_vals, p_duals = _admm_update(p_vals, p_duals, adj, deg, rho, p0)
+        i_vals, i_duals = _admm_round(i_vals, i_duals, i0, parents, starts, deg, rho)
+        p_vals, p_duals = _admm_round(p_vals, p_duals, p0, parents, starts, deg, rho)
     report = EstimateReport(theta_ml, variance, max_iter, tuple(trace) if record_trace else None)
     raise NoConvergence(f"consensus not within tol after {max_iter} iterations", report)

@@ -502,14 +502,14 @@ def _restart_points(n, constraint, config, model, model_fn):
     return points[: config.restarts]
 
 
-def _best_of_starts(model, model_fn, starts, constraint, config, t0):
-    """One cyclic run per start; the best (variance, start index) wins.
+def _best_of_starts(run_from, starts, constraint, t0):
+    """One run_from(a0) -> _RunRecord per start; the best (variance, start index) wins.
 
     Returns (gains, trace) with the wall time counted from t0.
     """
     best_key, best_run = None, None
     for idx, a0 in enumerate(starts):
-        run = _cyclic_run(model, model_fn, a0, constraint, config)
+        run = run_from(a0)
         key = (run.variance, idx)
         if best_key is None or key < best_key:
             best_key, best_run = key, run
@@ -561,7 +561,8 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     """
     t0 = time.perf_counter()
     starts = _restart_points(model.num_sensors, constraint, config, model, model_fn)
-    return _best_of_starts(model, model_fn, starts, constraint, config, t0)
+    return _best_of_starts(lambda a0: _cyclic_run(model, model_fn, a0, constraint, config),
+                           starts, constraint, t0)
 
 
 def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
@@ -575,7 +576,8 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     """
     a0 = np.asarray(a0, dtype=complex)
     constraint.check(a0)
-    return _best_of_starts(model, model_fn, [a0], constraint, config, time.perf_counter())
+    return _best_of_starts(lambda start: _cyclic_run(model, model_fn, start, constraint, config),
+                           [a0], constraint, time.perf_counter())
 
 
 def optimize_decentralized(scenario: DecentralizedScenario, constraint: ConstraintSpec,
@@ -626,12 +628,11 @@ def optimize_phase_only_uqp(model: GlobalModel,
     """
     t0 = time.perf_counter()
     b_mat = uqp_matrix(model)
-    n = model.num_sensors
     eta0 = eta0_bound(model, config.eta0_margin)
     constraint = ConstraintSpec.phase_only()
     max_iters = config.max_outer * config.inner_iters
-    best = None
-    for ridx, a in enumerate(_restart_points(n, constraint, config, model, None)):
+
+    def ascend(a):
         objs = [float(np.real(a.conj() @ (b_mat @ a)))]
         for _ in range(max_iters):
             a_new = uqp_step(b_mat, a)
@@ -640,19 +641,7 @@ def optimize_phase_only_uqp(model: GlobalModel,
             objs.append(float(np.real(a.conj() @ (b_mat @ a))))
             if step <= INNER_STOP:
                 break
-        variance = 1.0 / objs[-1]
-        key = (variance, ridx)
-        if best is None or key < best[0]:
-            best = (key, a, objs)
-    _, a, objs = best
-    wall = time.perf_counter() - t0
-    gains = GainVector(a, constraint)
-    trace = OptimizerTrace(
-        eta_per_outer=tuple(eta0 - o for o in objs),
-        inner_objective=tuple(objs),
-        final_gains=gains,
-        final_variance=best[0][0],
-        wall_time_s=wall,
-        restart_index=best[0][1],
-    )
-    return gains, trace
+        return _RunRecord(a, tuple(eta0 - o for o in objs), tuple(objs), (), 1.0 / objs[-1], (), 0.0)
+
+    starts = _restart_points(model.num_sensors, constraint, config, model, None)
+    return _best_of_starts(ascend, starts, constraint, t0)

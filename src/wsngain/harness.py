@@ -390,8 +390,3 @@ def render_csv(rows, columns, include_runtime: bool = True, comment: str | None 
             cells.append(repr(value) if isinstance(value, float) else str(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(rows, columns, path, include_runtime: bool = True, comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(render_csv(rows, columns, include_runtime, comment))

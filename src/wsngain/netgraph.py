@@ -52,13 +52,14 @@ class Topology:
         """All node degrees as an integer vector indexed by node - 1."""
         return np.array([len(s) for s in self.neighbor_seq], dtype=int)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (N x N, zero diagonal)."""
-        a = np.zeros((self.num_nodes, self.num_nodes))
-        for i, j in self.edges:
-            a[i - 1, j - 1] = 1.0
-            a[j - 1, i - 1] = 1.0
-        return a
+    def directed_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every directed link as (sinks, parents), both 2|E| long.
+
+        Sink-major with parents ascending inside each sink: the links of
+        sink i are (i, j) for j in S^i.
+        """
+        sinks = np.repeat(np.arange(1, self.num_nodes + 1), self.degrees())
+        return sinks, np.concatenate(self.neighbor_seq)
 
 
 def _connected(num_nodes: int, adj: dict[int, set[int]]) -> bool:

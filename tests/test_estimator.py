@@ -1,9 +1,7 @@
 """ML estimation, measurement simulation, and ADMM consensus.
 
-The two-node ADMM oracle values were frozen from a hand iteration of the
-update equations: with x=(0,2), rho=1, y0=(0,2), lambda0=(0,0) and degree
-1 on both nodes, the denominator is 1 + 2*rho*d = 3, giving
-y1 = (2/3, 4/3) and lambda1 = (-2/3, 2/3).
+The consensus rounds are checked against a literal per-node transcription
+of the update equations (``oracles.admm_round``).
 """
 
 import numpy as np
@@ -11,13 +9,11 @@ import pytest
 
 import oracles
 from wsngain import (
-    AdmmState,
     DegenerateGains,
     GainVector,
     InvalidConfig,
     NoConvergence,
     NoiseConfig,
-    admm_step,
     build_topology,
     centralized_model,
     decentralized_model,
@@ -31,6 +27,7 @@ from wsngain import (
     run_consensus,
     simulate_measurement,
 )
+from wsngain.estimator import CONSENSUS_GUARD, initial_streams
 from wsngain.scenario import CentralizedScenario, DecentralizedScenario
 
 
@@ -176,53 +173,44 @@ def test_unbiasedness():
 # ------------------------------------------------------------------- consensus
 
 
-def test_admm_fixed_point():
-    topo = build_topology(3, [(1, 2), (2, 3), (1, 3)])
-    x = np.full(3, 2.5)
-    state = AdmmState(values=x.copy(), duals=np.zeros(3), rho=1.0)
-    new = admm_step(state, topo, x)
-    assert np.allclose(new.values, x)
-    assert np.allclose(new.duals, 0.0)
-    assert new.k == 1
-
-
-def test_admm_hand_iteration():
-    topo = build_topology(2, [(1, 2)])
-    state = AdmmState(values=np.array([0.0, 2.0]), duals=np.zeros(2), rho=1.0)
-    new = admm_step(state, topo, np.array([0.0, 2.0]))
-    assert np.allclose(new.values, [2.0 / 3.0, 4.0 / 3.0])
-    assert np.allclose(new.duals, [-2.0 / 3.0, 2.0 / 3.0])
-
-
 def test_admm_matches_literal_transcription():
+    # run_consensus's own rounds against the per-node transcription of the
+    # update equations, on both streams and through the same ratio guard
     topo = random_connected_topology(9, 0.4, seed=6)
+    scen = gen_decentralized_scenario(topo, NoiseConfig(), 10 + 0j, seed=6)
+    gains = GainVector(np.ones(9, dtype=complex))
+    _, plan = decentralized_model(scen, gains)
+    y = simulate_measurement(scen, gains, plan, np.random.default_rng(7))
+    received = received_by_sink(plan, y)
+    rho = 0.7
+    report = run_consensus(scen, gains, plan, received, max_iter=500, tol=1e-6, rho=rho)
+    rounds = 6
+    assert len(report.per_node_trace) > rounds
     neighbors = [tuple(j - 1 for j in topo.neighbors(i)) for i in range(1, 10)]
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(9)
-    values = rng.standard_normal(9)
-    duals = rng.standard_normal(9)
-    state = AdmmState(values=values.copy(), duals=duals.copy(), rho=0.7)
-    for _ in range(4):
-        state = admm_step(state, topo, x)
-        values, duals = oracles.admm_round(values, duals, x, neighbors, 0.7)
-        assert np.allclose(state.values, values)
-        assert np.allclose(state.duals, duals)
+    i0, p0 = initial_streams(scen, gains, plan, received)
+    i_vals, i_duals = i0.copy(), np.zeros(9)
+    p_vals, p_duals = p0.copy(), np.zeros(9, dtype=complex)
+    estimates = np.zeros(9, dtype=complex)
+    for k in range(rounds):
+        for i in range(9):
+            if abs(i_vals[i]) > CONSENSUS_GUARD:
+                estimates[i] = p_vals[i] / i_vals[i]
+        assert report.per_node_trace[k] == pytest.approx(estimates, rel=1e-12, abs=1e-12)
+        i_vals, i_duals = oracles.admm_round(i_vals, i_duals, i0, neighbors, rho)
+        p_vals, p_duals = oracles.admm_round(p_vals, p_duals, p0, neighbors, rho)
 
 
-def test_admm_long_run_reaches_average():
-    topo = build_topology(2, [(1, 2)])
-    x = np.array([0.0, 2.0])
-    state = AdmmState(values=x.copy(), duals=np.zeros(2), rho=1.0)
-    for _ in range(200):
-        state = admm_step(state, topo, x)
-    assert np.max(np.abs(state.values - 1.0)) < 1e-8
-
-
-def test_admm_shape_guard():
-    topo = build_topology(2, [(1, 2)])
-    state = AdmmState(values=np.zeros(2), duals=np.zeros(2))
+@pytest.mark.parametrize("settings", [dict(rho=0.0), dict(rho=-0.5), dict(max_iter=-1),
+                                      dict(tol=0.0), dict(stop_mode="never")],
+                         ids=["rho-zero", "rho-negative", "max-iter-negative", "tol-zero",
+                              "stop-mode-unknown"])
+def test_consensus_rejects_bad_settings(settings):
+    scen = two_node_scenario()
+    gains = GainVector(np.ones(2, dtype=complex))
+    _, plan = decentralized_model(scen, gains)
+    received = {1: np.array([1.0 + 0j]), 2: np.array([3.0 + 0j])}
     with pytest.raises(InvalidConfig):
-        admm_step(state, topo, np.zeros(3))
+        run_consensus(scen, gains, plan, received, **settings)
 
 
 def test_consensus_two_node_matches_global():

@@ -73,10 +73,10 @@ def test_generation_failure_budget():
 
 def test_adjacency_matches_neighbors():
     topo = build_topology(6, TOY_TREE_EDGES)
-    adj = topo.adjacency()
-    for i in range(1, 7):
-        for j in range(1, 7):
-            assert adj[i - 1, j - 1] == (j in topo.neighbors(i))
+    sinks, parents = topo.directed_links()
+    links = list(zip(sinks.tolist(), parents.tolist()))
+    assert links == [(i, j) for i in range(1, 7) for j in topo.neighbors(i)]
+    assert sorted(links) == sorted(TOY_TREE_EDGES + [(j, i) for i, j in TOY_TREE_EDGES])
 
 
 @settings(max_examples=50, deadline=None)
