@@ -18,7 +18,6 @@ from .diffusion import (
     centralized_model,
     decentralized_model,
     information_table,
-    information_value,
 )
 from .errors import (
     DegenerateGains,
@@ -129,7 +128,6 @@ __all__ = [
     "global_mle",
     "global_variance",
     "information_table",
-    "information_value",
     "inner_power_iterations",
     "load_scenario",
     "local_mle",

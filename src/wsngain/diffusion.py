@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentPlan
+from .errors import InconsistentPlan, InvalidEdge
 from .netgraph import Topology
 from .scenario import CentralizedScenario, DecentralizedScenario
 
@@ -46,11 +46,11 @@ class CompressionPlan:
     r: int
     m_dim: int
 
-    def rows(self):
-        """Yield (sink, parent) in global row order: sink-major, parent ascending."""
-        for sink, parents in enumerate(self.retained_rows, start=1):
-            for parent in parents:
-                yield sink, parent
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sinks, parents) of the global rows: sink-major, parent ascending."""
+        sinks = np.repeat(np.arange(1, len(self.retained_rows) + 1),
+                          [len(parents) for parents in self.retained_rows])
+        return sinks, np.array([k for parents in self.retained_rows for k in parents], dtype=int)
 
     def to_json_dict(self) -> dict:
         return {"carrier": list(self.carrier), "r": self.r, "m_dim": self.m_dim}
@@ -89,8 +89,7 @@ def link_terms(scenario: DecentralizedScenario, gains, sinks, parents):
     sums it over the sink's links.
     """
     a = _gain_values(gains)
-    links = zip(np.asarray(sinks).tolist(), np.asarray(parents).tolist())
-    h = np.array([scenario.link_gain[link] for link in links], dtype=complex)
+    h = scenario.gain_by_link[scenario.topology.link_index(sinks, parents)]
     k = np.asarray(parents, dtype=int) - 1
     ha = h * a[k]
     # np.abs of a complex array may take a CPU-specific SIMD path; hypot
@@ -100,16 +99,9 @@ def link_terms(scenario: DecentralizedScenario, gains, sinks, parents):
     return ha, denom, p / denom
 
 
-def information_value(sink: int, gains, scenario: DecentralizedScenario) -> float:
-    """Local information value of a sink over its strict neighbors (the sum
-    of their :func:`link_terms` information terms), the inverse variance of
-    the sink's local ML estimate."""
-    parents = scenario.topology.neighbors(sink)
-    return float(np.sum(link_terms(scenario, gains, [sink] * len(parents), parents)[2]))
-
-
 def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:
-    """Information values for all sinks, indexed by node - 1."""
+    """Information values for all sinks, indexed by node - 1: the sum of each
+    sink's :func:`link_terms` information terms, the inverse of its local ML variance."""
     sinks, parents = scenario.topology.directed_links()
     _, _, info = link_terms(scenario, gains, sinks, parents)
     return np.bincount(sinks - 1, weights=info, minlength=scenario.topology.num_nodes)
@@ -125,9 +117,11 @@ def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:
     info = np.asarray(info, dtype=float)
     if len(info) != topology.num_nodes:
         raise InconsistentPlan("information table length does not match topology")
-    values = info.tolist()
-    # max keeps the first maximum and neighbours ascend: ties go to the lowest index
-    carrier = [max(nbrs, key=lambda j: values[j - 1]) for nbrs in topology.neighbor_seq]
+    # links by node, then falling neighbour value, then rising neighbour index:
+    nodes, nbrs = topology.directed_links()
+    order = np.lexsort((nbrs, -info[nbrs - 1], nodes))
+    # the first link of each node's segment names its carrier
+    carrier = nbrs[order[np.searchsorted(nodes, np.arange(1, len(info) + 1))]].tolist()
     retained: list[list[int]] = [[] for _ in range(topology.num_nodes)]
     for parent, sink in enumerate(carrier, start=1):
         retained[sink - 1].append(parent)
@@ -143,22 +137,20 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
     row for (sink i, parent k) holds h_{i,k} in column k and zeros
     elsewhere; the estimator is invariant to the row order.
     """
-    n = scenario.topology.num_nodes
-    rows = list(plan.rows())
-    if len(rows) != plan.m_dim:
+    sinks, parents = plan.rows()
+    if len(sinks) != plan.m_dim:
         raise InconsistentPlan("retained row count does not match m_dim")
-    H = np.zeros((len(rows), n), dtype=complex)
-    noise_map = []
-    for r_idx, (sink, parent) in enumerate(rows):
-        if parent not in scenario.topology.neighbors(sink):
-            raise InconsistentPlan(f"plan keeps non-neighbor {parent} at sink {sink}")
-        H[r_idx, parent - 1] = scenario.link_gain[(sink, parent)]
-        noise_map.append((sink, parent))
+    try:
+        links = scenario.topology.link_index(sinks, parents)
+    except InvalidEdge as exc:
+        raise InconsistentPlan(f"plan keeps a row off the graph: {exc}") from None
+    H = np.zeros((len(sinks), scenario.topology.num_nodes), dtype=complex)
+    H[np.arange(len(sinks)), parents - 1] = scenario.gain_by_link[links]
     return GlobalModel(
         H=H,
         sensor_noise_var=np.asarray(scenario.sensor_noise_var, dtype=float),
         noise_var=scenario.comm_noise_var,
-        noise_map=tuple(noise_map),
+        noise_map=tuple(zip(sinks.tolist(), parents.tolist())),
     )
 
 

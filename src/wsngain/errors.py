@@ -15,7 +15,7 @@ class WsnGainError(Exception):
 
 
 class InvalidEdge(WsnGainError):
-    """Edge list contains a self-loop or an out-of-range endpoint."""
+    """A self-loop, an out-of-range endpoint, or a pair that is not a link."""
 
 
 class DisconnectedGraph(WsnGainError):

@@ -80,23 +80,11 @@ def _complex_gaussian(rng: np.random.Generator, var, size) -> np.ndarray:
     return std * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
-def link_observations(scenario: DecentralizedScenario, gains, rng: np.random.Generator):
-    """Draw one network round: every directed link's received sample.
-
-    Each sensor k observes theta once (shared across all links it feeds);
-    receiver noise is independent per directed link.  Returns a dict keyed
-    by (rx, tx).
-    """
-    a = _gain_values(gains)
-    n = scenario.topology.num_nodes
-    v = _complex_gaussian(rng, scenario.sensor_noise_var, n)
-    z = scenario.theta + v
-    obs = {}
-    for i, j in scenario.topology.edges:
-        for rx, tx in ((i, j), (j, i)):
-            noise = _complex_gaussian(rng, scenario.comm_noise_var, ())
-            obs[(rx, tx)] = scenario.link_gain[(rx, tx)] * a[tx - 1] * z[tx - 1] + complex(noise)
-    return obs
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x y elementwise, spelled out in real arithmetic because numpy's
+    # vectorized complex product may fuse multiply-adds, which makes its
+    # last bit depend on the CPU
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
 def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, rng=None) -> np.ndarray:
@@ -104,7 +92,9 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
 
     Centralized: y = H a theta + H D v + n with n over the M antennas.
     Decentralized: the compressed vector of retained link receptions, in
-    the plan's row order (plan required).
+    the plan's row order (plan required).  Each sensor observes theta once
+    for all the links it feeds; the receiver noise of every directed link is
+    drawn in sorted edge order, (i, j) before (j, i), real part first.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -115,26 +105,22 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
         return scenario.channel @ (a * (scenario.theta + v)) + n
     if plan is None:
         raise InvalidConfig("decentralized simulation needs a compression plan")
-    obs = link_observations(scenario, gains, rng)
-    return np.array([obs[(sink, parent)] for sink, parent in plan.rows()], dtype=complex)
+    topo = scenario.topology
+    z = scenario.theta + _complex_gaussian(rng, scenario.sensor_noise_var, topo.num_nodes)
+    noise = np.sqrt(scenario.comm_noise_var / 2.0) * rng.standard_normal((2 * topo.num_edges, 2))
+    edges = np.array(topo.edges)
+    draw_of_link = np.argsort(topo.link_index(edges.ravel(), edges[:, ::-1].ravel()))
+    sinks, parents = plan.rows()
+    links = topo.link_index(sinks, parents)
+    n = noise[draw_of_link[links]]
+    k = parents - 1
+    return _product(_product(scenario.gain_by_link[links], a[k]), z[k]) + (n[:, 0] + 1j * n[:, 1])
 
 
 def received_by_sink(plan: CompressionPlan, stacked: np.ndarray) -> dict[int, np.ndarray]:
     """Split a stacked observation vector back into per-sink retained rows."""
-    out: dict[int, np.ndarray] = {}
-    idx = 0
-    for sink, parents in enumerate(plan.retained_rows, start=1):
-        out[sink] = np.asarray(stacked[idx : idx + len(parents)], dtype=complex)
-        idx += len(parents)
-    return out
-
-
-def _state_terms(ha: np.ndarray, denom: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # conj(h a) y / d per link; the product is spelled out in real arithmetic
-    # because numpy's vectorized complex product may fuse multiply-adds,
-    # which makes its last bit depend on the CPU
-    prod = (ha.real * y.real + ha.imag * y.imag) + 1j * (ha.real * y.imag - ha.imag * y.real)
-    return prod / denom
+    ends = np.cumsum([len(parents) for parents in plan.retained_rows])
+    return dict(enumerate(np.split(np.asarray(stacked, dtype=complex), ends)[:-1], start=1))
 
 
 def local_mle(sink: int, gains, scenario: DecentralizedScenario, received) -> tuple[complex, float]:
@@ -150,7 +136,7 @@ def local_mle(sink: int, gains, scenario: DecentralizedScenario, received) -> tu
         raise InvalidConfig(f"expected {len(neighbors)} samples for sink {sink}")
     ha, denom, terms = link_terms(scenario, gains, [sink] * len(neighbors), neighbors)
     info = float(np.sum(terms))
-    num = complex(np.sum(_state_terms(ha, denom, y)))
+    num = complex(np.sum(_product(ha.conj(), y) / denom))
     if info < INFO_FLOOR:
         raise DegenerateGains(f"sink {sink} neighborhood carries no information")
     return complex(num / info), 1.0 / info
@@ -199,11 +185,11 @@ def initial_streams(scenario: DecentralizedScenario, gains, plan: CompressionPla
         if len(y) != len(parents):
             raise InvalidConfig(f"sink {sink} expects {len(parents)} retained samples")
         samples.append(y)
-    sinks, parents = np.array(list(plan.rows()), dtype=int).reshape(-1, 2).T
+    sinks, parents = plan.rows()
     ha, denom, terms = link_terms(scenario, gains, sinks, parents)
     i0 = np.bincount(sinks - 1, weights=terms, minlength=n)
     p0 = np.zeros(n, dtype=complex)
-    np.add.at(p0, sinks - 1, _state_terms(ha, denom, np.concatenate(samples)))
+    np.add.at(p0, sinks - 1, _product(ha.conj(), np.concatenate(samples)) / denom)
     return i0, p0
 
 

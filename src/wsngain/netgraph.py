@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,10 +57,30 @@ class Topology:
         """Every directed link as (sinks, parents), both 2|E| long.
 
         Sink-major with parents ascending inside each sink: the links of
-        sink i are (i, j) for j in S^i.
+        sink i are (i, j) for j in S^i.  Built once; both are read-only.
         """
+        return self._links
+
+    @cached_property
+    def _links(self) -> tuple[np.ndarray, np.ndarray]:
         sinks = np.repeat(np.arange(1, self.num_nodes + 1), self.degrees())
-        return sinks, np.concatenate(self.neighbor_seq)
+        parents = np.concatenate(self.neighbor_seq)
+        sinks.flags.writeable = parents.flags.writeable = False
+        return sinks, parents
+
+    def link_index(self, sinks, parents) -> np.ndarray:
+        """Positions of the links (sinks[l], parents[l]) in :meth:`directed_links`
+        order; raises :class:`InvalidEdge` for a pair that is not a link."""
+        all_sinks, all_parents = self.directed_links()
+        sinks, parents = np.asarray(sinks, dtype=int), np.asarray(parents, dtype=int)
+        # the keys sink (N+1) + parent ascend in directed_links order
+        stride = self.num_nodes + 1
+        pos = np.searchsorted(all_sinks * stride + all_parents, sinks * stride + parents)
+        at = np.minimum(pos, len(all_sinks) - 1)
+        bad = np.flatnonzero((all_sinks[at] != sinks) | (all_parents[at] != parents))
+        if len(bad):
+            raise InvalidEdge(f"({sinks[bad[0]]}, {parents[bad[0]]}) is not a directed link")
+        return pos
 
 
 def _connected(num_nodes: int, adj: dict[int, set[int]]) -> bool:

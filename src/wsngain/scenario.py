@@ -43,6 +43,12 @@ class NoiseConfig:
             raise InvalidConfig("channel noise variance must be positive")
 
 
+def _check_noise_length(sensor_noise_var, num_sensors: int) -> None:
+    if np.shape(sensor_noise_var) != (num_sensors,):
+        raise InvalidConfig(f"sensor_noise_var must hold {num_sensors} variances, "
+                            f"got shape {np.shape(sensor_noise_var)}")
+
+
 @dataclass(frozen=True)
 class CentralizedScenario:
     """N sensors, one M-antenna fusion center.
@@ -67,6 +73,7 @@ class CentralizedScenario:
     def __post_init__(self):
         if np.any(np.asarray(self.sensor_noise_var) <= 0) or self.fc_noise_var <= 0:
             raise InvalidConfig("noise variances must be strictly positive")
+        _check_noise_length(self.sensor_noise_var, self.num_sensors)
         if self.channel.shape != (self.num_antennas, self.num_sensors):
             raise InvalidConfig("channel shape does not match (M, N)")
         if np.any(np.all(self.channel == 0, axis=0)):
@@ -79,7 +86,8 @@ class DecentralizedScenario:
 
     ``link_gain[(rx, tx)]`` is h_{rx,tx}, the coefficient seen by receiver
     ``rx`` for transmitter ``tx``.  Both directions of each edge are
-    present and may differ.
+    present and may differ.  ``gain_by_link`` holds the same gains as one
+    array in :meth:`Topology.directed_links` order; other modules index it.
     """
 
     topology: Topology
@@ -91,16 +99,17 @@ class DecentralizedScenario:
     alpha: float = 1.0
     d_range: tuple[float, float] = (1.0, 10.0)
     v_range: tuple[float, float] = (0.5, 1.5)
+    gain_by_link: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.asarray(self.sensor_noise_var) <= 0) or self.comm_noise_var <= 0:
             raise InvalidConfig("noise variances must be strictly positive")
-        want = set()
-        for i, j in self.topology.edges:
-            want.add((i, j))
-            want.add((j, i))
-        if set(self.link_gain) != want:
+        _check_noise_length(self.sensor_noise_var, self.num_sensors)
+        sinks, parents = self.topology.directed_links()
+        gains = [self.link_gain.get(link) for link in zip(sinks.tolist(), parents.tolist())]
+        if None in gains or len(self.link_gain) != len(gains):
             raise InvalidConfig("link gains must cover both directions of every edge")
+        object.__setattr__(self, "gain_by_link", np.array(gains, dtype=complex))
 
     @property
     def num_sensors(self) -> int:

@@ -107,3 +107,30 @@ def dense_information(h_global, a, sensor_noise_var, noise_var):
     r_w = h @ d @ v @ d.conj().T @ h.conj().T + noise_var * np.eye(h.shape[0])
     ha = h @ a
     return float(np.real(ha.conj() @ np.linalg.solve(r_w, ha)))
+
+
+def link_observations(scenario, a, rng):
+    """Literal per-link transcription of one decentralized network round.
+
+    Each sensor k observes theta once (shared across all links it feeds);
+    receiver noise is drawn per directed link in sorted edge order, (i, j)
+    before (j, i), real part before imaginary.  Returns a dict keyed by
+    (rx, tx).
+    """
+    a = np.asarray(a, dtype=complex)
+    n = scenario.topology.num_nodes
+    std_v = np.sqrt(np.asarray(scenario.sensor_noise_var, dtype=float) / 2.0)
+    z = scenario.theta + std_v * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    std_n = np.sqrt(np.asarray(scenario.comm_noise_var, dtype=float) / 2.0)
+    obs = {}
+    for i, j in scenario.topology.edges:
+        for rx, tx in ((i, j), (j, i)):
+            noise = std_n * (rng.standard_normal(()) + 1j * rng.standard_normal(()))
+            obs[(rx, tx)] = scenario.link_gain[(rx, tx)] * a[tx - 1] * z[tx - 1] + complex(noise)
+    return obs
+
+
+def carriers(neighbor_seq, info):
+    """Each node's carrier by the literal rule: the first neighbour, in
+    ascending order, with the highest information value."""
+    return tuple(max(nbrs, key=lambda j: info[j - 1]) for nbrs in neighbor_seq)

@@ -114,6 +114,22 @@ def test_simulate_consensus_rejects_centralized_scenario(tmp_path, capsys):
     assert "decentralized" in payload["message"]
 
 
+@pytest.mark.parametrize("kind,command", [("centralized", "optimize"),
+                                          ("decentralized", "optimize"),
+                                          ("decentralized", "simulate-consensus")])
+def test_short_noise_vector_fails_cleanly(tmp_path, capsys, kind, command):
+    path = tmp_path / "scen.json"
+    run_cli(capsys, "gen-scenario", "--kind", kind, "--n", "6", "--seed", "1", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["sensor_noise_var"] = doc["sensor_noise_var"][:1]
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, command, "--scenario", str(path))
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidConfig"
+    assert "sensor_noise_var" in payload["message"]
+
+
 def test_sweep_csv_is_byte_stable_without_runtime(tmp_path, capsys):
     texts = []
     for name in ("a.csv", "b.csv"):

@@ -7,6 +7,8 @@ degenerate two-node and star graphs exercising the tie rules.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from wsngain import (
@@ -21,7 +23,6 @@ from wsngain import (
     gen_centralized_scenario,
     gen_decentralized_scenario,
     information_table,
-    information_value,
     random_connected_topology,
 )
 from wsngain.estimator import initial_streams
@@ -44,9 +45,9 @@ def test_information_value_scalar_cases():
     scen = scalar_link_scenario()
     ones = GainVector(np.ones(2, dtype=complex))
     # one neighbor, a=h=1: 1/(1+1)
-    assert information_value(1, ones, scen) == pytest.approx(0.5)
+    assert information_table(ones, scen)[0] == pytest.approx(0.5)
     doubled = GainVector(np.array([2.0, 2.0], dtype=complex))
-    assert information_value(1, doubled, scen) == pytest.approx(0.8)
+    assert information_table(doubled, scen)[0] == pytest.approx(0.8)
 
 
 def test_information_value_two_identical_neighbors():
@@ -58,12 +59,12 @@ def test_information_value_two_identical_neighbors():
         comm_noise_var=1.0,
         theta=1 + 0j,
     )
-    assert information_value(1, GainVector(np.ones(3, dtype=complex)), scen) == pytest.approx(1.0)
+    assert information_table(GainVector(np.ones(3, dtype=complex)), scen)[0] == pytest.approx(1.0)
 
 
 def test_information_value_matches_dense_oracle():
     # diagonal closed form vs a dense covariance solve on random scenarios:
-    # the one-sink value, the table entry, and I_i(0) over the plan's rows
+    # the table entry and I_i(0) over the plan's rows
     rng = np.random.default_rng(3)
 
     def dense(sink, parents, scen, a):
@@ -83,7 +84,6 @@ def test_information_value_matches_dense_oracle():
         i0, _ = initial_streams(scen, a, plan, zeros)
         for sink in range(1, 8):
             want = dense(sink, topo.neighbors(sink), scen, a)
-            assert information_value(sink, a, scen) == pytest.approx(want, rel=1e-10)
             assert table[sink - 1] == pytest.approx(want, rel=1e-10)
             retained = plan.retained_rows[sink - 1]
             assert i0[sink - 1] == pytest.approx(dense(sink, retained, scen, a), rel=1e-10)
@@ -110,6 +110,27 @@ def test_assign_carriers_tie_to_lowest_index():
     plan = assign_carriers(star, np.array([1.0, 5.0, 5.0, 2.0]))
     # leaves must choose the center; the center ties 5 vs 5 -> node 2
     assert plan.carrier == (2, 1, 1, 1)
+
+
+@st.composite
+def graphs_with_values(draw):
+    # a random spanning tree plus random extra edges, and information values
+    # from three levels so that ties are common
+    n = draw(st.integers(2, 9))
+    edges = [(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12))
+    info = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    return build_topology(n, edges + [e for e in extra if e[0] != e[1]]), info
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=graphs_with_values())
+def test_assign_carriers_matches_literal_rule(case):
+    topo, info = case
+    plan = assign_carriers(topo, np.array(info))
+    assert plan.carrier == oracles.carriers(topo.neighbor_seq, info)
+    for sink, parents in enumerate(plan.retained_rows, start=1):
+        assert parents == tuple(k for k, c in enumerate(plan.carrier, start=1) if c == sink)
 
 
 def test_assemble_two_node_model():

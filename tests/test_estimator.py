@@ -157,6 +157,24 @@ def test_simulate_measurement_decentralized_length():
     assert model.num_rows == 2
 
 
+def test_simulate_measurement_matches_literal_draw():
+    # one vectorized draw consumes the RNG stream in the per-link loop's
+    # order and forms the same products, so the plan's rows agree bit for bit
+    for seed in range(6):
+        n = 5 + 3 * seed
+        topo = random_connected_topology(n, 0.4, seed=seed)
+        noise = NoiseConfig(channel_noise_var=0.3 + seed)
+        scen = gen_decentralized_scenario(topo, noise, 10 - 2j, seed=seed)
+        gains = np.random.default_rng(seed).standard_normal((n, 2)) @ np.array([1, 1j])
+        _, plan = decentralized_model(scen, gains)
+        for draw_seed in (seed, 100 + seed):
+            y = simulate_measurement(scen, gains, plan, np.random.default_rng(draw_seed))
+            obs = oracles.link_observations(scen, gains, np.random.default_rng(draw_seed))
+            want = np.array([obs[(sink, k)] for sink, parents
+                             in enumerate(plan.retained_rows, start=1) for k in parents])
+            assert y.tobytes() == want.tobytes()
+
+
 def test_unbiasedness():
     scen = gen_centralized_scenario(5, 4, NoiseConfig(), theta=3 + 1j, seed=4)
     model = centralized_model(scen)

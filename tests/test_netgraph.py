@@ -45,6 +45,19 @@ def test_out_of_range_endpoint_rejected():
         build_topology(3, [(1, 2), (2, 4)])
 
 
+def test_link_index_positions_and_non_links():
+    topo = build_topology(6, TOY_TREE_EDGES)
+    sinks, parents = topo.directed_links()
+    assert np.array_equal(topo.link_index(sinks, parents), np.arange(2 * topo.num_edges))
+    with pytest.raises(ValueError):  # built once and shared by every caller
+        sinks[0] = 2
+    assert topo.link_index([4, 3], [6, 1]).tolist() == [7, 2]
+    # a non-edge, a self pair, and labels past either end of the key range
+    for sink, parent in [(1, 2), (1, 1), (6, 7), (0, 3)]:
+        with pytest.raises(InvalidEdge):
+            topo.link_index([3, sink], [4, parent])
+
+
 def test_duplicate_edges_collapse():
     topo = build_topology(2, [(1, 2), (2, 1)])
     assert topo.num_edges == 1

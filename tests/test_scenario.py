@@ -69,6 +69,35 @@ def test_decentralized_link_count():
     assert tree.link_gain[(1, 3)] != tree.link_gain[(3, 1)]
 
 
+def test_decentralized_links_must_match_edges():
+    path = build_topology(3, [(1, 2), (2, 3)])
+    gains = {(1, 2): 1j, (2, 1): 2j, (2, 3): 3j, (3, 2): 4j}
+
+    def scenario(link_gain):
+        return DecentralizedScenario(path, link_gain, np.ones(3), 1.0, 1 + 0j)
+
+    # the array follows directed_links(): (1,2), (2,1), (2,3), (3,2)
+    assert scenario(gains).gain_by_link.tolist() == [1j, 2j, 3j, 4j]
+    missing = {link: g for link, g in gains.items() if link != (3, 2)}
+    with pytest.raises(InvalidConfig):
+        scenario(missing)
+    with pytest.raises(InvalidConfig):
+        scenario({**gains, (1, 3): 5j})
+
+
+@pytest.mark.parametrize("kind,count", [("centralized", 1), ("centralized", 3),
+                                        ("decentralized", 4), ("decentralized", 7)])
+def test_noise_vector_length_must_match_sensors(kind, count):
+    if kind == "centralized":
+        scen = gen_centralized_scenario(5, 2, NoiseConfig(), seed=0)
+    else:
+        scen = gen_decentralized_scenario(random_connected_topology(6, 0.5, seed=1), seed=1)
+    doc = to_json_dict(scen)
+    doc["sensor_noise_var"] = (doc["sensor_noise_var"] * 2)[:count]
+    with pytest.raises(InvalidConfig, match="sensor_noise_var"):
+        from_json_dict(doc)
+
+
 def test_decentralized_determinism():
     topo = random_connected_topology(16, 0.3, seed=7)
     a = gen_decentralized_scenario(topo, NoiseConfig(), 10 + 0j, seed=3)
