@@ -87,6 +87,10 @@ def _result_json(gains: GainVector, trace, plan=None) -> dict:
         "eta_trace": list(trace.eta_per_outer),
         "outer_iters": trace.outer_iters,
         "inner_iters_total": trace.inner_iters_total,
+        "converged": trace.converged,
+        "restart_index": trace.restart_index,
+        "segment_breaks": list(trace.segment_breaks),
+        "stationarity_residual": trace.stationarity_residual,
         "wall_time_s": trace.wall_time_s,
     }
     if plan is not None:

@@ -5,7 +5,10 @@ bordered matrix R whose corner hosts a large constant eta0.  Alternating
 between an exact auxiliary solve (first column of R^{-1}, rescaled) and
 power-method-like iterations on a shifted quadratic drives eta = eta0 -
 (information value) monotonically down under any of four practical
-constraint families.  A simplified unimodular-quadratic path handles the
+constraint families.  The inner quadratic is an arrow matrix (a diagonal
+plus one border row and column); it is held as the two length-N vectors
+(d, g) and never formed, so the shift and each inner step cost O(N) plus
+the projection.  A simplified unimodular-quadratic path handles the
 phase-only case with a constant matrix.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,7 +192,12 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerTrace:
-    """Full record of one optimization run (best restart)."""
+    """Full record of one optimization run (best restart).
+
+    ``converged`` is True when the run stopped on its tolerance (outer_tol
+    on eta; INNER_STOP on the step for the phase-only UQP path) and False
+    when it used up its iteration budget.
+    """
 
     eta_per_outer: tuple[float, ...]
     inner_objective: tuple[float, ...]
@@ -200,6 +208,7 @@ class OptimizerTrace:
     segment_breaks: tuple[int, ...] = ()
     stationarity_residual: float = 0.0
     inner_segments: tuple[int, ...] = ()
+    converged: bool = False
 
     @property
     def outer_iters(self) -> int:
@@ -269,24 +278,21 @@ def solve_auxiliary(r: np.ndarray) -> np.ndarray:
 
 
 def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel, eta0: float):
-    """Arrow matrix Q and constant C1 with y^H R y = C1 + (a;1)^H Q (a;1).
+    """Arrow form (d, g) and constant C1 with y^H R y = C1 + (a;1)^H Q (a;1).
 
-    For diagonal V the Hadamard product (H^H y y^H H) o V collapses to the
-    diagonal |H^H y|^2 v; C1 = eta0 + sigma_n^2 ||y_tail||^2.
+    Q is the arrow matrix [[diag(d), g], [g^H, 0]]: for diagonal V the
+    Hadamard product (H^H y y^H H) o V collapses to d = |g|^2 v with border
+    g = H^H y; C1 = eta0 + sigma_n^2 ||y_tail||^2.  Q itself is never formed.
     """
     yt = np.asarray(y_tail, dtype=complex)
     g = model.H.conj().T @ yt
-    n = model.num_sensors
-    q = np.zeros((n + 1, n + 1), dtype=complex)
-    q[:n, :n] = np.diag(np.abs(g) ** 2 * model.sensor_noise_var)
-    q[:n, n] = g
-    q[n, :n] = g.conj()
+    d = np.abs(g) ** 2 * model.sensor_noise_var
     c1 = eta0 + model.noise_var * float(np.real(yt.conj() @ yt))
-    return q, c1
+    return d, g, c1
 
 
-def shift_quadratic(q: np.ndarray, margin: float = 1.05):
-    """Positive-definite shift Q~ = lambda I - Q with lambda > lambda_max(Q).
+def shift_quadratic(d: np.ndarray, g: np.ndarray, margin: float = 1.05) -> float:
+    """Shift lambda > lambda_max(Q) making lambda I - Q positive definite.
 
     Q is the arrow matrix of build_inner_quadratic: diagonal d >= 0,
     border g, zero corner.  lambda_max is the largest root of the secular
@@ -294,17 +300,16 @@ def shift_quadratic(q: np.ndarray, margin: float = 1.05):
     bisection on [max(max d, ||g||), max d + ||g||]: interlacing gives
     lambda_max >= max d, d >= 0 gives lambda_max^2 >= ||g||^2, and Weyl's
     inequality gives the upper end.  The bracket spans at most a factor 2,
-    so about 55 halvings reach adjacent floats; lambda is margin times the
-    final upper end.  Q = 0 (zero gains) gets a small floor instead.
+    so about 55 halvings of O(N) each reach adjacent floats; lambda is
+    margin times the final upper end.  Q = 0 (zero gains) gets a small
+    floor instead.
     """
-    d = np.real(np.diag(q))[:-1]
-    g2 = np.abs(q[:-1, -1]) ** 2
+    g2 = np.abs(g) ** 2
     d_max = float(d.max())
     g_norm = float(np.sqrt(g2.sum()))
     lo, hi = max(d_max, g_norm), d_max + g_norm
     if hi == 0.0:
-        lam = LAMBDA_FLOOR
-        return lam * np.eye(q.shape[0], dtype=complex), lam
+        return LAMBDA_FLOOR
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -314,8 +319,7 @@ def shift_quadratic(q: np.ndarray, margin: float = 1.05):
             hi = mid
         else:
             lo = mid
-    lam = margin * hi
-    return lam * np.eye(q.shape[0], dtype=complex) - q, lam
+    return margin * hi
 
 
 def _quantize_phases(angles: np.ndarray, q_levels: int) -> np.ndarray:
@@ -378,30 +382,29 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     return out
 
 
-def _lifted_point(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, [1.0 + 0.0j]])
+def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndarray,
+                           constraint: ConstraintSpec, max_iters: int,
+                           stop_tol: float = INNER_STOP):
+    """Power-method-like ascent a <- project((lambda - d) o a - g).
 
-
-def inner_power_iterations(a0: np.ndarray, q_tilde: np.ndarray, constraint: ConstraintSpec,
-                           max_iters: int, stop_tol: float = INNER_STOP):
-    """Power-method-like ascent a <- project((I_N 0) Q~ (a;1)).
-
-    Returns (a, objectives) where objectives holds (a;1)^H Q~ (a;1) at the
-    start and after every accepted step; the sequence is non-decreasing
-    for any positive-semidefinite Q~.
+    The image is (I_N 0) Q~ (a;1) for the shifted arrow Q~ = lambda I - Q,
+    so each step costs O(N) plus the projection.  Returns (a, objectives)
+    where objectives holds (a;1)^H Q~ (a;1) = lambda + sum (lambda - d)|a|^2
+    - 2 Re(g^H a) at the start and after every accepted step; the sequence
+    is non-decreasing whenever Q~ is positive semidefinite.
     """
-    n = len(a0)
+    w = lam - d
     a = np.asarray(a0, dtype=complex).copy()
-    z = _lifted_point(a)
-    objs = [float(np.real(z.conj() @ (q_tilde @ z)))]
+    image = w * a - g
+    # a^H image - g^H a = sum w |a|^2 - 2 Re(g^H a) in real part
+    objs = [lam + float(np.real(np.vdot(a, image) - np.vdot(g, a)))]
     for _ in range(max_iters):
-        image = (q_tilde @ z)[:n]
         a_new = project(image, constraint)
         if np.linalg.norm(a_new - a) <= stop_tol:
             break
         a = a_new
-        z = _lifted_point(a)
-        objs.append(float(np.real(z.conj() @ (q_tilde @ z))))
+        image = w * a - g
+        objs.append(lam + float(np.real(np.vdot(a, image) - np.vdot(g, a))))
     return a, objs
 
 
@@ -416,25 +419,15 @@ def _models_match(m1: GlobalModel, m2: GlobalModel) -> bool:
     return m1.noise_map == m2.noise_map and np.array_equal(m1.H, m2.H)
 
 
-@dataclass(frozen=True)
-class _RunRecord:
-    gains: np.ndarray
-    etas: tuple[float, ...]
-    inner_objs: tuple[float, ...]
-    inner_segments: tuple[int, ...]
-    variance: float
-    breaks: tuple[int, ...]
-    stationarity_residual: float
-
-
-def _cyclic_run(model, model_fn, a0, constraint, config):
-    """One full cyclic minimization from a0; returns the per-run record.
+def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
+    """One full cyclic minimization from a0; returns its trace.
 
     Each outer cycle solves the auxiliary vector exactly first, so the
     eta trace is anchored at eta(a0) and descends monotonically;
-    the gain update then runs the shifted power iterations once.  The
-    shift exceeds the exact top eigenvalue of the inner quadratic, so a
-    decreasing inner objective means lost precision and raises NoDescent.
+    the gain update then builds the arrow (d, g), shifts it and runs the
+    power iterations on it once.  The shift exceeds the exact top
+    eigenvalue of the inner quadratic, so a decreasing inner objective
+    means lost precision and raises NoDescent.
     """
     m = model_fn(a0) if model_fn is not None else model
     eta0 = eta0_bound(m, config.eta0_margin)
@@ -445,6 +438,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config):
     breaks: list[int] = []
     prev = None
     stat_resid = 0.0
+    converged = False
     for k in range(config.max_outer):
         if model_fn is not None and k > 0:
             m_new = model_fn(a)
@@ -467,18 +461,21 @@ def _cyclic_run(model, model_fn, a0, constraint, config):
             if eta > prev + DESCENT_RTOL * abs(prev):
                 raise NoDescent(f"eta rose from {prev} to {eta}")
             if abs(prev - eta) <= config.outer_tol:
+                converged = True
                 break
         prev = eta
-        q, _ = build_inner_quadratic(y[1:], m, eta0)
-        q_tilde, _ = shift_quadratic(q, config.lambda_margin)
-        a_new, objs = inner_power_iterations(a, q_tilde, constraint, config.inner_iters)
+        d, g, _ = build_inner_quadratic(y[1:], m, eta0)
+        lam = shift_quadratic(d, g, config.lambda_margin)
+        a_new, objs = inner_power_iterations(a, lam, d, g, constraint, config.inner_iters)
         if not _nondecreasing(objs):
             raise NoDescent("inner objective decreased under the exact shift")
         inner_objs.extend(objs)
         seg_lens.append(len(objs))
         a = a_new
-    return _RunRecord(a, tuple(etas), tuple(inner_objs), tuple(seg_lens),
-                      global_variance(m, a), tuple(breaks), stat_resid)
+    return OptimizerTrace(tuple(etas), tuple(inner_objs), GainVector(a, constraint),
+                          global_variance(m, a), wall_time_s=0.0, segment_breaks=tuple(breaks),
+                          stationarity_residual=stat_resid, inner_segments=tuple(seg_lens),
+                          converged=converged)
 
 
 def _restart_points(n, constraint, config, model, model_fn):
@@ -502,30 +499,15 @@ def _restart_points(n, constraint, config, model, model_fn):
     return points[: config.restarts]
 
 
-def _best_of_starts(run_from, starts, constraint, t0):
-    """One run_from(a0) -> _RunRecord per start; the best (variance, start index) wins.
+def _best_of_starts(run_from, starts, t0):
+    """One run_from(a0) -> OptimizerTrace per start; the best (variance, start index) wins.
 
-    Returns (gains, trace) with the wall time counted from t0.
+    Returns (gains, trace) with the restart index set and the wall time counted from t0.
     """
-    best_key, best_run = None, None
-    for idx, a0 in enumerate(starts):
-        run = run_from(a0)
-        key = (run.variance, idx)
-        if best_key is None or key < best_key:
-            best_key, best_run = key, run
-    gains = GainVector(best_run.gains, constraint)
-    trace = OptimizerTrace(
-        eta_per_outer=best_run.etas,
-        inner_objective=best_run.inner_objs,
-        final_gains=gains,
-        final_variance=best_run.variance,
-        wall_time_s=time.perf_counter() - t0,
-        restart_index=best_key[1],
-        segment_breaks=best_run.breaks,
-        stationarity_residual=best_run.stationarity_residual,
-        inner_segments=best_run.inner_segments,
-    )
-    return gains, trace
+    runs = [run_from(a0) for a0 in starts]
+    best = min(range(len(runs)), key=lambda idx: (runs[idx].final_variance, idx))
+    trace = replace(runs[best], restart_index=best, wall_time_s=time.perf_counter() - t0)
+    return trace.final_gains, trace
 
 
 def optimize(model: GlobalModel, constraint: ConstraintSpec,
@@ -562,7 +544,7 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     t0 = time.perf_counter()
     starts = _restart_points(model.num_sensors, constraint, config, model, model_fn)
     return _best_of_starts(lambda a0: _cyclic_run(model, model_fn, a0, constraint, config),
-                           starts, constraint, t0)
+                           starts, t0)
 
 
 def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
@@ -577,7 +559,7 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     a0 = np.asarray(a0, dtype=complex)
     constraint.check(a0)
     return _best_of_starts(lambda start: _cyclic_run(model, model_fn, start, constraint, config),
-                           [a0], constraint, time.perf_counter())
+                           [a0], time.perf_counter())
 
 
 def optimize_decentralized(scenario: DecentralizedScenario, constraint: ConstraintSpec,
@@ -634,14 +616,15 @@ def optimize_phase_only_uqp(model: GlobalModel,
 
     def ascend(a):
         objs = [float(np.real(a.conj() @ (b_mat @ a)))]
-        for _ in range(max_iters):
+        for _ in range(max_iters):  # at least one step: the config rejects empty budgets
             a_new = uqp_step(b_mat, a)
             step = np.linalg.norm(a_new - a)
             a = a_new
             objs.append(float(np.real(a.conj() @ (b_mat @ a))))
             if step <= INNER_STOP:
                 break
-        return _RunRecord(a, tuple(eta0 - o for o in objs), tuple(objs), (), 1.0 / objs[-1], (), 0.0)
+        return OptimizerTrace(tuple(eta0 - o for o in objs), tuple(objs), GainVector(a, constraint),
+                              1.0 / objs[-1], wall_time_s=0.0, converged=bool(step <= INNER_STOP))
 
     starts = _restart_points(model.num_sensors, constraint, config, model, None)
-    return _best_of_starts(ascend, starts, constraint, t0)
+    return _best_of_starts(ascend, starts, t0)

@@ -167,14 +167,17 @@ def gen_decentralized_scenario(
 
     Every directed link gets an independent distance and phase draw; links
     are visited in sorted edge order, (i, j) before (j, i), which pins the
-    RNG stream for reproducibility.
+    RNG stream for reproducibility.  One (links, 2) draw holds the
+    (distance, phase) pairs in the order that :func:`gen_channel_coefficient`
+    would consume them link by link, and gives the same gains bit for bit.
     """
     rng = np.random.default_rng(seed)
-    link_gain: dict[tuple[int, int], complex] = {}
-    for i, j in topology.edges:
-        for rx, tx in ((i, j), (j, i)):
-            d = rng.uniform(noise.d_range[0], noise.d_range[1])
-            link_gain[(rx, tx)] = gen_channel_coefficient(rng, d, noise.path_loss_exp)
+    links = [link for i, j in topology.edges for link in ((i, j), (j, i))]
+    draws = rng.uniform([noise.d_range[0], 0.0], [noise.d_range[1], 2.0 * np.pi], size=(len(links), 2))
+    # Python-float powers: numpy's vectorized power can differ in the last bit
+    loss = [d ** noise.path_loss_exp for d in draws[:, 0].tolist()]
+    gains = np.exp(1j * draws[:, 1]) / np.array(loss)
+    link_gain = dict(zip(links, gains.tolist()))
     v = rng.uniform(noise.v_range[0], noise.v_range[1], topology.num_nodes)
     return DecentralizedScenario(
         topology=topology,

@@ -46,6 +46,49 @@ def sphere_quadratic_max(q_tilde, n, restarts=24, iters=5000, seed=0):
     return best
 
 
+def arrow_matrix(d, g):
+    """The dense (N+1)^2 arrow matrix [[diag(d), g], [g^H, 0]]."""
+    n = len(d)
+    q = np.zeros((n + 1, n + 1), dtype=complex)
+    q[:n, :n] = np.diag(d)
+    q[:n, n] = g
+    q[n, :n] = np.conj(g)
+    return q
+
+
+def inner_power_iterations_dense(a0, q_tilde, project, max_iters, stop_tol=1e-10):
+    """Power-method-like ascent a <- project((I_N 0) Q~ (a;1)) with the
+    lifted point and the dense matvec written out; ``project`` maps an image
+    to the feasible set.  Returns (a, objectives) like the optimizer's."""
+    n = len(a0)
+    a = np.asarray(a0, dtype=complex).copy()
+    z = np.concatenate([a, [1.0 + 0.0j]])
+    objs = [float(np.real(z.conj() @ (q_tilde @ z)))]
+    for _ in range(max_iters):
+        image = (q_tilde @ z)[:n]
+        a_new = project(image)
+        if np.linalg.norm(a_new - a) <= stop_tol:
+            break
+        a = a_new
+        z = np.concatenate([a, [1.0 + 0.0j]])
+        objs.append(float(np.real(z.conj() @ (q_tilde @ z))))
+    return a, objs
+
+
+def decentralized_link_gains(topology, noise, seed, channel_draw):
+    """Link gains and sensor noise variances drawn one link at a time:
+    sorted edge order, (i, j) before (j, i), a scalar distance draw and
+    then ``channel_draw(rng, distance, alpha)`` per link."""
+    rng = np.random.default_rng(seed)
+    link_gain = {}
+    for i, j in topology.edges:
+        for rx, tx in ((i, j), (j, i)):
+            d = rng.uniform(noise.d_range[0], noise.d_range[1])
+            link_gain[(rx, tx)] = channel_draw(rng, d, noise.path_loss_exp)
+    v = rng.uniform(noise.v_range[0], noise.v_range[1], topology.num_nodes)
+    return link_gain, v
+
+
 def best_quant_distance(a_hat, q_levels):
     """Min over the full Q^N grid of ||cand - a_hat|| (dense enumeration)."""
     n = len(a_hat)

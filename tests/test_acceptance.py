@@ -98,7 +98,8 @@ def test_c03_lift_identity_on_random_triples():
         y_tail = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         y = np.concatenate([[1.0 + 0j], y_tail])
         lhs = float(np.real(y.conj() @ (build_lifted(model, a, eta0) @ y)))
-        q, c1 = build_inner_quadratic(y_tail, model, eta0)
+        d, g, c1 = build_inner_quadratic(y_tail, model, eta0)
+        q = oracles.arrow_matrix(d, g)
         z = np.concatenate([a, [1.0 + 0j]])
         rhs = c1 + float(np.real(z.conj() @ (q @ z)))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs), (

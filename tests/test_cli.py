@@ -29,7 +29,8 @@ def test_optimize_default_json_shape(capsys):
     assert rc == 0 and err == ""
     doc = json.loads(out)
     assert set(doc) == {"gains", "constraint", "variance", "eta_trace",
-                        "outer_iters", "inner_iters_total", "wall_time_s"}
+                        "outer_iters", "inner_iters_total", "converged", "restart_index",
+                        "segment_breaks", "stationarity_residual", "wall_time_s"}
     assert doc["constraint"] == "energy"
     assert len(doc["gains"]) == 6
     gains = np.array([re + 1j * im for re, im in doc["gains"]])
@@ -37,6 +38,28 @@ def test_optimize_default_json_shape(capsys):
     etas = doc["eta_trace"]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(etas, etas[1:]))
     assert doc["variance"] > 0
+
+
+def test_optimize_reports_convergence_and_run_details(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "optimize", "--n", "6", "--m", "2", "--seed", "3")
+    doc = json.loads(out)
+    assert rc == 0 and doc["converged"] is True
+    assert doc["restart_index"] == 0 and doc["segment_breaks"] == []
+    assert 0.0 <= doc["stationarity_residual"] <= 1e-10
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_outer": 2, "restarts": 3}))
+    rc, out, _ = run_cli(capsys, "optimize", "--n", "6", "--m", "2", "--seed", "3",
+                         "--config", str(cfg))
+    doc = json.loads(out)
+    assert rc == 0 and doc["converged"] is False and doc["outer_iters"] == 2
+    assert doc["restart_index"] in (0, 1, 2)
+    path = tmp_path / "net.json"
+    run_cli(capsys, "gen-scenario", "--kind", "decentralized", "--n", "7",
+            "--seed", "5", "--out", str(path))
+    rc, out, _ = run_cli(capsys, "optimize", "--scenario", str(path), "--seed", "1")
+    doc = json.loads(out)
+    assert rc == 0 and isinstance(doc["converged"], bool)
+    assert all(isinstance(k, int) and 0 < k < doc["outer_iters"] for k in doc["segment_breaks"])
 
 
 def test_optimize_phase_constraint(capsys):

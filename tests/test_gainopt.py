@@ -139,7 +139,8 @@ def test_solve_auxiliary_residual_property():
 
 
 def test_build_inner_quadratic_scalar():
-    q, c1 = build_inner_quadratic(np.array([-0.5 + 0j]), SCALAR_MODEL, 2.0)
+    d, g, c1 = build_inner_quadratic(np.array([-0.5 + 0j]), SCALAR_MODEL, 2.0)
+    q = oracles.arrow_matrix(d, g)
     assert np.allclose(q, [[0.25, -0.5], [-0.5, 0.0]])
     assert c1 == pytest.approx(2.25)
     # the lift identity at a=1 recovers eta
@@ -148,8 +149,8 @@ def test_build_inner_quadratic_scalar():
 
 
 def test_build_inner_quadratic_zero_tail():
-    q, c1 = build_inner_quadratic(np.zeros(1, dtype=complex), SCALAR_MODEL, 2.0)
-    assert np.allclose(q, 0.0)
+    d, g, c1 = build_inner_quadratic(np.zeros(1, dtype=complex), SCALAR_MODEL, 2.0)
+    assert np.allclose(oracles.arrow_matrix(d, g), 0.0)
     assert c1 == pytest.approx(2.0)
 
 
@@ -162,7 +163,8 @@ def test_lift_identity_random_triples():
         y_tail = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         r = build_lifted(model, a, eta0)
         y = np.concatenate([[1.0 + 0j], y_tail])
-        q, c1 = build_inner_quadratic(y_tail, model, eta0)
+        d, g, c1 = build_inner_quadratic(y_tail, model, eta0)
+        q = oracles.arrow_matrix(d, g)
         z = np.concatenate([a, [1.0 + 0j]])
         lhs = float(np.real(y.conj() @ (r @ y)))
         rhs = c1 + float(np.real(z.conj() @ (q @ z)))
@@ -172,38 +174,41 @@ def test_lift_identity_random_triples():
 # --------------------------------------------------------------------- shift
 
 
+def shifted(lam, d, g):
+    """The dense lambda I - Q for the arrow Q of (d, g)."""
+    return lam * np.eye(len(d) + 1) - oracles.arrow_matrix(d, g)
+
+
 def test_shift_exceeds_top_eigenvalue():
-    q = np.array([[0.25, -0.5], [-0.5, 0.0]], dtype=complex)
+    d, g = np.array([0.25]), np.array([-0.5 + 0j])
     top = (0.25 + np.sqrt(1.0625)) / 2.0
-    q_tilde, lam = shift_quadratic(q)
+    lam = shift_quadratic(d, g)
     assert lam > top
-    assert np.all(np.linalg.eigvalsh(q_tilde) > 0)
+    assert np.all(np.linalg.eigvalsh(shifted(lam, d, g)) > 0)
 
 
 def test_shift_zero_matrix():
-    q_tilde, lam = shift_quadratic(np.zeros((3, 3), dtype=complex))
+    d, g = np.zeros(2), np.zeros(2, dtype=complex)
+    lam = shift_quadratic(d, g)
     assert lam > 0
-    assert np.allclose(q_tilde, lam * np.eye(3))
+    assert np.allclose(shifted(lam, d, g), lam * np.eye(3))
 
 
 def random_arrow(rng, n):
-    """Arrow matrix as build_inner_quadratic makes it: diagonal d >= 0,
-    complex border g, zero corner."""
+    """Arrow form as build_inner_quadratic makes it: diagonal d >= 0 and
+    complex border g (the corner is zero)."""
     d = rng.exponential(size=n)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q = np.zeros((n + 1, n + 1), dtype=complex)
-    q[:n, :n] = np.diag(d)
-    q[:n, n] = g
-    q[n, :n] = g.conj()
-    return q
+    return d, g
 
 
 def test_shift_positive_definite_random():
     rng = np.random.default_rng(5)
     for _ in range(25):
-        q = random_arrow(rng, 6)
-        q_tilde, lam = shift_quadratic(q)
-        evs = np.linalg.eigvalsh(q_tilde)
+        d, g = random_arrow(rng, 6)
+        q = oracles.arrow_matrix(d, g)
+        lam = shift_quadratic(d, g)
+        evs = np.linalg.eigvalsh(shifted(lam, d, g))
         assert evs.min() > 0
         assert lam > np.linalg.eigvalsh(q).max()
 
@@ -213,9 +218,10 @@ def test_shift_is_margin_times_top_eigenvalue():
     # the lambda floor is for Q = 0 only
     rng = np.random.default_rng(6)
     for n, scale, margin, _ in itertools.product((1, 2, 6, 40), (1.0, 1e-150), (1.05, 1.5), range(5)):
-        q = scale * random_arrow(rng, n)
-        _, lam = shift_quadratic(q, margin)
-        top = np.linalg.eigvalsh(q).max()
+        d, g = random_arrow(rng, n)
+        d, g = scale * d, scale * g
+        lam = shift_quadratic(d, g, margin)
+        top = np.linalg.eigvalsh(oracles.arrow_matrix(d, g)).max()
         assert np.isfinite(lam) and lam > 0
         assert abs(lam / margin - top) <= 1e-12 * top
 
@@ -223,12 +229,10 @@ def test_shift_is_margin_times_top_eigenvalue():
 def test_shift_border_zero_at_largest_diagonal():
     # the top eigenvector is e_1 alone, so lambda_max = max d, above the
     # largest root of the secular equation over the other entries
-    q = np.zeros((4, 4), dtype=complex)
-    q[:3, :3] = np.diag([5.0, 1.0, 0.5])
-    q[1:3, 3] = [1.0 + 1.0j, -0.5]
-    q[3, 1:3] = q[1:3, 3].conj()
+    d, g = np.array([5.0, 1.0, 0.5]), np.array([0.0, 1.0 + 1.0j, -0.5])
+    q = oracles.arrow_matrix(d, g)
     assert np.linalg.eigvalsh(q).max() == pytest.approx(5.0, rel=1e-14)
-    _, lam = shift_quadratic(q, 1.05)
+    lam = shift_quadratic(d, g, 1.05)
     assert lam / 1.05 == pytest.approx(5.0, rel=1e-12)
     assert lam > 5.0
 
@@ -313,7 +317,9 @@ def test_project_feasible_and_idempotent(data, n):
 
 def test_inner_identity_matrix_fixed_point():
     a0 = ConstraintSpec.phase_only().random_point(4, np.random.default_rng(6))
-    a, objs = inner_power_iterations(a0, np.eye(5, dtype=complex), ConstraintSpec.phase_only(), 10)
+    # Q~ = I is lambda = 1 with d = 0 and g = 0
+    a, objs = inner_power_iterations(a0, 1.0, np.zeros(4), np.zeros(4, dtype=complex),
+                                     ConstraintSpec.phase_only(), 10)
     assert np.allclose(a, a0)
     assert len(objs) == 1
 
@@ -325,12 +331,12 @@ def test_inner_objective_nondecreasing():
         a = ConstraintSpec.fixed_energy().random_point(5, rng)
         r = build_lifted(model, a, eta0_bound(model))
         y = solve_auxiliary(r)
-        q, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
-        q_tilde, _ = shift_quadratic(q)
+        d, g, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
+        lam = shift_quadratic(d, g)
         for spec in (ConstraintSpec.fixed_energy(), ConstraintSpec.phase_only(),
                      ConstraintSpec.quantized(4), ConstraintSpec.sensor_select(3)):
             a0 = spec.random_point(5, rng)
-            _, objs = inner_power_iterations(a0, q_tilde, spec, 60)
+            _, objs = inner_power_iterations(a0, lam, d, g, spec, 60)
             diffs = np.diff(objs)
             assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(objs[:-1])))
 
@@ -344,15 +350,15 @@ def test_inner_fixed_energy_matches_sphere_oracle():
         anchor = ConstraintSpec.fixed_energy().random_point(2, rng)
         r = build_lifted(model, anchor, eta0_bound(model))
         y = solve_auxiliary(r)
-        q, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
-        q_tilde, _ = shift_quadratic(q)
+        d, g, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
+        lam = shift_quadratic(d, g)
         best = -np.inf
         for start in range(4):
             a0 = (ConstraintSpec.fixed_energy().initial_point(2) if start == 0
                   else ConstraintSpec.fixed_energy().random_point(2, rng))
-            a, objs = inner_power_iterations(a0, q_tilde, ConstraintSpec.fixed_energy(), 3000)
+            a, objs = inner_power_iterations(a0, lam, d, g, ConstraintSpec.fixed_energy(), 3000)
             best = max(best, objs[-1])
-        want = oracles.sphere_quadratic_max(q_tilde, 2)
+        want = oracles.sphere_quadratic_max(shifted(lam, d, g), 2)
         assert best == pytest.approx(want, rel=1e-6)
 
 
@@ -364,20 +370,68 @@ def test_inner_quant_two_levels_matches_exhaustive():
         anchor = spec.random_point(2, rng)
         r = build_lifted(model, anchor, eta0_bound(model))
         y = solve_auxiliary(r)
-        q, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
-        q_tilde, _ = shift_quadratic(q)
+        d, g, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
+        lam = shift_quadratic(d, g)
+        q_tilde = shifted(lam, d, g)
         best = -np.inf
         for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
             z = np.array(signs + [1], dtype=complex)
             best = max(best, float(np.real(z.conj() @ (q_tilde @ z))))
         reached = -np.inf
         for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
-            _, objs = inner_power_iterations(np.array(signs, dtype=complex), q_tilde, spec, 50)
+            _, objs = inner_power_iterations(np.array(signs, dtype=complex), lam, d, g, spec, 50)
             reached = max(reached, objs[-1])
         assert reached == pytest.approx(best, rel=1e-12)
 
 
+ALL_FAMILIES = (ConstraintSpec.fixed_energy(), ConstraintSpec.phase_only(),
+                ConstraintSpec.quantized(4), ConstraintSpec.sensor_select(3),
+                ConstraintSpec.sensor_select(3, "phase"))
+
+
+def test_inner_arrow_step_matches_dense_oracle():
+    # the O(N) arrow step against the lifted dense matvec, from the auxiliary
+    # vector of a random anchor: same steps, same gains, same objectives
+    rng = np.random.default_rng(10)
+    for seed in range(30):
+        n = int(rng.integers(1, 13))
+        model = random_model(n, m=int(rng.integers(1, 5)), seed=200 + seed)
+        eta0 = eta0_bound(model)
+        anchor = ConstraintSpec.fixed_energy().random_point(n, rng)
+        y = solve_auxiliary(build_lifted(model, anchor, eta0))
+        d, g, _ = build_inner_quadratic(y[1:], model, eta0)
+        lam = shift_quadratic(d, g)
+        q_tilde = shifted(lam, d, g)
+        for spec in ALL_FAMILIES:
+            a0 = spec.random_point(n, rng)
+            for max_iters in (3, 60):
+                a, objs = inner_power_iterations(a0, lam, d, g, spec, max_iters)
+                a_ref, objs_ref = oracles.inner_power_iterations_dense(
+                    a0, q_tilde, lambda v: project(v, spec), max_iters)
+                assert len(objs) == len(objs_ref)
+                assert np.max(np.abs(a - a_ref)) <= 1e-12
+                assert np.allclose(objs, objs_ref, rtol=1e-12, atol=0.0)
+
+
 # ------------------------------------------------------------------ optimizer
+
+
+def test_trace_reports_convergence_or_budget():
+    model = random_model(5, seed=0)
+    _, trace = optimize(model, ConstraintSpec.fixed_energy())
+    assert trace.converged and trace.outer_iters < OptimizerConfig().max_outer
+    _, trace = optimize(model, ConstraintSpec.fixed_energy(), OptimizerConfig(max_outer=2))
+    assert not trace.converged and trace.outer_iters == 2
+    _, trace = optimize_phase_only_uqp(model)
+    assert trace.converged
+    _, trace = optimize_phase_only_uqp(model, OptimizerConfig(max_outer=1, inner_iters=1))
+    assert not trace.converged and trace.inner_iters_total == 2
+    scen = gen_decentralized_scenario(random_connected_topology(8, 0.4, 2), seed=3)
+    _, trace, _ = optimize_decentralized(scen, ConstraintSpec.fixed_energy())
+    assert trace.converged
+    _, trace, _ = optimize_decentralized(scen, ConstraintSpec.fixed_energy(),
+                                         OptimizerConfig(max_outer=2))
+    assert not trace.converged and trace.outer_iters == 2
 
 
 def test_optimize_scalar_phase_invariant():

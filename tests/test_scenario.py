@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from wsngain import (
     CentralizedScenario,
     DecentralizedScenario,
@@ -96,6 +97,21 @@ def test_noise_vector_length_must_match_sensors(kind, count):
     doc["sensor_noise_var"] = (doc["sensor_noise_var"] * 2)[:count]
     with pytest.raises(InvalidConfig, match="sensor_noise_var"):
         from_json_dict(doc)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.7, 3.5])
+def test_decentralized_links_match_literal_draw(alpha):
+    # one vectorized draw must give the per-link loop's gains bit for bit,
+    # in the same dict order, and leave the RNG where the loop leaves it
+    for k in range(8):
+        topo = random_connected_topology(4 + 5 * k, 0.3, seed=k)
+        noise = NoiseConfig(d_range=(0.5 + k % 3, 10.0 + k), path_loss_exp=alpha)
+        scen = gen_decentralized_scenario(topo, noise, seed=40 + k)
+        gains, v = oracles.decentralized_link_gains(topo, noise, 40 + k, gen_channel_coefficient)
+        assert list(scen.link_gain) == list(gains)
+        assert all(scen.link_gain[link] == gain and type(scen.link_gain[link]) is complex
+                   for link, gain in gains.items())
+        assert np.array_equal(scen.sensor_noise_var, v)
 
 
 def test_decentralized_determinism():
