@@ -14,6 +14,7 @@ phase-only case with a constant matrix.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -270,10 +271,7 @@ def solve_auxiliary(r: np.ndarray) -> np.ndarray:
     res = e1.copy()
     for q in basis:
         res -= (q.conj() @ e1) * q
-    if np.linalg.norm(res) < 1e-12 * np.linalg.norm(r):
-        y = np.linalg.solve(r, e1)
-    else:
-        y = res
+    y = np.linalg.solve(r, e1) if np.linalg.norm(res) < 1e-12 * np.linalg.norm(r) else res
     return y / y[0]
 
 
@@ -338,6 +336,20 @@ def _quantize_phases(angles: np.ndarray, q_levels: int) -> np.ndarray:
     return 2.0 * np.pi * np.mod(pick, q_levels) / q_levels
 
 
+def _onto_sphere(a: np.ndarray):
+    """sqrt(N) a / ||a|| (None for a zero vector): the sum np.linalg.norm
+    forms, then two real products on the float view of a.  numpy divides a
+    complex array by a real as a product with the reciprocal, so these are
+    the bits of the complex expression, up to the sign of a zero."""
+    re, im = a.real, a.imag
+    nrm = math.sqrt(re.dot(re) + im.dot(im))
+    if nrm == 0.0:
+        return None
+    out = a.view(float) * math.sqrt(len(a))
+    out *= 1.0 / nrm
+    return out.view(complex)
+
+
 def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     """Nearest feasible point to a_hat (ties and degeneracies deterministic).
 
@@ -351,35 +363,37 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     nearest point; a deterministic feasible point is returned and a
     ZeroVectorWarning is issued.
     """
-    a = np.asarray(a_hat, dtype=complex)
+    a = np.ascontiguousarray(a_hat, dtype=complex)
     n = len(a)
     if constraint.kind == "energy":
-        nrm = np.linalg.norm(a)
-        if nrm == 0.0:
+        out = _onto_sphere(a)
+        if out is None:
             warnings.warn("zero vector projected onto the energy sphere", ZeroVectorWarning)
             return np.ones(n, dtype=complex)
-        return np.sqrt(n) * a / nrm
+        return out
     if constraint.kind == "phase":
         return np.exp(1j * np.angle(a))
     if constraint.kind == "quant":
         return np.exp(1j * _quantize_phases(np.angle(a), constraint.q_levels))
     k = constraint.k_active
-    mags = np.abs(a)
-    order = np.lexsort((np.arange(n), -mags))  # descending magnitude, low index first
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:k]] = True
-    if constraint.select_mode == "energy":
-        kept = np.where(mask, a, 0.0)
-        nrm = np.linalg.norm(kept)
-        if nrm == 0.0:
-            warnings.warn("zero vector projected onto the selection set", ZeroVectorWarning)
-            out = np.zeros(n, dtype=complex)
-            out[:k] = np.sqrt(n / k)
-            return out
-        return np.sqrt(n) * kept / nrm
+    neg = -np.abs(a)
+    ranked = np.sort(neg)  # descending magnitude, NaN last
+    kth = ranked[min(k, n) - 1]
+    keep = neg <= kth  # the K largest magnitudes; ties at the K-th keep the lower indices
+    if k < n and ranked[k] == kth:
+        tied = np.flatnonzero(neg == kth)
+        keep[tied[len(tied) - (np.count_nonzero(keep) - k):]] = False
     out = np.zeros(n, dtype=complex)
-    out[mask] = np.sqrt(n / k) * np.exp(1j * np.angle(a[mask]))
-    return out
+    if constraint.select_mode == "phase":
+        out[keep] = np.sqrt(n / k) * np.exp(1j * np.angle(a[keep]))
+        return out
+    np.copyto(out, a, where=keep)
+    scaled = _onto_sphere(out)
+    if scaled is None:
+        warnings.warn("zero vector projected onto the selection set", ZeroVectorWarning)
+        out[:k] = np.sqrt(n / k)
+        return out
+    return scaled
 
 
 def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndarray,

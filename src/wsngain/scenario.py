@@ -116,14 +116,6 @@ class DecentralizedScenario:
         return self.topology.num_nodes
 
 
-def gen_channel_coefficient(rng: np.random.Generator, distance: float, path_loss_exp: float) -> complex:
-    """One channel draw e^{j gamma} / d^alpha with gamma ~ Uniform[0, 2pi)."""
-    if distance <= 0:
-        raise InvalidConfig(f"distance must be positive, got {distance}")
-    gamma = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(np.exp(1j * gamma) / distance**path_loss_exp)
-
-
 def gen_centralized_scenario(
     num_sensors: int,
     num_antennas: int = 4,
@@ -167,9 +159,9 @@ def gen_decentralized_scenario(
 
     Every directed link gets an independent distance and phase draw; links
     are visited in sorted edge order, (i, j) before (j, i), which pins the
-    RNG stream for reproducibility.  One (links, 2) draw holds the
-    (distance, phase) pairs in the order that :func:`gen_channel_coefficient`
-    would consume them link by link, and gives the same gains bit for bit.
+    RNG stream for reproducibility.  Link gains are e^{j gamma} / d^alpha
+    with d ~ Uniform(d_range) and gamma ~ Uniform[0, 2pi); one (links, 2)
+    draw holds the (distance, phase) pairs, link by link.
     """
     rng = np.random.default_rng(seed)
     links = [link for i, j in topology.edges for link in ((i, j), (j, i))]

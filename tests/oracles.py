@@ -75,16 +75,61 @@ def inner_power_iterations_dense(a0, q_tilde, project, max_iters, stop_tol=1e-10
     return a, objs
 
 
-def decentralized_link_gains(topology, noise, seed, channel_draw):
+def project_sorted(a_hat, constraint):
+    """Nearest feasible point written the plain way: a full stable ranking
+    of the magnitudes, ``np.linalg.norm`` and a complex scale, and each
+    grid phase rounded and exponentiated entry by entry.  A zero input
+    gives the optimizer's deterministic point, without its warning."""
+    a = np.asarray(a_hat, dtype=complex)
+    n = len(a)
+    if constraint.kind == "energy":
+        nrm = np.linalg.norm(a)
+        return np.ones(n, dtype=complex) if nrm == 0.0 else np.sqrt(n) * a / nrm
+    if constraint.kind == "phase":
+        return np.exp(1j * np.angle(a))
+    if constraint.kind == "quant":
+        q = constraint.q_levels
+        out = np.empty(n, dtype=complex)
+        for i, phase in enumerate(np.mod(np.angle(a), 2.0 * np.pi)):
+            frac = phase * q / (2.0 * np.pi)
+            lo = np.floor(frac)
+            rem = frac - lo
+            if rem == 0.5:  # a midpoint goes to the smaller grid phase
+                pick = min(lo % q, (lo + 1) % q)
+            else:
+                pick = lo if rem < 0.5 else lo + 1
+            out[i] = np.exp(1j * (2.0 * np.pi * (pick % q) / q))
+        return out
+    k = constraint.k_active
+    order = np.argsort(-np.abs(a), kind="stable")  # descending magnitude, low index first
+    out = np.zeros(n, dtype=complex)
+    if constraint.select_mode == "energy":
+        out[order[:k]] = a[order[:k]]
+        nrm = np.linalg.norm(out)
+        if nrm == 0.0:
+            out[:k] = np.sqrt(n / k)
+            return out
+        return np.sqrt(n) * out / nrm
+    out[order[:k]] = np.sqrt(n / k) * np.exp(1j * np.angle(a[order[:k]]))
+    return out
+
+
+def gen_channel_coefficient(rng, distance, path_loss_exp):
+    """One channel draw e^{j gamma} / d^alpha with gamma ~ Uniform[0, 2pi)."""
+    gamma = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(np.exp(1j * gamma) / distance**path_loss_exp)
+
+
+def decentralized_link_gains(topology, noise, seed):
     """Link gains and sensor noise variances drawn one link at a time:
     sorted edge order, (i, j) before (j, i), a scalar distance draw and
-    then ``channel_draw(rng, distance, alpha)`` per link."""
+    then one :func:`gen_channel_coefficient` per link."""
     rng = np.random.default_rng(seed)
     link_gain = {}
     for i, j in topology.edges:
         for rx, tx in ((i, j), (j, i)):
             d = rng.uniform(noise.d_range[0], noise.d_range[1])
-            link_gain[(rx, tx)] = channel_draw(rng, d, noise.path_loss_exp)
+            link_gain[(rx, tx)] = gen_channel_coefficient(rng, d, noise.path_loss_exp)
     v = rng.uniform(noise.v_range[0], noise.v_range[1], topology.num_nodes)
     return link_gain, v
 

@@ -6,6 +6,7 @@ C1=eta0+0.25, all derivable with a 2x2 inversion by hand.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,31 @@ def test_project_zero_vector_warns():
     with pytest.warns(ZeroVectorWarning):
         out = project(np.zeros(3, dtype=complex), ConstraintSpec.sensor_select(2))
     ConstraintSpec.sensor_select(2).check(out)
+
+
+def test_project_matches_sorted_oracle():
+    # random vectors, magnitude ties, grid midpoints, signed zeros and K >= N:
+    # the same support and the same values to rounding as the plain form
+    rng = np.random.default_rng(8)
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        if trial % 4 == 0:
+            q = int(rng.integers(2, 9))
+            a_hat = np.exp(1j * np.pi * rng.integers(0, 4 * q, n) / (2 * q)) * rng.integers(0, 3, n)
+        else:
+            a_hat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if trial % 9 == 0:
+            a_hat = rng.choice([0.0, -0.0, 1.0], n) + 1j * rng.choice([0.0, -0.0], n)
+        k = int(rng.integers(1, n + 3))
+        for spec in (ConstraintSpec.fixed_energy(), ConstraintSpec.phase_only(),
+                     ConstraintSpec.quantized(int(rng.integers(2, 17))),
+                     ConstraintSpec.sensor_select(k), ConstraintSpec.sensor_select(k, "phase")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ZeroVectorWarning)
+                out = project(a_hat, spec)
+            ref = oracles.project_sorted(a_hat, spec)
+            assert np.array_equal(out != 0, ref != 0), (trial, spec)
+            np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,21 +20,20 @@ from wsngain import (
     save_scenario,
     to_json_dict,
 )
-from wsngain.scenario import gen_channel_coefficient
 
 TOY_TREE = build_topology(6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
 
 
 def test_channel_coefficient_modulus():
     rng = np.random.default_rng(0)
-    assert abs(gen_channel_coefficient(rng, 2.0, 1.0)) == pytest.approx(0.5)
-    assert abs(gen_channel_coefficient(rng, 1.0, 1.0)) == pytest.approx(1.0)
-    assert abs(gen_channel_coefficient(rng, 4.0, 2.0)) == pytest.approx(1.0 / 16.0)
+    assert abs(oracles.gen_channel_coefficient(rng, 2.0, 1.0)) == pytest.approx(0.5)
+    assert abs(oracles.gen_channel_coefficient(rng, 1.0, 1.0)) == pytest.approx(1.0)
+    assert abs(oracles.gen_channel_coefficient(rng, 4.0, 2.0)) == pytest.approx(1.0 / 16.0)
 
 
 def test_channel_phases_cover_circle():
     rng = np.random.default_rng(1)
-    phases = np.array([np.angle(gen_channel_coefficient(rng, 1.0, 1.0)) for _ in range(4000)])
+    phases = np.array([np.angle(oracles.gen_channel_coefficient(rng, 1.0, 1.0)) for _ in range(4000)])
     # crude uniformity check: all four quadrants roughly equally populated
     counts, _ = np.histogram(phases, bins=4, range=(-np.pi, np.pi))
     assert counts.min() > 800
@@ -107,7 +106,7 @@ def test_decentralized_links_match_literal_draw(alpha):
         topo = random_connected_topology(4 + 5 * k, 0.3, seed=k)
         noise = NoiseConfig(d_range=(0.5 + k % 3, 10.0 + k), path_loss_exp=alpha)
         scen = gen_decentralized_scenario(topo, noise, seed=40 + k)
-        gains, v = oracles.decentralized_link_gains(topo, noise, 40 + k, gen_channel_coefficient)
+        gains, v = oracles.decentralized_link_gains(topo, noise, 40 + k)
         assert list(scen.link_gain) == list(gains)
         assert all(scen.link_gain[link] == gain and type(scen.link_gain[link]) is complex
                    for link, gain in gains.items())
