@@ -25,32 +25,31 @@ def _gain_values(gains) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompressionPlan:
-    """Carrier assignment and the induced row retention.
+    """Carrier assignment: the one decision that fixes the compressed model.
 
     Attributes
     ----------
     carrier : tuple of int
         ``carrier[i - 1]`` is the neighbor chosen to retain node i's
-        transmission.
-    retained_rows : tuple of tuple of int
-        ``retained_rows[i - 1]`` lists, ascending, the parent nodes whose
-        transmissions sink i keeps.  This is the row-selection of sink i.
+        transmission; sink i keeps the rows of the parents whose carrier
+        it is.
     r : int
         Number of discarded transmissions, 2|E| - N.
-    m_dim : int
-        Total retained rows; always N (one carrier per parent).
     """
 
     carrier: tuple[int, ...]
-    retained_rows: tuple[tuple[int, ...], ...]
     r: int
-    m_dim: int
+
+    @property
+    def m_dim(self) -> int:
+        """Total retained rows: one per parent, so N."""
+        return len(self.carrier)
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(sinks, parents) of the global rows: sink-major, parent ascending."""
-        sinks = np.repeat(np.arange(1, len(self.retained_rows) + 1),
-                          [len(parents) for parents in self.retained_rows])
-        return sinks, np.array([k for parents in self.retained_rows for k in parents], dtype=int)
+        carrier = np.asarray(self.carrier, dtype=int)
+        order = np.argsort(carrier, kind="stable")
+        return carrier[order], order + 1
 
     def to_json_dict(self) -> dict:
         return {"carrier": list(self.carrier), "r": self.r, "m_dim": self.m_dim}
@@ -62,15 +61,14 @@ class GlobalModel:
 
     Covers both settings: the centralized fusion-center model uses the raw
     M x N channel matrix, while the decentralized compressed model stacks
-    one retained row per sensor (noise_map records which directed link each
-    row came from).  The combined noise covariance is
-    H D V D^H H^H + noise_var * I with D = Diag(a) and V = Diag(sensor_noise_var).
+    one retained row per sensor, in the order of :meth:`CompressionPlan.rows`.
+    The combined noise covariance is H D V D^H H^H + noise_var * I with
+    D = Diag(a) and V = Diag(sensor_noise_var).
     """
 
     H: np.ndarray = field(repr=False)
     sensor_noise_var: np.ndarray = field(repr=False)
     noise_var: float
-    noise_map: tuple[tuple[int, int], ...] | None = None
 
     @property
     def num_sensors(self) -> int:
@@ -110,9 +108,9 @@ def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:
 def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:
     """Pick each node's carrier: the neighbor with the highest information value.
 
-    Ties break toward the lowest node index.  The retained-row lists invert
-    the carrier map, so every transmission appears exactly once and the
-    compressed dimension equals N.
+    Ties break toward the lowest node index.  Every transmission has one
+    carrier, so it is retained exactly once and the compressed dimension
+    equals N.
     """
     info = np.asarray(info, dtype=float)
     if len(info) != topology.num_nodes:
@@ -121,13 +119,8 @@ def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:
     nodes, nbrs = topology.directed_links()
     order = np.lexsort((nbrs, -info[nbrs - 1], nodes))
     # the first link of each node's segment names its carrier
-    carrier = nbrs[order[np.searchsorted(nodes, np.arange(1, len(info) + 1))]].tolist()
-    retained: list[list[int]] = [[] for _ in range(topology.num_nodes)]
-    for parent, sink in enumerate(carrier, start=1):
-        retained[sink - 1].append(parent)
-    retained_rows = tuple(tuple(row) for row in retained)
-    r = 2 * topology.num_edges - topology.num_nodes
-    return CompressionPlan(tuple(carrier), retained_rows, r, topology.num_nodes)
+    carrier = nbrs[order[np.searchsorted(nodes, np.arange(1, len(info) + 1))]]
+    return CompressionPlan(tuple(carrier.tolist()), 2 * topology.num_edges - topology.num_nodes)
 
 
 def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario) -> GlobalModel:
@@ -137,9 +130,9 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
     row for (sink i, parent k) holds h_{i,k} in column k and zeros
     elsewhere; the estimator is invariant to the row order.
     """
+    if len(plan.carrier) != scenario.topology.num_nodes:
+        raise InconsistentPlan("plan does not give every node one carrier")
     sinks, parents = plan.rows()
-    if len(sinks) != plan.m_dim:
-        raise InconsistentPlan("retained row count does not match m_dim")
     try:
         links = scenario.topology.link_index(sinks, parents)
     except InvalidEdge as exc:
@@ -150,7 +143,6 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
         H=H,
         sensor_noise_var=np.asarray(scenario.sensor_noise_var, dtype=float),
         noise_var=scenario.comm_noise_var,
-        noise_map=tuple(zip(sinks.tolist(), parents.tolist())),
     )
 
 
@@ -160,7 +152,6 @@ def centralized_model(scenario: CentralizedScenario) -> GlobalModel:
         H=scenario.channel,
         sensor_noise_var=np.asarray(scenario.sensor_noise_var, dtype=float),
         noise_var=scenario.fc_noise_var,
-        noise_map=None,
     )
 
 

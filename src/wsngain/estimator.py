@@ -117,9 +117,14 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
     return _product(_product(scenario.gain_by_link[links], a[k]), z[k]) + (n[:, 0] + 1j * n[:, 1])
 
 
+def _rows_per_sink(plan: CompressionPlan) -> np.ndarray:
+    """Retained-row count of each sink, indexed by node - 1."""
+    return np.bincount(plan.carrier, minlength=len(plan.carrier) + 1)[1:]
+
+
 def received_by_sink(plan: CompressionPlan, stacked: np.ndarray) -> dict[int, np.ndarray]:
     """Split a stacked observation vector back into per-sink retained rows."""
-    ends = np.cumsum([len(parents) for parents in plan.retained_rows])
+    ends = np.cumsum(_rows_per_sink(plan))
     return dict(enumerate(np.split(np.asarray(stacked, dtype=complex), ends)[:-1], start=1))
 
 
@@ -180,10 +185,10 @@ def initial_streams(scenario: DecentralizedScenario, gains, plan: CompressionPla
     """
     n = scenario.topology.num_nodes
     samples = []
-    for sink, parents in enumerate(plan.retained_rows, start=1):
+    for sink, count in enumerate(_rows_per_sink(plan), start=1):
         y = np.asarray(received_per_node.get(sink, ()), dtype=complex)
-        if len(y) != len(parents):
-            raise InvalidConfig(f"sink {sink} expects {len(parents)} retained samples")
+        if len(y) != count:
+            raise InvalidConfig(f"sink {sink} expects {count} retained samples")
         samples.append(y)
     sinks, parents = plan.rows()
     ha, denom, terms = link_terms(scenario, gains, sinks, parents)

@@ -429,10 +429,6 @@ def _nondecreasing(seq, rtol=DESCENT_RTOL) -> bool:
     return True
 
 
-def _models_match(m1: GlobalModel, m2: GlobalModel) -> bool:
-    return m1.noise_map == m2.noise_map and np.array_equal(m1.H, m2.H)
-
-
 def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     """One full cyclic minimization from a0; returns its trace.
 
@@ -456,8 +452,9 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     for k in range(config.max_outer):
         if model_fn is not None and k > 0:
             m_new = model_fn(a)
-            if not _models_match(m, m_new):
-                # compression plan changed: new objective segment
+            if not np.array_equal(m.H, m_new.H):
+                # V and sigma^2 are the scenario's, so a new H is a new
+                # objective: start a segment
                 m = m_new
                 eta0 = eta0_bound(m, config.eta0_margin)
                 prev = None
@@ -562,9 +559,9 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
 
 
 def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
-           config: OptimizerConfig = OptimizerConfig(),
-           model_fn=None) -> tuple[GainVector, OptimizerTrace]:
-    """Single cyclic run from a caller-provided feasible start (warm start).
+           config: OptimizerConfig = OptimizerConfig()) -> tuple[GainVector, OptimizerTrace]:
+    """Single cyclic run on a fixed model from a caller-provided feasible
+    start (warm start).
 
     Useful when one constraint family's solution is feasible for a looser
     one; monotone descent then guarantees the refined variance does not
@@ -572,7 +569,7 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     """
     a0 = np.asarray(a0, dtype=complex)
     constraint.check(a0)
-    return _best_of_starts(lambda start: _cyclic_run(model, model_fn, start, constraint, config),
+    return _best_of_starts(lambda start: _cyclic_run(model, None, start, constraint, config),
                            [a0], time.perf_counter())
 
 

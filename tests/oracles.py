@@ -222,3 +222,11 @@ def carriers(neighbor_seq, info):
     """Each node's carrier by the literal rule: the first neighbour, in
     ascending order, with the highest information value."""
     return tuple(max(nbrs, key=lambda j: info[j - 1]) for nbrs in neighbor_seq)
+
+
+def retained_rows(plan):
+    """The literal inversion of the carrier map: for each sink, ascending,
+    the parents whose carrier it is."""
+    n = len(plan.carrier)
+    return tuple(tuple(k for k, c in enumerate(plan.carrier, start=1) if c == sink)
+                 for sink in range(1, n + 1))

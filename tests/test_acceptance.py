@@ -163,7 +163,7 @@ def test_c06_consensus_reaches_global_mle_on_16_nodes():
         # pre-consensus estimates must be each sink's own local MLE
         received = received_by_sink(plan, w)
         for sink in range(1, 17):
-            parents = plan.retained_rows[sink - 1]
+            parents = oracles.retained_rows(plan)[sink - 1]
             est = report.per_node_trace[0][sink - 1]
             if not parents:
                 assert est == 0
@@ -194,7 +194,7 @@ def test_c07_global_form_decouples_across_sinks():
         assert np.all(nonzero.sum(axis=1) == 1)
         total = oracles.dense_information(model.H, a, model.sensor_noise_var, model.noise_var)
         by_sink = 0.0
-        for sink, parents in enumerate(plan.retained_rows, start=1):
+        for sink, parents in enumerate(oracles.retained_rows(plan), start=1):
             for k in parents:
                 g = scen.link_gain[(sink, k)] * a[k - 1]
                 by_sink += abs(g) ** 2 / (abs(g) ** 2 * scen.sensor_noise_var[k - 1]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from wsngain import (
+    CompressionPlan,
     GainVector,
     InconsistentPlan,
     NoiseConfig,
@@ -80,20 +81,21 @@ def test_information_value_matches_dense_oracle():
         table = information_table(a, scen)
         _, plan = decentralized_model(scen, a)
         # I_i(0) does not depend on the samples
-        zeros = {sink: np.zeros(len(rows)) for sink, rows in enumerate(plan.retained_rows, start=1)}
+        zeros = {sink: np.zeros(len(rows))
+                 for sink, rows in enumerate(oracles.retained_rows(plan), start=1)}
         i0, _ = initial_streams(scen, a, plan, zeros)
         for sink in range(1, 8):
             want = dense(sink, topo.neighbors(sink), scen, a)
             assert table[sink - 1] == pytest.approx(want, rel=1e-10)
-            retained = plan.retained_rows[sink - 1]
+            retained = oracles.retained_rows(plan)[sink - 1]
             assert i0[sink - 1] == pytest.approx(dense(sink, retained, scen, a), rel=1e-10)
 
 
 def test_assign_carriers_toy_tree():
     plan = assign_carriers(TOY_TREE, np.array([2.0, 6.0, 5.0, 7.0, 1.0, 3.0]))
     assert plan.carrier == (3, 3, 4, 3, 4, 4)
-    assert plan.retained_rows[2] == (1, 2, 4)  # sink 3
-    assert plan.retained_rows[3] == (3, 5, 6)  # sink 4
+    assert oracles.retained_rows(plan)[2] == (1, 2, 4)  # sink 3
+    assert oracles.retained_rows(plan)[3] == (3, 5, 6)  # sink 4
     assert plan.r == 2 * 5 - 6
     assert plan.m_dim == 6
 
@@ -129,8 +131,10 @@ def test_assign_carriers_matches_literal_rule(case):
     topo, info = case
     plan = assign_carriers(topo, np.array(info))
     assert plan.carrier == oracles.carriers(topo.neighbor_seq, info)
-    for sink, parents in enumerate(plan.retained_rows, start=1):
-        assert parents == tuple(k for k, c in enumerate(plan.carrier, start=1) if c == sink)
+    retained = oracles.retained_rows(plan)
+    sinks, parents = plan.rows()
+    assert sinks.tolist() == [sink for sink, rows in enumerate(retained, start=1) for _ in rows]
+    assert parents.tolist() == [k for rows in retained for k in rows]
 
 
 def test_assemble_two_node_model():
@@ -138,7 +142,8 @@ def test_assemble_two_node_model():
     plan = assign_carriers(scen.topology, np.ones(2))
     model = assemble_global_model(plan, scen)
     assert np.array_equal(model.H, np.array([[0, 1], [1, 0]], dtype=complex))
-    assert model.noise_map == ((1, 2), (2, 1))
+    sinks, parents = plan.rows()
+    assert list(zip(sinks.tolist(), parents.tolist())) == [(1, 2), (2, 1)]
 
 
 def test_assemble_toy_tree_structure():
@@ -150,17 +155,24 @@ def test_assemble_toy_tree_structure():
     nnz_cols = [int(np.flatnonzero(model.H[r]).item()) + 1 for r in range(6)]
     assert sorted(nnz_cols[:3]) == [1, 2, 4]
     assert sorted(nnz_cols[3:]) == [3, 5, 6]
-    for r, (sink, parent) in enumerate(model.noise_map):
+    for r, (sink, parent) in enumerate(zip(*plan.rows())):
         assert model.H[r, parent - 1] == scen.link_gain[(sink, parent)]
 
 
 def test_assemble_rejects_non_neighbor_rows():
-    from wsngain.diffusion import CompressionPlan
-
     scen = scalar_link_scenario()
-    bad = CompressionPlan(carrier=(2, 1), retained_rows=((2,), (2,)), r=0, m_dim=2)
+    # node 2's carrier is itself, so the plan keeps a row off the graph
+    bad = CompressionPlan(carrier=(2, 2), r=0)
     with pytest.raises(InconsistentPlan):
         assemble_global_model(bad, scen)
+
+
+def test_assemble_rejects_plan_missing_a_node():
+    # a plan for two of three path nodes would silently drop sensor 3
+    path = build_topology(3, [(1, 2), (2, 3)])
+    scen = gen_decentralized_scenario(path, NoiseConfig(), 1 + 0j, seed=0)
+    with pytest.raises(InconsistentPlan):
+        assemble_global_model(CompressionPlan(carrier=(2, 1), r=2 * 2 - 3), scen)
 
 
 def test_single_nonzero_column_property():
@@ -205,4 +217,3 @@ def test_centralized_model_passthrough():
     model = centralized_model(scen)
     assert np.array_equal(model.H, scen.channel)
     assert model.noise_var == scen.fc_noise_var
-    assert model.noise_map is None

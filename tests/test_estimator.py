@@ -171,7 +171,7 @@ def test_simulate_measurement_matches_literal_draw():
             y = simulate_measurement(scen, gains, plan, np.random.default_rng(draw_seed))
             obs = oracles.link_observations(scen, gains, np.random.default_rng(draw_seed))
             want = np.array([obs[(sink, k)] for sink, parents
-                             in enumerate(plan.retained_rows, start=1) for k in parents])
+                             in enumerate(oracles.retained_rows(plan), start=1) for k in parents])
             assert y.tobytes() == want.tobytes()
 
 
@@ -265,7 +265,7 @@ def test_consensus_initial_estimates_are_local_mles():
     report = run_consensus(scen, gains, plan, received, max_iter=500, tol=1e-6)
     first = report.per_node_trace[0]
     for sink in range(1, 11):
-        parents = plan.retained_rows[sink - 1]
+        parents = oracles.retained_rows(plan)[sink - 1]
         est = first[sink - 1]
         if not parents:
             # a node that carries nothing has no local data; the guard
@@ -281,6 +281,22 @@ def test_consensus_initial_estimates_are_local_mles():
             num += np.conj(ha) * y_k / denom
             den += abs(ha) ** 2 / denom
         assert est == pytest.approx(num / den, rel=1e-12)
+
+
+def test_consensus_rejects_wrong_sample_counts():
+    # each sink must hand in exactly one sample per retained row
+    topo = random_connected_topology(10, 0.4, seed=15)
+    scen = gen_decentralized_scenario(topo, NoiseConfig(), 10 + 0j, seed=15)
+    gains = GainVector(np.ones(10, dtype=complex))
+    _, plan = decentralized_model(scen, gains)
+    received = received_by_sink(plan, simulate_measurement(scen, gains, plan,
+                                                           np.random.default_rng(16)))
+    sink = plan.carrier[0]
+    missing = {i: y for i, y in received.items() if i != sink}
+    extra = {**received, sink: np.append(received[sink], 1 + 0j)}
+    for bad in (missing, extra):
+        with pytest.raises(InvalidConfig):
+            run_consensus(scen, gains, plan, bad, max_iter=10)
 
 
 def test_consensus_no_convergence_carries_report():
@@ -316,7 +332,7 @@ def test_variance_equals_inverse_information_sum():
         gains = GainVector(np.ones(9, dtype=complex))
         model, plan = decentralized_model(scen, gains)
         total = 0.0
-        for sink, parents in enumerate(plan.retained_rows, start=1):
+        for sink, parents in enumerate(oracles.retained_rows(plan), start=1):
             for k in parents:
                 ha = scen.link_gain[(sink, k)]
                 total += abs(ha) ** 2 / (abs(ha) ** 2 * scen.sensor_noise_var[k - 1]
