@@ -153,7 +153,8 @@ def _cmd_simulate_consensus(args) -> int:
     if args.out:
         summary = {"theta_hat": [report.theta_hat.real, report.theta_hat.imag],
                    "analytic_variance": report.analytic_variance,
-                   "iterations_to_tol": report.iterations_to_tol}
+                   "iterations_to_tol": report.iterations_to_tol,
+                   "residual": report.residual, "converged": report.converged}
         sys.stdout.write(json.dumps(summary) + "\n")
     return 0
 

@@ -4,11 +4,14 @@ The global estimate of theta is a weighted least-squares ratio; its
 variance is the inverse of the information value a^H H^H R_w^{-1} H a.
 In the decentralized setting every node reaches the global estimate by
 running average consensus on two scalars (information value and state
-information value) and taking their ratio.
+information value) and taking their ratio.  The consensus is synchronous
+ADMM on the directed links, one gather and one neighbor sum per stream and
+round; its report says whether the run converged and with what residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -147,25 +150,6 @@ def local_mle(sink: int, gains, scenario: DecentralizedScenario, received) -> tu
     return complex(num / info), 1.0 / info
 
 
-def _admm_round(values, duals, x, parents, starts, deg, rho):
-    """One synchronous ADMM consensus round on the directed links.
-
-    y_i <- (rho d_i y_i + rho sum_{j in S^i} y_j - lambda_i + x_i) / (1 + 2 rho d_i)
-    lambda_i <- lambda_i + rho (d_i y_i_new - sum_{j in S^i} y_j_new)
-
-    All nodes read the previous round's neighbor values (bulk update).
-    ``parents`` holds the 0-based parent of every link, sink-major, and
-    ``starts`` the offset of each sink's first link; every node has a
-    neighbor, so ``reduceat`` yields one neighbor sum per node.  Complex
-    payloads run as two independent real streams, since the coefficients
-    are real.
-    """
-    neighbor_sum = np.add.reduceat(values[parents], starts)
-    new_values = (rho * deg * values + rho * neighbor_sum - duals + x) / (1.0 + 2.0 * rho * deg)
-    new_duals = duals + rho * (deg * new_values - np.add.reduceat(new_values[parents], starts))
-    return new_values, new_duals
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """Outcome of a consensus run."""
@@ -173,6 +157,8 @@ class EstimateReport:
     theta_hat: complex
     analytic_variance: float
     iterations_to_tol: int
+    residual: float  # max deviation the stop test read at the final round
+    converged: bool  # False only on the partial report NoConvergence carries
     per_node_trace: tuple[np.ndarray, ...] | None = None
 
 
@@ -218,14 +204,26 @@ def run_consensus(
     max_i |theta_i(k) - theta_ML| <= tol * |theta_ML|; stop_mode
     "trailing" instead waits for max_i |theta_i(k) - theta_i(k-1)| to fall
     under the same scaled tolerance (for deployments where theta_ML is
-    not computable at the nodes).
+    not computable at the nodes).  The report's ``residual`` is that
+    maximum at the final round (inf if no round was compared: "trailing"
+    with max_iter = 0).
+
+    Each round updates, for every node i with degree d_i,
+
+        y_i <- (rho d_i y_i + rho sum_{j in S^i} y_j - lambda_i + x_i) / (1 + 2 rho d_i)
+        lambda_i <- lambda_i + rho (d_i y_i_new - sum_{j in S^i} y_j_new)
+
+    with all nodes reading the previous round's values.  The neighbor sum
+    of the dual update is the next round's neighbor sum, so each stream
+    forms one sum per round.
 
     Raises
     ------
     InvalidConfig
         For tol <= 0, rho <= 0, max_iter < 0 or an unknown stop_mode.
     NoConvergence
-        After max_iter rounds; the exception carries the partial report.
+        After max_iter rounds; the exception carries the partial report
+        (``converged`` False).
     """
     if tol <= 0:
         raise InvalidConfig("tolerance must be positive")
@@ -243,31 +241,47 @@ def run_consensus(
     theta_ml = complex(np.sum(p0) / total_info)
     variance = 1.0 / total_info
 
+    # Links are sink-major: parents holds each link's 0-based parent and
+    # starts each sink's first link; every node has a neighbor, so
+    # reduceat yields one neighbor sum per node.
     parents = topo.directed_links()[1] - 1
     degrees = topo.degrees()
     starts = np.cumsum(degrees) - degrees
-    deg = degrees.astype(float)  # float once, not on every round
+    deg = degrees.astype(float)
+    rho_deg = rho * deg
+    denom = 1.0 + 2.0 * rho * deg
+
+    def admm_round(values, neighbor_sum, duals, x):
+        values = (rho_deg * values + rho * neighbor_sum - duals + x) / denom
+        neighbor_sum = np.add.reduceat(values[parents], starts)
+        return values, neighbor_sum, duals + rho * (deg * values - neighbor_sum)
+
     i_vals, i_duals = i0.astype(float).copy(), np.zeros(topo.num_nodes)
     p_vals, p_duals = p0.astype(complex).copy(), np.zeros(topo.num_nodes, dtype=complex)
+    i_sum = np.add.reduceat(i_vals[parents], starts)
+    p_sum = np.add.reduceat(p_vals[parents], starts)
 
     estimates = np.zeros(topo.num_nodes, dtype=complex)
     trace: list[np.ndarray] = []
-    scale = max(abs(theta_ml), INFO_FLOOR)
+    limit = tol * max(abs(theta_ml), INFO_FLOOR)
+    residual = math.inf
     for k in range(max_iter + 1):
         previous = estimates
-        ok = np.abs(i_vals) > CONSENSUS_GUARD
-        estimates = np.where(ok, np.divide(p_vals, np.where(ok, i_vals, 1.0)), estimates)
+        estimates = np.divide(p_vals, i_vals, out=previous.copy(),
+                              where=np.abs(i_vals) > CONSENSUS_GUARD)
         if record_trace:
-            trace.append(estimates.copy())
+            trace.append(estimates)
         if stop_mode == "analytic":
-            done = np.max(np.abs(estimates - theta_ml)) <= tol * scale
-        else:
-            done = k > 0 and np.max(np.abs(estimates - previous)) <= tol * scale
-        if done:
-            return EstimateReport(theta_ml, variance, k, tuple(trace) if record_trace else None)
+            residual = float(np.abs(estimates - theta_ml).max())
+        elif k > 0:
+            residual = float(np.abs(estimates - previous).max())
+        if residual <= limit:
+            return EstimateReport(theta_ml, variance, k, residual, True,
+                                  tuple(trace) if record_trace else None)
         if k == max_iter:
             break
-        i_vals, i_duals = _admm_round(i_vals, i_duals, i0, parents, starts, deg, rho)
-        p_vals, p_duals = _admm_round(p_vals, p_duals, p0, parents, starts, deg, rho)
-    report = EstimateReport(theta_ml, variance, max_iter, tuple(trace) if record_trace else None)
+        i_vals, i_sum, i_duals = admm_round(i_vals, i_sum, i_duals, i0)
+        p_vals, p_sum, p_duals = admm_round(p_vals, p_sum, p_duals, p0)
+    report = EstimateReport(theta_ml, variance, max_iter, residual, False,
+                            tuple(trace) if record_trace else None)
     raise NoConvergence(f"consensus not within tol after {max_iter} iterations", report)

@@ -600,13 +600,15 @@ def uqp_matrix(model: GlobalModel) -> np.ndarray:
     return model.H.conj().T @ np.linalg.solve(core, model.H)
 
 
-def uqp_step(b_mat: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """One unimodular ascent step a <- e^{j arg(B a)}.
+def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One unimodular ascent step a <- e^{j arg(B a)}, from the image B a.
 
-    Non-decreasing in a^H B a for positive semidefinite B: the step
-    maximizes Re(z^H B a) over unit-modulus z.
+    Returns the new point and its image B a_new, which the objective and
+    the next step both read.  Non-decreasing in a^H B a for positive
+    semidefinite B: the step maximizes Re(z^H B a) over unit-modulus z.
     """
-    return np.exp(1j * np.angle(b_mat @ np.asarray(a, dtype=complex)))
+    a_new = np.exp(1j * np.angle(image))
+    return a_new, b_mat @ a_new
 
 
 def optimize_phase_only_uqp(model: GlobalModel,
@@ -626,12 +628,14 @@ def optimize_phase_only_uqp(model: GlobalModel,
     max_iters = config.max_outer * config.inner_iters
 
     def ascend(a):
-        objs = [float(np.real(a.conj() @ (b_mat @ a)))]
+        image = b_mat @ a
+        objs = [float(np.real(a.conj() @ image))]
         for _ in range(max_iters):  # at least one step: the config rejects empty budgets
-            a_new = uqp_step(b_mat, a)
-            step = np.linalg.norm(a_new - a)
+            a_new, image = uqp_step(b_mat, image)
+            diff = a_new - a  # its norm as the sum np.linalg.norm forms
+            step = math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag))
             a = a_new
-            objs.append(float(np.real(a.conj() @ (b_mat @ a))))
+            objs.append(float(np.real(a.conj() @ image)))
             if step <= INNER_STOP:
                 break
         return OptimizerTrace(tuple(eta0 - o for o in objs), tuple(objs), GainVector(a, constraint),

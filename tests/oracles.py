@@ -186,6 +186,76 @@ def admm_round(values, duals, x, neighbors, rho):
     return new_values, new_duals
 
 
+def admm_round_two_sums(values, duals, x, parents, starts, deg, rho):
+    """One synchronous ADMM consensus round in its two-sum form.
+
+    y_i <- (rho d_i y_i + rho sum_{j in S^i} y_j - lambda_i + x_i) / (1 + 2 rho d_i)
+    lambda_i <- lambda_i + rho (d_i y_i_new - sum_{j in S^i} y_j_new)
+
+    The primal update sums the old values over each sink's links and the
+    dual update sums the new ones afresh.  ``parents`` holds the 0-based
+    parent of every link, sink-major, and ``starts`` each sink's first link.
+    """
+    neighbor_sum = np.add.reduceat(values[parents], starts)
+    new_values = (rho * deg * values + rho * neighbor_sum - duals + x) / (1.0 + 2.0 * rho * deg)
+    new_duals = duals + rho * (deg * new_values - np.add.reduceat(new_values[parents], starts))
+    return new_values, new_duals
+
+
+def consensus_two_sums(i0, p0, parents, starts, deg, rho, max_iter, tol, stop_mode, guard):
+    """Consensus over :func:`admm_round_two_sums` with a guarded ratio.
+
+    Round k's estimate at node i is P_i(k) / I_i(k) where |I_i(k)| > guard,
+    else the previous estimate (zero at first).  The run stops when the
+    largest deviation of the estimates, from theta_ML = sum P / sum I
+    ("analytic") or from the previous round ("trailing", from round 1 on),
+    is within tol |theta_ML|.  Returns (rounds, trace, residual, converged),
+    with residual inf when no round was compared.
+    """
+    theta_ml = complex(np.sum(p0) / float(np.sum(i0)))
+    limit = tol * max(abs(theta_ml), 1e-300)
+    i_vals, i_duals = i0.astype(float).copy(), np.zeros(len(i0))
+    p_vals, p_duals = p0.astype(complex).copy(), np.zeros(len(p0), dtype=complex)
+    estimates = np.zeros(len(i0), dtype=complex)
+    trace = []
+    residual = np.inf
+    for k in range(max_iter + 1):
+        previous = estimates
+        ok = np.abs(i_vals) > guard
+        estimates = np.where(ok, np.divide(p_vals, np.where(ok, i_vals, 1.0)), estimates)
+        trace.append(estimates.copy())
+        if stop_mode == "analytic":
+            residual = np.max(np.abs(estimates - theta_ml))
+        elif k > 0:
+            residual = np.max(np.abs(estimates - previous))
+        if residual <= limit:
+            return k, trace, float(residual), True
+        if k == max_iter:
+            break
+        i_vals, i_duals = admm_round_two_sums(i_vals, i_duals, i0, parents, starts, deg, rho)
+        p_vals, p_duals = admm_round_two_sums(p_vals, p_duals, p0, parents, starts, deg, rho)
+    return max_iter, trace, float(residual), False
+
+
+def uqp_ascent_two_matvecs(b_mat, a, max_iters, stop_tol=1e-10):
+    """Unimodular ascent a <- e^{j arg(B a)} forming B a twice per step.
+
+    One product drives the step and a second, of the same point, gives the
+    objective a^H B a; the step length is ``np.linalg.norm``.  Stops after
+    max_iters steps or once a step moves a by at most stop_tol.  Returns
+    (a, objectives, converged).
+    """
+    objs = [float(np.real(a.conj() @ (b_mat @ a)))]
+    for _ in range(max_iters):
+        a_new = np.exp(1j * np.angle(b_mat @ np.asarray(a, dtype=complex)))
+        step = np.linalg.norm(a_new - a)
+        a = a_new
+        objs.append(float(np.real(a.conj() @ (b_mat @ a))))
+        if step <= stop_tol:
+            break
+    return a, objs, bool(step <= stop_tol)
+
+
 def dense_information(h_global, a, sensor_noise_var, noise_var):
     """a^H H^H R_w^{-1} H a with R_w materialized and inverted densely."""
     h = np.asarray(h_global, dtype=complex)

@@ -119,7 +119,10 @@ def test_simulate_consensus_csv_and_summary(tmp_path, capsys):
                            "--theta", "10", "--out", str(csv_path), "--dump-plan")
     assert rc == 0
     summary = json.loads(out)
-    assert {"theta_hat", "analytic_variance", "iterations_to_tol"} <= set(summary)
+    assert {"theta_hat", "analytic_variance", "iterations_to_tol", "residual",
+            "converged"} <= set(summary)
+    assert summary["converged"] is True
+    assert 0.0 <= summary["residual"] <= 1e-6 * abs(complex(*summary["theta_hat"]))
     plan = json.loads(err)
     assert set(plan) == {"carrier", "r", "m_dim"}
     lines = csv_path.read_text().splitlines()

@@ -1,7 +1,9 @@
 """ML estimation, measurement simulation, and ADMM consensus.
 
 The consensus rounds are checked against a literal per-node transcription
-of the update equations (``oracles.admm_round``).
+of the update equations (``oracles.admm_round``), and every report and
+trace entry bit for bit against the two-sum rounds
+(``oracles.consensus_two_sums``).
 """
 
 import numpy as np
@@ -216,6 +218,49 @@ def test_admm_matches_literal_transcription():
         assert report.per_node_trace[k] == pytest.approx(estimates, rel=1e-12, abs=1e-12)
         i_vals, i_duals = oracles.admm_round(i_vals, i_duals, i0, neighbors, rho)
         p_vals, p_duals = oracles.admm_round(p_vals, p_duals, p0, neighbors, rho)
+
+
+def test_consensus_matches_two_sum_oracle_bit_for_bit():
+    # run_consensus carries the dual update's neighbor sum into the next
+    # round and tests the stop in one pass; its report and every trace entry
+    # keep the bits of the two-sum rounds under the where/divide/where guard
+    rng = np.random.default_rng(21)
+    guarded = partial = 0
+    for g in range(20):
+        n = int(rng.integers(6, 26))
+        topo = random_connected_topology(n, float(rng.uniform(0.15, 0.5)), seed=100 + g)
+        scen = gen_decentralized_scenario(topo, NoiseConfig(), complex(*rng.normal(size=2)) * 10,
+                                          seed=200 + g)
+        # gains near 1e-5 put I_i(k) near the guard, which then holds
+        # nonzero estimates in later rounds too
+        scale = 1e-5 if g % 5 == 4 else 1.0
+        gains = GainVector(scale * rng.uniform(0.5, 1.5, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        _, plan = decentralized_model(scen, gains)
+        received = received_by_sink(plan, simulate_measurement(scen, gains, plan, rng))
+        i0, p0 = initial_streams(scen, gains, plan, received)
+        guarded += int(np.sum(np.abs(i0) <= CONSENSUS_GUARD))
+        theta_ml = complex(np.sum(p0) / float(np.sum(i0)))
+        degrees = topo.degrees()
+        links = (topo.directed_links()[1] - 1, np.cumsum(degrees) - degrees, degrees.astype(float))
+        max_iter = (0, 8, 500, 500)[g % 4]
+        for rho in (0.3, 1.0, 2.5):
+            for stop_mode in ("analytic", "trailing"):
+                rounds, trace, residual, converged = oracles.consensus_two_sums(
+                    i0, p0, *links, rho, max_iter, 1e-6, stop_mode, CONSENSUS_GUARD)
+                settings = dict(max_iter=max_iter, tol=1e-6, rho=rho, stop_mode=stop_mode)
+                if converged:
+                    report = run_consensus(scen, gains, plan, received, **settings)
+                else:
+                    partial += 1
+                    with pytest.raises(NoConvergence) as err:
+                        run_consensus(scen, gains, plan, received, **settings)
+                    report = err.value.report
+                assert report.converged is converged
+                assert report.iterations_to_tol == rounds
+                assert report.residual == residual
+                assert report.theta_hat == theta_ml
+                assert [e.tobytes() for e in report.per_node_trace] == [e.tobytes() for e in trace]
+    assert guarded > 0 and partial > 0
 
 
 @pytest.mark.parametrize("settings", [dict(rho=0.0), dict(rho=-0.5), dict(max_iter=-1),

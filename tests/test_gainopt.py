@@ -40,6 +40,7 @@ from wsngain import (
     uqp_step,
 )
 from wsngain.diffusion import GlobalModel
+from wsngain.gainopt import _restart_points
 from wsngain.scenario import CentralizedScenario
 
 SCALAR_MODEL = GlobalModel(
@@ -543,15 +544,43 @@ def test_uqp_step_worked_example():
     b = np.array([[1.0, 1j], [-1j, 1.0]])
     a0 = np.ones(2, dtype=complex)
     assert float(np.real(a0.conj() @ (b @ a0))) == pytest.approx(2.0)
-    a1 = uqp_step(b, a0)
+    a1, image = uqp_step(b, b @ a0)
     assert np.allclose(a1, [np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
-    assert float(np.real(a1.conj() @ (b @ a1))) == pytest.approx(4.0)
+    assert np.array_equal(image, b @ a1)
+    assert float(np.real(a1.conj() @ image)) == pytest.approx(4.0)
 
 
 def test_uqp_step_identity_fixed_points():
     rng = np.random.default_rng(5)
     a = ConstraintSpec.phase_only().random_point(5, rng)
-    assert np.allclose(uqp_step(np.eye(5, dtype=complex), a), a)
+    a1, image = uqp_step(np.eye(5, dtype=complex), a)
+    assert np.allclose(a1, a)
+    assert np.allclose(image, a)
+
+
+@pytest.mark.parametrize("budget", [dict(), dict(max_outer=1, inner_iters=2)],
+                         ids=["default-budget", "tiny-budget"])
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("n", [1, 5, 30, 60])
+def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget):
+    # the ascent forms B a once per step and reuses it for the objective and
+    # the next step; every reported value keeps the bits of the two-product form
+    model = random_model(n, seed=40 + n)
+    config = OptimizerConfig(restarts=restarts, seed=3, **budget)
+    gains, trace = optimize_phase_only_uqp(model, config)
+    b_mat = uqp_matrix(model)
+    starts = _restart_points(n, ConstraintSpec.phase_only(), config, model, None)
+    runs = [oracles.uqp_ascent_two_matvecs(b_mat, a0, config.max_outer * config.inner_iters)
+            for a0 in starts]
+    best = min(range(restarts), key=lambda idx: (1.0 / runs[idx][1][-1], idx))
+    a, objs, converged = runs[best]
+    eta0 = eta0_bound(model, config.eta0_margin)
+    assert trace.restart_index == best
+    assert gains.values.tobytes() == a.tobytes()
+    assert trace.inner_objective == tuple(objs)
+    assert trace.eta_per_outer == tuple(eta0 - o for o in objs)
+    assert trace.final_variance == 1.0 / objs[-1]
+    assert trace.converged is converged
 
 
 def test_uqp_objective_nondecreasing():
