@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -26,49 +27,39 @@ from .scenario import (
     gen_centralized_scenario,
     gen_decentralized_scenario,
     load_scenario,
-    save_scenario,
     to_json_dict,
 )
 
 _OPT_FIELDS = {f.name for f in dataclasses.fields(OptimizerConfig)}
 _NOISE_FIELDS = {f.name for f in dataclasses.fields(NoiseConfig)}
-_EXP_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# kind comes from the subcommand, constraint from --constraint, optimizer and noise
+# from their own keys
+_EXP_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
+    "kind", "optimizer", "noise", "constraint"}
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InvalidConfig("config file must hold a JSON object")
-    return doc
-
-
-def _split_config(doc: dict):
-    """Route config keys to the optimizer, noise and experiment layers."""
-    opt = {k: v for k, v in doc.items() if k in _OPT_FIELDS}
-    noise = {k: v for k, v in doc.items() if k in _NOISE_FIELDS}
-    exp = {k: v for k, v in doc.items() if k in _EXP_FIELDS and k not in ("optimizer", "noise", "constraint")}
-    known = _OPT_FIELDS | _NOISE_FIELDS | set(exp)
-    unknown = [k for k in doc if k not in known]
+def _config(path: str | None):
+    """Read a JSON config file; route its keys to the optimizer, noise and experiment."""
+    doc = {}
+    if path:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InvalidConfig("config file must hold a JSON object")
+    unknown = sorted(set(doc) - _OPT_FIELDS - _NOISE_FIELDS - _EXP_FIELDS)
     if unknown:
-        raise InvalidConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for k in ("d_range", "v_range"):
-        if k in noise:
-            noise[k] = tuple(noise[k])
-    for k in ("n_values", "sigma_grid"):
-        if k in exp:
-            exp[k] = tuple(exp[k])
-    return opt, noise, exp
+        raise InvalidConfig(f"unknown config keys: {', '.join(unknown)}")
+    doc = {k: tuple(v) if k in ("d_range", "v_range", "n_values", "sigma_grid") else v
+           for k, v in doc.items()}
+    return tuple({k: v for k, v in doc.items() if k in fields}
+                 for fields in (_OPT_FIELDS, _NOISE_FIELDS, _EXP_FIELDS))
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _number_list(text: str, number: type) -> tuple:
+    try:
+        return tuple(number(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise InvalidConfig(f"expected a comma list of {number.__name__}s, got {text!r}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -98,32 +89,34 @@ def _result_json(gains: GainVector, trace, plan=None) -> dict:
     return doc
 
 
-def _cmd_gen_scenario(args) -> int:
-    _, noise_kw, _ = _split_config(_load_config(args.config))
+def _scenario(args, noise_kw: dict):
+    """Load ``--scenario``, or generate an ``args.kind`` scenario from the flags."""
+    if args.scenario:
+        return load_scenario(args.scenario)
     noise = NoiseConfig(**noise_kw)
-    theta = complex(args.theta)
+    try:
+        theta = complex(args.theta)
+    except ValueError:
+        raise InvalidConfig(f"cannot parse theta {args.theta!r} as a complex number") from None
     if args.kind == "centralized":
-        scen = gen_centralized_scenario(args.n, args.m, noise, theta, seed=args.seed)
-    else:
-        topo = random_connected_topology(args.n, args.edge_prob, args.seed)
-        scen = gen_decentralized_scenario(topo, noise, theta, seed=args.seed)
-    if args.out:
-        save_scenario(scen, args.out)
-    else:
-        json.dump(to_json_dict(scen), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        return gen_centralized_scenario(args.n, args.m, noise, theta, seed=args.seed)
+    topo = random_connected_topology(args.n, args.edge_prob, args.seed)
+    return gen_decentralized_scenario(topo, noise, theta, seed=args.seed)
+
+
+def _cmd_gen_scenario(args) -> int:
+    _, noise_kw, _ = _config(args.config)
+    doc = to_json_dict(_scenario(args, noise_kw))
+    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    opt_kw, noise_kw, _ = _split_config(_load_config(args.config))
+    opt_kw, noise_kw, _ = _config(args.config)
     opt_cfg = OptimizerConfig(**{"seed": args.seed, **opt_kw})
     constraint = ConstraintSpec.parse(args.constraint)
+    scen = _scenario(args, noise_kw)
     plan = None
-    if args.scenario:
-        scen = load_scenario(args.scenario)
-    else:
-        scen = gen_centralized_scenario(args.n, args.m, NoiseConfig(**noise_kw), seed=args.seed)
     if isinstance(scen, CentralizedScenario):
         gains, trace = optimize_for(centralized_model(scen), constraint, opt_cfg)
     else:
@@ -135,15 +128,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simulate_consensus(args) -> int:
-    _, noise_kw, _ = _split_config(_load_config(args.config))
-    if args.scenario:
-        scen = load_scenario(args.scenario)
-        if isinstance(scen, CentralizedScenario):
-            raise InvalidConfig("consensus needs a decentralized scenario")
-    else:
-        topo = random_connected_topology(args.n, args.edge_prob, args.seed)
-        scen = gen_decentralized_scenario(topo, NoiseConfig(**noise_kw),
-                                          complex(args.theta), seed=args.seed)
+    _, noise_kw, _ = _config(args.config)
+    scen = _scenario(args, noise_kw)
+    if isinstance(scen, CentralizedScenario):
+        raise InvalidConfig("consensus needs a decentralized scenario")
     rows, report, plan = consensus_trace(scen, np.random.default_rng(args.seed),
                                          args.max_iter, args.tol, args.rho)
     if args.dump_plan:
@@ -159,38 +147,29 @@ def _cmd_simulate_consensus(args) -> int:
     return 0
 
 
-def _experiment_config(kind: str, args, defaults: dict) -> ExperimentConfig:
-    opt_kw, noise_kw, exp_kw = _split_config(_load_config(args.config))
-    fields: dict = {"kind": kind, **defaults, **exp_kw}
+def _cmd_experiment(kind: str, defaults: dict, args) -> int:
+    opt_kw, noise_kw, exp_kw = _config(args.config)
+    fields: dict = {"kind": kind, **defaults, **exp_kw, "seed": args.seed}
     fields["optimizer"] = OptimizerConfig(**{"seed": args.seed,
                                              **defaults.get("optimizer", {}), **opt_kw})
-    if noise_kw:
-        fields["noise"] = NoiseConfig(**noise_kw)
-    if getattr(args, "n", None):
-        fields["n_values"] = _int_list(args.n)
+    fields["noise"] = NoiseConfig(**noise_kw)
+    if args.n:
+        fields["n_values"] = _number_list(args.n, int)
     if getattr(args, "sigma_grid", None):
-        fields["sigma_grid"] = _float_list(args.sigma_grid)
+        fields["sigma_grid"] = _number_list(args.sigma_grid, float)
     if args.realizations is not None:
         fields["realizations"] = args.realizations
-    if getattr(args, "constraint", None):
+    if args.constraint:
         fields["constraint"] = ConstraintSpec.parse(args.constraint)
-    if getattr(args, "rho", None) is not None:
-        fields["rho"] = args.rho
     if getattr(args, "no_runtime", False):
         fields["include_runtime"] = False
-    fields["seed"] = args.seed
-    return ExperimentConfig(**fields)
-
-
-def _cmd_experiment(kind: str, args, defaults: dict) -> int:
-    config = _experiment_config(kind, args, defaults)
+    config = ExperimentConfig(**fields)
     rows, meta = run_experiment(config)
     comment = None
-    if isinstance(meta, dict) and "oracle" in meta:
+    if "oracle" in meta:
         comment = f"oracle: {meta['oracle']}; success_rate: {meta['success_rate']}"
-    text = render_csv(rows, columns_for(kind), config.include_runtime, comment)
-    _write_text(args.out, text)
-    if args.out and isinstance(meta, dict):
+    _write_text(args.out, render_csv(rows, columns_for(kind), config.include_runtime, comment))
+    if args.out:
         sys.stdout.write(json.dumps({k: v for k, v in meta.items() if k != "methods"},
                                     default=str) + "\n")
     return 0
@@ -201,13 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Sensor gain design and decentralized estimation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, constraint_default=None):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--config", default=None, help="JSON file with config overrides")
-        if constraint_default is not None:
-            p.add_argument("--constraint", default=constraint_default,
-                           help="energy | phase | quant:Q | select:K[:phase]")
+
+    def experiment(name, help_text, n_help, kind, defaults):
+        # the flags every experiment subcommand takes, with its own kind and defaults
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n", default=None, help=n_help)
+        p.add_argument("--realizations", type=int, default=None)
+        common(p)
+        p.add_argument("--constraint", default=None)
+        p.set_defaults(func=functools.partial(_cmd_experiment, kind, defaults))
+        return p
 
     p = sub.add_parser("gen-scenario", help="generate and serialize a scenario")
     p.add_argument("--kind", choices=("centralized", "decentralized"), default="centralized")
@@ -216,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-prob", type=float, default=0.3)
     p.add_argument("--theta", default="1")
     common(p)
-    p.set_defaults(func=_cmd_gen_scenario)
+    p.set_defaults(func=_cmd_gen_scenario, scenario=None)
 
     p = sub.add_parser("optimize", help="optimize gains for one scenario")
     p.add_argument("--scenario", default=None, help="scenario JSON (default: generate)")
@@ -225,8 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-plan", action="store_true")
     p.add_argument("--freeze-plan", action="store_true",
                    help="do not recompute the compression plan per outer iteration")
-    common(p, constraint_default="energy")
-    p.set_defaults(func=_cmd_optimize)
+    common(p)
+    p.add_argument("--constraint", default="energy",
+                   help="energy | phase | quant:Q | select:K[:phase]")
+    p.set_defaults(func=_cmd_optimize, kind="centralized", theta="1")
 
     p = sub.add_parser("simulate-consensus", help="run one ADMM consensus trace")
     p.add_argument("--scenario", default=None)
@@ -238,41 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--dump-plan", action="store_true")
     common(p)
-    p.set_defaults(func=_cmd_simulate_consensus)
+    p.set_defaults(func=_cmd_simulate_consensus, kind="decentralized")
 
-    p = sub.add_parser("sweep", help="variance sweep over sensor counts")
-    p.add_argument("--n", default=None, help="comma list of sensor counts")
-    p.add_argument("--realizations", type=int, default=None)
+    p = experiment("sweep", "variance sweep over sensor counts", "comma list of sensor counts",
+                   "sweep-N", {"n_values": (10, 30), "realizations": 30,
+                               "constraint": ConstraintSpec.phase_only()})
     p.add_argument("--no-runtime", action="store_true",
                    help="blank the runtime column for byte-reproducible output")
-    common(p, constraint_default=None)
-    p.add_argument("--constraint", default=None)
-    p.set_defaults(func=lambda a: _cmd_experiment("sweep-N", a, {
-        "n_values": (10, 30), "realizations": 30, "constraint": ConstraintSpec.phase_only(),
-    }))
 
-    p = sub.add_parser("select", help="sensor selection over a noise grid")
-    p.add_argument("--n", default=None, help="total sensor count")
+    p = experiment("select", "sensor selection over a noise grid", "total sensor count",
+                   "selection", {"n_values": (10,), "sigma_grid": (0.1, 1.0, 4.0),
+                                 "realizations": 10,
+                                 "constraint": ConstraintSpec.sensor_select(4)})
     p.add_argument("--sigma-grid", default=None, help="comma list of receiver noise variances")
-    p.add_argument("--realizations", type=int, default=None)
     p.add_argument("--no-runtime", action="store_true")
-    common(p, constraint_default=None)
-    p.add_argument("--constraint", default=None)
-    p.set_defaults(func=lambda a: _cmd_experiment("selection", a, {
-        "n_values": (10,), "sigma_grid": (0.1, 1.0, 4.0), "realizations": 10,
-        "constraint": ConstraintSpec.sensor_select(4),
-    }))
 
-    p = sub.add_parser("oracle-gap", help="optimizer vs exhaustive enumeration")
-    p.add_argument("--n", default=None, help="comma list of candidate sizes")
-    p.add_argument("--realizations", type=int, default=None)
-    common(p, constraint_default=None)
-    p.add_argument("--constraint", default=None)
-    p.set_defaults(func=lambda a: _cmd_experiment("oracle-gap", a, {
-        "n_values": (2, 3, 4), "realizations": 100,
-        "constraint": ConstraintSpec.quantized(4),
-        "optimizer": {"restarts": 10},
-    }))
+    experiment("oracle-gap", "optimizer vs exhaustive enumeration", "comma list of candidate sizes",
+               "oracle-gap", {"n_values": (2, 3, 4), "realizations": 100,
+                              "constraint": ConstraintSpec.quantized(4),
+                              "optimizer": {"restarts": 10}})
 
     return parser
 

@@ -93,11 +93,14 @@ class ConstraintSpec:
             return cls.fixed_energy()
         if parts[0] == "phase" and len(parts) == 1:
             return cls.phase_only()
-        if parts[0] == "quant" and len(parts) == 2:
-            return cls.quantized(int(parts[1]))
-        if parts[0] == "select" and len(parts) in (2, 3):
-            mode = parts[2] if len(parts) == 3 else "energy"
-            return cls.sensor_select(int(parts[1]), mode)
+        try:
+            if parts[0] == "quant" and len(parts) == 2:
+                return cls.quantized(int(parts[1]))
+            if parts[0] == "select" and len(parts) in (2, 3):
+                mode = parts[2] if len(parts) == 3 else "energy"
+                return cls.sensor_select(int(parts[1]), mode)
+        except ValueError:
+            pass
         raise InvalidConfig(f"cannot parse constraint {text!r}")
 
     def label(self) -> str:

@@ -4,6 +4,9 @@ Variance sweeps over the sensor count, sensor-selection comparisons over a
 receiver-noise grid, exhaustive-enumeration oracle gaps for quantized
 phases, and consensus traces.  All randomness derives per realization from
 (master seed, tags), so identical configurations yield identical outputs.
+
+``EXPERIMENTS`` maps each experiment kind to its runner's name and its CSV
+columns; kind validation, :func:`run_experiment` and :func:`columns_for` read it.
 """
 
 from __future__ import annotations
@@ -41,19 +44,26 @@ SELECTION_COLUMNS = ("sigma_n2", "method", "mean_variance")
 ORACLE_GAP_COLUMNS = ("seed", "N", "variance_opt", "variance_best", "ratio", "hit")
 CONSENSUS_COLUMNS = ("iter", "node", "theta_hat_re", "theta_hat_im", "abs_err")
 
-KINDS = ("sweep-N", "consensus", "selection", "oracle-gap")
+# kind -> (runner name, CSV columns); runners are looked up by name at call time
+# so that a wrapper set on the module attribute (a tracer, a test double) sees the call
+EXPERIMENTS = {
+    "sweep-N": ("run_sweep", SWEEP_COLUMNS),
+    "consensus": ("run_consensus_experiment", CONSENSUS_COLUMNS),
+    "selection": ("run_selection_experiment", SELECTION_COLUMNS),
+    "oracle-gap": ("run_oracle_gap", ORACLE_GAP_COLUMNS),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment specification.
 
-    ``n_values`` is the sensor-count grid (or the candidate sizes for the
-    oracle-gap study); ``sigma_grid`` is the receiver-noise grid for
-    selection experiments.  ``include_runtime`` exists because wall times
-    are inherently non-reproducible: disabling it leaves the runtime
-    column empty so identical (config, seed) pairs produce identical CSV
-    bytes.
+    ``n_values`` is the sensor-count grid (one count N for a selection
+    experiment, which needs K < N; the candidate sizes for the oracle-gap
+    study); ``sigma_grid`` is the receiver-noise grid for selection
+    experiments.  ``include_runtime`` exists because wall times are
+    inherently non-reproducible: disabling it leaves the runtime column
+    empty so identical (config, seed) pairs produce identical CSV bytes.
     """
 
     kind: str
@@ -73,16 +83,20 @@ class ExperimentConfig:
     include_runtime: bool = True
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment kind {self.kind!r}")
         if self.realizations < 1:
             raise InvalidConfig("realizations must be at least 1")
-        if self.kind in ("sweep-N", "oracle-gap", "consensus") and not self.n_values:
+        if not self.n_values:
             raise InvalidConfig(f"{self.kind} needs a nonempty n_values")
         if self.kind == "selection" and not self.sigma_grid:
             raise InvalidConfig(f"{self.kind} needs a nonempty sigma_grid")
         if self.kind == "selection" and self.constraint.kind != "select":
             raise InvalidConfig("selection experiments need a select constraint")
+        if self.kind == "selection" and (len(self.n_values) > 1
+                                         or not 1 <= self.constraint.k_active < self.n_values[0]):
+            raise InvalidConfig(f"selection needs one sensor count N and 1 <= K < N, got "
+                                f"n_values={self.n_values}, K={self.constraint.k_active}")
         if self.kind == "oracle-gap" and self.constraint.kind != "quant":
             raise InvalidConfig("oracle-gap experiments need a quant constraint")
 
@@ -230,7 +244,7 @@ def run_selection_experiment(config: ExperimentConfig):
     realization by feasible-set inclusion.
     """
     k = config.constraint.k_active
-    n = config.n_values[0] if config.n_values else 10
+    n = config.n_values[0]
     methods = ("proposed", "greedy", "min-sensor-noise", "all-N")
     rows = []
     meta = {
@@ -350,24 +364,14 @@ def run_consensus_experiment(config: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig):
-    """Dispatch on the experiment kind; returns (rows, metadata_or_report)."""
-    if config.kind == "sweep-N":
-        return run_sweep(config)
-    if config.kind == "selection":
-        return run_selection_experiment(config)
-    if config.kind == "oracle-gap":
-        return run_oracle_gap(config)
-    return run_consensus_experiment(config)
+    """Run the runner ``EXPERIMENTS`` names for the kind; returns (rows, metadata_or_report)."""
+    runner, _ = EXPERIMENTS[config.kind]
+    return globals()[runner](config)
 
 
 def columns_for(kind: str) -> tuple[str, ...]:
-    if kind == "sweep-N":
-        return SWEEP_COLUMNS
-    if kind == "selection":
-        return SELECTION_COLUMNS
-    if kind == "oracle-gap":
-        return ORACLE_GAP_COLUMNS
-    return CONSENSUS_COLUMNS
+    """CSV columns of an experiment kind."""
+    return EXPERIMENTS[kind][1]
 
 
 def render_csv(rows, columns, include_runtime: bool = True, comment: str | None = None) -> str:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import wsngain
-from wsngain.cli import main
+from wsngain import ConstraintSpec, cli
+from wsngain.cli import build_parser, main
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -207,12 +208,63 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "InvalidConfig"
     assert "warp_factor" in payload["message"]
+    # the subcommand names the experiment kind; a config file cannot switch it
+    cfg.write_text(json.dumps({"kind": "consensus"}))
+    rc, out, err = run_cli(capsys, "sweep", "--n", "4", "--config", str(cfg))
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidConfig"
+    assert "kind" in payload["message"]
 
 
 def test_bad_constraint_string_fails_cleanly(capsys):
-    rc, _, err = run_cli(capsys, "optimize", "--n", "4", "--constraint", "power:2")
-    assert rc == 1
+    for text in ("power:2", "quant:x", "select:2.5", "quant:"):
+        rc, _, err = run_cli(capsys, "optimize", "--n", "4", "--constraint", text)
+        assert rc == 1
+        assert json.loads(err)["error"] == "InvalidConfig", text
+
+
+@pytest.mark.parametrize("command", [
+    "sweep --n 4,x",
+    "select --sigma-grid 1,x",
+    "gen-scenario --n 4 --theta abc",
+    "simulate-consensus --n 4 --theta abc",
+    # selection needs one sensor count N and 1 <= K < N
+    "select --n 6,8 --sigma-grid 1.0 --constraint select:7",
+    "select --n 6 --sigma-grid 1.0 --constraint select:6",
+])
+def test_malformed_input_reports_invalid_config(capsys, command):
+    rc, out, err = run_cli(capsys, *command.split())
+    assert rc == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidConfig"
+
+
+def test_experiment_subcommand_defaults(monkeypatch, capsys):
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return [], {}
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    for argv in (["sweep"], ["select"], ["oracle-gap"],
+                 ["sweep", "--no-runtime"], ["select", "--no-runtime"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    sweep, select, gap, sweep_nr, select_nr = seen
+    assert (sweep.kind, sweep.n_values, sweep.realizations) == ("sweep-N", (10, 30), 30)
+    assert sweep.constraint == ConstraintSpec.phase_only()
+    assert (select.kind, select.n_values, select.sigma_grid, select.realizations) == (
+        "selection", (10,), (0.1, 1.0, 4.0), 10)
+    assert select.constraint.label() == "select:4:energy"
+    assert (gap.kind, gap.n_values, gap.realizations) == ("oracle-gap", (2, 3, 4), 100)
+    assert gap.constraint.label() == "quant:4" and gap.optimizer.restarts == 10
+    assert sweep.optimizer.restarts == select.optimizer.restarts == 1
+    assert all(c.seed == 0 and c.optimizer.seed == 0 for c in seen)
+    assert sweep.include_runtime and select.include_runtime and gap.include_runtime
+    assert not sweep_nr.include_runtime and not select_nr.include_runtime
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["oracle-gap", "--no-runtime"])
 
 
 def test_console_entry_point():
@@ -235,8 +287,6 @@ def test_console_entry_point():
 
 def test_module_main_guard_matches_entry():
     # the parser is importable and wired to the same main used by the script
-    from wsngain.cli import build_parser
-
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["no-such-command"])

@@ -17,6 +17,7 @@ from wsngain import (
     derived_seed,
     gen_centralized_scenario,
     global_variance,
+    harness,
     render_csv,
     run_experiment,
 )
@@ -231,7 +232,7 @@ def test_consensus_experiment_trace_rows():
     assert all(r["abs_err"] <= 1e-6 * scale for r in final)
 
 
-def test_run_experiment_dispatch_and_columns():
+def test_run_experiment_dispatch_and_columns(monkeypatch):
     assert columns_for("sweep-N") == SWEEP_COLUMNS
     assert columns_for("selection") == SELECTION_COLUMNS
     assert columns_for("oracle-gap") == ORACLE_GAP_COLUMNS
@@ -239,6 +240,21 @@ def test_run_experiment_dispatch_and_columns():
     config = ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=2, seed=10)
     rows, _ = run_experiment(config)
     assert set(SWEEP_COLUMNS) <= set(rows[0])
+    # dispatch goes through the module attribute, so a wrapper put there
+    # (a tracer, a test double) sees the call
+    configs = {
+        "run_sweep": config,
+        "run_selection_experiment": ExperimentConfig(
+            kind="selection", n_values=(4,), sigma_grid=(1.0,),
+            constraint=ConstraintSpec.sensor_select(2)),
+        "run_oracle_gap": ExperimentConfig(kind="oracle-gap", n_values=(2,),
+                                           constraint=ConstraintSpec.quantized(4)),
+        "run_consensus_experiment": ExperimentConfig(kind="consensus", n_values=(4,)),
+    }
+    for name in configs:
+        monkeypatch.setattr(harness, name, lambda c, name=name: (name, c))
+    for name, cfg in configs.items():
+        assert run_experiment(cfg) == (name, cfg)
 
 
 def test_experiment_config_validation():
@@ -256,6 +272,13 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=0)
     with pytest.raises(InvalidConfig):
         ExperimentConfig(kind="sweep-noise", sigma_grid=(1.0,))
+    # selection runs on exactly one sensor count N with 1 <= K < N
+    for n_values, k in (((), 2), ((6, 8), 2), ((6,), 6), ((6,), 7)):
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig(kind="selection", n_values=n_values, sigma_grid=(1.0,),
+                             constraint=ConstraintSpec.sensor_select(k))
+    ExperimentConfig(kind="selection", n_values=(6,), sigma_grid=(1.0,),
+                     constraint=ConstraintSpec.sensor_select(5))
 
 
 # --------------------------------------------------------------------- CSV
