@@ -8,6 +8,7 @@ prints a machine-readable error JSON on stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import json
@@ -97,7 +98,9 @@ def _scenario(args, noise_kw: dict):
     try:
         theta = complex(args.theta)
     except ValueError:
-        raise InvalidConfig(f"cannot parse theta {args.theta!r} as a complex number") from None
+        theta = None
+    if theta is None or not cmath.isfinite(theta):
+        raise InvalidConfig(f"theta {args.theta!r} is not a finite complex number")
     if args.kind == "centralized":
         return gen_centralized_scenario(args.n, args.m, noise, theta, seed=args.seed)
     topo = random_connected_topology(args.n, args.edge_prob, args.seed)

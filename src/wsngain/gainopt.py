@@ -39,6 +39,7 @@ from .scenario import DecentralizedScenario
 LAMBDA_FLOOR = 1e-12
 INNER_STOP = 1e-10
 DESCENT_RTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -297,13 +298,29 @@ def shift_quadratic(d: np.ndarray, g: np.ndarray, margin: float = 1.05) -> float
 
     Q is the arrow matrix of build_inner_quadratic: diagonal d >= 0,
     border g, zero corner.  lambda_max is the largest root of the secular
-    equation lambda = sum |g_i|^2 / (lambda - d_i) (Golub 1973), found by
-    bisection on [max(max d, ||g||), max d + ||g||]: interlacing gives
-    lambda_max >= max d, d >= 0 gives lambda_max^2 >= ||g||^2, and Weyl's
-    inequality gives the upper end.  The bracket spans at most a factor 2,
-    so about 55 halvings of O(N) each reach adjacent floats; lambda is
-    margin times the final upper end.  Q = 0 (zero gains) gets a small
-    floor instead.
+    function f(lambda) = lambda - sum |g_i|^2 / (lambda - d_i) (Golub 1973)
+    on [max(max d, ||g||), max d + ||g||]: interlacing gives lambda_max >=
+    max d, d >= 0 gives lambda_max^2 >= ||g||^2, and Weyl's inequality gives
+    the upper end, where f >= 0.
+
+    Rational step (Bunch, Nielsen & Sorensen 1978; R.-C. Li 1994): at the
+    current point the sum is replaced by s / (lambda - max d) + c with the
+    sum's value and slope there.  The model is exact for the terms at
+    max d and lies above every other term on lambda > max d (same value
+    and slope, nearer pole), so its root, the positive root of a
+    quadratic, is never below lambda_max.  Started from the upper end, the
+    steps descend onto lambda_max with quadratic convergence, in about six
+    O(N) evaluations.
+
+    Safeguard: every evaluated point updates the bracket (upper end where
+    f >= 0, lower end otherwise), a step is at least a few ulps above the
+    lower end, and a step that lands at or above the upper end is replaced
+    by bisection.  Every point evaluated lies strictly above max d, so no
+    pole is hit.  The search stops once the bracket, or a step from a
+    point with f >= 0, is within a few ulps; lambda is margin times that
+    certified upper end (nudged up an ulp where dividing by margin would
+    round below it), so lambda > lambda_max still holds.  Q = 0 (zero
+    gains) gets a small floor instead.
     """
     g2 = np.abs(g) ** 2
     d_max = float(d.max())
@@ -311,16 +328,33 @@ def shift_quadratic(d: np.ndarray, g: np.ndarray, margin: float = 1.05) -> float
     lo, hi = max(d_max, g_norm), d_max + g_norm
     if hi == 0.0:
         return LAMBDA_FLOOR
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        # above max d the secular function is >= 0 exactly from lambda_max on
-        if mid - np.sum(g2 / (mid - d)) >= 0.0:
-            hi = mid
+    lam = hi
+    while lo < hi:  # lo == hi for g = 0 (lambda_max = max d) or d = 0 (lambda_max = ||g||)
+        t = lam - d_max
+        gap = lam - d
+        q = g2 / gap
+        total = float(q.sum())
+        slope = float((q / gap).sum())
+        f = lam - total
+        if f >= 0.0:
+            hi = lam
         else:
-            lo = mid
-    return margin * hi
+            lo = lam
+        tol = 2.0 * _EPS * hi
+        # the model t' + max d - slope t^2 / t' - (total - slope t) = 0 as a
+        # quadratic in t' = lambda' - max d, solved without cancellation
+        b = d_max - total + slope * t
+        s = slope * t * t
+        root = math.hypot(b, 2.0 * math.sqrt(s))
+        nxt = d_max + (2.0 * s / (b + root) if b > 0.0 else 0.5 * (root - b))
+        if hi - lo <= tol or (f >= 0.0 and lam - nxt <= tol):
+            break
+        nxt = max(nxt, lo + tol)
+        lam = nxt if nxt < hi else 0.5 * (lo + hi)
+    out = margin * hi
+    while out / margin < hi:  # keep lambda / margin at or above the certified end
+        out = math.nextafter(out, math.inf)
+    return out
 
 
 def _quantize_phases(angles: np.ndarray, q_levels: int) -> np.ndarray:
@@ -340,17 +374,12 @@ def _quantize_phases(angles: np.ndarray, q_levels: int) -> np.ndarray:
 
 
 def _onto_sphere(a: np.ndarray):
-    """sqrt(N) a / ||a|| (None for a zero vector): the sum np.linalg.norm
-    forms, then two real products on the float view of a.  numpy divides a
-    complex array by a real as a product with the reciprocal, so these are
-    the bits of the complex expression, up to the sign of a zero."""
-    re, im = a.real, a.imag
-    nrm = math.sqrt(re.dot(re) + im.dot(im))
+    """sqrt(N) a / ||a|| (None for a zero vector): the squared norm as one
+    vdot and the scaling as one product."""
+    nrm = math.sqrt(np.vdot(a, a).real)
     if nrm == 0.0:
         return None
-    out = a.view(float) * math.sqrt(len(a))
-    out *= 1.0 / nrm
-    return out.view(complex)
+    return a * (math.sqrt(len(a)) / nrm)
 
 
 def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
@@ -610,7 +639,7 @@ def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the next step both read.  Non-decreasing in a^H B a for positive
     semidefinite B: the step maximizes Re(z^H B a) over unit-modulus z.
     """
-    a_new = np.exp(1j * np.angle(image))
+    a_new = np.exp(1j * np.arctan2(image.imag, image.real))  # np.angle without its wrapper
     return a_new, b_mat @ a_new
 
 
@@ -632,13 +661,13 @@ def optimize_phase_only_uqp(model: GlobalModel,
 
     def ascend(a):
         image = b_mat @ a
-        objs = [float(np.real(a.conj() @ image))]
+        objs = [float((a.conj() @ image).real)]
         for _ in range(max_iters):  # at least one step: the config rejects empty budgets
             a_new, image = uqp_step(b_mat, image)
             diff = a_new - a  # its norm as the sum np.linalg.norm forms
             step = math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag))
             a = a_new
-            objs.append(float(np.real(a.conj() @ image)))
+            objs.append(float((a.conj() @ image).real))
             if step <= INNER_STOP:
                 break
         return OptimizerTrace(tuple(eta0 - o for o in objs), tuple(objs), GainVector(a, constraint),

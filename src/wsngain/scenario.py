@@ -9,6 +9,7 @@ every directed link of a connected graph.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,8 @@ class NoiseConfig:
         lo, hi = self.v_range
         if not (0 < lo <= hi):
             raise InvalidConfig(f"bad sensor noise range {self.v_range}")
-        if self.channel_noise_var <= 0:
-            raise InvalidConfig("channel noise variance must be positive")
+        if not (self.channel_noise_var > 0) or not math.isfinite(self.channel_noise_var):
+            raise InvalidConfig("channel noise variance must be finite and positive")
 
 
 def _check_noise_length(sensor_noise_var, num_sensors: int) -> None:

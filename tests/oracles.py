@@ -56,6 +56,30 @@ def arrow_matrix(d, g):
     return q
 
 
+def shift_bisection(d, g, margin=1.05):
+    """margin times the top eigenvalue of the arrow matrix of (d, g) by
+    plain bisection of its secular equation lambda = sum |g_i|^2 /
+    (lambda - d_i) on [max(max d, ||g||), max d + ||g||], halving to
+    adjacent floats (about 55 O(N) steps); the upper end is kept, so the
+    result is the smallest float reached whose secular function is >= 0.
+    Q = 0 gives the optimizer's floor of 1e-12."""
+    g2 = np.abs(g) ** 2
+    d_max = float(d.max())
+    g_norm = float(np.sqrt(g2.sum()))
+    lo, hi = max(d_max, g_norm), d_max + g_norm
+    if hi == 0.0:
+        return 1e-12
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid - np.sum(g2 / (mid - d)) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return margin * hi
+
+
 def inner_power_iterations_dense(a0, q_tilde, project, max_iters, stop_tol=1e-10):
     """Power-method-like ascent a <- project((I_N 0) Q~ (a;1)) with the
     lifted point and the dense matvec written out; ``project`` maps an image

@@ -229,6 +229,10 @@ def test_bad_constraint_string_fails_cleanly(capsys):
     "select --sigma-grid 1,x",
     "gen-scenario --n 4 --theta abc",
     "simulate-consensus --n 4 --theta abc",
+    # non-finite numbers parse but are not valid inputs
+    "gen-scenario --n 4 --theta nan",
+    "gen-scenario --n 4 --theta inf",
+    "select --sigma-grid nan",
     # selection needs one sensor count N and 1 <= K < N
     "select --n 6,8 --sigma-grid 1.0 --constraint select:7",
     "select --n 6 --sigma-grid 1.0 --constraint select:6",

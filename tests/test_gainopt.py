@@ -239,6 +239,33 @@ def test_shift_border_zero_at_largest_diagonal():
     assert lam > 5.0
 
 
+def test_shift_matches_bisection_oracle():
+    # the secular iteration against plain bisection, on plain draws, diagonals
+    # clustered within 1e-12 of max d, a zero border at max d, and ties at
+    # max d; no point evaluated may sit on a pole, and lambda / margin must be
+    # a certified upper end of the spectrum
+    rng = np.random.default_rng(11)
+    cases = ("plain", "cluster", "zero-border", "tie")
+    for n, scale, margin, case, _ in itertools.product((1, 2, 6, 40, 200), (1.0, 1e-150),
+                                                       (1.05, 1.5), cases, range(5)):
+        d, g = random_arrow(rng, n)
+        top = d.max()
+        if case == "cluster":
+            near = rng.choice(n, min(n, 4), replace=False)
+            d[near] = top * (1.0 - 1e-12 * rng.random(len(near)))
+        elif case == "tie":
+            d[rng.choice(n, min(n, 3), replace=False)] = top
+        elif case == "zero-border" and n > 1:
+            g[d == top] = 0.0
+        d, g = scale * d, scale * g
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            lam = shift_quadratic(d, g, margin)
+        want = oracles.shift_bisection(d, g, margin)
+        assert abs(lam - want) <= 1e-15 * want, (n, scale, margin, case)
+        end = lam / margin
+        assert end - np.sum(np.abs(g) ** 2 / (end - d)) >= 0.0, (n, scale, margin, case)
+
+
 # --------------------------------------------------------------- projections
 
 
