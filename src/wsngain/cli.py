@@ -20,7 +20,8 @@ from .diffusion import centralized_model
 from .errors import InvalidConfig, WsnGainError
 from .estimator import GainVector
 from .gainopt import ConstraintSpec, OptimizerConfig, optimize_decentralized
-from .harness import ExperimentConfig, columns_for, consensus_trace, optimize_for, render_csv, run_experiment
+from .harness import (CONSENSUS_COLUMNS, ExperimentConfig, columns_for, consensus_trace,
+                      optimize_for, render_csv, run_experiment)
 from .netgraph import random_connected_topology
 from .scenario import (
     CentralizedScenario,
@@ -31,29 +32,29 @@ from .scenario import (
     to_json_dict,
 )
 
-_OPT_FIELDS = {f.name for f in dataclasses.fields(OptimizerConfig)}
-_NOISE_FIELDS = {f.name for f in dataclasses.fields(NoiseConfig)}
-# kind comes from the subcommand, constraint from --constraint, optimizer and noise
-# from their own keys
-_EXP_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
-    "kind", "optimizer", "noise", "constraint"}
+# the config keys of each field group; seed comes only from --seed, kind from the
+# subcommand and constraint from --constraint
+_OPT_KEYS = {f.name for f in dataclasses.fields(OptimizerConfig)} - {"seed"}
+_NOISE_KEYS = {f.name for f in dataclasses.fields(NoiseConfig)}
+_EXP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
+    "kind", "optimizer", "noise", "constraint", "seed"}
 
 
-def _config(path: str | None):
-    """Read a JSON config file; route its keys to the optimizer, noise and experiment."""
+def _config(args, *groups):
+    """Read ``--config`` (a JSON object) and split its keys among the field
+    groups the subcommand reads; any other key fails."""
     doc = {}
-    if path:
-        with open(path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise InvalidConfig("config file must hold a JSON object")
-    unknown = sorted(set(doc) - _OPT_FIELDS - _NOISE_FIELDS - _EXP_FIELDS)
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {', '.join(unknown)}")
+    unread = sorted(set(doc).difference(*groups))
+    if unread:
+        raise InvalidConfig(f"{args.command} does not read config keys: {', '.join(unread)}")
     doc = {k: tuple(v) if k in ("d_range", "v_range", "n_values", "sigma_grid") else v
            for k, v in doc.items()}
-    return tuple({k: v for k, v in doc.items() if k in fields}
-                 for fields in (_OPT_FIELDS, _NOISE_FIELDS, _EXP_FIELDS))
+    return tuple({k: v for k, v in doc.items() if k in keys} for keys in groups)
 
 
 def _number_list(text: str, number: type) -> tuple:
@@ -108,15 +109,15 @@ def _scenario(args, noise_kw: dict):
 
 
 def _cmd_gen_scenario(args) -> int:
-    _, noise_kw, _ = _config(args.config)
+    noise_kw, = _config(args, _NOISE_KEYS)
     doc = to_json_dict(_scenario(args, noise_kw))
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    opt_kw, noise_kw, _ = _config(args.config)
-    opt_cfg = OptimizerConfig(**{"seed": args.seed, **opt_kw})
+    opt_kw, noise_kw = _config(args, _OPT_KEYS, _NOISE_KEYS)
+    opt_cfg = OptimizerConfig(seed=args.seed, **opt_kw)
     constraint = ConstraintSpec.parse(args.constraint)
     scen = _scenario(args, noise_kw)
     plan = None
@@ -131,7 +132,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simulate_consensus(args) -> int:
-    _, noise_kw, _ = _config(args.config)
+    noise_kw, = _config(args, _NOISE_KEYS)
     scen = _scenario(args, noise_kw)
     if isinstance(scen, CentralizedScenario):
         raise InvalidConfig("consensus needs a decentralized scenario")
@@ -140,7 +141,7 @@ def _cmd_simulate_consensus(args) -> int:
     if args.dump_plan:
         json.dump(plan.to_json_dict(), sys.stderr)
         sys.stderr.write("\n")
-    _write_text(args.out, render_csv(rows, columns_for("consensus")))
+    _write_text(args.out, render_csv(rows, CONSENSUS_COLUMNS))
     if args.out:
         summary = {"theta_hat": [report.theta_hat.real, report.theta_hat.imag],
                    "analytic_variance": report.analytic_variance,
@@ -151,10 +152,9 @@ def _cmd_simulate_consensus(args) -> int:
 
 
 def _cmd_experiment(kind: str, defaults: dict, args) -> int:
-    opt_kw, noise_kw, exp_kw = _config(args.config)
-    fields: dict = {"kind": kind, **defaults, **exp_kw, "seed": args.seed}
-    fields["optimizer"] = OptimizerConfig(**{"seed": args.seed,
-                                             **defaults.get("optimizer", {}), **opt_kw})
+    opt_kw, noise_kw, exp_kw = _config(args, _OPT_KEYS, _NOISE_KEYS, _EXP_KEYS)
+    fields: dict = {"kind": kind, "seed": args.seed, **defaults, **exp_kw}
+    fields["optimizer"] = OptimizerConfig(seed=args.seed, **{**defaults.get("optimizer", {}), **opt_kw})
     fields["noise"] = NoiseConfig(**noise_kw)
     if args.n:
         fields["n_values"] = _number_list(args.n, int)
@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "realizations": 10,
                                  "constraint": ConstraintSpec.sensor_select(4)})
     p.add_argument("--sigma-grid", default=None, help="comma list of receiver noise variances")
-    p.add_argument("--no-runtime", action="store_true")
 
     experiment("oracle-gap", "optimizer vs exhaustive enumeration", "comma list of candidate sizes",
                "oracle-gap", {"n_values": (2, 3, 4), "realizations": 100,

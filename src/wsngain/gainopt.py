@@ -360,16 +360,11 @@ def shift_quadratic(d: np.ndarray, g: np.ndarray, margin: float = 1.05) -> float
 def _quantize_phases(angles: np.ndarray, q_levels: int) -> np.ndarray:
     """Nearest grid phase 2 pi q / Q; exact midpoints round to the smaller
     phase value."""
-    ang = np.mod(angles, 2.0 * np.pi)
-    frac = ang * q_levels / (2.0 * np.pi)
-    lo = np.floor(frac)
-    rem = frac - lo
-    pick = np.where(rem < 0.5, lo, lo + 1)
-    tie = rem == 0.5
-    if np.any(tie):
-        low = np.mod(lo, q_levels)
-        high = np.mod(lo + 1, q_levels)
-        pick = np.where(tie, np.minimum(low, high), pick)
+    frac = np.mod(angles, 2.0 * np.pi) * q_levels / (2.0 * np.pi)
+    # ceil(frac - 1/2) rounds midpoints down; the wrap midpoint Q - 1/2 lies
+    # between Q - 1 and Q = 0 (mod Q), so it goes to 0
+    pick = np.ceil(frac - 0.5)
+    pick[frac == q_levels - 0.5] = 0.0
     return 2.0 * np.pi * np.mod(pick, q_levels) / q_levels
 
 

@@ -1,17 +1,19 @@
-"""Experiment runner: sweeps, baselines and CSV emission.
+"""Experiment runner: sweeps, baselines, consensus traces and CSV emission.
 
-Variance sweeps over the sensor count, sensor-selection comparisons over a
-receiver-noise grid, exhaustive-enumeration oracle gaps for quantized
-phases, and consensus traces.  All randomness derives per realization from
-(master seed, tags), so identical configurations yield identical outputs.
+Three experiment kinds run on centralized scenarios: variance sweeps over
+the sensor count, sensor-selection comparisons over a receiver-noise grid
+and exhaustive-enumeration oracle gaps for quantized phases.  All
+randomness derives per realization from (master seed, tags), so identical
+configurations yield identical outputs.
 
 ``EXPERIMENTS`` maps each experiment kind to its runner's name and its CSV
 columns; kind validation, :func:`run_experiment` and :func:`columns_for` read it.
+:func:`consensus_trace` is the one consensus run with a per-iteration trace,
+behind ``wsngain simulate-consensus``.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -34,8 +36,7 @@ from .gainopt import (
     refine,
     uqp_matrix,
 )
-from .netgraph import random_connected_topology
-from .scenario import NoiseConfig, gen_centralized_scenario, gen_decentralized_scenario
+from .scenario import NoiseConfig, gen_centralized_scenario
 
 EXHAUSTIVE_BUDGET = 10**7
 
@@ -48,7 +49,6 @@ CONSENSUS_COLUMNS = ("iter", "node", "theta_hat_re", "theta_hat_im", "abs_err")
 # so that a wrapper set on the module attribute (a tracer, a test double) sees the call
 EXPERIMENTS = {
     "sweep-N": ("run_sweep", SWEEP_COLUMNS),
-    "consensus": ("run_consensus_experiment", CONSENSUS_COLUMNS),
     "selection": ("run_selection_experiment", SELECTION_COLUMNS),
     "oracle-gap": ("run_oracle_gap", ORACLE_GAP_COLUMNS),
 }
@@ -56,14 +56,15 @@ EXPERIMENTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment specification.
+    """One experiment specification, checked whole before any work is done.
 
     ``n_values`` is the sensor-count grid (one count N for a selection
-    experiment, which needs K < N; the candidate sizes for the oracle-gap
-    study); ``sigma_grid`` is the receiver-noise grid for selection
-    experiments.  ``include_runtime`` exists because wall times are
-    inherently non-reproducible: disabling it leaves the runtime column
-    empty so identical (config, seed) pairs produce identical CSV bytes.
+    experiment, which needs K < N; the candidate sizes, each enumerable, for
+    the oracle-gap study); ``sigma_grid`` is the receiver-noise grid for
+    selection experiments.  Every scenario and optimizer seed derives from
+    ``seed``.  ``include_runtime`` exists because wall times are inherently
+    non-reproducible: disabling it leaves the runtime column empty so
+    identical (config, seed) pairs produce identical CSV bytes.
     """
 
     kind: str
@@ -74,12 +75,7 @@ class ExperimentConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
     noise: NoiseConfig = NoiseConfig()
     num_antennas: int = 4
-    theta: complex = 1 + 0j
     seed: int = 0
-    rho: float = 1.0
-    edge_probability: float = 0.3
-    max_iter: int = 500
-    tol: float = 1e-6
     include_runtime: bool = True
 
     def __post_init__(self):
@@ -97,8 +93,13 @@ class ExperimentConfig:
                                          or not 1 <= self.constraint.k_active < self.n_values[0]):
             raise InvalidConfig(f"selection needs one sensor count N and 1 <= K < N, got "
                                 f"n_values={self.n_values}, K={self.constraint.k_active}")
-        if self.kind == "oracle-gap" and self.constraint.kind != "quant":
-            raise InvalidConfig("oracle-gap experiments need a quant constraint")
+        for sigma_n2 in self.sigma_grid:
+            _selection_noise(self.noise, sigma_n2)
+        if self.kind == "oracle-gap":
+            if self.constraint.kind != "quant":
+                raise InvalidConfig("oracle-gap experiments need a quant constraint")
+            for n in self.n_values:
+                _check_enumerable(self.constraint.q_levels, n)
 
 
 def derived_seed(master: int, *tags: int) -> int:
@@ -112,29 +113,35 @@ def baseline_all_ones(model) -> tuple[GainVector, float]:
     return gains, global_variance(model, gains)
 
 
+def _check_enumerable(q_levels: int, n: int, budget: int = EXHAUSTIVE_BUDGET) -> int:
+    """The candidate count Q^N; raises TooLarge beyond the budget."""
+    total = q_levels**n
+    if total > budget:
+        raise TooLarge(f"{q_levels}^{n} = {total} exceeds the enumeration budget")
+    return total
+
+
 def baseline_exhaustive_quantized(model, q_levels: int,
                                   budget: int = EXHAUSTIVE_BUDGET) -> tuple[GainVector, float]:
     """Global optimum over all Q^N phase assignments.
 
     All candidates are unit modulus, so the combined covariance is the
     constant phase-only one and every objective is a^H B a; candidates are
-    scored in chunks.  Raises TooLarge beyond the enumeration budget.
+    scored in chunks, in lexicographic order of their phase indices (the
+    last sensor's index varies fastest).  Raises TooLarge beyond the
+    enumeration budget.
     """
     n = model.num_sensors
-    total = q_levels**n
-    if total > budget:
-        raise TooLarge(f"{q_levels}^{n} = {total} exceeds the enumeration budget")
+    total = _check_enumerable(q_levels, n, budget)
     b_mat = uqp_matrix(model)
     grid = np.exp(2j * np.pi * np.arange(q_levels) / q_levels)
+    place = q_levels ** np.arange(n - 1, -1, -1)
     best_obj = -np.inf
     best_a = None
     chunk = 100_000
-    combos = itertools.product(range(q_levels), repeat=n)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        cand = grid[np.array(block)]
+    for start in range(0, total, chunk):
+        index = np.arange(start, min(start + chunk, total))
+        cand = grid[index[:, None] // place % q_levels]
         objs = np.real(np.einsum("bi,ij,bj->b", cand.conj(), b_mat, cand))
         k = int(np.argmax(objs))
         if objs[k] > best_obj:
@@ -189,6 +196,18 @@ def optimize_for(model, constraint, opt_config):
     return optimize(model, constraint, opt_config)
 
 
+def _realization(config: ExperimentConfig, n: int, noise: NoiseConfig,
+                 scenario_seed: int, optimizer_seed: int):
+    """The model of one realization's n-sensor scenario and its reseeded optimizer config."""
+    scen = gen_centralized_scenario(n, config.num_antennas, noise, seed=scenario_seed)
+    return centralized_model(scen), replace(config.optimizer, seed=optimizer_seed)
+
+
+def _mean(values) -> float:
+    """Mean over the realizations that succeeded; NaN when none did."""
+    return float(np.mean(values)) if values else float("nan")
+
+
 def run_sweep(config: ExperimentConfig):
     """Variance vs sensor count: optimizer against the all-ones baseline.
 
@@ -203,13 +222,9 @@ def run_sweep(config: ExperimentConfig):
         runtimes = {"optimized": [], "all-ones": []}
         failures = 0
         for i in range(config.realizations):
-            scen = gen_centralized_scenario(
-                n, config.num_antennas, config.noise, config.theta,
-                seed=derived_seed(config.seed, n, i),
-            )
-            model = centralized_model(scen)
+            model, opt_cfg = _realization(config, n, config.noise, derived_seed(config.seed, n, i),
+                                          derived_seed(config.seed, n, i, 1))
             try:
-                opt_cfg = replace(config.optimizer, seed=derived_seed(config.seed, n, i, 1))
                 _, trace = optimize_for(model, config.constraint, opt_cfg)
                 t0 = time.perf_counter()
                 _, v_ones = baseline_all_ones(model)
@@ -222,16 +237,20 @@ def run_sweep(config: ExperimentConfig):
             results["all-ones"].append(v_ones)
             runtimes["all-ones"].append(ones_time)
         for method in ("optimized", "all-ones"):
-            used = results[method]
             rows.append({
                 "N": n,
                 "method": method,
-                "mean_variance": float(np.mean(used)) if used else float("nan"),
-                "mean_runtime_s": float(np.mean(runtimes[method])) if used else float("nan"),
-                "realizations": len(used),
+                "mean_variance": _mean(results[method]),
+                "mean_runtime_s": _mean(runtimes[method]),
+                "realizations": len(results[method]),
                 "failures": failures,
             })
     return rows, meta
+
+
+def _selection_noise(noise: NoiseConfig, sigma_n2) -> NoiseConfig:
+    """The noise settings at one point of the selection grid; NoiseConfig checks them."""
+    return replace(noise, channel_noise_var=float(sigma_n2))
 
 
 def run_selection_experiment(config: ExperimentConfig):
@@ -254,15 +273,14 @@ def run_selection_experiment(config: ExperimentConfig):
         "failures": 0,
     }
     for sigma_n2 in config.sigma_grid:
-        noise = replace(config.noise, channel_noise_var=float(sigma_n2))
+        noise = _selection_noise(config.noise, sigma_n2)
         results = {m: [] for m in methods}
         failures = 0
         for i in range(config.realizations):
-            tag = derived_seed(config.seed, i, int(1e6 * sigma_n2) % (2**31))
-            scen = gen_centralized_scenario(n, config.num_antennas, noise, config.theta, seed=tag)
-            model = centralized_model(scen)
+            model, opt_cfg = _realization(
+                config, n, noise, derived_seed(config.seed, i, int(1e6 * sigma_n2) % (2**31)),
+                derived_seed(config.seed, i, 2))
             try:
-                opt_cfg = replace(config.optimizer, seed=derived_seed(config.seed, i, 2))
                 prop_gains, prop_trace = optimize(model, config.constraint, opt_cfg)
                 greedy_gains, v_greedy = baseline_selection(model, k, "greedy")
                 minnoise_gains, v_minnoise = baseline_selection(model, k, "min-sensor-noise")
@@ -284,11 +302,10 @@ def run_selection_experiment(config: ExperimentConfig):
             results["all-N"].append(v_all)
         meta["failures"] += failures
         for method in methods:
-            used = results[method]
             rows.append({
                 "sigma_n2": float(sigma_n2),
                 "method": method,
-                "mean_variance": float(np.mean(used)) if used else float("nan"),
+                "mean_variance": _mean(results[method]),
             })
     return rows, meta
 
@@ -307,12 +324,8 @@ def run_oracle_gap(config: ExperimentConfig):
     for i in range(config.realizations):
         pick = np.random.default_rng(derived_seed(config.seed, i, 7))
         n = int(pick.choice(config.n_values))
-        scen = gen_centralized_scenario(
-            n, config.num_antennas, config.noise, config.theta,
-            seed=derived_seed(config.seed, i),
-        )
-        model = centralized_model(scen)
-        opt_cfg = replace(config.optimizer, seed=derived_seed(config.seed, i, 3))
+        model, opt_cfg = _realization(config, n, config.noise, derived_seed(config.seed, i),
+                                      derived_seed(config.seed, i, 3))
         _, trace = optimize(model, config.constraint, opt_cfg)
         _, v_best = baseline_exhaustive_quantized(model, q)
         ratio = trace.final_variance / v_best
@@ -339,7 +352,7 @@ def consensus_trace(scenario, rng, max_iter: int, tol: float, rho: float):
 
     Builds the compression plan, draws one round of measurements from rng
     and drives all nodes to the global estimate.  Returns (rows, report,
-    plan) with one row per (iteration, node).
+    plan) with one row per (iteration, node) in ``CONSENSUS_COLUMNS``.
     """
     gains = GainVector(np.ones(scenario.num_sensors, dtype=complex))
     _, plan = decentralized_model(scenario, gains)
@@ -352,19 +365,8 @@ def consensus_trace(scenario, rng, max_iter: int, tol: float, rho: float):
     return rows, report, plan
 
 
-def run_consensus_experiment(config: ExperimentConfig):
-    """:func:`consensus_trace` on a random connected network; returns (rows, report)."""
-    n = config.n_values[0]
-    topo = random_connected_topology(n, config.edge_probability, derived_seed(config.seed, 11))
-    scen = gen_decentralized_scenario(topo, config.noise, config.theta,
-                                      seed=derived_seed(config.seed, 12))
-    rng = np.random.default_rng(derived_seed(config.seed, 13))
-    rows, report, _ = consensus_trace(scen, rng, config.max_iter, config.tol, config.rho)
-    return rows, report
-
-
 def run_experiment(config: ExperimentConfig):
-    """Run the runner ``EXPERIMENTS`` names for the kind; returns (rows, metadata_or_report)."""
+    """Run the runner ``EXPERIMENTS`` names for the kind; returns (rows, metadata)."""
     runner, _ = EXPERIMENTS[config.kind]
     return globals()[runner](config)
 

@@ -99,6 +99,34 @@ def inner_power_iterations_dense(a0, q_tilde, project, max_iters, stop_tol=1e-10
     return a, objs
 
 
+def quantize_phases_floor(angles, q_levels):
+    """Nearest grid phase 2 pi q / Q by floor and remainder, with each
+    exact midpoint sent to the smaller of its two grid indices mod Q."""
+    ang = np.mod(angles, 2.0 * np.pi)
+    frac = ang * q_levels / (2.0 * np.pi)
+    lo = np.floor(frac)
+    rem = frac - lo
+    pick = np.where(rem < 0.5, lo, lo + 1)
+    tie = rem == 0.5
+    if np.any(tie):
+        low = np.mod(lo, q_levels)
+        high = np.mod(lo + 1, q_levels)
+        pick = np.where(tie, np.minimum(low, high), pick)
+    return 2.0 * np.pi * np.mod(pick, q_levels) / q_levels
+
+
+def exhaustive_quantized_product(b_mat, q_levels):
+    """Best a over all Q^N grid phase assignments, scored as a^H B a in one
+    pass in ``itertools.product`` order; the first maximum wins.  Returns
+    (a, 1 / a^H B a)."""
+    n = b_mat.shape[0]
+    grid = np.exp(2j * np.pi * np.arange(q_levels) / q_levels)
+    cand = grid[np.array(list(itertools.product(range(q_levels), repeat=n)))]
+    objs = np.real(np.einsum("bi,ij,bj->b", cand.conj(), b_mat, cand))
+    k = int(np.argmax(objs))
+    return cand[k], 1.0 / float(objs[k])
+
+
 def project_sorted(a_hat, constraint):
     """Nearest feasible point written the plain way: a full stable ranking
     of the magnitudes, ``np.linalg.norm`` and a complex scale, and each

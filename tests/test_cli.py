@@ -208,13 +208,27 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "InvalidConfig"
     assert "warp_factor" in payload["message"]
-    # the subcommand names the experiment kind; a config file cannot switch it
-    cfg.write_text(json.dumps({"kind": "consensus"}))
-    rc, out, err = run_cli(capsys, "sweep", "--n", "4", "--config", str(cfg))
-    assert rc == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "InvalidConfig"
-    assert "kind" in payload["message"]
+    # each subcommand takes only the keys it reads: the subcommand names the
+    # experiment kind and --seed the seed, so a config file can switch neither
+    for argv, key, value in (
+            (["sweep", "--n", "4"], "kind", "consensus"),
+            (["sweep", "--n", "4"], "seed", 5),
+            (["optimize", "--n", "4"], "seed", 5),
+            (["optimize", "--n", "4"], "realizations", 1),
+            (["gen-scenario", "--n", "4"], "restarts", 3),
+            (["gen-scenario", "--n", "4"], "realizations", 1),
+            (["simulate-consensus", "--n", "4"], "rho", 50),
+            (["simulate-consensus", "--n", "4"], "max_iter", 2),
+            (["simulate-consensus", "--n", "4"], "inner_iters", 5),
+            (["oracle-gap", "--n", "2"], "theta", 2.0),
+            (["select"], "edge_probability", 0.5),
+            (["sweep", "--n", "4"], "tol", 1e-3)):
+        cfg.write_text(json.dumps({key: value}))
+        rc, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert rc == 1 and out == "", (argv, key)
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidConfig"
+        assert key in payload["message"]
 
 
 def test_bad_constraint_string_fails_cleanly(capsys):
@@ -251,11 +265,10 @@ def test_experiment_subcommand_defaults(monkeypatch, capsys):
         return [], {}
 
     monkeypatch.setattr(cli, "run_experiment", capture)
-    for argv in (["sweep"], ["select"], ["oracle-gap"],
-                 ["sweep", "--no-runtime"], ["select", "--no-runtime"]):
+    for argv in (["sweep"], ["select"], ["oracle-gap"], ["sweep", "--no-runtime"]):
         assert main(argv) == 0
     capsys.readouterr()
-    sweep, select, gap, sweep_nr, select_nr = seen
+    sweep, select, gap, sweep_nr = seen
     assert (sweep.kind, sweep.n_values, sweep.realizations) == ("sweep-N", (10, 30), 30)
     assert sweep.constraint == ConstraintSpec.phase_only()
     assert (select.kind, select.n_values, select.sigma_grid, select.realizations) == (
@@ -266,9 +279,11 @@ def test_experiment_subcommand_defaults(monkeypatch, capsys):
     assert sweep.optimizer.restarts == select.optimizer.restarts == 1
     assert all(c.seed == 0 and c.optimizer.seed == 0 for c in seen)
     assert sweep.include_runtime and select.include_runtime and gap.include_runtime
-    assert not sweep_nr.include_runtime and not select_nr.include_runtime
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["oracle-gap", "--no-runtime"])
+    assert not sweep_nr.include_runtime
+    # only the sweep CSV has a runtime column
+    for command in ("select", "oracle-gap"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--no-runtime"])
 
 
 def test_console_entry_point():

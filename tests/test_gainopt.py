@@ -40,7 +40,7 @@ from wsngain import (
     uqp_step,
 )
 from wsngain.diffusion import GlobalModel
-from wsngain.gainopt import _restart_points
+from wsngain.gainopt import _quantize_phases, _restart_points
 from wsngain.scenario import CentralizedScenario
 
 SCALAR_MODEL = GlobalModel(
@@ -291,6 +291,21 @@ def test_project_quant_midpoint_tie():
     # wraparound tie between 3pi/2 and 2pi resolves to phase 0
     out = project(np.array([np.exp(1.75j * np.pi)]), ConstraintSpec.quantized(4))
     assert np.allclose(out, [1.0])
+
+
+def test_quantize_phases_matches_floor_oracle_bitwise():
+    # every grid point and midpoint over four turns each way, their float
+    # neighbours, random angles and the special values, for several Q
+    rng = np.random.default_rng(0)
+    for q in (2, 3, 4, 5, 7, 8, 16):
+        steps = 2.0 * np.pi * (np.arange(-8 * q, 8 * q) / 2.0) / q
+        angles = np.concatenate([
+            steps, np.nextafter(steps, np.inf), np.nextafter(steps, -np.inf),
+            rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 2000),
+            [0.0, -0.0, 1e-300, -1e-300, np.pi, -np.pi, np.nan]])
+        got = _quantize_phases(angles, q)
+        want = oracles.quantize_phases_floor(angles, q)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), q
 
 
 def test_project_select_energy_worked_value():

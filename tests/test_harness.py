@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from wsngain import (
     ConstraintSpec,
     ExperimentConfig,
@@ -16,10 +17,13 @@ from wsngain import (
     centralized_model,
     derived_seed,
     gen_centralized_scenario,
+    gen_decentralized_scenario,
     global_variance,
     harness,
+    random_connected_topology,
     render_csv,
     run_experiment,
+    uqp_matrix,
 )
 from wsngain.diffusion import GlobalModel
 from wsngain.harness import (
@@ -28,7 +32,7 @@ from wsngain.harness import (
     SELECTION_COLUMNS,
     SWEEP_COLUMNS,
     columns_for,
-    run_consensus_experiment,
+    consensus_trace,
     run_oracle_gap,
     run_selection_experiment,
     run_sweep,
@@ -89,6 +93,17 @@ def test_exhaustive_lower_bounds_any_candidate():
     for _ in range(20):
         a = spec.random_point(3, rng)
         assert global_variance(model, a) >= v_best * (1 - 1e-12)
+
+
+def test_exhaustive_matches_product_order_oracle_bitwise():
+    # same candidates in the same order, so the same first maximum; (9, 4)
+    # spans three enumeration chunks
+    for n, q in ((1, 4), (3, 4), (6, 4), (8, 4), (9, 4), (5, 3), (4, 8)):
+        model = model_for(n, seed=n + q)
+        gains, v = baseline_exhaustive_quantized(model, q)
+        want_a, want_v = oracles.exhaustive_quantized_product(uqp_matrix(model), q)
+        assert np.array_equal(gains.values.view(np.uint64), want_a.view(np.uint64)), (n, q)
+        assert v == want_v, (n, q)
 
 
 def test_exhaustive_budget_guard():
@@ -221,9 +236,11 @@ def test_oracle_gap_rows():
 
 
 def test_consensus_experiment_trace_rows():
-    config = ExperimentConfig(kind="consensus", n_values=(6,), realizations=1,
-                              seed=9, theta=10 + 0j)
-    rows, report = run_consensus_experiment(config)
+    topo = random_connected_topology(6, 0.3, derived_seed(9, 11))
+    scen = gen_decentralized_scenario(topo, theta=10 + 0j, seed=derived_seed(9, 12))
+    rows, report, _ = consensus_trace(scen, np.random.default_rng(derived_seed(9, 13)),
+                                      max_iter=500, tol=1e-6, rho=1.0)
+    assert set(rows[0]) == set(CONSENSUS_COLUMNS)
     iters = sorted({r["iter"] for r in rows})
     assert iters == list(range(report.iterations_to_tol + 1))
     assert sorted({r["node"] for r in rows}) == list(range(1, 7))
@@ -236,7 +253,7 @@ def test_run_experiment_dispatch_and_columns(monkeypatch):
     assert columns_for("sweep-N") == SWEEP_COLUMNS
     assert columns_for("selection") == SELECTION_COLUMNS
     assert columns_for("oracle-gap") == ORACLE_GAP_COLUMNS
-    assert columns_for("consensus") == CONSENSUS_COLUMNS
+    assert set(harness.EXPERIMENTS) == {"sweep-N", "selection", "oracle-gap"}
     config = ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=2, seed=10)
     rows, _ = run_experiment(config)
     assert set(SWEEP_COLUMNS) <= set(rows[0])
@@ -249,7 +266,6 @@ def test_run_experiment_dispatch_and_columns(monkeypatch):
             constraint=ConstraintSpec.sensor_select(2)),
         "run_oracle_gap": ExperimentConfig(kind="oracle-gap", n_values=(2,),
                                            constraint=ConstraintSpec.quantized(4)),
-        "run_consensus_experiment": ExperimentConfig(kind="consensus", n_values=(4,)),
     }
     for name in configs:
         monkeypatch.setattr(harness, name, lambda c, name=name: (name, c))
@@ -272,6 +288,15 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=0)
     with pytest.raises(InvalidConfig):
         ExperimentConfig(kind="sweep-noise", sigma_grid=(1.0,))
+    with pytest.raises(InvalidConfig):
+        ExperimentConfig(kind="consensus", n_values=(6,))
+    # the whole noise grid and every oracle-gap size are checked before any work
+    with pytest.raises(InvalidConfig):
+        ExperimentConfig(kind="selection", n_values=(6,), sigma_grid=(1.0, float("nan")),
+                         constraint=ConstraintSpec.sensor_select(2))
+    with pytest.raises(TooLarge):
+        ExperimentConfig(kind="oracle-gap", n_values=(2, 12),
+                         constraint=ConstraintSpec.quantized(4))
     # selection runs on exactly one sensor count N with 1 <= K < N
     for n_values, k in (((), 2), ((6, 8), 2), ((6,), 6), ((6,), 7)):
         with pytest.raises(InvalidConfig):
