@@ -8,7 +8,6 @@ prints a machine-readable error JSON on stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import functools
 import json
@@ -33,11 +32,12 @@ from .scenario import (
 )
 
 # the config keys of each field group; seed comes only from --seed, kind from the
-# subcommand and constraint from --constraint
+# subcommand and constraint from --constraint; of the experiment keys, only select
+# reads sigma_grid and only sweep reads include_runtime
 _OPT_KEYS = {f.name for f in dataclasses.fields(OptimizerConfig)} - {"seed"}
 _NOISE_KEYS = {f.name for f in dataclasses.fields(NoiseConfig)}
 _EXP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
-    "kind", "optimizer", "noise", "constraint", "seed"}
+    "kind", "optimizer", "noise", "constraint", "seed", "sigma_grid", "include_runtime"}
 
 
 def _config(args, *groups):
@@ -99,9 +99,7 @@ def _scenario(args, noise_kw: dict):
     try:
         theta = complex(args.theta)
     except ValueError:
-        theta = None
-    if theta is None or not cmath.isfinite(theta):
-        raise InvalidConfig(f"theta {args.theta!r} is not a finite complex number")
+        raise InvalidConfig(f"theta {args.theta!r} is not a complex number") from None
     if args.kind == "centralized":
         return gen_centralized_scenario(args.n, args.m, noise, theta, seed=args.seed)
     topo = random_connected_topology(args.n, args.edge_prob, args.seed)
@@ -151,8 +149,8 @@ def _cmd_simulate_consensus(args) -> int:
     return 0
 
 
-def _cmd_experiment(kind: str, defaults: dict, args) -> int:
-    opt_kw, noise_kw, exp_kw = _config(args, _OPT_KEYS, _NOISE_KEYS, _EXP_KEYS)
+def _cmd_experiment(kind: str, exp_keys: set, defaults: dict, args) -> int:
+    opt_kw, noise_kw, exp_kw = _config(args, _OPT_KEYS, _NOISE_KEYS, exp_keys)
     fields: dict = {"kind": kind, "seed": args.seed, **defaults, **exp_kw}
     fields["optimizer"] = OptimizerConfig(seed=args.seed, **{**defaults.get("optimizer", {}), **opt_kw})
     fields["noise"] = NoiseConfig(**noise_kw)
@@ -188,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--config", default=None, help="JSON file with config overrides")
 
-    def experiment(name, help_text, n_help, kind, defaults):
-        # the flags every experiment subcommand takes, with its own kind and defaults
+    def experiment(name, help_text, n_help, kind, exp_keys, defaults):
+        # the flags every experiment subcommand takes, with its own kind, keys and defaults
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", default=None, help=n_help)
         p.add_argument("--realizations", type=int, default=None)
         common(p)
         p.add_argument("--constraint", default=None)
-        p.set_defaults(func=functools.partial(_cmd_experiment, kind, defaults))
+        p.set_defaults(func=functools.partial(_cmd_experiment, kind, exp_keys, defaults))
         return p
 
     p = sub.add_parser("gen-scenario", help="generate and serialize a scenario")
@@ -232,21 +230,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate_consensus, kind="decentralized")
 
     p = experiment("sweep", "variance sweep over sensor counts", "comma list of sensor counts",
-                   "sweep-N", {"n_values": (10, 30), "realizations": 30,
-                               "constraint": ConstraintSpec.phase_only()})
+                   "sweep-N", _EXP_KEYS | {"include_runtime"},
+                   {"n_values": (10, 30), "realizations": 30,
+                    "constraint": ConstraintSpec.phase_only()})
     p.add_argument("--no-runtime", action="store_true",
                    help="blank the runtime column for byte-reproducible output")
 
     p = experiment("select", "sensor selection over a noise grid", "total sensor count",
-                   "selection", {"n_values": (10,), "sigma_grid": (0.1, 1.0, 4.0),
-                                 "realizations": 10,
-                                 "constraint": ConstraintSpec.sensor_select(4)})
+                   "selection", _EXP_KEYS | {"sigma_grid"},
+                   {"n_values": (10,), "sigma_grid": (0.1, 1.0, 4.0), "realizations": 10,
+                    "constraint": ConstraintSpec.sensor_select(4)})
     p.add_argument("--sigma-grid", default=None, help="comma list of receiver noise variances")
 
     experiment("oracle-gap", "optimizer vs exhaustive enumeration", "comma list of candidate sizes",
-               "oracle-gap", {"n_values": (2, 3, 4), "realizations": 100,
-                              "constraint": ConstraintSpec.quantized(4),
-                              "optimizer": {"restarts": 10}})
+               "oracle-gap", _EXP_KEYS,
+               {"n_values": (2, 3, 4), "realizations": 100,
+                "constraint": ConstraintSpec.quantized(4), "optimizer": {"restarts": 10}})
 
     return parser
 

@@ -39,6 +39,11 @@ from .scenario import DecentralizedScenario
 LAMBDA_FLOOR = 1e-12
 INNER_STOP = 1e-10
 DESCENT_RTOL = 1e-9
+CHECK_ATOL = 1e-9
+# safety factors, not modelling choices: the corner constant eta0 and the
+# shift lambda must sit strictly above the bounds they multiply
+ETA0_MARGIN = 1.1
+LAMBDA_MARGIN = 1.05
 _EPS = float(np.finfo(float).eps)
 
 
@@ -111,33 +116,36 @@ class ConstraintSpec:
             return f"select:{self.k_active}:{self.select_mode}"
         return self.kind
 
-    def check(self, values: np.ndarray, atol: float = 1e-9) -> None:
-        """Raise InvalidConfig unless the values satisfy the constraint."""
+    def check(self, values: np.ndarray) -> None:
+        """Raise InvalidConfig unless the values are finite and satisfy the
+        constraint to within CHECK_ATOL."""
         a = np.asarray(values, dtype=complex)
+        if not np.all(np.isfinite(a)):
+            raise InvalidConfig("gains must be finite")
         n = len(a)
         if self.kind == "energy":
-            if abs(np.sum(np.abs(a) ** 2) - n) > atol * n:
+            if abs(np.sum(np.abs(a) ** 2) - n) > CHECK_ATOL * n:
                 raise InvalidConfig("gain energy differs from N")
             return
         if self.kind == "phase":
-            if np.max(np.abs(np.abs(a) - 1.0)) > atol:
+            if np.max(np.abs(np.abs(a) - 1.0)) > CHECK_ATOL:
                 raise InvalidConfig("gains are not unit modulus")
             return
         if self.kind == "quant":
             grid = np.exp(2j * np.pi * np.arange(self.q_levels) / self.q_levels)
             dist = np.min(np.abs(a[:, None] - grid[None, :]), axis=1)
-            if np.max(dist) > atol:
+            if np.max(dist) > CHECK_ATOL:
                 raise InvalidConfig("gains are off the phase grid")
             return
-        support = np.flatnonzero(np.abs(a) > atol)
+        support = np.flatnonzero(np.abs(a) > CHECK_ATOL)
         if len(support) > self.k_active:
             raise InvalidConfig("more active sensors than allowed")
         if self.select_mode == "energy":
-            if abs(np.sum(np.abs(a) ** 2) - n) > atol * n:
+            if abs(np.sum(np.abs(a) ** 2) - n) > CHECK_ATOL * n:
                 raise InvalidConfig("gain energy differs from N")
         else:
             want = np.sqrt(n / self.k_active)
-            if len(support) and np.max(np.abs(np.abs(a[support]) - want)) > atol:
+            if len(support) and np.max(np.abs(np.abs(a[support]) - want)) > CHECK_ATOL:
                 raise InvalidConfig("active gains are not constant modulus")
 
     def initial_point(self, n: int) -> np.ndarray:
@@ -172,14 +180,13 @@ class ConstraintSpec:
 class OptimizerConfig:
     """Knobs of the cyclic optimizer.
 
-    eta0_margin and lambda_margin multiply the corner-constant bound and
-    the largest eigenvalue of the inner quadratic; inner_iters caps the
-    power-method-like iterations per outer cycle; outer iterations stop
-    once |eta_k - eta_{k+1}| <= outer_tol.
+    inner_iters caps the power-method-like iterations per outer cycle;
+    outer iterations stop once |eta_k - eta_{k+1}| <= outer_tol; restarts
+    counts the starts and seed draws the random ones.  The corner-constant
+    and shift safety factors are the module constants ETA0_MARGIN and
+    LAMBDA_MARGIN.
     """
 
-    eta0_margin: float = 1.1
-    lambda_margin: float = 1.05
     inner_iters: int = 50
     outer_tol: float = 1e-8
     max_outer: int = 200
@@ -187,8 +194,6 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta0_margin <= 1 or self.lambda_margin <= 1:
-            raise InvalidConfig("margins must exceed 1")
         if self.inner_iters < 1 or self.max_outer < 1 or self.restarts < 1:
             raise InvalidConfig("iteration counts must be positive")
         if self.outer_tol <= 0:
@@ -199,43 +204,37 @@ class OptimizerConfig:
 class OptimizerTrace:
     """Full record of one optimization run (best restart).
 
+    ``inner_objective`` holds one tuple per outer cycle: the inner
+    objective at the cycle's start and after every accepted step (the
+    phase-only UQP path records its whole ascent as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
     on eta; INNER_STOP on the step for the phase-only UQP path) and False
     when it used up its iteration budget.
     """
 
     eta_per_outer: tuple[float, ...]
-    inner_objective: tuple[float, ...]
+    inner_objective: tuple[tuple[float, ...], ...]
     final_gains: GainVector = field(repr=False)
     final_variance: float
     wall_time_s: float
     restart_index: int = 0
     segment_breaks: tuple[int, ...] = ()
     stationarity_residual: float = 0.0
-    inner_segments: tuple[int, ...] = ()
     converged: bool = False
 
     @property
     def outer_iters(self) -> int:
         return len(self.eta_per_outer)
 
-    def inner_objective_runs(self):
-        """The inner objective split back into one sequence per outer cycle."""
-        runs, start = [], 0
-        for length in self.inner_segments:
-            runs.append(self.inner_objective[start:start + length])
-            start += length
-        return runs
-
     @property
     def inner_iters_total(self) -> int:
-        return len(self.inner_objective)
+        return sum(len(run) for run in self.inner_objective)
 
 
-def eta0_bound(model: GlobalModel, margin: float = 1.1) -> float:
-    """Corner constant keeping eta positive: margin * N ||H||_F^2 / sigma_n^2."""
+def eta0_bound(model: GlobalModel) -> float:
+    """Corner constant keeping eta positive: ETA0_MARGIN * N ||H||_F^2 / sigma_n^2."""
     n = model.num_sensors
-    return margin * n * float(np.linalg.norm(model.H, "fro") ** 2) / model.noise_var
+    return ETA0_MARGIN * n * float(np.linalg.norm(model.H, "fro") ** 2) / model.noise_var
 
 
 def build_lifted(model: GlobalModel, gains, eta0: float) -> np.ndarray:
@@ -293,7 +292,7 @@ def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel, eta0: float):
     return d, g, c1
 
 
-def shift_quadratic(d: np.ndarray, g: np.ndarray, margin: float = 1.05) -> float:
+def shift_quadratic(d: np.ndarray, g: np.ndarray) -> float:
     """Shift lambda > lambda_max(Q) making lambda I - Q positive definite.
 
     Q is the arrow matrix of build_inner_quadratic: diagonal d >= 0,
@@ -317,9 +316,9 @@ def shift_quadratic(d: np.ndarray, g: np.ndarray, margin: float = 1.05) -> float
     lower end, and a step that lands at or above the upper end is replaced
     by bisection.  Every point evaluated lies strictly above max d, so no
     pole is hit.  The search stops once the bracket, or a step from a
-    point with f >= 0, is within a few ulps; lambda is margin times that
-    certified upper end (nudged up an ulp where dividing by margin would
-    round below it), so lambda > lambda_max still holds.  Q = 0 (zero
+    point with f >= 0, is within a few ulps; lambda is LAMBDA_MARGIN times
+    that certified upper end (nudged up an ulp where dividing by the margin
+    would round below it), so lambda > lambda_max still holds.  Q = 0 (zero
     gains) gets a small floor instead.
     """
     g2 = np.abs(g) ** 2
@@ -351,8 +350,8 @@ def shift_quadratic(d: np.ndarray, g: np.ndarray, margin: float = 1.05) -> float
             break
         nxt = max(nxt, lo + tol)
         lam = nxt if nxt < hi else 0.5 * (lo + hi)
-    out = margin * hi
-    while out / margin < hi:  # keep lambda / margin at or above the certified end
+    out = LAMBDA_MARGIN * hi
+    while out / LAMBDA_MARGIN < hi:  # keep lambda / margin at or above the certified end
         out = math.nextafter(out, math.inf)
     return out
 
@@ -424,15 +423,15 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
 
 
 def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndarray,
-                           constraint: ConstraintSpec, max_iters: int,
-                           stop_tol: float = INNER_STOP):
+                           constraint: ConstraintSpec, max_iters: int):
     """Power-method-like ascent a <- project((lambda - d) o a - g).
 
     The image is (I_N 0) Q~ (a;1) for the shifted arrow Q~ = lambda I - Q,
     so each step costs O(N) plus the projection.  Returns (a, objectives)
     where objectives holds (a;1)^H Q~ (a;1) = lambda + sum (lambda - d)|a|^2
     - 2 Re(g^H a) at the start and after every accepted step; the sequence
-    is non-decreasing whenever Q~ is positive semidefinite.
+    is non-decreasing whenever Q~ is positive semidefinite.  Stops early
+    once a step moves a by at most INNER_STOP.
     """
     w = lam - d
     a = np.asarray(a0, dtype=complex).copy()
@@ -441,7 +440,7 @@ def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndar
     objs = [lam + float(np.real(np.vdot(a, image) - np.vdot(g, a)))]
     for _ in range(max_iters):
         a_new = project(image, constraint)
-        if np.linalg.norm(a_new - a) <= stop_tol:
+        if np.linalg.norm(a_new - a) <= INNER_STOP:
             break
         a = a_new
         image = w * a - g
@@ -449,9 +448,9 @@ def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndar
     return a, objs
 
 
-def _nondecreasing(seq, rtol=DESCENT_RTOL) -> bool:
+def _nondecreasing(seq) -> bool:
     for prev, cur in zip(seq, seq[1:]):
-        if cur < prev - rtol * max(1.0, abs(prev)):
+        if cur < prev - DESCENT_RTOL * max(1.0, abs(prev)):
             return False
     return True
 
@@ -467,11 +466,10 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     means lost precision and raises NoDescent.
     """
     m = model_fn(a0) if model_fn is not None else model
-    eta0 = eta0_bound(m, config.eta0_margin)
+    eta0 = eta0_bound(m)
     a = np.asarray(a0, dtype=complex).copy()
     etas: list[float] = []
-    inner_objs: list[float] = []
-    seg_lens: list[int] = []
+    inner_runs: list[tuple[float, ...]] = []
     breaks: list[int] = []
     prev = None
     stat_resid = 0.0
@@ -483,7 +481,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 # V and sigma^2 are the scenario's, so a new H is a new
                 # objective: start a segment
                 m = m_new
-                eta0 = eta0_bound(m, config.eta0_margin)
+                eta0 = eta0_bound(m)
                 prev = None
                 breaks.append(k)
         r = build_lifted(m, a, eta0)
@@ -503,17 +501,15 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 break
         prev = eta
         d, g, _ = build_inner_quadratic(y[1:], m, eta0)
-        lam = shift_quadratic(d, g, config.lambda_margin)
+        lam = shift_quadratic(d, g)
         a_new, objs = inner_power_iterations(a, lam, d, g, constraint, config.inner_iters)
         if not _nondecreasing(objs):
             raise NoDescent("inner objective decreased under the exact shift")
-        inner_objs.extend(objs)
-        seg_lens.append(len(objs))
+        inner_runs.append(tuple(objs))
         a = a_new
-    return OptimizerTrace(tuple(etas), tuple(inner_objs), GainVector(a, constraint),
+    return OptimizerTrace(tuple(etas), tuple(inner_runs), GainVector(a, constraint),
                           global_variance(m, a), wall_time_s=0.0, segment_breaks=tuple(breaks),
-                          stationarity_residual=stat_resid, inner_segments=tuple(seg_lens),
-                          converged=converged)
+                          stationarity_residual=stat_resid, converged=converged)
 
 
 def _restart_points(n, constraint, config, model, model_fn):
@@ -561,7 +557,7 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     constraint : ConstraintSpec
         Feasible set for the gains.
     config : OptimizerConfig
-        Margins, iteration budgets, stop tolerance, restarts, seed.
+        Iteration budgets, stop tolerance, restarts, seed.
     model_fn : callable, optional
         gains -> GlobalModel, re-evaluated per outer iteration for models
         that depend on the gains (decentralized plan refresh).
@@ -650,7 +646,7 @@ def optimize_phase_only_uqp(model: GlobalModel,
     """
     t0 = time.perf_counter()
     b_mat = uqp_matrix(model)
-    eta0 = eta0_bound(model, config.eta0_margin)
+    eta0 = eta0_bound(model)
     constraint = ConstraintSpec.phase_only()
     max_iters = config.max_outer * config.inner_iters
 
@@ -665,8 +661,9 @@ def optimize_phase_only_uqp(model: GlobalModel,
             objs.append(float((a.conj() @ image).real))
             if step <= INNER_STOP:
                 break
-        return OptimizerTrace(tuple(eta0 - o for o in objs), tuple(objs), GainVector(a, constraint),
-                              1.0 / objs[-1], wall_time_s=0.0, converged=bool(step <= INNER_STOP))
+        return OptimizerTrace(tuple(eta0 - o for o in objs), (tuple(objs),),
+                              GainVector(a, constraint), 1.0 / objs[-1], wall_time_s=0.0,
+                              converged=bool(step <= INNER_STOP))
 
     starts = _restart_points(model.num_sensors, constraint, config, model, None)
     return _best_of_starts(ascend, starts, t0)

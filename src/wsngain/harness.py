@@ -113,16 +113,15 @@ def baseline_all_ones(model) -> tuple[GainVector, float]:
     return gains, global_variance(model, gains)
 
 
-def _check_enumerable(q_levels: int, n: int, budget: int = EXHAUSTIVE_BUDGET) -> int:
-    """The candidate count Q^N; raises TooLarge beyond the budget."""
+def _check_enumerable(q_levels: int, n: int) -> int:
+    """The candidate count Q^N; raises TooLarge beyond EXHAUSTIVE_BUDGET."""
     total = q_levels**n
-    if total > budget:
+    if total > EXHAUSTIVE_BUDGET:
         raise TooLarge(f"{q_levels}^{n} = {total} exceeds the enumeration budget")
     return total
 
 
-def baseline_exhaustive_quantized(model, q_levels: int,
-                                  budget: int = EXHAUSTIVE_BUDGET) -> tuple[GainVector, float]:
+def baseline_exhaustive_quantized(model, q_levels: int) -> tuple[GainVector, float]:
     """Global optimum over all Q^N phase assignments.
 
     All candidates are unit modulus, so the combined covariance is the
@@ -132,7 +131,7 @@ def baseline_exhaustive_quantized(model, q_levels: int,
     enumeration budget.
     """
     n = model.num_sensors
-    total = _check_enumerable(q_levels, n, budget)
+    total = _check_enumerable(q_levels, n)
     b_mat = uqp_matrix(model)
     grid = np.exp(2j * np.pi * np.arange(q_levels) / q_levels)
     place = q_levels ** np.arange(n - 1, -1, -1)

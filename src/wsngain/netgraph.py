@@ -133,23 +133,18 @@ def build_topology(num_nodes: int, edges) -> Topology:
     return Topology(num_nodes, tuple(sorted(canon)), neighbor_seq)
 
 
-def random_connected_topology(
-    num_nodes: int,
-    edge_probability: float,
-    seed: int,
-    max_retries: int = DEFAULT_RETRIES,
-) -> Topology:
+def random_connected_topology(num_nodes: int, edge_probability: float, seed: int) -> Topology:
     """Erdos-Renyi draw, resampled until connected.
 
-    Deterministic given the seed.  Raises :class:`GenerationFailed` when the
-    retry budget runs out, which signals that ``edge_probability`` is too low
-    for the requested size.
+    Deterministic given the seed.  Raises :class:`GenerationFailed` after
+    ``DEFAULT_RETRIES`` disconnected draws, which signals that
+    ``edge_probability`` is too low for the requested size.
     """
     if not 0.0 < edge_probability <= 1.0:
         raise InvalidConfig(f"edge_probability must be in (0, 1], got {edge_probability}")
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(1, num_nodes + 1) for j in range(i + 1, num_nodes + 1)]
-    for _ in range(max_retries):
+    for _ in range(DEFAULT_RETRIES):
         mask = rng.random(len(pairs)) < edge_probability
         edges = [p for p, keep in zip(pairs, mask) if keep]
         try:
@@ -157,6 +152,6 @@ def random_connected_topology(
         except DisconnectedGraph:
             continue
     raise GenerationFailed(
-        f"no connected graph after {max_retries} draws "
+        f"no connected graph after {DEFAULT_RETRIES} draws "
         f"(N={num_nodes}, p={edge_probability})"
     )

@@ -8,6 +8,7 @@ every directed link of a connected graph.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,10 +45,19 @@ class NoiseConfig:
             raise InvalidConfig("channel noise variance must be finite and positive")
 
 
-def _check_noise_length(sensor_noise_var, num_sensors: int) -> None:
-    if np.shape(sensor_noise_var) != (num_sensors,):
+def _check_values(sensor_noise_var, num_sensors: int, receiver_noise_var, gains, theta) -> None:
+    """Raise InvalidConfig unless there are num_sensors sensor noise
+    variances, every noise variance is finite and positive (as in
+    NoiseConfig), and the channel or link gains and theta are finite."""
+    v = np.asarray(sensor_noise_var)
+    if (not (np.all(v > 0) and np.all(np.isfinite(v)))
+            or not (receiver_noise_var > 0) or not math.isfinite(receiver_noise_var)):
+        raise InvalidConfig("noise variances must be finite and positive")
+    if v.shape != (num_sensors,):
         raise InvalidConfig(f"sensor_noise_var must hold {num_sensors} variances, "
-                            f"got shape {np.shape(sensor_noise_var)}")
+                            f"got shape {v.shape}")
+    if not np.all(np.isfinite(gains)) or not cmath.isfinite(theta):
+        raise InvalidConfig("channel gains and theta must be finite")
 
 
 @dataclass(frozen=True)
@@ -72,9 +82,8 @@ class CentralizedScenario:
     v_range: tuple[float, float] = (0.5, 1.5)
 
     def __post_init__(self):
-        if np.any(np.asarray(self.sensor_noise_var) <= 0) or self.fc_noise_var <= 0:
-            raise InvalidConfig("noise variances must be strictly positive")
-        _check_noise_length(self.sensor_noise_var, self.num_sensors)
+        _check_values(self.sensor_noise_var, self.num_sensors, self.fc_noise_var, self.channel,
+                      self.theta)
         if self.channel.shape != (self.num_antennas, self.num_sensors):
             raise InvalidConfig("channel shape does not match (M, N)")
         if np.any(np.all(self.channel == 0, axis=0)):
@@ -103,14 +112,13 @@ class DecentralizedScenario:
     gain_by_link: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if np.any(np.asarray(self.sensor_noise_var) <= 0) or self.comm_noise_var <= 0:
-            raise InvalidConfig("noise variances must be strictly positive")
-        _check_noise_length(self.sensor_noise_var, self.num_sensors)
         sinks, parents = self.topology.directed_links()
         gains = [self.link_gain.get(link) for link in zip(sinks.tolist(), parents.tolist())]
         if None in gains or len(self.link_gain) != len(gains):
             raise InvalidConfig("link gains must cover both directions of every edge")
         object.__setattr__(self, "gain_by_link", np.array(gains, dtype=complex))
+        _check_values(self.sensor_noise_var, self.num_sensors, self.comm_noise_var,
+                      self.gain_by_link, self.theta)
 
     @property
     def num_sensors(self) -> int:

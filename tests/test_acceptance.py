@@ -70,7 +70,7 @@ def test_c01_outer_and_inner_monotone_descent(descent_suite):
         drops = np.diff(etas)
         assert np.all(drops <= 1e-9 * np.abs(etas[:-1])), (
             f"run {i}: outer objective rose by {drops.max():.3e}")
-        for objs in trace.inner_objective_runs():
+        for objs in trace.inner_objective:
             seq = np.array(objs)
             rises = np.diff(seq)
             assert np.all(rises >= -1e-9 * np.maximum(1.0, np.abs(seq[:-1]))), (

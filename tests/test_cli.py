@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import wsngain
-from wsngain import ConstraintSpec, cli
+from wsngain import (ConstraintSpec, cli, gen_centralized_scenario, gen_decentralized_scenario,
+                     random_connected_topology, to_json_dict)
 from wsngain.cli import build_parser, main
 
 if sys.version_info >= (3, 11):
@@ -222,7 +223,15 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
             (["simulate-consensus", "--n", "4"], "inner_iters", 5),
             (["oracle-gap", "--n", "2"], "theta", 2.0),
             (["select"], "edge_probability", 0.5),
-            (["sweep", "--n", "4"], "tol", 1e-3)):
+            (["sweep", "--n", "4"], "tol", 1e-3),
+            # the safety factors are constants, and each experiment key is read
+            # by one kind only
+            (["optimize", "--n", "4"], "eta0_margin", 1.2),
+            (["optimize", "--n", "4"], "lambda_margin", 1.2),
+            (["sweep", "--n", "4"], "sigma_grid", [5.0]),
+            (["oracle-gap", "--n", "2"], "sigma_grid", [5.0]),
+            (["oracle-gap", "--n", "2"], "include_runtime", False),
+            (["select"], "include_runtime", False)):
         cfg.write_text(json.dumps({key: value}))
         rc, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert rc == 1 and out == "", (argv, key)
@@ -250,11 +259,45 @@ def test_bad_constraint_string_fails_cleanly(capsys):
     # selection needs one sensor count N and 1 <= K < N
     "select --n 6,8 --sigma-grid 1.0 --constraint select:7",
     "select --n 6 --sigma-grid 1.0 --constraint select:6",
+    # scenario files with one non-finite entry, written by _non_finite_scenario
+    "optimize --scenario centralized:fc_noise_var=nan",
+    "optimize --scenario centralized:fc_noise_var=inf",
+    "optimize --scenario centralized:sensor_noise_var=nan",
+    "optimize --scenario centralized:H=nan",
+    "optimize --scenario centralized:theta=nan",
+    "optimize --scenario decentralized:comm_noise_var=nan",
+    "optimize --scenario decentralized:links=nan",
+    "simulate-consensus --scenario decentralized:sensor_noise_var=inf",
 ])
-def test_malformed_input_reports_invalid_config(capsys, command):
-    rc, out, err = run_cli(capsys, *command.split())
+def test_malformed_input_reports_invalid_config(capsys, tmp_path, command):
+    argv = command.split()
+    if "--scenario" in argv:
+        at = argv.index("--scenario") + 1
+        argv[at] = _non_finite_scenario(tmp_path, argv[at])
+    rc, out, err = run_cli(capsys, *argv)
     assert rc == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidConfig"
+
+
+def _non_finite_scenario(tmp_path, spec: str) -> str:
+    """Write a scenario JSON whose ``key`` entry (its first number, for an
+    array) holds ``value``; ``spec`` reads ``kind:key=value``."""
+    kind, _, assignment = spec.partition(":")
+    key, _, value = assignment.partition("=")
+    if kind == "centralized":
+        doc = to_json_dict(gen_centralized_scenario(4, 2, seed=1))
+    else:
+        doc = to_json_dict(gen_decentralized_scenario(random_connected_topology(4, 0.8, 1), seed=1))
+    if isinstance(doc[key], list):
+        entry = doc[key]
+        while not isinstance(entry[0], float):
+            entry = entry[0]["gain"] if isinstance(entry[0], dict) else entry[0]
+        entry[0] = float(value)
+    else:
+        doc[key] = float(value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def test_experiment_subcommand_defaults(monkeypatch, capsys):

@@ -12,6 +12,7 @@ from wsngain import (
     build_topology,
     random_connected_topology,
 )
+from wsngain.netgraph import DEFAULT_RETRIES
 
 TOY_TREE_EDGES = [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)]
 
@@ -79,9 +80,10 @@ def test_random_topology_deterministic():
 
 
 def test_generation_failure_budget():
-    # p tiny on a large graph: connectivity is (essentially) impossible
-    with pytest.raises(GenerationFailed):
-        random_connected_topology(40, 1e-9, seed=0, max_retries=5)
+    # p tiny on a large graph: connectivity is (essentially) impossible, so all
+    # DEFAULT_RETRIES draws fail
+    with pytest.raises(GenerationFailed, match=f"after {DEFAULT_RETRIES} draws"):
+        random_connected_topology(40, 1e-9, seed=0)
 
 
 def test_adjacency_matches_neighbors():
