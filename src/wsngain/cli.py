@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .diffusion import centralized_model
-from .errors import InvalidConfig, WsnGainError
+from .errors import InvalidConfig
 from .estimator import GainVector
 from .gainopt import ConstraintSpec, OptimizerConfig, optimize_decentralized
 from .harness import (CONSENSUS_COLUMNS, ExperimentConfig, columns_for, consensus_trace,
@@ -255,9 +255,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WsnGainError as err:
-        sys.stderr.write(json.dumps(err.to_json_dict()) + "\n")
-        return 1
     except Exception as err:  # noqa: BLE001
         sys.stderr.write(json.dumps({"error": type(err).__name__, "message": str(err)}) + "\n")
         return 1

@@ -51,6 +51,17 @@ class CompressionPlan:
         order = np.argsort(carrier, kind="stable")
         return carrier[order], order + 1
 
+    def links(self, topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`rows` and their positions in :meth:`Topology.directed_links`;
+        InconsistentPlan unless every node has one carrier and every row is a link."""
+        if len(self.carrier) != topology.num_nodes:
+            raise InconsistentPlan("plan does not give every node one carrier")
+        sinks, parents = self.rows()
+        try:
+            return sinks, parents, topology.link_index(sinks, parents)
+        except InvalidEdge as exc:
+            raise InconsistentPlan(f"plan keeps a row off the graph: {exc}") from None
+
     def to_json_dict(self) -> dict:
         return {"carrier": list(self.carrier), "r": self.r, "m_dim": self.m_dim}
 
@@ -79,16 +90,17 @@ class GlobalModel:
         return self.H.shape[0]
 
 
-def link_terms(scenario: DecentralizedScenario, gains, sinks, parents):
+def link_terms(scenario: DecentralizedScenario, gains, links):
     """Per-link arrays (h a, d, |h a|^2 / d), d = |h a|^2 sigma_v^2 + sigma_n^2,
-    over the directed links (sinks[l], parents[l]).
+    over the directed links at positions ``links`` (an index array or a
+    slice) of :meth:`Topology.directed_links`.
 
     The last is the link's information term; a sink's information value
     sums it over the sink's links.
     """
     a = _gain_values(gains)
-    h = scenario.gain_by_link[scenario.topology.link_index(sinks, parents)]
-    k = np.asarray(parents, dtype=int) - 1
+    h = scenario.gain_by_link[links]
+    k = scenario.topology.directed_links()[1][links] - 1
     ha = h * a[k]
     # np.abs of a complex array may take a CPU-specific SIMD path; hypot
     # rounds |h a| as scalar abs() does
@@ -100,8 +112,8 @@ def link_terms(scenario: DecentralizedScenario, gains, sinks, parents):
 def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:
     """Information values for all sinks, indexed by node - 1: the sum of each
     sink's :func:`link_terms` information terms, the inverse of its local ML variance."""
-    sinks, parents = scenario.topology.directed_links()
-    _, _, info = link_terms(scenario, gains, sinks, parents)
+    sinks, _ = scenario.topology.directed_links()
+    _, _, info = link_terms(scenario, gains, slice(None))
     return np.bincount(sinks - 1, weights=info, minlength=scenario.topology.num_nodes)
 
 
@@ -130,13 +142,7 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
     row for (sink i, parent k) holds h_{i,k} in column k and zeros
     elsewhere; the estimator is invariant to the row order.
     """
-    if len(plan.carrier) != scenario.topology.num_nodes:
-        raise InconsistentPlan("plan does not give every node one carrier")
-    sinks, parents = plan.rows()
-    try:
-        links = scenario.topology.link_index(sinks, parents)
-    except InvalidEdge as exc:
-        raise InconsistentPlan(f"plan keeps a row off the graph: {exc}") from None
+    sinks, parents, links = plan.links(scenario.topology)
     H = np.zeros((len(sinks), scenario.topology.num_nodes), dtype=complex)
     H[np.arange(len(sinks)), parents - 1] = scenario.gain_by_link[links]
     return GlobalModel(

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Every error the CLI can surface derives from :class:`WsnGainError`, so the
-front-end can map any failure to a machine-readable JSON payload.
+Errors the package raises derive from :class:`WsnGainError`; the CLI
+reports any exception as one line of JSON naming its class.
 """
 
 from __future__ import annotations
@@ -9,9 +9,6 @@ from __future__ import annotations
 
 class WsnGainError(Exception):
     """Base class for all package errors."""
-
-    def to_json_dict(self) -> dict:
-        return {"error": type(self).__name__, "message": str(self)}
 
 
 class InvalidEdge(WsnGainError):

@@ -59,22 +59,23 @@ def _information_and_weights(model: GlobalModel, a: np.ndarray):
     return info, w
 
 
-def global_mle(model: GlobalModel, gains, y: np.ndarray) -> complex:
-    """Global ML estimate (a^H H^H R_w^{-1} H a)^{-1} a^H H^H R_w^{-1} y."""
-    a = _gain_values(gains)
-    info, w = _information_and_weights(model, a)
+def _informative(model: GlobalModel, gains):
+    # (information value, weights) of the gains; DegenerateGains below INFO_FLOOR
+    info, w = _information_and_weights(model, _gain_values(gains))
     if info < INFO_FLOOR:
         raise DegenerateGains("effective gains carry no information")
+    return info, w
+
+
+def global_mle(model: GlobalModel, gains, y: np.ndarray) -> complex:
+    """Global ML estimate (a^H H^H R_w^{-1} H a)^{-1} a^H H^H R_w^{-1} y."""
+    info, w = _informative(model, gains)
     return complex(w.conj() @ np.asarray(y, dtype=complex)) / info
 
 
 def global_variance(model: GlobalModel, gains) -> float:
     """Estimation variance (a^H H^H (H D V D^H H^H + sigma_n^2 I)^{-1} H a)^{-1}."""
-    a = _gain_values(gains)
-    info, _ = _information_and_weights(model, a)
-    if info < INFO_FLOOR:
-        raise DegenerateGains("effective gains carry no information")
-    return 1.0 / info
+    return 1.0 / _informative(model, gains)[0]
 
 
 def _complex_gaussian(rng: np.random.Generator, var, size) -> np.ndarray:
@@ -95,9 +96,10 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
 
     Centralized: y = H a theta + H D v + n with n over the M antennas.
     Decentralized: the compressed vector of retained link receptions, in
-    the plan's row order (plan required).  Each sensor observes theta once
-    for all the links it feeds; the receiver noise of every directed link is
-    drawn in sorted edge order, (i, j) before (j, i), real part first.
+    the plan's row order (plan required; a malformed plan raises
+    InconsistentPlan).  Each sensor observes theta once for all the links
+    it feeds; the receiver noise of every directed link is drawn in sorted
+    edge order, (i, j) before (j, i), real part first.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -109,12 +111,11 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
     if plan is None:
         raise InvalidConfig("decentralized simulation needs a compression plan")
     topo = scenario.topology
+    _, parents, links = plan.links(topo)
     z = scenario.theta + _complex_gaussian(rng, scenario.sensor_noise_var, topo.num_nodes)
     noise = np.sqrt(scenario.comm_noise_var / 2.0) * rng.standard_normal((2 * topo.num_edges, 2))
     edges = np.array(topo.edges)
     draw_of_link = np.argsort(topo.link_index(edges.ravel(), edges[:, ::-1].ravel()))
-    sinks, parents = plan.rows()
-    links = topo.link_index(sinks, parents)
     n = noise[draw_of_link[links]]
     k = parents - 1
     return _product(_product(scenario.gain_by_link[links], a[k]), z[k]) + (n[:, 0] + 1j * n[:, 1])
@@ -142,7 +143,8 @@ def local_mle(sink: int, gains, scenario: DecentralizedScenario, received) -> tu
     y = np.asarray(received, dtype=complex)
     if len(y) != len(neighbors):
         raise InvalidConfig(f"expected {len(neighbors)} samples for sink {sink}")
-    ha, denom, terms = link_terms(scenario, gains, [sink] * len(neighbors), neighbors)
+    links = scenario.topology.link_index([sink] * len(neighbors), neighbors)
+    ha, denom, terms = link_terms(scenario, gains, links)
     info = float(np.sum(terms))
     num = complex(np.sum(_product(ha.conj(), y) / denom))
     if info < INFO_FLOOR:
@@ -170,14 +172,14 @@ def initial_streams(scenario: DecentralizedScenario, gains, plan: CompressionPla
     network totals give the global MLE as theta_hat = sum P / sum I.
     """
     n = scenario.topology.num_nodes
+    sinks, _, links = plan.links(scenario.topology)
     samples = []
     for sink, count in enumerate(_rows_per_sink(plan), start=1):
         y = np.asarray(received_per_node.get(sink, ()), dtype=complex)
         if len(y) != count:
             raise InvalidConfig(f"sink {sink} expects {count} retained samples")
         samples.append(y)
-    sinks, parents = plan.rows()
-    ha, denom, terms = link_terms(scenario, gains, sinks, parents)
+    ha, denom, terms = link_terms(scenario, gains, links)
     i0 = np.bincount(sinks - 1, weights=terms, minlength=n)
     p0 = np.zeros(n, dtype=complex)
     np.add.at(p0, sinks - 1, _product(ha.conj(), np.concatenate(samples)) / denom)
@@ -221,6 +223,8 @@ def run_consensus(
     ------
     InvalidConfig
         For tol <= 0, rho <= 0, max_iter < 0 or an unknown stop_mode.
+    InconsistentPlan
+        For a plan that leaves a node without a carrier or a row off the graph.
     NoConvergence
         After max_iter rounds; the exception carries the partial report
         (``converged`` False).
@@ -275,13 +279,12 @@ def run_consensus(
             residual = float(np.abs(estimates - theta_ml).max())
         elif k > 0:
             residual = float(np.abs(estimates - previous).max())
-        if residual <= limit:
-            return EstimateReport(theta_ml, variance, k, residual, True,
-                                  tuple(trace) if record_trace else None)
-        if k == max_iter:
+        if residual <= limit or k == max_iter:
             break
         i_vals, i_sum, i_duals = admm_round(i_vals, i_sum, i_duals, i0)
         p_vals, p_sum, p_duals = admm_round(p_vals, p_sum, p_duals, p0)
-    report = EstimateReport(theta_ml, variance, max_iter, residual, False,
+    report = EstimateReport(theta_ml, variance, k, residual, residual <= limit,
                             tuple(trace) if record_trace else None)
-    raise NoConvergence(f"consensus not within tol after {max_iter} iterations", report)
+    if not report.converged:
+        raise NoConvergence(f"consensus not within tol after {max_iter} iterations", report)
+    return report

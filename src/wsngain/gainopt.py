@@ -123,10 +123,6 @@ class ConstraintSpec:
         if not np.all(np.isfinite(a)):
             raise InvalidConfig("gains must be finite")
         n = len(a)
-        if self.kind == "energy":
-            if abs(np.sum(np.abs(a) ** 2) - n) > CHECK_ATOL * n:
-                raise InvalidConfig("gain energy differs from N")
-            return
         if self.kind == "phase":
             if np.max(np.abs(np.abs(a) - 1.0)) > CHECK_ATOL:
                 raise InvalidConfig("gains are not unit modulus")
@@ -137,16 +133,18 @@ class ConstraintSpec:
             if np.max(dist) > CHECK_ATOL:
                 raise InvalidConfig("gains are off the phase grid")
             return
-        support = np.flatnonzero(np.abs(a) > CHECK_ATOL)
-        if len(support) > self.k_active:
-            raise InvalidConfig("more active sensors than allowed")
-        if self.select_mode == "energy":
-            if abs(np.sum(np.abs(a) ** 2) - n) > CHECK_ATOL * n:
-                raise InvalidConfig("gain energy differs from N")
-        else:
-            want = np.sqrt(n / self.k_active)
-            if len(support) and np.max(np.abs(np.abs(a[support]) - want)) > CHECK_ATOL:
-                raise InvalidConfig("active gains are not constant modulus")
+        if self.kind == "select":
+            support = np.flatnonzero(np.abs(a) > CHECK_ATOL)
+            if len(support) > self.k_active:
+                raise InvalidConfig("more active sensors than allowed")
+            if self.select_mode == "phase":
+                want = np.sqrt(n / self.k_active)
+                if len(support) and np.max(np.abs(np.abs(a[support]) - want)) > CHECK_ATOL:
+                    raise InvalidConfig("active gains are not constant modulus")
+                return
+        # energy, and select:K in energy mode
+        if abs(np.sum(np.abs(a) ** 2) - n) > CHECK_ATOL * n:
+            raise InvalidConfig("gain energy differs from N")
 
     def initial_point(self, n: int) -> np.ndarray:
         """Feasible projection of the all-ones vector (deterministic start)."""
@@ -604,12 +602,14 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
     The compressed model depends on the gains through the carrier
     assignment; by default it is recomputed every outer iteration
     (refresh_plan=False freezes the plan of the starting point).
-    Returns (gains, trace, plan) with the plan matching the final gains.
+    Returns (gains, trace, plan): the plan of the final gains, or the
+    frozen plan the gains were designed under.
     """
-    start_model, _ = decentralized_model(scenario, constraint.initial_point(scenario.num_sensors))
+    start_model, plan = decentralized_model(scenario, constraint.initial_point(scenario.num_sensors))
     model_fn = (lambda a: decentralized_model(scenario, a)[0]) if refresh_plan else None
     gains, trace = optimize(start_model, constraint, config, model_fn=model_fn)
-    _, plan = decentralized_model(scenario, gains)
+    if refresh_plan:
+        _, plan = decentralized_model(scenario, gains)
     return gains, trace, plan
 
 

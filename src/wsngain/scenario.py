@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import DisconnectedGraph, InvalidConfig, InvalidEdge
 from .netgraph import Topology, build_topology
 
 
@@ -200,7 +200,7 @@ def _c2pair(z: complex) -> list[float]:
 def to_json_dict(scenario) -> dict:
     """Serialize a scenario to the documented JSON schema (lossless)."""
     if isinstance(scenario, CentralizedScenario):
-        return {
+        doc = {
             "kind": "centralized",
             "N": scenario.num_sensors,
             "M": scenario.num_antennas,
@@ -208,13 +208,9 @@ def to_json_dict(scenario) -> dict:
             "H": [[_c2pair(z) for z in row] for row in scenario.channel],
             "sensor_noise_var": [float(x) for x in scenario.sensor_noise_var],
             "fc_noise_var": float(scenario.fc_noise_var),
-            "seed": scenario.seed,
-            "alpha": scenario.alpha,
-            "d_range": list(scenario.d_range),
-            "v_range": list(scenario.v_range),
         }
-    if isinstance(scenario, DecentralizedScenario):
-        return {
+    elif isinstance(scenario, DecentralizedScenario):
+        doc = {
             "kind": "decentralized",
             "N": scenario.num_sensors,
             "theta": _c2pair(scenario.theta),
@@ -225,20 +221,51 @@ def to_json_dict(scenario) -> dict:
             ],
             "sensor_noise_var": [float(x) for x in scenario.sensor_noise_var],
             "comm_noise_var": float(scenario.comm_noise_var),
-            "seed": scenario.seed,
-            "alpha": scenario.alpha,
-            "d_range": list(scenario.d_range),
-            "v_range": list(scenario.v_range),
         }
-    raise InvalidConfig(f"cannot serialize {type(scenario).__name__}")
+    else:
+        raise InvalidConfig(f"cannot serialize {type(scenario).__name__}")
+    return {**doc, "seed": scenario.seed, "alpha": scenario.alpha,
+            "d_range": list(scenario.d_range), "v_range": list(scenario.v_range)}
+
+
+# the keys from_json_dict needs for each kind; seed, alpha and the ranges have defaults
+_REQUIRED = {
+    "centralized": ("N", "M", "theta", "H", "sensor_noise_var", "fc_noise_var"),
+    "decentralized": ("N", "theta", "edges", "links", "sensor_noise_var", "comm_noise_var"),
+}
+
+
+def _pair2c(pair, what: str) -> complex:
+    # inverse of _c2pair for a JSON [re, im] pair of numbers
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, (int, float)) for x in pair)):
+        raise InvalidConfig(f"{what} must be a [re, im] pair of numbers, got {pair!r}")
+    return complex(pair[0], pair[1])
+
+
+def _count(doc: dict, key: str) -> int:
+    if type(doc[key]) is not int or doc[key] < 1:
+        raise InvalidConfig(f"{key} must be a positive integer, got {doc[key]!r}")
+    return doc[key]
 
 
 def from_json_dict(doc: dict):
-    """Inverse of :func:`to_json_dict`."""
-    kind = doc.get("kind")
-    if kind not in ("centralized", "decentralized"):
+    """Inverse of :func:`to_json_dict`.
+
+    Raises InvalidConfig for a document that does not follow the schema:
+    an unknown kind, a missing key, a non-integer N or M, N or M that
+    disagree with the data, a theta or gain that is not an [re, im] pair
+    of numbers, an edge or link entry of the wrong shape, or a link listed
+    twice.
+    """
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _REQUIRED:
         raise InvalidConfig(f"unknown scenario kind {kind!r}")
-    theta = complex(doc["theta"][0], doc["theta"][1])
+    missing = [key for key in _REQUIRED[kind] if key not in doc]
+    if missing:
+        raise InvalidConfig(f"{kind} scenario lacks {', '.join(missing)}")
+    n = _count(doc, "N")
+    theta = _pair2c(doc["theta"], "theta")
     common = dict(
         seed=doc.get("seed"),
         alpha=doc.get("alpha", 1.0),
@@ -246,23 +273,34 @@ def from_json_dict(doc: dict):
         v_range=tuple(doc.get("v_range", (0.5, 1.5))),
     )
     if kind == "centralized":
-        channel = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["H"]], dtype=complex
-        )
+        m = _count(doc, "M")
+        rows = doc["H"]
+        if not (isinstance(rows, list) and len(rows) == m
+                and all(isinstance(row, list) and len(row) == n for row in rows)):
+            raise InvalidConfig(f"H must hold M = {m} rows of N = {n} entries")
+        channel = np.array([[_pair2c(z, "an H entry") for z in row] for row in rows], dtype=complex)
         return CentralizedScenario(
-            num_sensors=doc["N"],
-            num_antennas=doc["M"],
+            num_sensors=n,
+            num_antennas=m,
             channel=channel,
             sensor_noise_var=np.array(doc["sensor_noise_var"], dtype=float),
             fc_noise_var=doc["fc_noise_var"],
             theta=theta,
             **common,
         )
-    topology = build_topology(doc["N"], [tuple(e) for e in doc["edges"]])
-    link_gain = {
-        (entry["rx"], entry["tx"]): complex(entry["gain"][0], entry["gain"][1])
-        for entry in doc["links"]
-    }
+    edges, entries = doc["edges"], doc["links"]
+    if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+        raise InvalidConfig("edges must be a list of [i, j] pairs")
+    try:
+        topology = build_topology(n, [tuple(e) for e in edges])
+    except (InvalidEdge, DisconnectedGraph) as exc:
+        raise InvalidConfig(f"edges do not form a graph on N = {n} nodes: {exc}") from None
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) and {"rx", "tx", "gain"} <= e.keys() for e in entries)):
+        raise InvalidConfig("links must be a list of entries with rx, tx and gain")
+    link_gain = {(e["rx"], e["tx"]): _pair2c(e["gain"], "a link gain") for e in entries}
+    if len(link_gain) != len(entries):
+        raise InvalidConfig("a link is listed twice")
     return DecentralizedScenario(
         topology=topology,
         link_gain=link_gain,

@@ -352,3 +352,39 @@ def retained_rows(plan):
     n = len(plan.carrier)
     return tuple(tuple(k for k, c in enumerate(plan.carrier, start=1) if c == sink)
                  for sink in range(1, n + 1))
+
+
+def water_filling(scenario, carrier):
+    """Smallest variance of an energy design (sum |a_k|^2 = N) with every
+    sensor k heard only by its carrier, carrier[k - 1].
+
+    On a frozen plan sensor k reaches one sink through h_k =
+    h_{carrier(k),k}, so the information is sum_k c_k p_k / (c_k v_k p_k +
+    s2) with p_k = |a_k|^2 and c_k = |h_k|^2: concave in p, and the phases
+    drop out.  Its maximum under sum p = N is the water-filling
+    p_k = max(0, (sqrt(c_k s2 / mu) - s2) / (c_k v_k)), mu by bisection
+    (Cui, Xiao, Goldsmith, Luo & Poor, "Estimation diversity and energy
+    efficiency in distributed sensing", IEEE TSP 2007).
+    """
+    n = scenario.topology.num_nodes
+    c = np.array([abs(scenario.link_gain[(carrier[k], k + 1)]) ** 2 for k in range(n)])
+    v = np.asarray(scenario.sensor_noise_var, dtype=float)
+    s2 = float(scenario.comm_noise_var)
+
+    def powers(mu):
+        return np.maximum(0.0, (np.sqrt(c * s2 / mu) - s2) / (c * v))
+
+    hi = float(c.max()) / s2  # every p_k is 0 from here up
+    lo = hi / 2.0
+    while powers(lo).sum() < n:
+        lo /= 2.0
+    while True:  # geometric bisection down to adjacent floats; sum p >= N at lo
+        mid = float(np.sqrt(lo * hi))
+        if not lo < mid < hi:
+            break
+        if powers(mid).sum() >= n:
+            lo = mid
+        else:
+            hi = mid
+    p = powers(lo)
+    return 1.0 / float(np.sum(c * p / (c * v * p + s2)))

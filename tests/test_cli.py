@@ -1,7 +1,10 @@
 """Front-end behavior: JSON results, CSV output, error payloads, exit codes."""
 
+import functools
 import json
+import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,33 +271,71 @@ def test_bad_constraint_string_fails_cleanly(capsys):
     "optimize --scenario decentralized:comm_noise_var=nan",
     "optimize --scenario decentralized:links=nan",
     "simulate-consensus --scenario decentralized:sensor_noise_var=inf",
+    # scenario files missing a key, written by _edited_scenario
+    "optimize --scenario decentralized:-links",
+    "optimize --scenario decentralized:-edges",
+    "optimize --scenario decentralized:-sensor_noise_var",
+    "optimize --scenario decentralized:-comm_noise_var",
+    "optimize --scenario decentralized:-theta",
+    "optimize --scenario decentralized:-N",
+    "optimize --scenario centralized:-H",
+    "optimize --scenario centralized:-M",
+    # a theta or link gain that is not an [re, im] pair
+    "optimize --scenario centralized:theta:=[1.0]",
+    'optimize --scenario decentralized:links.0.gain:="1"',
+    # an edge or link entry of the wrong shape
+    "optimize --scenario decentralized:edges.0:=[1,2,3]",
+    'optimize --scenario decentralized:links.0:={"rx":1,"tx":2}',
+    # N that is not an integer, or N or M that disagrees with the data
+    "optimize --scenario centralized:N:=3.5",
+    "optimize --scenario decentralized:N:=3.5",
+    "optimize --scenario centralized:N:=5",
+    "optimize --scenario centralized:M:=3",
+    "optimize --scenario decentralized:N:=5",
+    "optimize --scenario decentralized:N:=3",
+    # a second entry for the link (1, 4)
+    'optimize --scenario decentralized:links+={"rx":1,"tx":4,"gain":[99,0]}',
 ])
 def test_malformed_input_reports_invalid_config(capsys, tmp_path, command):
     argv = command.split()
     if "--scenario" in argv:
         at = argv.index("--scenario") + 1
-        argv[at] = _non_finite_scenario(tmp_path, argv[at])
+        argv[at] = _edited_scenario(tmp_path, argv[at])
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidConfig"
 
 
-def _non_finite_scenario(tmp_path, spec: str) -> str:
-    """Write a scenario JSON whose ``key`` entry (its first number, for an
-    array) holds ``value``; ``spec`` reads ``kind:key=value``."""
+def _edited_scenario(tmp_path, spec: str) -> str:
+    """Write a generated 4-sensor scenario JSON with one edit; ``spec`` reads
+    ``kind:edit``.  ``key=value`` puts float(value) at ``key`` (its first
+    number, for an array), ``-key`` drops ``key``, and ``path:=json`` sets
+    (``path+=json`` appends to) the entry at a dotted path of keys and list
+    indices."""
     kind, _, assignment = spec.partition(":")
-    key, _, value = assignment.partition("=")
     if kind == "centralized":
         doc = to_json_dict(gen_centralized_scenario(4, 2, seed=1))
     else:
         doc = to_json_dict(gen_decentralized_scenario(random_connected_topology(4, 0.8, 1), seed=1))
-    if isinstance(doc[key], list):
-        entry = doc[key]
-        while not isinstance(entry[0], float):
-            entry = entry[0]["gain"] if isinstance(entry[0], dict) else entry[0]
-        entry[0] = float(value)
+    if assignment.startswith("-"):
+        del doc[assignment[1:]]
+    elif ":=" in assignment or "+=" in assignment:
+        path, op, value = re.split(r"(:=|\+=)", assignment, maxsplit=1)
+        *steps, last = [int(step) if step.isdigit() else step for step in path.split(".")]
+        entry = functools.reduce(operator.getitem, steps, doc)
+        if op == ":=":
+            entry[last] = json.loads(value)
+        else:
+            entry[last].append(json.loads(value))
     else:
-        doc[key] = float(value)
+        key, _, value = assignment.partition("=")
+        if isinstance(doc[key], list):
+            entry = doc[key]
+            while not isinstance(entry[0], float):
+                entry = entry[0]["gain"] if isinstance(entry[0], dict) else entry[0]
+            entry[0] = float(value)
+        else:
+            doc[key] = float(value)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return str(path)

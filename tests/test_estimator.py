@@ -11,11 +11,14 @@ import pytest
 
 import oracles
 from wsngain import (
+    CompressionPlan,
     DegenerateGains,
     GainVector,
+    InconsistentPlan,
     InvalidConfig,
     NoConvergence,
     NoiseConfig,
+    assemble_global_model,
     build_topology,
     centralized_model,
     decentralized_model,
@@ -342,6 +345,22 @@ def test_consensus_rejects_wrong_sample_counts():
     for bad in (missing, extra):
         with pytest.raises(InvalidConfig):
             run_consensus(scen, gains, plan, bad, max_iter=10)
+
+
+@pytest.mark.parametrize("carrier", [(2, 1, 2), (2, 1, 4, 4)])
+def test_every_plan_user_rejects_a_malformed_plan(carrier):
+    # on the path 1-2-3-4: a plan without a carrier for node 4, and one whose
+    # row (4, 4) is off the graph; both fail alike wherever a plan is read
+    scen = gen_decentralized_scenario(build_topology(4, [(1, 2), (2, 3), (3, 4)]), seed=1)
+    gains = GainVector(np.ones(4, dtype=complex))
+    plan = CompressionPlan(carrier, r=2 * 3 - 4)
+    received = received_by_sink(plan, np.ones(len(carrier), dtype=complex))
+    with pytest.raises(InconsistentPlan):
+        assemble_global_model(plan, scen)
+    with pytest.raises(InconsistentPlan):
+        simulate_measurement(scen, gains, plan, np.random.default_rng(0))
+    with pytest.raises(InconsistentPlan):
+        run_consensus(scen, gains, plan, received)
 
 
 def test_consensus_no_convergence_carries_report():

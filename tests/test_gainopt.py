@@ -21,9 +21,11 @@ from wsngain import (
     NoiseConfig,
     OptimizerConfig,
     ZeroVectorWarning,
+    assemble_global_model,
     build_inner_quadratic,
     build_lifted,
     centralized_model,
+    decentralized_model,
     eta0_bound,
     gen_centralized_scenario,
     gen_decentralized_scenario,
@@ -665,8 +667,6 @@ def test_optimize_decentralized_plan_consistency():
     scen = gen_decentralized_scenario(topo, NoiseConfig(), 1 + 0j, seed=10)
     gains, trace, plan = optimize_decentralized(scen, ConstraintSpec.fixed_energy(),
                                                 OptimizerConfig(seed=1))
-    from wsngain import decentralized_model
-
     model, plan_check = decentralized_model(scen, gains)
     assert plan.carrier == plan_check.carrier
     assert trace.final_variance == pytest.approx(global_variance(model, gains), rel=1e-12)
@@ -683,6 +683,33 @@ def test_optimize_decentralized_frozen_plan_single_segment():
     assert trace.segment_breaks == ()
     etas = np.array(trace.eta_per_outer)
     assert np.all(np.diff(etas) <= 1e-9 * np.abs(etas[:-1]))
+
+
+@pytest.mark.parametrize("text", ["energy", "select:10"])
+def test_frozen_design_returns_the_plan_it_was_designed_under(text):
+    # the returned plan is the start plan, and the reported variance is the
+    # variance of the returned gains under it
+    constraint = ConstraintSpec.parse(text)
+    for seed in range(3):
+        scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed=seed), seed=seed)
+        _, start = decentralized_model(scen, constraint.initial_point(30))
+        gains, trace, plan = optimize_decentralized(scen, constraint, OptimizerConfig(),
+                                                    refresh_plan=False)
+        assert plan == start
+        v = global_variance(assemble_global_model(plan, scen), gains)
+        assert abs(trace.final_variance - v) <= 1e-12 * v
+
+
+def test_frozen_energy_design_reaches_water_filling():
+    # on a frozen plan the energy optimum is water-filling over the carriers'
+    # links; the cyclic design may stop short of it by its tolerance, never below
+    energy = ConstraintSpec.fixed_energy()
+    for seed in range(5):
+        scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed=seed), seed=seed)
+        _, start = decentralized_model(scen, energy.initial_point(30))
+        _, trace, _ = optimize_decentralized(scen, energy, OptimizerConfig(), refresh_plan=False)
+        gap = trace.final_variance / oracles.water_filling(scen, start.carrier) - 1.0
+        assert 0.0 <= gap <= 1e-6, (seed, gap)
 
 
 def test_optimize_decentralized_segments_descend_piecewise():
