@@ -5,15 +5,19 @@ bordered matrix R whose corner hosts a large constant eta0.  Alternating
 between an exact auxiliary solve (first column of R^{-1}, rescaled) and
 power-method-like iterations on a shifted quadratic drives eta = eta0 -
 (information value) monotonically down under any of four practical
-constraint families.  The inner quadratic is an arrow matrix (a diagonal
-plus one border row and column); it is held as the two length-N vectors
-(d, g) and never formed, so the shift and each inner step cost O(N) plus
-the projection.  A simplified unimodular-quadratic path handles the
-phase-only case with a constant matrix.
+constraint families.  The auxiliary solve is block classical Gram-Schmidt
+run twice ("CGS2"; Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005),
+as accurate as the modified form at two matrix-vector products per row.
+The inner quadratic is an arrow matrix (a diagonal plus one border row and
+column); it is held as the two length-N vectors (d, g) and never formed,
+so the shift and each inner step cost O(N) plus the projection.  A
+simplified unimodular-quadratic path handles the phase-only case with a
+constant matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -251,27 +255,32 @@ def build_lifted(model: GlobalModel, gains, eta0: float) -> np.ndarray:
 def solve_auxiliary(r: np.ndarray) -> np.ndarray:
     """Auxiliary vector y with y_1 = 1, proportional to R^{-1} e_1.
 
-    Orthonormalizes the conjugated rows 2..M+1 of R (modified Gram-Schmidt
-    with one re-orthogonalization pass) and projects e_1 onto their
-    orthogonal complement; that residual is proportional to R^{-1} e_1
-    because R y must vanish on every border row.  Falls back to a direct
-    solve when the residual nearly vanishes (near-singular lift).
+    Orthonormalizes the conjugated rows 2..M+1 of R and projects e_1 onto
+    their orthogonal complement; that residual is proportional to
+    R^{-1} e_1 because R y must vanish on every border row.  Each row is
+    orthogonalized against the whole basis at once, twice: classical
+    Gram-Schmidt with one re-orthogonalization pass (CGS2), which is as
+    accurate as the modified, one-vector-at-a-time form ("twice is
+    enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005) at two
+    matrix-vector products per row.  A row that is already in the span of
+    the basis is skipped.  Falls back to a direct solve when the residual
+    nearly vanishes (near-singular lift).
     """
+    r = np.asarray(r, dtype=complex)
     m1 = r.shape[0]
-    basis = []
+    q = np.zeros((m1 - 1, m1), dtype=complex)  # the orthonormal basis, one row per vector
+    n = 0
     for i in range(1, m1):
-        u = r[i, :].conj().copy()
-        for _ in range(2):  # re-orthogonalize for numerical safety
-            for q in basis:
-                u -= (q.conj() @ u) * q
-        nrm = np.linalg.norm(u)
+        u = r[i].conj()
+        for _ in range(2):
+            u -= (q[:n].conj() @ u) @ q[:n]
+        nrm = math.sqrt(np.vdot(u, u).real)  # np.linalg.norm(u) without its dispatch
         if nrm > 0:
-            basis.append(u / nrm)
+            q[n] = u / nrm
+            n += 1
     e1 = np.zeros(m1, dtype=complex)
     e1[0] = 1.0
-    res = e1.copy()
-    for q in basis:
-        res -= (q.conj() @ e1) * q
+    res = e1 - q[:n, 0].conj() @ q[:n]
     y = np.linalg.solve(r, e1) if np.linalg.norm(res) < 1e-12 * np.linalg.norm(r) else res
     return y / y[0]
 
@@ -354,15 +363,35 @@ def shift_quadratic(d: np.ndarray, g: np.ndarray) -> float:
     return out
 
 
-def _quantize_phases(angles: np.ndarray, q_levels: int) -> np.ndarray:
-    """Nearest grid phase 2 pi q / Q; exact midpoints round to the smaller
-    phase value."""
+def _grid_pick(angles: np.ndarray, q_levels: int) -> np.ndarray:
+    """Index q in 0..Q of the nearest grid phase 2 pi q / Q, where Q stands
+    for 0 (as floats; NaN for a NaN angle); exact midpoints round to the
+    smaller phase value."""
     frac = np.mod(angles, 2.0 * np.pi) * q_levels / (2.0 * np.pi)
     # ceil(frac - 1/2) rounds midpoints down; the wrap midpoint Q - 1/2 lies
     # between Q - 1 and Q = 0 (mod Q), so it goes to 0
     pick = np.ceil(frac - 0.5)
     pick[frac == q_levels - 0.5] = 0.0
-    return 2.0 * np.pi * np.mod(pick, q_levels) / q_levels
+    return pick
+
+
+def _quantize_phases(angles: np.ndarray, q_levels: int) -> np.ndarray:
+    """Nearest grid phase 2 pi q / Q; exact midpoints round to the smaller
+    phase value."""
+    return 2.0 * np.pi * np.mod(_grid_pick(angles, q_levels), q_levels) / q_levels
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_grid(q_levels: int) -> np.ndarray:
+    """Read-only e^{j 2 pi q / Q} for q = 0..Q, entry Q repeating entry 0.
+
+    Each phase is formed by the expression of _quantize_phases, so indexing
+    with _grid_pick gives the bytes of np.exp(1j * _quantize_phases(...)).
+    """
+    picks = np.arange(q_levels + 1, dtype=float)
+    grid = np.exp(1j * (2.0 * np.pi * np.mod(picks, q_levels) / q_levels))
+    grid.flags.writeable = False
+    return grid
 
 
 def _onto_sphere(a: np.ndarray):
@@ -398,7 +427,11 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     if constraint.kind == "phase":
         return np.exp(1j * np.angle(a))
     if constraint.kind == "quant":
-        return np.exp(1j * _quantize_phases(np.angle(a), constraint.q_levels))
+        angles = np.angle(a)
+        pick = _grid_pick(angles, constraint.q_levels)
+        if math.isnan(pick.sum()):  # a NaN image has no grid point: keep it non-finite
+            return np.exp(1j * _quantize_phases(angles, constraint.q_levels))
+        return _phase_grid(constraint.q_levels)[pick.astype(np.intp)]
     k = constraint.k_active
     neg = -np.abs(a)
     ranked = np.sort(neg)  # descending magnitude, NaN last

@@ -235,18 +235,52 @@ _REQUIRED = {
 }
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true is no integer
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)  # JSON true is no number
+
+
+def _numbers(value, count: int | None = None) -> bool:
+    # a JSON list of numbers, of the given length if any
+    return (isinstance(value, list) and (count is None or len(value) == count)
+            and all(map(_is_number, value)))
+
+
 def _pair2c(pair, what: str) -> complex:
     # inverse of _c2pair for a JSON [re, im] pair of numbers
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, (int, float)) for x in pair)):
+    if not _numbers(pair, 2):
         raise InvalidConfig(f"{what} must be a [re, im] pair of numbers, got {pair!r}")
     return complex(pair[0], pair[1])
 
 
 def _count(doc: dict, key: str) -> int:
-    if type(doc[key]) is not int or doc[key] < 1:
+    if not _is_int(doc[key]) or doc[key] < 1:
         raise InvalidConfig(f"{key} must be a positive integer, got {doc[key]!r}")
     return doc[key]
+
+
+def _number(doc: dict, key: str, default=None):
+    value = doc.get(key, default)
+    if not _is_number(value):
+        raise InvalidConfig(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _noise_vars(doc: dict) -> np.ndarray:
+    if not _numbers(doc["sensor_noise_var"]):
+        raise InvalidConfig(f"sensor_noise_var must be a list of numbers, "
+                            f"got {doc['sensor_noise_var']!r}")
+    return np.array(doc["sensor_noise_var"], dtype=float)
+
+
+def _range(doc: dict, key: str, default: tuple[float, float]) -> tuple:
+    value = doc.get(key, list(default))
+    if not _numbers(value, 2):
+        raise InvalidConfig(f"{key} must be a [low, high] pair of numbers, got {value!r}")
+    return tuple(value)
 
 
 def from_json_dict(doc: dict):
@@ -255,8 +289,10 @@ def from_json_dict(doc: dict):
     Raises InvalidConfig for a document that does not follow the schema:
     an unknown kind, a missing key, a non-integer N or M, N or M that
     disagree with the data, a theta or gain that is not an [re, im] pair
-    of numbers, an edge or link entry of the wrong shape, or a link listed
-    twice.
+    of numbers, a noise variance, alpha or range that is not a number (or
+    a list or pair of numbers), a seed that is neither an integer nor
+    null, an edge or link entry of the wrong shape, a node label that is
+    not an integer, or a link listed twice.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _REQUIRED:
@@ -266,11 +302,14 @@ def from_json_dict(doc: dict):
         raise InvalidConfig(f"{kind} scenario lacks {', '.join(missing)}")
     n = _count(doc, "N")
     theta = _pair2c(doc["theta"], "theta")
+    seed = doc.get("seed")
+    if seed is not None and not _is_int(seed):
+        raise InvalidConfig(f"seed must be an integer or null, got {seed!r}")
     common = dict(
-        seed=doc.get("seed"),
-        alpha=doc.get("alpha", 1.0),
-        d_range=tuple(doc.get("d_range", (1.0, 10.0))),
-        v_range=tuple(doc.get("v_range", (0.5, 1.5))),
+        seed=seed,
+        alpha=_number(doc, "alpha", 1.0),
+        d_range=_range(doc, "d_range", (1.0, 10.0)),
+        v_range=_range(doc, "v_range", (0.5, 1.5)),
     )
     if kind == "centralized":
         m = _count(doc, "M")
@@ -283,29 +322,31 @@ def from_json_dict(doc: dict):
             num_sensors=n,
             num_antennas=m,
             channel=channel,
-            sensor_noise_var=np.array(doc["sensor_noise_var"], dtype=float),
-            fc_noise_var=doc["fc_noise_var"],
+            sensor_noise_var=_noise_vars(doc),
+            fc_noise_var=_number(doc, "fc_noise_var"),
             theta=theta,
             **common,
         )
     edges, entries = doc["edges"], doc["links"]
-    if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)):
-        raise InvalidConfig("edges must be a list of [i, j] pairs")
+    if not (isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges)):
+        raise InvalidConfig("edges must be a list of [i, j] pairs of integer node labels")
     try:
         topology = build_topology(n, [tuple(e) for e in edges])
     except (InvalidEdge, DisconnectedGraph) as exc:
         raise InvalidConfig(f"edges do not form a graph on N = {n} nodes: {exc}") from None
-    if not (isinstance(entries, list)
-            and all(isinstance(e, dict) and {"rx", "tx", "gain"} <= e.keys() for e in entries)):
-        raise InvalidConfig("links must be a list of entries with rx, tx and gain")
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and {"rx", "tx", "gain"} <= e.keys()
+            and _is_int(e["rx"]) and _is_int(e["tx"]) for e in entries)):
+        raise InvalidConfig("links must be a list of entries with integer rx and tx and a gain")
     link_gain = {(e["rx"], e["tx"]): _pair2c(e["gain"], "a link gain") for e in entries}
     if len(link_gain) != len(entries):
         raise InvalidConfig("a link is listed twice")
     return DecentralizedScenario(
         topology=topology,
         link_gain=link_gain,
-        sensor_noise_var=np.array(doc["sensor_noise_var"], dtype=float),
-        comm_noise_var=doc["comm_noise_var"],
+        sensor_noise_var=_noise_vars(doc),
+        comm_noise_var=_number(doc, "comm_noise_var"),
         theta=theta,
         **common,
     )

@@ -388,3 +388,29 @@ def water_filling(scenario, carrier):
             hi = mid
     p = powers(lo)
     return 1.0 / float(np.sum(c * p / (c * v * p + s2)))
+
+
+def solve_auxiliary_mgs(r):
+    """The paper's auxiliary vector y = R^{-1} e_1 / (R^{-1} e_1)_1, read
+    literally: orthonormalize the conjugated border rows 2..M+1 of R one
+    vector at a time (modified Gram-Schmidt, each row swept twice over the
+    basis), skip a row already in their span, and project e_1 onto the
+    orthogonal complement.  A residual below 1e-12 ||R|| (near-singular
+    lift) is replaced by a direct solve."""
+    m1 = r.shape[0]
+    basis = []
+    for i in range(1, m1):
+        u = r[i, :].conj().copy()
+        for _ in range(2):
+            for q in basis:
+                u -= (q.conj() @ u) * q
+        nrm = np.linalg.norm(u)
+        if nrm > 0:
+            basis.append(u / nrm)
+    e1 = np.zeros(m1, dtype=complex)
+    e1[0] = 1.0
+    res = e1.copy()
+    for q in basis:
+        res -= (q.conj() @ e1) * q
+    y = np.linalg.solve(r, e1) if np.linalg.norm(res) < 1e-12 * np.linalg.norm(r) else res
+    return y / y[0]

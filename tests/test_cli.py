@@ -295,6 +295,16 @@ def test_bad_constraint_string_fails_cleanly(capsys):
     "optimize --scenario decentralized:N:=3",
     # a second entry for the link (1, 4)
     'optimize --scenario decentralized:links+={"rx":1,"tx":4,"gain":[99,0]}',
+    # a value of the wrong type: a noise variance, a range, a node label
+    'optimize --scenario centralized:fc_noise_var:="1"',
+    'optimize --scenario decentralized:sensor_noise_var:=["a",1,1,1]',
+    'optimize --scenario decentralized:edges.0:=[1,"a"]',
+    "optimize --scenario centralized:d_range:=5",
+    "optimize --scenario decentralized:links.0.rx:=[1]",
+    "optimize --scenario decentralized:edges.0:=[1.5,2]",
+    'optimize --scenario decentralized:alpha:="1"',
+    'optimize --scenario centralized:seed:="1"',
+    "optimize --scenario decentralized:comm_noise_var:=true",
 ])
 def test_malformed_input_reports_invalid_config(capsys, tmp_path, command):
     argv = command.split()

@@ -156,6 +156,92 @@ def test_solve_auxiliary_residual_property():
     assert np.linalg.norm(r @ y - eta * e1) <= 1e-9 * np.linalg.norm(r)
 
 
+def _direct_auxiliary(r):
+    e1 = np.zeros(r.shape[0], dtype=complex)
+    e1[0] = 1.0
+    y = np.linalg.solve(r, e1)
+    return y / y[0]
+
+
+def _rel_dist(y, ref):
+    return np.linalg.norm(y - ref) / np.linalg.norm(ref)
+
+
+def _spy_on_direct_solves(monkeypatch):
+    """A list that gains one entry per np.linalg.solve call until undo."""
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+    return calls
+
+
+def test_solve_auxiliary_matches_gram_schmidt_oracle_and_direct_solve():
+    # block Gram-Schmidt (two passes) against the paper's row-by-row
+    # modified Gram-Schmidt and a dense solve, on centralized lifts of size
+    # M + 1 = 2..61 and decentralized lifts of size N + 1 = 3..61
+    rng = np.random.default_rng(11)
+    for size in range(2, 62):
+        n = int(rng.integers(1, 30))
+        model = random_model(n, m=size - 1, seed=size)
+        a = ConstraintSpec.fixed_energy().random_point(n, rng)
+        lifts = [build_lifted(model, a, eta0_bound(model))]
+        if size >= 3:
+            topo = random_connected_topology(size - 1, 0.3, seed=size)
+            scen = gen_decentralized_scenario(topo, NoiseConfig(), seed=size)
+            a = ConstraintSpec.phase_only().random_point(size - 1, rng)
+            model, _ = decentralized_model(scen, a)
+            lifts.append(build_lifted(model, a, eta0_bound(model)))
+        for r in lifts:
+            y = solve_auxiliary(r)
+            assert _rel_dist(y, oracles.solve_auxiliary_mgs(r)) <= 1e-12, size
+            assert _rel_dist(y, _direct_auxiliary(r)) <= 1e-12, size
+
+
+def test_solve_auxiliary_reorthogonalizes_on_a_low_noise_lift(monkeypatch):
+    # receiver noise 1e-4 with M = N = 40 makes the border rows nearly
+    # dependent: one classical Gram-Schmidt pass is off by about 1e-10 here,
+    # the second pass brings it back (the direct-solve fallback stays off)
+    rng = np.random.default_rng(12)
+    lifts = []
+    for _ in range(3):
+        h = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        model = GlobalModel(H=h, sensor_noise_var=rng.uniform(0.5, 1.5, 40), noise_var=1e-4)
+        a = ConstraintSpec.phase_only().random_point(40, rng)
+        lifts.append(build_lifted(model, a, eta0_bound(model)))
+    solves = _spy_on_direct_solves(monkeypatch)
+    ys = [solve_auxiliary(r) for r in lifts]
+    monkeypatch.undo()
+    assert not solves
+    for r, y in zip(lifts, ys):
+        assert _rel_dist(y, oracles.solve_auxiliary_mgs(r)) <= 1e-12
+        assert _rel_dist(y, _direct_auxiliary(r)) <= 1e-12
+
+
+def test_solve_auxiliary_skips_a_repeated_border_row():
+    # rows 2 and 3 are equal, so the second leaves an exactly zero residual
+    # and adds nothing to the basis (normalizing it would give NaN); the
+    # lift is singular, so R y = eta e_1 and the oracle pin the result
+    r = np.array([[2, 1, 1, 0], [1, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 3]], dtype=complex)
+    y = solve_auxiliary(r)
+    assert np.all(np.isfinite(y))
+    assert _rel_dist(y, oracles.solve_auxiliary_mgs(r)) <= 1e-12
+    ry = r @ y
+    assert np.max(np.abs(ry[1:])) <= 1e-12 * abs(ry[0])
+
+
+def test_solve_auxiliary_falls_back_to_a_direct_solve(monkeypatch):
+    # the border block [[1, 1], [1, 1 + 1e-14]] is nearly singular and the
+    # border (1, -1) lies along its small eigenvector, so e_1 is within
+    # 1e-12 ||R|| of the span of the border rows
+    r = np.array([[2, 1, -1], [1, 1, 1], [-1, 1, 1 + 1e-14]], dtype=complex)
+    solves = _spy_on_direct_solves(monkeypatch)
+    y = solve_auxiliary(r)
+    monkeypatch.undo()
+    assert len(solves) == 1
+    assert _rel_dist(y, oracles.solve_auxiliary_mgs(r)) <= 1e-12
+    assert _rel_dist(y, _direct_auxiliary(r)) <= 1e-12
+
+
 def test_build_inner_quadratic_scalar():
     d, g, c1 = build_inner_quadratic(np.array([-0.5 + 0j]), SCALAR_MODEL, 2.0)
     q = oracles.arrow_matrix(d, g)
@@ -321,6 +407,26 @@ def test_quantize_phases_matches_floor_oracle_bitwise():
         got = _quantize_phases(angles, q)
         want = oracles.quantize_phases_floor(angles, q)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), q
+
+
+def test_project_quant_grid_lookup_gives_the_entrywise_bytes():
+    # the cached grid lookup against e^{j phase} of each quantized phase:
+    # random images over many magnitudes, the grid points and midpoints, Q
+    # from 2 to 64; a NaN entry stays non-finite, so the check rejects it
+    rng = np.random.default_rng(1)
+    for q in range(2, 65):
+        spec = ConstraintSpec.quantized(q)
+        steps = np.exp(1j * np.pi * np.arange(-2 * q, 2 * q) / q)
+        scale = 10.0 ** rng.uniform(-300, 300, 200)
+        for a in (steps, (rng.standard_normal(200) + 1j * rng.standard_normal(200)) * scale):
+            want = np.exp(1j * _quantize_phases(np.angle(a), q))
+            assert np.array_equal(project(a, spec).view(np.uint64), want.view(np.uint64)), q
+        a = np.array([1.0, np.nan, 1j, complex(np.nan, 1.0)])
+        out = project(a, spec)
+        assert np.array_equal(np.isfinite(out), [True, False, True, False])
+        assert np.array_equal(out[[0, 2]], project(a[[0, 2]], spec))
+        with pytest.raises(InvalidConfig):
+            spec.check(out)
 
 
 def test_project_select_energy_worked_value():
