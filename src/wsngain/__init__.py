@@ -22,7 +22,6 @@ from .diffusion import (
 from .errors import (
     DegenerateGains,
     DisconnectedGraph,
-    Eta0TooSmall,
     GenerationFailed,
     InconsistentPlan,
     InvalidConfig,
@@ -49,7 +48,6 @@ from .gainopt import (
     OptimizerTrace,
     build_inner_quadratic,
     build_lifted,
-    eta0_bound,
     inner_power_iterations,
     optimize,
     optimize_decentralized,
@@ -93,7 +91,6 @@ __all__ = [
     "DegenerateGains",
     "DisconnectedGraph",
     "EstimateReport",
-    "Eta0TooSmall",
     "ExperimentConfig",
     "GainVector",
     "GenerationFailed",
@@ -121,7 +118,6 @@ __all__ = [
     "centralized_model",
     "decentralized_model",
     "derived_seed",
-    "eta0_bound",
     "from_json_dict",
     "gen_centralized_scenario",
     "gen_decentralized_scenario",

@@ -77,7 +77,7 @@ def _result_json(gains: GainVector, trace, plan=None) -> dict:
         "gains": [[float(np.real(z)), float(np.imag(z))] for z in gains.values],
         "constraint": gains.constraint.label() if gains.constraint else None,
         "variance": trace.final_variance,
-        "eta_trace": list(trace.eta_per_outer),
+        "info_trace": list(trace.info_per_outer),
         "outer_iters": trace.outer_iters,
         "inner_iters_total": trace.inner_iters_total,
         "converged": trace.converged,

@@ -43,12 +43,8 @@ class NoConvergence(WsnGainError):
         self.report = report
 
 
-class Eta0TooSmall(WsnGainError):
-    """The lift constant does not dominate the information value."""
-
-
 class NoDescent(WsnGainError):
-    """The outer objective increased; signals a numerical fault."""
+    """A monotone objective of the optimizer fell; signals a numerical fault."""
 
 
 class TooLarge(WsnGainError):

@@ -1,13 +1,15 @@
 """Sensor gain optimization by cyclic over-parametrization.
 
-The estimation variance is minimized by lifting the objective into a
-bordered matrix R whose corner hosts a large constant eta0.  Alternating
-between an exact auxiliary solve (first column of R^{-1}, rescaled) and
-power-method-like iterations on a shifted quadratic drives eta = eta0 -
-(information value) monotonically down under any of four practical
-constraint families.  The auxiliary solve is block classical Gram-Schmidt
-run twice ("CGS2"; Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005),
-as accurate as the modified form at two matrix-vector products per row.
+The estimation variance is 1 / info(a), info(a) = (Ha)^H R_w^{-1} (Ha).
+In the lift R = [[0, (Ha)^H], [Ha, R_w]], the least y^H R y over y with
+y_1 = 1 is -info(a), at y = [1; -R_w^{-1} H a].  Alternating that exact
+auxiliary solve with power-method-like iterations on a shifted quadratic
+drives info(a) monotonically up under any of four practical constraint
+families.  (No step reads R's corner, so the paper's large constant there
+is left out and each cycle reports info(a) itself.)  The auxiliary solve
+is block classical Gram-Schmidt run twice ("CGS2"; Giraud, Langou &
+Rozloznik, Comput. Math. Appl. 2005), as accurate as the modified form at
+two matrix-vector products per row.
 The inner quadratic is an arrow matrix (a diagonal plus one border row and
 column); it is held as the two length-N vectors (d, g) and never formed,
 so the shift and each inner step cost O(N) plus the projection.  A
@@ -26,13 +28,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffusion import GlobalModel, _gain_values, decentralized_model
-from .errors import (
-    Eta0TooSmall,
-    InvalidConfig,
-    NoDescent,
-    ZeroVectorWarning,
-)
+from .errors import DegenerateGains, InvalidConfig, NoDescent, ZeroVectorWarning
 from .estimator import (
+    INFO_FLOOR,
     GainVector,
     _information_and_weights,
     combined_covariance,
@@ -44,9 +42,8 @@ LAMBDA_FLOOR = 1e-12
 INNER_STOP = 1e-10
 DESCENT_RTOL = 1e-9
 CHECK_ATOL = 1e-9
-# safety factors, not modelling choices: the corner constant eta0 and the
-# shift lambda must sit strictly above the bounds they multiply
-ETA0_MARGIN = 1.1
+# a safety factor, not a modelling choice: the shift lambda must sit
+# strictly above the top eigenvalue it multiplies
 LAMBDA_MARGIN = 1.05
 _EPS = float(np.finfo(float).eps)
 
@@ -183,10 +180,9 @@ class OptimizerConfig:
     """Knobs of the cyclic optimizer.
 
     inner_iters caps the power-method-like iterations per outer cycle;
-    outer iterations stop once |eta_k - eta_{k+1}| <= outer_tol; restarts
-    counts the starts and seed draws the random ones.  The corner-constant
-    and shift safety factors are the module constants ETA0_MARGIN and
-    LAMBDA_MARGIN.
+    outer iterations stop once |info_k - info_{k+1}| <= outer_tol; restarts
+    counts the starts and seed draws the random ones.  The shift's safety
+    factor is the module constant LAMBDA_MARGIN.
     """
 
     inner_iters: int = 50
@@ -206,15 +202,18 @@ class OptimizerConfig:
 class OptimizerTrace:
     """Full record of one optimization run (best restart).
 
+    ``info_per_outer`` holds the information value info(a) = 1 / variance
+    at the start of each outer cycle (for the phase-only UQP path, the
+    objective a^H B a after each ascent step, which is the same value).
     ``inner_objective`` holds one tuple per outer cycle: the inner
     objective at the cycle's start and after every accepted step (the
     phase-only UQP path records its whole ascent as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
-    on eta; INNER_STOP on the step for the phase-only UQP path) and False
+    on info; INNER_STOP on the step for the phase-only UQP path) and False
     when it used up its iteration budget.
     """
 
-    eta_per_outer: tuple[float, ...]
+    info_per_outer: tuple[float, ...]
     inner_objective: tuple[tuple[float, ...], ...]
     final_gains: GainVector = field(repr=False)
     final_variance: float
@@ -226,26 +225,22 @@ class OptimizerTrace:
 
     @property
     def outer_iters(self) -> int:
-        return len(self.eta_per_outer)
+        return len(self.info_per_outer)
 
     @property
     def inner_iters_total(self) -> int:
         return sum(len(run) for run in self.inner_objective)
 
 
-def eta0_bound(model: GlobalModel) -> float:
-    """Corner constant keeping eta positive: ETA0_MARGIN * N ||H||_F^2 / sigma_n^2."""
-    n = model.num_sensors
-    return ETA0_MARGIN * n * float(np.linalg.norm(model.H, "fro") ** 2) / model.noise_var
+def build_lifted(model: GlobalModel, gains) -> np.ndarray:
+    """Bordered Hermitian matrix R = [[0, (Ha)^H], [Ha, H D V D^H H^H + sigma_n^2 I]].
 
-
-def build_lifted(model: GlobalModel, gains, eta0: float) -> np.ndarray:
-    """Bordered Hermitian matrix R = [[eta0, (Ha)^H], [Ha, H D V D^H H^H + sigma_n^2 I]]."""
+    At the auxiliary minimizer y = [1; -R_w^{-1} H a], y^H R y = -info(a).
+    """
     a = _gain_values(gains)
     m = model.num_rows
     b = model.H @ a
     r = np.zeros((m + 1, m + 1), dtype=complex)
-    r[0, 0] = eta0
     r[0, 1:] = b.conj()
     r[1:, 0] = b
     r[1:, 1:] = combined_covariance(model, a)
@@ -253,7 +248,8 @@ def build_lifted(model: GlobalModel, gains, eta0: float) -> np.ndarray:
 
 
 def solve_auxiliary(r: np.ndarray) -> np.ndarray:
-    """Auxiliary vector y with y_1 = 1, proportional to R^{-1} e_1.
+    """Auxiliary vector y with y_1 = 1 and R y vanishing on every border
+    row, so y is proportional to R^{-1} e_1 wherever R is invertible.
 
     Orthonormalizes the conjugated rows 2..M+1 of R and projects e_1 onto
     their orthogonal complement; that residual is proportional to
@@ -285,18 +281,18 @@ def solve_auxiliary(r: np.ndarray) -> np.ndarray:
     return y / y[0]
 
 
-def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel, eta0: float):
-    """Arrow form (d, g) and constant C1 with y^H R y = C1 + (a;1)^H Q (a;1).
+def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel):
+    """Arrow form (d, g) with y^H R y = sigma_n^2 ||y_tail||^2 + (a;1)^H Q (a;1).
 
     Q is the arrow matrix [[diag(d), g], [g^H, 0]]: for diagonal V the
     Hadamard product (H^H y y^H H) o V collapses to d = |g|^2 v with border
-    g = H^H y; C1 = eta0 + sigma_n^2 ||y_tail||^2.  Q itself is never formed.
+    g = H^H y.  The constant sigma_n^2 ||y_tail||^2 does not depend on a,
+    so no step needs it; Q itself is never formed.
     """
     yt = np.asarray(y_tail, dtype=complex)
     g = model.H.conj().T @ yt
     d = np.abs(g) ** 2 * model.sensor_noise_var
-    c1 = eta0 + model.noise_var * float(np.real(yt.conj() @ yt))
-    return d, g, c1
+    return d, g
 
 
 def shift_quadratic(d: np.ndarray, g: np.ndarray) -> float:
@@ -487,19 +483,18 @@ def _nondecreasing(seq) -> bool:
 
 
 def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
-    """One full cyclic minimization from a0; returns its trace.
+    """One full cyclic maximization from a0; returns its trace.
 
     Each outer cycle solves the auxiliary vector exactly first, so the
-    eta trace is anchored at eta(a0) and descends monotonically;
+    info trace is anchored at info(a0) and rises monotonically;
     the gain update then builds the arrow (d, g), shifts it and runs the
     power iterations on it once.  The shift exceeds the exact top
     eigenvalue of the inner quadratic, so a decreasing inner objective
     means lost precision and raises NoDescent.
     """
     m = model_fn(a0) if model_fn is not None else model
-    eta0 = eta0_bound(m)
     a = np.asarray(a0, dtype=complex).copy()
-    etas: list[float] = []
+    infos: list[float] = []
     inner_runs: list[tuple[float, ...]] = []
     breaks: list[int] = []
     prev = None
@@ -512,33 +507,30 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 # V and sigma^2 are the scenario's, so a new H is a new
                 # objective: start a segment
                 m = m_new
-                eta0 = eta0_bound(m)
                 prev = None
                 breaks.append(k)
-        r = build_lifted(m, a, eta0)
+        r = build_lifted(m, a)
         y = solve_auxiliary(r)
-        eta = float(np.real(y.conj() @ (r @ y)))
-        if eta <= 0:
-            raise Eta0TooSmall(f"eta = {eta} <= 0; corner constant too small")
-        # the exact solve must land on the minimum value eta0 - info(a)
-        info, _ = _information_and_weights(m, a)
-        stat_resid = max(stat_resid, abs(eta - (eta0 - info)) / abs(eta))
-        etas.append(eta)
+        info = -float(np.real(y.conj() @ (r @ y)))
+        # the exact solve must land on the minimum value -info(a)
+        direct, _ = _information_and_weights(m, a)
+        stat_resid = max(stat_resid, abs(info - direct) / max(direct, INFO_FLOOR))
+        infos.append(info)
         if prev is not None:
-            if eta > prev + DESCENT_RTOL * abs(prev):
-                raise NoDescent(f"eta rose from {prev} to {eta}")
-            if abs(prev - eta) <= config.outer_tol:
+            if info < prev - DESCENT_RTOL * abs(prev):
+                raise NoDescent(f"information fell from {prev} to {info}")
+            if abs(info - prev) <= config.outer_tol:
                 converged = True
                 break
-        prev = eta
-        d, g, _ = build_inner_quadratic(y[1:], m, eta0)
+        prev = info
+        d, g = build_inner_quadratic(y[1:], m)
         lam = shift_quadratic(d, g)
         a_new, objs = inner_power_iterations(a, lam, d, g, constraint, config.inner_iters)
         if not _nondecreasing(objs):
             raise NoDescent("inner objective decreased under the exact shift")
         inner_runs.append(tuple(objs))
         a = a_new
-    return OptimizerTrace(tuple(etas), tuple(inner_runs), GainVector(a, constraint),
+    return OptimizerTrace(tuple(infos), tuple(inner_runs), GainVector(a, constraint),
                           global_variance(m, a), wall_time_s=0.0, segment_breaks=tuple(breaks),
                           stationarity_residual=stat_resid, converged=converged)
 
@@ -604,7 +596,7 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     The variance at the returned gains never exceeds the variance at the
     deterministic starting point: the first outer cycle computes the
     auxiliary vector for a0 before any gain update, and every cycle
-    decreases eta.
+    raises the information value.
     """
     t0 = time.perf_counter()
     starts = _restart_points(model.num_sensors, constraint, config, model, model_fn)
@@ -673,13 +665,13 @@ def optimize_phase_only_uqp(model: GlobalModel,
     """Phase-only design via the unimodular quadratic program.
 
     Builds B once and iterates a <- e^{j arg(B a)}; the objective a^H B a
-    is non-decreasing because B is positive semidefinite.  The eta trace
-    is reported as eta0 - objective so traces are comparable with the
-    general path.
+    is non-decreasing because B is positive semidefinite.  For unit-modulus
+    gains a^H B a is the information value, so the objective is the info
+    trace, as on the general path.  A start whose objective ends below
+    INFO_FLOOR raises DegenerateGains.
     """
     t0 = time.perf_counter()
     b_mat = uqp_matrix(model)
-    eta0 = eta0_bound(model)
     constraint = ConstraintSpec.phase_only()
     max_iters = config.max_outer * config.inner_iters
 
@@ -694,7 +686,9 @@ def optimize_phase_only_uqp(model: GlobalModel,
             objs.append(float((a.conj() @ image).real))
             if step <= INNER_STOP:
                 break
-        return OptimizerTrace(tuple(eta0 - o for o in objs), (tuple(objs),),
+        if objs[-1] < INFO_FLOOR:
+            raise DegenerateGains("effective gains carry no information")
+        return OptimizerTrace(tuple(objs), (tuple(objs),),
                               GainVector(a, constraint), 1.0 / objs[-1], wall_time_s=0.0,
                               converged=bool(step <= INNER_STOP))
 

@@ -35,14 +35,20 @@ class NoiseConfig:
     path_loss_exp: float = 1.0
 
     def __post_init__(self):
-        lo, hi = self.d_range
-        if not (0 < lo <= hi):
-            raise InvalidConfig(f"bad distance range {self.d_range}")
-        lo, hi = self.v_range
-        if not (0 < lo <= hi):
-            raise InvalidConfig(f"bad sensor noise range {self.v_range}")
+        _check_draws(self.d_range, self.v_range, self.path_loss_exp)
         if not (self.channel_noise_var > 0) or not math.isfinite(self.channel_noise_var):
             raise InvalidConfig("channel noise variance must be finite and positive")
+
+
+def _check_draws(d_range, v_range, path_loss_exp) -> None:
+    """Raise InvalidConfig unless both ranges read 0 < low <= high < inf and
+    the path-loss exponent is finite: the rule for a NoiseConfig and for
+    the generation settings a scenario records."""
+    for what, (lo, hi) in (("distance", d_range), ("sensor noise", v_range)):
+        if not (0 < lo <= hi < math.inf):
+            raise InvalidConfig(f"bad {what} range {(lo, hi)}")
+    if not math.isfinite(path_loss_exp):
+        raise InvalidConfig(f"path-loss exponent must be finite, got {path_loss_exp!r}")
 
 
 def _check_values(sensor_noise_var, num_sensors: int, receiver_noise_var, gains, theta) -> None:
@@ -84,6 +90,7 @@ class CentralizedScenario:
     def __post_init__(self):
         _check_values(self.sensor_noise_var, self.num_sensors, self.fc_noise_var, self.channel,
                       self.theta)
+        _check_draws(self.d_range, self.v_range, self.alpha)
         if self.channel.shape != (self.num_antennas, self.num_sensors):
             raise InvalidConfig("channel shape does not match (M, N)")
         if np.any(np.all(self.channel == 0, axis=0)):
@@ -119,6 +126,7 @@ class DecentralizedScenario:
         object.__setattr__(self, "gain_by_link", np.array(gains, dtype=complex))
         _check_values(self.sensor_noise_var, self.num_sensors, self.comm_noise_var,
                       self.gain_by_link, self.theta)
+        _check_draws(self.d_range, self.v_range, self.alpha)
 
     @property
     def num_sensors(self) -> int:
@@ -290,9 +298,10 @@ def from_json_dict(doc: dict):
     an unknown kind, a missing key, a non-integer N or M, N or M that
     disagree with the data, a theta or gain that is not an [re, im] pair
     of numbers, a noise variance, alpha or range that is not a number (or
-    a list or pair of numbers), a seed that is neither an integer nor
-    null, an edge or link entry of the wrong shape, a node label that is
-    not an integer, or a link listed twice.
+    a list or pair of numbers), a non-finite alpha, a range outside
+    0 < low <= high < inf, a seed that is neither an integer nor null, an
+    edge or link entry of the wrong shape, a node label that is not an
+    integer, or a link listed twice.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _REQUIRED:

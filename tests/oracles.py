@@ -414,3 +414,44 @@ def solve_auxiliary_mgs(r):
         res -= (q.conj() @ e1) * q
     y = np.linalg.solve(r, e1) if np.linalg.norm(res) < 1e-12 * np.linalg.norm(r) else res
     return y / y[0]
+
+
+def eta0_bound(model):
+    """The paper's corner constant for the lift R: 1.1 N ||H||_F^2 / sigma_n^2,
+    above every information value (1.1 is the paper's safety margin).  With
+    it in R's corner R is positive definite and y^H R y = eta0 - info(a) at
+    the auxiliary minimizer; the library leaves the corner at 0."""
+    h = np.asarray(model.H)
+    return 1.1 * h.shape[1] * float(np.sum(np.abs(h) ** 2)) / model.noise_var
+
+
+def lift_constant(y_tail, model):
+    """C1 = sigma_n^2 ||y_tail||^2: the part of y^H R y (corner 0) that does not
+    depend on the gains, so that y^H R y = C1 + (a;1)^H Q (a;1)."""
+    y_tail = np.asarray(y_tail, dtype=complex)
+    return model.noise_var * float(np.sum(np.abs(y_tail) ** 2))
+
+
+def single_antenna_optimum(h, sensor_noise_var, noise_var, kind):
+    """Exact optimal gains and variance for one receive antenna (M = 1).
+
+    The information is |h^T a|^2 / (sum |h_i|^2 v_i |a_i|^2 + sigma^2).
+    "energy" (||a||^2 = N): sigma^2 = sigma^2 ||a||^2 / N on the sphere, so
+    the information is the Rayleigh quotient |h^T a|^2 / (a^H diag(delta) a)
+    with delta_i = |h_i|^2 v_i + sigma^2 / N, largest at a ~ conj(h) / delta
+    with value sum |h_i|^2 / delta_i.  "phase" (|a_i| = 1): the denominator
+    is fixed, and co-phasing a_i = conj(h_i) / |h_i| gives |h^T a| = sum |h_i|.
+    Returns (gains, variance)."""
+    h = np.asarray(h, dtype=complex).ravel()
+    v = np.asarray(sensor_noise_var, dtype=float)
+    n = len(h)
+    if kind == "energy":
+        delta = np.abs(h) ** 2 * v + noise_var / n
+        a = h.conj() / delta
+        a *= np.sqrt(n) / np.linalg.norm(a)
+        return a, 1.0 / float(np.sum(np.abs(h) ** 2 / delta))
+    if kind == "phase":
+        a = h.conj() / np.abs(h)
+        info = float(np.sum(np.abs(h))) ** 2 / (float(np.sum(np.abs(h) ** 2 * v)) + noise_var)
+        return a, 1.0 / info
+    raise ValueError(kind)

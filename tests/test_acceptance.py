@@ -23,7 +23,6 @@ from wsngain import (
     centralized_model,
     decentralized_model,
     derived_seed,
-    eta0_bound,
     gen_centralized_scenario,
     gen_decentralized_scenario,
     global_mle,
@@ -35,7 +34,9 @@ from wsngain import (
     received_by_sink,
     run_consensus,
     simulate_measurement,
+    solve_auxiliary,
 )
+from wsngain import gainopt
 from wsngain.harness import run_oracle_gap, run_sweep
 
 SUITE_SEED = 777
@@ -46,9 +47,13 @@ def descent_suite():
     """100 optimizer runs: N in {5,10,20,40}, M=4, default noise and config.
 
     Constraint families rotate across the suite so every projection path
-    is exercised; the same traces back both monotonicity checks.
+    is exercised; the same traces back both monotonicity checks.  Each
+    entry is (run index, trace, lifts), where lifts holds every lift the
+    run handed to the auxiliary solve, with the paper's corner constant
+    for the run's model.
     """
     runs = []
+    solve = gainopt.solve_auxiliary
     for i in range(100):
         n = (5, 10, 20, 40)[i % 4]
         spec = (
@@ -59,17 +64,21 @@ def descent_suite():
         )[(i // 4) % 4]
         scen = gen_centralized_scenario(n, 4, NoiseConfig(), seed=derived_seed(SUITE_SEED, i))
         model = centralized_model(scen)
-        _, trace = optimize(model, spec, OptimizerConfig(seed=derived_seed(SUITE_SEED, i, 1)))
-        runs.append((i, trace))
+        eta0 = oracles.eta0_bound(model)
+        lifts = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gainopt, "solve_auxiliary", lambda r: lifts.append((r, eta0)) or solve(r))
+            _, trace = optimize(model, spec, OptimizerConfig(seed=derived_seed(SUITE_SEED, i, 1)))
+        runs.append((i, trace, lifts))
     return runs
 
 
 def test_c01_outer_and_inner_monotone_descent(descent_suite):
-    for i, trace in descent_suite:
-        etas = np.array(trace.eta_per_outer)
-        drops = np.diff(etas)
-        assert np.all(drops <= 1e-9 * np.abs(etas[:-1])), (
-            f"run {i}: outer objective rose by {drops.max():.3e}")
+    for i, trace, _ in descent_suite:
+        infos = np.array(trace.info_per_outer)
+        rises = np.diff(infos)
+        assert np.all(rises >= -1e-9 * np.abs(infos[:-1])), (
+            f"run {i}: information value fell by {-rises.min():.3e}")
         for objs in trace.inner_objective:
             seq = np.array(objs)
             rises = np.diff(seq)
@@ -78,11 +87,24 @@ def test_c01_outer_and_inner_monotone_descent(descent_suite):
 
 
 def test_c02_auxiliary_solve_is_stationary(descent_suite, measure):
-    worst = max(trace.stationarity_residual for _, trace in descent_suite)
-    measure(f"stationarity: max |y^H R y - eta| / |eta| = {worst:.3e} over 100 runs")
-    for i, trace in descent_suite:
+    worst = max(trace.stationarity_residual for _, trace, _ in descent_suite)
+    measure(f"stationarity: max |-y^H R y - info| / info = {worst:.3e} over 100 runs")
+    for i, trace, _ in descent_suite:
         assert trace.stationarity_residual <= 1e-10, (
             f"run {i}: auxiliary residual {trace.stationarity_residual:.3e}")
+
+
+def test_c02_auxiliary_vector_ignores_the_lift_corner(descent_suite):
+    # the paper's corner eta0 never reaches a step: every lift of the suite
+    # gives the same bytes of y with the corner 0 and with eta0
+    count = 0
+    for i, _, lifts in descent_suite:
+        for r, eta0 in lifts:
+            paper = r.copy()
+            paper[0, 0] = eta0
+            assert solve_auxiliary(r).tobytes() == solve_auxiliary(paper).tobytes(), i
+            count += 1
+    assert count >= 100
 
 
 def test_c03_lift_identity_on_random_triples():
@@ -93,15 +115,14 @@ def test_c03_lift_identity_on_random_triples():
         scen = gen_centralized_scenario(n, m, NoiseConfig(),
                                         seed=derived_seed(SUITE_SEED, 3, trial))
         model = centralized_model(scen)
-        eta0 = eta0_bound(model)
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y_tail = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         y = np.concatenate([[1.0 + 0j], y_tail])
-        lhs = float(np.real(y.conj() @ (build_lifted(model, a, eta0) @ y)))
-        d, g, c1 = build_inner_quadratic(y_tail, model, eta0)
+        lhs = float(np.real(y.conj() @ (build_lifted(model, a) @ y)))
+        d, g = build_inner_quadratic(y_tail, model)
         q = oracles.arrow_matrix(d, g)
         z = np.concatenate([a, [1.0 + 0j]])
-        rhs = c1 + float(np.real(z.conj() @ (q @ z)))
+        rhs = oracles.lift_constant(y_tail, model) + float(np.real(z.conj() @ (q @ z)))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs), (
             f"trial {trial}: lift identity off by {abs(lhs - rhs):.3e} vs {abs(lhs):.3e}")
 

@@ -33,16 +33,17 @@ def test_optimize_default_json_shape(capsys):
     rc, out, err = run_cli(capsys, "optimize", "--n", "6", "--m", "2", "--seed", "3")
     assert rc == 0 and err == ""
     doc = json.loads(out)
-    assert set(doc) == {"gains", "constraint", "variance", "eta_trace",
+    assert set(doc) == {"gains", "constraint", "variance", "info_trace",
                         "outer_iters", "inner_iters_total", "converged", "restart_index",
                         "segment_breaks", "stationarity_residual", "wall_time_s"}
     assert doc["constraint"] == "energy"
     assert len(doc["gains"]) == 6
     gains = np.array([re + 1j * im for re, im in doc["gains"]])
     assert np.linalg.norm(gains) ** 2 == pytest.approx(6.0, rel=1e-9)
-    etas = doc["eta_trace"]
-    assert all(b <= a * (1 + 1e-9) for a, b in zip(etas, etas[1:]))
+    infos = doc["info_trace"]
+    assert all(b >= a * (1 - 1e-9) for a, b in zip(infos, infos[1:]))
     assert doc["variance"] > 0
+    assert infos[-1] == pytest.approx(1.0 / doc["variance"], rel=1e-12)
 
 
 def test_optimize_reports_convergence_and_run_details(tmp_path, capsys):
@@ -227,8 +228,9 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
             (["oracle-gap", "--n", "2"], "theta", 2.0),
             (["select"], "edge_probability", 0.5),
             (["sweep", "--n", "4"], "tol", 1e-3),
-            # the safety factors are constants, and each experiment key is read
-            # by one kind only
+            # the shift's safety factor is a constant, the paper's corner
+            # margin is no setting, and each experiment key is read by one
+            # kind only
             (["optimize", "--n", "4"], "eta0_margin", 1.2),
             (["optimize", "--n", "4"], "lambda_margin", 1.2),
             (["sweep", "--n", "4"], "sigma_grid", [5.0]),
@@ -305,6 +307,14 @@ def test_bad_constraint_string_fails_cleanly(capsys):
     'optimize --scenario decentralized:alpha:="1"',
     'optimize --scenario centralized:seed:="1"',
     "optimize --scenario decentralized:comm_noise_var:=true",
+    # generation settings outside the NoiseConfig rule: an empty or
+    # non-positive range, an infinite range end, a non-finite alpha
+    "optimize --scenario centralized:d_range:=[5,1]",
+    "optimize --scenario decentralized:v_range:=[-1,0]",
+    "optimize --scenario centralized:d_range:=[1,1e999]",
+    "optimize --scenario centralized:alpha=nan",
+    "optimize --scenario decentralized:alpha=inf",
+    "optimize --scenario decentralized:alpha=-inf",
 ])
 def test_malformed_input_reports_invalid_config(capsys, tmp_path, command):
     argv = command.split()
@@ -314,6 +324,20 @@ def test_malformed_input_reports_invalid_config(capsys, tmp_path, command):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidConfig"
+
+
+@pytest.mark.parametrize("constraint", ["energy", "phase"])
+def test_zero_information_scenario_reports_degenerate_gains(capsys, tmp_path, constraint):
+    # H = [[1, -1]] is a valid scenario, but its all-ones start carries no
+    # information, so the design fails on both the cyclic and the UQP path
+    doc = to_json_dict(gen_centralized_scenario(2, 1, seed=1))
+    doc["H"] = [[[1.0, 0.0], [-1.0, 0.0]]]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "optimize", "--scenario", str(path),
+                           "--constraint", constraint)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "DegenerateGains"
 
 
 def _edited_scenario(tmp_path, spec: str) -> str:

@@ -1,8 +1,10 @@
 """The cyclic gain optimizer: lift, auxiliary solve, shift, projections.
 
-Worked scalar values (N=M=1, h=1, sigma_v^2=sigma_n^2=1, eta0=2):
-R=[[2,1],[1,2]], y=(1,-0.5), eta=1.5, Q=[[0.25,-0.5],[-0.5,0]],
-C1=eta0+0.25, all derivable with a 2x2 inversion by hand.
+Worked scalar values (N=M=1, h=1, sigma_v^2=sigma_n^2=1, a=1, corner 0):
+R=[[0,1],[1,2]], y=(1,-0.5), y^H R y=-info=-0.5, Q=[[0.25,-0.5],[-0.5,0]],
+C1=sigma_n^2 ||y_tail||^2=0.25, all derivable with a 2x2 inversion by hand.
+The paper's corner eta0 (oracles.eta0_bound) would add eta0 to y^H R y and
+to C1 and change nothing else.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from wsngain import (
     ConstraintSpec,
+    DegenerateGains,
     GainVector,
     InvalidConfig,
     NoiseConfig,
@@ -26,7 +29,6 @@ from wsngain import (
     build_lifted,
     centralized_model,
     decentralized_model,
-    eta0_bound,
     gen_centralized_scenario,
     gen_decentralized_scenario,
     global_variance,
@@ -105,38 +107,44 @@ def test_check_rejects_non_finite_gains():
 
 
 def test_eta0_bound_worked_value():
+    # the paper's corner constant, kept as an oracle
     model = GlobalModel(H=np.eye(2, dtype=complex), sensor_noise_var=np.ones(2), noise_var=1.0)
-    assert eta0_bound(model) == pytest.approx(4.4)
+    assert oracles.eta0_bound(model) == pytest.approx(4.4)
 
 
 def test_eta0_bound_scales_quadratically():
     model = random_model(5, seed=1)
     scaled = GlobalModel(H=3.0 * model.H, sensor_noise_var=model.sensor_noise_var,
                          noise_var=model.noise_var)
-    assert eta0_bound(scaled) == pytest.approx(9.0 * eta0_bound(model))
+    assert oracles.eta0_bound(scaled) == pytest.approx(9.0 * oracles.eta0_bound(model))
 
 
 def test_build_lifted_scalar():
-    r = build_lifted(SCALAR_MODEL, np.array([1.0 + 0j]), 2.0)
-    assert np.allclose(r, [[2, 1], [1, 2]])
+    r = build_lifted(SCALAR_MODEL, np.array([1.0 + 0j]))
+    assert np.allclose(r, [[0, 1], [1, 2]])
 
 
 def test_build_lifted_zero_gains():
-    r = build_lifted(SCALAR_MODEL, np.array([0.0 + 0j]), 2.0)
+    # zero gains carry no information: y = e_1 and y^H R y = 0
+    r = build_lifted(SCALAR_MODEL, np.array([0.0 + 0j]))
     y = solve_auxiliary(r)
-    assert float(np.real(y.conj() @ (r @ y))) == pytest.approx(2.0)
+    assert np.array_equal(y, [1.0, 0.0])
+    assert float(np.real(y.conj() @ (r @ y))) == 0.0
 
 
 def test_build_lifted_hermitian():
     model = random_model(6, seed=2)
     a = ConstraintSpec.fixed_energy().random_point(6, np.random.default_rng(1))
-    r = build_lifted(model, a, eta0_bound(model))
+    r = build_lifted(model, a)
     assert np.allclose(r, r.conj().T)
+    assert r[0, 0] == 0.0
 
 
 def test_solve_auxiliary_worked_value():
-    y = solve_auxiliary(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex))
-    assert np.allclose(y, [1.0, -0.5])
+    # the same y under the corner 0 and under the paper's corner eta0 = 2
+    for corner in (0.0, 2.0):
+        y = solve_auxiliary(np.array([[corner, 1.0], [1.0, 2.0]], dtype=complex))
+        assert np.allclose(y, [1.0, -0.5])
 
 
 def test_solve_auxiliary_diagonal():
@@ -145,15 +153,16 @@ def test_solve_auxiliary_diagonal():
 
 
 def test_solve_auxiliary_residual_property():
-    # R y must vanish on all but the first coordinate: R y = eta e_1
+    # R y must vanish on all but the first coordinate: R y = -info e_1
     model = random_model(7, seed=3)
     a = ConstraintSpec.phase_only().random_point(7, np.random.default_rng(2))
-    r = build_lifted(model, a, eta0_bound(model))
+    r = build_lifted(model, a)
     y = solve_auxiliary(r)
-    eta = float(np.real(y.conj() @ (r @ y)))
+    value = float(np.real(y.conj() @ (r @ y)))
     e1 = np.zeros(r.shape[0], dtype=complex)
     e1[0] = 1.0
-    assert np.linalg.norm(r @ y - eta * e1) <= 1e-9 * np.linalg.norm(r)
+    assert np.linalg.norm(r @ y - value * e1) <= 1e-9 * np.linalg.norm(r)
+    assert -value == pytest.approx(1.0 / global_variance(model, a), rel=1e-12)
 
 
 def _direct_auxiliary(r):
@@ -184,13 +193,13 @@ def test_solve_auxiliary_matches_gram_schmidt_oracle_and_direct_solve():
         n = int(rng.integers(1, 30))
         model = random_model(n, m=size - 1, seed=size)
         a = ConstraintSpec.fixed_energy().random_point(n, rng)
-        lifts = [build_lifted(model, a, eta0_bound(model))]
+        lifts = [build_lifted(model, a)]
         if size >= 3:
             topo = random_connected_topology(size - 1, 0.3, seed=size)
             scen = gen_decentralized_scenario(topo, NoiseConfig(), seed=size)
             a = ConstraintSpec.phase_only().random_point(size - 1, rng)
             model, _ = decentralized_model(scen, a)
-            lifts.append(build_lifted(model, a, eta0_bound(model)))
+            lifts.append(build_lifted(model, a))
         for r in lifts:
             y = solve_auxiliary(r)
             assert _rel_dist(y, oracles.solve_auxiliary_mgs(r)) <= 1e-12, size
@@ -207,7 +216,7 @@ def test_solve_auxiliary_reorthogonalizes_on_a_low_noise_lift(monkeypatch):
         h = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         model = GlobalModel(H=h, sensor_noise_var=rng.uniform(0.5, 1.5, 40), noise_var=1e-4)
         a = ConstraintSpec.phase_only().random_point(40, rng)
-        lifts.append(build_lifted(model, a, eta0_bound(model)))
+        lifts.append(build_lifted(model, a))
     solves = _spy_on_direct_solves(monkeypatch)
     ys = [solve_auxiliary(r) for r in lifts]
     monkeypatch.undo()
@@ -220,7 +229,7 @@ def test_solve_auxiliary_reorthogonalizes_on_a_low_noise_lift(monkeypatch):
 def test_solve_auxiliary_skips_a_repeated_border_row():
     # rows 2 and 3 are equal, so the second leaves an exactly zero residual
     # and adds nothing to the basis (normalizing it would give NaN); the
-    # lift is singular, so R y = eta e_1 and the oracle pin the result
+    # lift is singular, so R y = (y^H R y) e_1 and the oracle pin the result
     r = np.array([[2, 1, 1, 0], [1, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 3]], dtype=complex)
     y = solve_auxiliary(r)
     assert np.all(np.isfinite(y))
@@ -243,35 +252,35 @@ def test_solve_auxiliary_falls_back_to_a_direct_solve(monkeypatch):
 
 
 def test_build_inner_quadratic_scalar():
-    d, g, c1 = build_inner_quadratic(np.array([-0.5 + 0j]), SCALAR_MODEL, 2.0)
+    y_tail = np.array([-0.5 + 0j])
+    d, g = build_inner_quadratic(y_tail, SCALAR_MODEL)
     q = oracles.arrow_matrix(d, g)
     assert np.allclose(q, [[0.25, -0.5], [-0.5, 0.0]])
-    assert c1 == pytest.approx(2.25)
-    # the lift identity at a=1 recovers eta
+    c1 = oracles.lift_constant(y_tail, SCALAR_MODEL)
+    assert c1 == pytest.approx(0.25)
+    # the lift identity at a=1 recovers -info
     z = np.array([1.0 + 0j, 1.0])
-    assert c1 + float(np.real(z.conj() @ (q @ z))) == pytest.approx(1.5)
+    assert c1 + float(np.real(z.conj() @ (q @ z))) == pytest.approx(-0.5)
 
 
 def test_build_inner_quadratic_zero_tail():
-    d, g, c1 = build_inner_quadratic(np.zeros(1, dtype=complex), SCALAR_MODEL, 2.0)
+    d, g = build_inner_quadratic(np.zeros(1, dtype=complex), SCALAR_MODEL)
     assert np.allclose(oracles.arrow_matrix(d, g), 0.0)
-    assert c1 == pytest.approx(2.0)
 
 
 def test_lift_identity_random_triples():
     rng = np.random.default_rng(4)
     for seed in range(20):
         model = random_model(5, seed=seed)
-        eta0 = eta0_bound(model)
         a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         y_tail = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        r = build_lifted(model, a, eta0)
+        r = build_lifted(model, a)
         y = np.concatenate([[1.0 + 0j], y_tail])
-        d, g, c1 = build_inner_quadratic(y_tail, model, eta0)
+        d, g = build_inner_quadratic(y_tail, model)
         q = oracles.arrow_matrix(d, g)
         z = np.concatenate([a, [1.0 + 0j]])
         lhs = float(np.real(y.conj() @ (r @ y)))
-        rhs = c1 + float(np.real(z.conj() @ (q @ z)))
+        rhs = oracles.lift_constant(y_tail, model) + float(np.real(z.conj() @ (q @ z)))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
@@ -519,9 +528,9 @@ def test_inner_objective_nondecreasing():
     for seed in range(10):
         model = random_model(5, seed=seed)
         a = ConstraintSpec.fixed_energy().random_point(5, rng)
-        r = build_lifted(model, a, eta0_bound(model))
+        r = build_lifted(model, a)
         y = solve_auxiliary(r)
-        d, g, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
+        d, g = build_inner_quadratic(y[1:], model)
         lam = shift_quadratic(d, g)
         for spec in (ConstraintSpec.fixed_energy(), ConstraintSpec.phase_only(),
                      ConstraintSpec.quantized(4), ConstraintSpec.sensor_select(3)):
@@ -538,9 +547,9 @@ def test_inner_fixed_energy_matches_sphere_oracle():
     for seed in range(6):
         model = random_model(2, m=2, seed=seed)
         anchor = ConstraintSpec.fixed_energy().random_point(2, rng)
-        r = build_lifted(model, anchor, eta0_bound(model))
+        r = build_lifted(model, anchor)
         y = solve_auxiliary(r)
-        d, g, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
+        d, g = build_inner_quadratic(y[1:], model)
         lam = shift_quadratic(d, g)
         best = -np.inf
         for start in range(4):
@@ -558,9 +567,9 @@ def test_inner_quant_two_levels_matches_exhaustive():
     for seed in range(8):
         model = random_model(2, m=2, seed=100 + seed)
         anchor = spec.random_point(2, rng)
-        r = build_lifted(model, anchor, eta0_bound(model))
+        r = build_lifted(model, anchor)
         y = solve_auxiliary(r)
-        d, g, _ = build_inner_quadratic(y[1:], model, eta0_bound(model))
+        d, g = build_inner_quadratic(y[1:], model)
         lam = shift_quadratic(d, g)
         q_tilde = shifted(lam, d, g)
         best = -np.inf
@@ -586,10 +595,9 @@ def test_inner_arrow_step_matches_dense_oracle():
     for seed in range(30):
         n = int(rng.integers(1, 13))
         model = random_model(n, m=int(rng.integers(1, 5)), seed=200 + seed)
-        eta0 = eta0_bound(model)
         anchor = ConstraintSpec.fixed_energy().random_point(n, rng)
-        y = solve_auxiliary(build_lifted(model, anchor, eta0))
-        d, g, _ = build_inner_quadratic(y[1:], model, eta0)
+        y = solve_auxiliary(build_lifted(model, anchor))
+        d, g = build_inner_quadratic(y[1:], model)
         lam = shift_quadratic(d, g)
         q_tilde = shifted(lam, d, g)
         for spec in ALL_FAMILIES:
@@ -634,6 +642,43 @@ def test_optimize_scalar_phase_invariant():
         assert trace.final_variance == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("n", [30, 100])
+def test_single_antenna_designs_reach_the_exact_optimum(n):
+    # with one receive antenna the energy optimum is a ~ conj(h) / delta and
+    # the phase optimum is co-phasing (oracles.single_antenna_optimum); the
+    # cyclic design stops within its tolerance of it, the UQP path on it
+    for seed in range(20):
+        model = centralized_model(gen_centralized_scenario(n, 1, NoiseConfig(), seed=seed))
+        for kind, design, bound in (
+                ("energy", lambda m: optimize(m, ConstraintSpec.fixed_energy()), 1e-9),
+                ("phase", lambda m: optimize(m, ConstraintSpec.phase_only()), 1e-9),
+                ("phase", optimize_phase_only_uqp, 1e-12)):
+            _, best = oracles.single_antenna_optimum(model.H, model.sensor_noise_var,
+                                                     model.noise_var, kind)
+            _, trace = design(model)
+            gap = trace.final_variance / best - 1.0
+            assert trace.converged and -1e-12 <= gap <= bound, (seed, kind, gap)
+
+
+def zero_information_model():
+    """H = [[1, -1]]: the all-ones start (and every start of equal entries)
+    carries no information."""
+    return centralized_model(CentralizedScenario(
+        num_sensors=2, num_antennas=1, channel=np.array([[1.0 + 0j, -1.0]]),
+        sensor_noise_var=np.ones(2), fc_noise_var=1.0, theta=1 + 0j))
+
+
+@pytest.mark.parametrize("design", [
+    lambda m: optimize(m, ConstraintSpec.fixed_energy()),
+    lambda m: optimize(m, ConstraintSpec.phase_only()),
+    lambda m: optimize_phase_only_uqp(m),
+    lambda m: optimize(m, ConstraintSpec.quantized(4), OptimizerConfig(restarts=3)),
+], ids=["energy", "phase", "uqp", "quant-restarts"])
+def test_zero_information_start_raises_degenerate_gains(design):
+    with pytest.raises(DegenerateGains):
+        design(zero_information_model())
+
+
 def test_optimize_beats_all_ones_start():
     for seed in range(5):
         model = random_model(5, seed=seed)
@@ -642,14 +687,14 @@ def test_optimize_beats_all_ones_start():
         assert trace.final_variance <= v_ones * (1 + 1e-9)
 
 
-def test_optimize_eta_trace_monotone():
+def test_optimize_info_trace_monotone():
     model = random_model(8, seed=3)
     for spec in (ConstraintSpec.fixed_energy(), ConstraintSpec.quantized(8),
                  ConstraintSpec.sensor_select(4)):
         _, trace = optimize(model, spec, OptimizerConfig(seed=1))
-        etas = np.array(trace.eta_per_outer)
-        assert np.all(np.diff(etas) <= 1e-9 * np.abs(etas[:-1]))
-        assert np.all(etas > 0)
+        infos = np.array(trace.info_per_outer)
+        assert np.all(np.diff(infos) >= -1e-9 * np.abs(infos[:-1]))
+        assert np.all(infos > 0)
         assert trace.stationarity_residual <= 1e-10
         for objs in trace.inner_objective:
             diffs = np.diff(objs)
@@ -662,7 +707,7 @@ def test_optimize_deterministic():
     g1, t1 = optimize(model, ConstraintSpec.fixed_energy(), cfg)
     g2, t2 = optimize(model, ConstraintSpec.fixed_energy(), cfg)
     assert np.array_equal(g1.values, g2.values)
-    assert t1.eta_per_outer == t2.eta_per_outer
+    assert t1.info_per_outer == t2.info_per_outer
     assert t1.restart_index == t2.restart_index
 
 
@@ -738,13 +783,12 @@ def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget):
             for a0 in starts]
     best = min(range(restarts), key=lambda idx: (1.0 / runs[idx][1][-1], idx))
     a, objs, converged = runs[best]
-    eta0 = eta0_bound(model)
     assert trace.restart_index == best
     assert gains.values.tobytes() == a.tobytes()
     # the phase-only path has no outer cycles: its whole ascent is one inner run
     assert trace.inner_objective == (tuple(objs),)
     assert trace.inner_iters_total == len(objs)
-    assert trace.eta_per_outer == tuple(eta0 - o for o in objs)
+    assert trace.info_per_outer == tuple(objs)
     assert trace.final_variance == 1.0 / objs[-1]
     assert trace.converged is converged
 
@@ -787,8 +831,8 @@ def test_optimize_decentralized_frozen_plan_single_segment():
     _, trace, _ = optimize_decentralized(scen, ConstraintSpec.fixed_energy(),
                                          OptimizerConfig(seed=2), refresh_plan=False)
     assert trace.segment_breaks == ()
-    etas = np.array(trace.eta_per_outer)
-    assert np.all(np.diff(etas) <= 1e-9 * np.abs(etas[:-1]))
+    infos = np.array(trace.info_per_outer)
+    assert np.all(np.diff(infos) >= -1e-9 * np.abs(infos[:-1]))
 
 
 @pytest.mark.parametrize("text", ["energy", "select:10"])
@@ -823,8 +867,8 @@ def test_optimize_decentralized_segments_descend_piecewise():
     scen = gen_decentralized_scenario(topo, NoiseConfig(), 1 + 0j, seed=12)
     _, trace, _ = optimize_decentralized(scen, ConstraintSpec.fixed_energy(),
                                          OptimizerConfig(seed=3))
-    bounds = [0, *trace.segment_breaks, len(trace.eta_per_outer)]
+    bounds = [0, *trace.segment_breaks, len(trace.info_per_outer)]
     for lo, hi in zip(bounds, bounds[1:]):
-        seg = np.array(trace.eta_per_outer[lo:hi])
+        seg = np.array(trace.info_per_outer[lo:hi])
         if len(seg) > 1:
-            assert np.all(np.diff(seg) <= 1e-9 * np.abs(seg[:-1]))
+            assert np.all(np.diff(seg) >= -1e-9 * np.abs(seg[:-1]))

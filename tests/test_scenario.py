@@ -127,6 +127,10 @@ def test_invalid_noise_config():
         NoiseConfig(v_range=(0.0, 1.0))
     with pytest.raises(InvalidConfig):
         NoiseConfig(channel_noise_var=0.0)
+    for bad in (dict(d_range=(1.0, np.inf)), dict(v_range=(np.nan, 1.0)),
+                dict(path_loss_exp=np.nan), dict(path_loss_exp=np.inf)):
+        with pytest.raises(InvalidConfig):
+            NoiseConfig(**bad)
 
 
 def test_centralized_roundtrip_bit_exact(tmp_path):
