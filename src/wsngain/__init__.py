@@ -5,9 +5,10 @@ parameter observed through analog relays: a fusion center with multiple
 receive antennas, and a fully decentralized network where sensors exchange
 compressed observations with neighbors and agree on the estimate by
 consensus.  Transmission gains are designed by a cyclic optimizer that
-alternates an exact auxiliary solve with projected power-method steps on a
-shifted quadratic, under fixed-energy, phase-only, quantized-phase, or
-sensor-selection constraints.
+alternates an exact auxiliary solve with a gain update on a shifted
+quadratic, under fixed-energy, phase-only, quantized-phase, or
+sensor-selection constraints: one exact trust-region step for fixed
+energy, projected power-method steps for the others.
 """
 
 from .diffusion import (

@@ -52,7 +52,7 @@ def _config(args, *groups):
     unread = sorted(set(doc).difference(*groups))
     if unread:
         raise InvalidConfig(f"{args.command} does not read config keys: {', '.join(unread)}")
-    doc = {k: tuple(v) if k in ("d_range", "v_range", "n_values", "sigma_grid") else v
+    doc = {k: tuple(v) if k in ("n_values", "sigma_grid") else v
            for k, v in doc.items()}
     return tuple({k: v for k, v in doc.items() if k in keys} for keys in groups)
 
@@ -95,7 +95,7 @@ def _scenario(args, noise_kw: dict):
     """Load ``--scenario``, or generate an ``args.kind`` scenario from the flags."""
     if args.scenario:
         return load_scenario(args.scenario)
-    noise = NoiseConfig(**noise_kw)
+    noise = NoiseConfig.from_json_dict(noise_kw)
     try:
         theta = complex(args.theta)
     except ValueError:
@@ -153,7 +153,7 @@ def _cmd_experiment(kind: str, exp_keys: set, defaults: dict, args) -> int:
     opt_kw, noise_kw, exp_kw = _config(args, _OPT_KEYS, _NOISE_KEYS, exp_keys)
     fields: dict = {"kind": kind, "seed": args.seed, **defaults, **exp_kw}
     fields["optimizer"] = OptimizerConfig(seed=args.seed, **{**defaults.get("optimizer", {}), **opt_kw})
-    fields["noise"] = NoiseConfig(**noise_kw)
+    fields["noise"] = NoiseConfig.from_json_dict(noise_kw)
     if args.n:
         fields["n_values"] = _number_list(args.n, int)
     if getattr(args, "sigma_grid", None):

@@ -3,18 +3,21 @@
 The estimation variance is 1 / info(a), info(a) = (Ha)^H R_w^{-1} (Ha).
 In the lift R = [[0, (Ha)^H], [Ha, R_w]], the least y^H R y over y with
 y_1 = 1 is -info(a), at y = [1; -R_w^{-1} H a].  Alternating that exact
-auxiliary solve with power-method-like iterations on a shifted quadratic
-drives info(a) monotonically up under any of four practical constraint
-families.  (No step reads R's corner, so the paper's large constant there
-is left out and each cycle reports info(a) itself.)  The auxiliary solve
-is block classical Gram-Schmidt run twice ("CGS2"; Giraud, Langou &
-Rozloznik, Comput. Math. Appl. 2005), as accurate as the modified form at
-two matrix-vector products per row.
+auxiliary solve with a gain update on a shifted quadratic drives info(a)
+monotonically up under any of four practical constraint families.  Under
+fixed energy the update is one exact step, the global solution of a
+diagonal trust-region subproblem; the other families take
+power-method-like iterations.  (No step reads R's corner, so the paper's
+large constant there is left out and each cycle reports info(a) itself.)
+The auxiliary solve is block classical Gram-Schmidt run twice ("CGS2";
+Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005), as accurate as the
+modified form at two matrix-vector products per row.
 The inner quadratic is an arrow matrix (a diagonal plus one border row and
 column); it is held as the two length-N vectors (d, g) and never formed,
-so the shift and each inner step cost O(N) plus the projection.  A
-simplified unimodular-quadratic path handles the phase-only case with a
-constant matrix.
+so the shift, the exact step and each power step cost O(N) plus the
+projection; the shift and the exact step share one safeguarded secular
+root finder.  A simplified unimodular-quadratic path handles the
+phase-only case with a constant matrix.
 """
 
 from __future__ import annotations
@@ -179,8 +182,10 @@ class ConstraintSpec:
 class OptimizerConfig:
     """Knobs of the cyclic optimizer.
 
-    inner_iters caps the power-method-like iterations per outer cycle;
-    outer iterations stop once |info_k - info_{k+1}| <= outer_tol; restarts
+    inner_iters caps the power-method-like iterations per outer cycle of
+    the phase, quant and select families (the energy family takes one
+    exact step and does not read it); outer iterations stop once
+    |info_k - info_{k+1}| <= outer_tol; restarts
     counts the starts and seed draws the random ones.  The shift's safety
     factor is the module constant LAMBDA_MARGIN.
     """
@@ -206,8 +211,10 @@ class OptimizerTrace:
     at the start of each outer cycle (for the phase-only UQP path, the
     objective a^H B a after each ascent step, which is the same value).
     ``inner_objective`` holds one tuple per outer cycle: the inner
-    objective at the cycle's start and after every accepted step (the
-    phase-only UQP path records its whole ascent as one run).
+    objective at the cycle's start and after every accepted step, so an
+    energy tuple has two entries (one where the gains stay) and the other
+    families' hold up to inner_iters + 1 (the phase-only UQP path records
+    its whole ascent as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
     on info; INNER_STOP on the step for the phase-only UQP path) and False
     when it used up its iteration budget.
@@ -295,6 +302,33 @@ def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel):
     return d, g
 
 
+def _secular_root(step, lo, hi, x):
+    """Root of an increasing function f on [lo, hi], searched from x by
+    model steps; step(x) returns (f(x) >= 0, the model's next point).
+
+    The model must approach the root from above, so that a short step from
+    a point with f >= 0 certifies that point.  Safeguard: every evaluated
+    point updates the bracket (upper end where f >= 0, lower end
+    otherwise), a step is at least a few ulps above the lower end, and a
+    step that lands at or above the upper end is replaced by bisection, so
+    every later point lies strictly inside the bracket.  The search stops
+    once the bracket, or a step from a point with f >= 0, is within a few
+    ulps of the upper end, and returns that end.
+    """
+    while lo < hi:
+        above, nxt = step(x)
+        if above:
+            hi = x
+        else:
+            lo = x
+        tol = 2.0 * _EPS * abs(hi)
+        if hi - lo <= tol or (above and x - nxt <= tol):
+            break
+        nxt = max(nxt, lo + tol)
+        x = nxt if nxt < hi else 0.5 * (lo + hi)
+    return hi
+
+
 def shift_quadratic(d: np.ndarray, g: np.ndarray) -> float:
     """Shift lambda > lambda_max(Q) making lambda I - Q positive definite.
 
@@ -314,15 +348,11 @@ def shift_quadratic(d: np.ndarray, g: np.ndarray) -> float:
     steps descend onto lambda_max with quadratic convergence, in about six
     O(N) evaluations.
 
-    Safeguard: every evaluated point updates the bracket (upper end where
-    f >= 0, lower end otherwise), a step is at least a few ulps above the
-    lower end, and a step that lands at or above the upper end is replaced
-    by bisection.  Every point evaluated lies strictly above max d, so no
-    pole is hit.  The search stops once the bracket, or a step from a
-    point with f >= 0, is within a few ulps; lambda is LAMBDA_MARGIN times
-    that certified upper end (nudged up an ulp where dividing by the margin
-    would round below it), so lambda > lambda_max still holds.  Q = 0 (zero
-    gains) gets a small floor instead.
+    The steps run inside the safeguarded bracket of _secular_root, so every
+    point evaluated lies strictly above max d and no pole is hit.  lambda
+    is LAMBDA_MARGIN times the certified upper end it returns (nudged up an
+    ulp where dividing by the margin would round below it), so lambda >
+    lambda_max still holds.  Q = 0 (zero gains) gets a small floor instead.
     """
     g2 = np.abs(g) ** 2
     d_max = float(d.max())
@@ -330,29 +360,22 @@ def shift_quadratic(d: np.ndarray, g: np.ndarray) -> float:
     lo, hi = max(d_max, g_norm), d_max + g_norm
     if hi == 0.0:
         return LAMBDA_FLOOR
-    lam = hi
-    while lo < hi:  # lo == hi for g = 0 (lambda_max = max d) or d = 0 (lambda_max = ||g||)
+
+    def step(lam):
         t = lam - d_max
         gap = lam - d
         q = g2 / gap
         total = float(q.sum())
         slope = float((q / gap).sum())
-        f = lam - total
-        if f >= 0.0:
-            hi = lam
-        else:
-            lo = lam
-        tol = 2.0 * _EPS * hi
         # the model t' + max d - slope t^2 / t' - (total - slope t) = 0 as a
         # quadratic in t' = lambda' - max d, solved without cancellation
         b = d_max - total + slope * t
         s = slope * t * t
         root = math.hypot(b, 2.0 * math.sqrt(s))
-        nxt = d_max + (2.0 * s / (b + root) if b > 0.0 else 0.5 * (root - b))
-        if hi - lo <= tol or (f >= 0.0 and lam - nxt <= tol):
-            break
-        nxt = max(nxt, lo + tol)
-        lam = nxt if nxt < hi else 0.5 * (lo + hi)
+        return lam >= total, d_max + (2.0 * s / (b + root) if b > 0.0 else 0.5 * (root - b))
+
+    # lo == hi for g = 0 (lambda_max = max d) or d = 0 (lambda_max = ||g||)
+    hi = _secular_root(step, lo, hi, hi)
     out = LAMBDA_MARGIN * hi
     while out / LAMBDA_MARGIN < hi:  # keep lambda / margin at or above the certified end
         out = math.nextafter(out, math.inf)
@@ -449,22 +472,80 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     return scaled
 
 
+def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
+    """Global minimizer of sum d |a|^2 + 2 Re(g^H a) over ||a||^2 = n, or
+    None when every feasible point is one (g = 0 and d constant).
+
+    A trust-region subproblem with a diagonal matrix (More & Sorensen,
+    SIAM J. Sci. Stat. Comput. 1983; Gander, Golub & von Matt, LAA 1989):
+    a = -g / (e + s) with e = d - min d and s > 0 the root of
+    psi(s) = 1 / ||g / (e + s)|| - 1 / sqrt(n), bracketed by
+    [max(0, max_i(|g_i| / sqrt(n) - e_i)), ||g|| / sqrt(n)].  psi is
+    concave and rising, so Newton steps on it approach the root from below
+    and never pass it: _secular_root runs them on u = -s, where they come
+    from above.
+    Hard case: g = 0 wherever e = 0 and ||g / e|| <= sqrt(n) over the rest;
+    then s = 0 and the remaining norm goes, real and positive, to the
+    lowest index with e = 0.  No point evaluated divides by zero.
+    """
+    e = d - d.min()
+    zero = e == 0.0
+    root_n = math.sqrt(n)
+    if not g[zero].any():
+        if zero.all():  # then g = 0 too
+            return None
+        a = -g / np.where(zero, 1.0, e)
+        rest = n - np.vdot(a, a).real
+        if rest >= 0.0:
+            a[np.argmax(zero)] = math.sqrt(rest)
+            return a
+
+    g2 = np.abs(g) ** 2
+
+    def newton(u):
+        inv = 1.0 / (e - u)
+        q = g2 * inv * inv
+        s2 = float(q.sum())  # ||a||^2
+        nrm = math.sqrt(s2)
+        slope = float(q.dot(inv))  # -d(s2)/ds / 2
+        # -(s - psi / psi') with psi' = slope / s2^(3/2)
+        return nrm >= root_n, u + s2 * (1.0 - nrm / root_n) / slope
+
+    lo = max(0.0, float((np.sqrt(g2) / root_n - e).max()))
+    hi = math.sqrt(g2.sum()) / root_n
+    return -g / (e - _secular_root(newton, -hi, -lo, -hi))
+
+
 def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndarray,
                            constraint: ConstraintSpec, max_iters: int):
-    """Power-method-like ascent a <- project((lambda - d) o a - g).
+    """The gain step of one outer cycle on the shifted arrow Q~ = lambda I - Q.
 
-    The image is (I_N 0) Q~ (a;1) for the shifted arrow Q~ = lambda I - Q,
-    so each step costs O(N) plus the projection.  Returns (a, objectives)
-    where objectives holds (a;1)^H Q~ (a;1) = lambda + sum (lambda - d)|a|^2
-    - 2 Re(g^H a) at the start and after every accepted step; the sequence
-    is non-decreasing whenever Q~ is positive semidefinite.  Stops early
-    once a step moves a by at most INNER_STOP.
+    Returns (a, objectives) where objectives holds (a;1)^H Q~ (a;1) =
+    lambda + sum (lambda - d)|a|^2 - 2 Re(g^H a) at the start and after
+    every accepted step.
+
+    energy: one exact step.  On ||a||^2 = N the objective is lambda (1 + N)
+    minus sum d |a|^2 + 2 Re(g^H a), so its global maximizer is the
+    trust-region solution of _sphere_minimizer, and max_iters is not read.
+    Where every feasible point is optimal, a stays and one value is listed.
+
+    phase, quant, select: up to max_iters power-method-like steps
+    a <- project((lambda - d) o a - g).  The image is (I_N 0) Q~ (a;1), so
+    each step costs O(N) plus the projection; the sequence is
+    non-decreasing whenever Q~ is positive semidefinite.  Stops early once
+    a step moves a by at most INNER_STOP.
     """
     w = lam - d
     a = np.asarray(a0, dtype=complex).copy()
     image = w * a - g
     # a^H image - g^H a = sum w |a|^2 - 2 Re(g^H a) in real part
     objs = [lam + float(np.real(np.vdot(a, image) - np.vdot(g, a)))]
+    if constraint.kind == "energy":
+        best = _sphere_minimizer(d, g, len(a))
+        if best is not None:
+            a = best
+            objs.append(lam + float(np.real(np.vdot(a, w * a - g) - np.vdot(g, a))))
+        return a, objs
     for _ in range(max_iters):
         a_new = project(image, constraint)
         if np.linalg.norm(a_new - a) <= INNER_STOP:

@@ -39,6 +39,20 @@ class NoiseConfig:
         if not (self.channel_noise_var > 0) or not math.isfinite(self.channel_noise_var):
             raise InvalidConfig("channel noise variance must be finite and positive")
 
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "NoiseConfig":
+        """The settings of a JSON object; an absent key keeps its default.
+
+        A range that is not a [low, high] pair of numbers, or a variance or
+        exponent that is not a number, raises InvalidConfig, as in the
+        scenario schema.
+        """
+        base = cls()
+        return cls(d_range=_range(doc, "d_range", base.d_range),
+                   v_range=_range(doc, "v_range", base.v_range),
+                   channel_noise_var=_number(doc, "channel_noise_var", base.channel_noise_var),
+                   path_loss_exp=_number(doc, "path_loss_exp", base.path_loss_exp))
+
 
 def _check_draws(d_range, v_range, path_loss_exp) -> None:
     """Raise InvalidConfig unless both ranges read 0 < low <= high < inf and

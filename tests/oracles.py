@@ -80,6 +80,39 @@ def shift_bisection(d, g, margin=1.05):
     return margin * hi
 
 
+def sphere_minimizer_bisection(d, g, n):
+    """Global minimizer of sum d_i |a_i|^2 + 2 Re(g^H a) over ||a||^2 = n.
+
+    a = -g / (d - mu) with mu < min d the root of sum |g_i|^2 / (d_i - mu)^2
+    = n, by plain bisection of mu on [min d - ||g|| / sqrt(n), min d],
+    halving to adjacent floats; the lower end, where the norm is at most
+    sqrt(n), is kept.  Hard case: g = 0 wherever d = min d and the other
+    entries reach at most norm sqrt(n) at mu = min d; then mu = min d and
+    the remaining norm goes, real and positive, to the first index with
+    d = min d."""
+    d = np.asarray(d, dtype=float)
+    g = np.asarray(g, dtype=complex)
+    d_min = float(d.min())
+    at_min = d == d_min
+    if not np.any(g[at_min]):
+        a = np.zeros(len(d), dtype=complex)
+        a[~at_min] = -g[~at_min] / (d[~at_min] - d_min)
+        rest = n - float(np.sum(np.abs(a) ** 2))
+        if rest >= 0.0:
+            a[np.flatnonzero(at_min)[0]] = np.sqrt(rest)
+            return a
+    lo, hi = d_min - np.linalg.norm(g) / np.sqrt(n), d_min
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.sum(np.abs(g) ** 2 / (d - mid) ** 2) <= n:
+            lo = mid
+        else:
+            hi = mid
+    return -g / (d - lo)
+
+
 def inner_power_iterations_dense(a0, q_tilde, project, max_iters, stop_tol=1e-10):
     """Power-method-like ascent a <- project((I_N 0) Q~ (a;1)) with the
     lifted point and the dense matvec written out; ``project`` maps an image

@@ -245,6 +245,19 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
         assert key in payload["message"]
 
 
+@pytest.mark.parametrize("noise", [{"d_range": [1, 2, 3]}, {"d_range": ["a", 2]},
+                                   {"channel_noise_var": "1"}, {"path_loss_exp": "x"}])
+@pytest.mark.parametrize("command", ["gen-scenario", "optimize"])
+def test_noise_config_of_wrong_shape_or_type_fails_cleanly(tmp_path, capsys, command, noise):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(noise))
+    rc, out, err = run_cli(capsys, command, "--n", "4", "--config", str(cfg))
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidConfig"
+    assert next(iter(noise)) in payload["message"]
+
+
 def test_bad_constraint_string_fails_cleanly(capsys):
     for text in ("power:2", "quant:x", "select:2.5", "quant:"):
         rc, _, err = run_cli(capsys, "optimize", "--n", "4", "--constraint", text)

@@ -45,7 +45,7 @@ from wsngain import (
     uqp_step,
 )
 from wsngain.diffusion import GlobalModel
-from wsngain.gainopt import LAMBDA_MARGIN, _quantize_phases, _restart_points
+from wsngain.gainopt import LAMBDA_FLOOR, LAMBDA_MARGIN, _quantize_phases, _restart_points
 from wsngain.scenario import CentralizedScenario
 
 SCALAR_MODEL = GlobalModel(
@@ -583,14 +583,15 @@ def test_inner_quant_two_levels_matches_exhaustive():
         assert reached == pytest.approx(best, rel=1e-12)
 
 
-ALL_FAMILIES = (ConstraintSpec.fixed_energy(), ConstraintSpec.phase_only(),
-                ConstraintSpec.quantized(4), ConstraintSpec.sensor_select(3),
-                ConstraintSpec.sensor_select(3, "phase"))
+POWER_STEP_FAMILIES = (ConstraintSpec.phase_only(), ConstraintSpec.quantized(4),
+                       ConstraintSpec.sensor_select(3), ConstraintSpec.sensor_select(3, "phase"))
 
 
 def test_inner_arrow_step_matches_dense_oracle():
     # the O(N) arrow step against the lifted dense matvec, from the auxiliary
-    # vector of a random anchor: same steps, same gains, same objectives
+    # vector of a random anchor: same steps, same gains, same objectives (the
+    # energy family takes one exact step instead, checked against the sphere
+    # oracle below)
     rng = np.random.default_rng(10)
     for seed in range(30):
         n = int(rng.integers(1, 13))
@@ -600,7 +601,7 @@ def test_inner_arrow_step_matches_dense_oracle():
         d, g = build_inner_quadratic(y[1:], model)
         lam = shift_quadratic(d, g)
         q_tilde = shifted(lam, d, g)
-        for spec in ALL_FAMILIES:
+        for spec in POWER_STEP_FAMILIES:
             a0 = spec.random_point(n, rng)
             for max_iters in (3, 60):
                 a, objs = inner_power_iterations(a0, lam, d, g, spec, max_iters)
@@ -609,6 +610,65 @@ def test_inner_arrow_step_matches_dense_oracle():
                 assert len(objs) == len(objs_ref)
                 assert np.max(np.abs(a - a_ref)) <= 1e-12
                 assert np.allclose(objs, objs_ref, rtol=1e-12, atol=0.0)
+
+
+def _shifted_objective(lam, d, g, a):
+    return lam + float(np.real(np.vdot(a, (lam - d) * a - g) - np.vdot(g, a)))
+
+
+def test_inner_energy_step_matches_sphere_bisection_oracle():
+    # one exact step lands on the global maximum of the shifted objective on
+    # the sphere: arrows from the auxiliary vector of random anchors, plain
+    # draws, exact zeros at the smallest diagonal (the hard case when the
+    # rest falls short of the sphere) and near-zeros there, over many scales;
+    # no warning may fire
+    rng = np.random.default_rng(12)
+    energy = ConstraintSpec.fixed_energy()
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        if trial % 4 == 0:
+            model = random_model(n, m=int(rng.integers(1, 5)), seed=300 + trial)
+            y = solve_auxiliary(build_lifted(model, energy.random_point(n, rng)))
+            d, g = build_inner_quadratic(y[1:], model)
+        else:
+            d, g = random_arrow(rng, n)
+            d = np.abs(g) ** 2 * rng.uniform(0.5, 1.5, n) if trial % 2 else d
+            weak = rng.choice(n, n // 2, replace=False)
+            if trial % 4 == 2:  # lifting the rest of d by about ||g|| / sqrt(n) makes it hard
+                g[weak], d[weak] = 0.0, 0.0
+                d[d > 0] += rng.uniform(0.0, 2.0) * np.linalg.norm(g) / np.sqrt(n)
+            elif trial % 4 == 3:
+                g[weak] *= 10.0 ** rng.uniform(-15, -3)
+                d[weak] = np.abs(g[weak]) ** 2
+        scale = 10.0 ** rng.uniform(-100, 100)
+        d, g = scale * d, scale * g
+        lam = shift_quadratic(d, g)
+        a0 = energy.random_point(n, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, objs = inner_power_iterations(a0, lam, d, g, energy, 1)
+        energy.check(a)
+        want = _shifted_objective(lam, d, g, oracles.sphere_minimizer_bisection(d, g, n))
+        assert len(objs) == 2 and objs[0] == _shifted_objective(lam, d, g, a0)
+        assert abs(objs[1] - want) <= 1e-12 * want, trial
+
+
+def test_inner_energy_step_hard_case_and_zero_border_by_hand():
+    energy = ConstraintSpec.fixed_energy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # g = 0 at the smallest d, and -g / (d - min d) = (0, -1, -1/2) falls
+        # short of the sphere: the remaining norm 3 - 5/4 goes to entry 0
+        d, g = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0], dtype=complex)
+        a, objs = inner_power_iterations(np.ones(3, dtype=complex), shift_quadratic(d, g),
+                                         d, g, energy, 50)
+        np.testing.assert_allclose(a, [np.sqrt(1.75), -1.0, -0.5], rtol=1e-15)
+        assert a[0].imag == 0.0 and len(objs) == 2 and objs[1] > objs[0]
+        # g = 0 (so d = 0 on the optimizer's path): every point is optimal and a stays
+        a0 = energy.random_point(4, np.random.default_rng(13))
+        a, objs = inner_power_iterations(a0, LAMBDA_FLOOR, np.zeros(4), np.zeros(4, dtype=complex),
+                                         energy, 50)
+        assert np.array_equal(a, a0) and len(objs) == 1
 
 
 # ------------------------------------------------------------------ optimizer
@@ -733,6 +793,31 @@ def test_refine_never_hurts_warm_start():
     v0 = global_variance(model, a0)
     _, trace = refine(model, a0, ConstraintSpec.fixed_energy())
     assert trace.final_variance <= v0 * (1 + 1e-9)
+
+
+def test_energy_design_converges_where_power_steps_ran_out():
+    # with 50 power steps per cycle this design used all 200 cycles and
+    # stopped at variance 0.0061268; the exact step converges below it
+    model = centralized_model(gen_centralized_scenario(200, 4, seed=1))
+    _, trace = optimize(model, ConstraintSpec.fixed_energy())
+    assert trace.converged and trace.outer_iters < OptimizerConfig().max_outer
+    assert trace.final_variance < 0.0061268
+
+
+def test_energy_refine_of_a_selection_design_never_hurts():
+    # on a frozen decentralized model, the zero gains of a select:K design
+    # leave g_k = 0 where d_k = min d = 0 (the hard case whenever the rest
+    # falls short of the sphere); refining under energy keeps or lowers the
+    # variance, and no warning fires
+    energy = ConstraintSpec.fixed_energy()
+    for seed, k in itertools.product(range(3), (1, 3, 6)):
+        scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed=seed), seed=seed)
+        model, _ = decentralized_model(scen, energy.initial_point(30))
+        start, _ = optimize(model, ConstraintSpec.sensor_select(k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = refine(model, start.values, energy)
+        assert trace.final_variance <= global_variance(model, start) * (1 + 1e-12), (seed, k)
 
 
 # ------------------------------------------------------------------ UQP path
