@@ -8,7 +8,8 @@ consensus.  Transmission gains are designed by a cyclic optimizer that
 alternates an exact auxiliary solve with a gain update on a shifted
 quadratic, under fixed-energy, phase-only, quantized-phase, or
 sensor-selection constraints: one exact trust-region step for fixed
-energy, projected power-method steps for the others.
+energy and for energy-mode selection, projected power-method steps for
+the others.
 """
 
 from .diffusion import (

@@ -6,9 +6,12 @@ y_1 = 1 is -info(a), at y = [1; -R_w^{-1} H a].  Alternating that exact
 auxiliary solve with a gain update on a shifted quadratic drives info(a)
 monotonically up under any of four practical constraint families.  Under
 fixed energy the update is one exact step, the global solution of a
-diagonal trust-region subproblem; the other families take
-power-method-like iterations.  (No step reads R's corner, so the paper's
-large constant there is left out and each cycle reports info(a) itself.)
+diagonal trust-region subproblem; under K-of-N selection in energy mode it
+is one exact step too, that solution on the better of two supports (the
+current one and the K largest entries of the full solution).  phase,
+quant and select:K:phase take power-method-like iterations.  (No step
+reads R's corner, so the paper's large constant there is left out and
+each cycle reports info(a) itself.)
 The auxiliary solve is block classical Gram-Schmidt run twice ("CGS2";
 Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005), as accurate as the
 modified form at two matrix-vector products per row.
@@ -183,9 +186,9 @@ class OptimizerConfig:
     """Knobs of the cyclic optimizer.
 
     inner_iters caps the power-method-like iterations per outer cycle of
-    the phase, quant and select families (the energy family takes one
-    exact step and does not read it); outer iterations stop once
-    |info_k - info_{k+1}| <= outer_tol; restarts
+    the phase, quant and select:K:phase families (energy and select:K
+    energy take one exact step and do not read it); outer iterations stop
+    once |info_k - info_{k+1}| <= outer_tol; restarts
     counts the starts and seed draws the random ones.  The shift's safety
     factor is the module constant LAMBDA_MARGIN.
     """
@@ -212,9 +215,9 @@ class OptimizerTrace:
     objective a^H B a after each ascent step, which is the same value).
     ``inner_objective`` holds one tuple per outer cycle: the inner
     objective at the cycle's start and after every accepted step, so an
-    energy tuple has two entries (one where the gains stay) and the other
-    families' hold up to inner_iters + 1 (the phase-only UQP path records
-    its whole ascent as one run).
+    energy or select:K energy tuple has two entries (one where the gains
+    stay) and the other families' hold up to inner_iters + 1 (the
+    phase-only UQP path records its whole ascent as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
     on info; INNER_STOP on the step for the phase-only UQP path) and False
     when it used up its iteration budget.
@@ -272,14 +275,16 @@ def solve_auxiliary(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=complex)
     m1 = r.shape[0]
     q = np.zeros((m1 - 1, m1), dtype=complex)  # the orthonormal basis, one row per vector
+    qc = np.zeros_like(q)  # its conjugate, filled once per row instead of copied per pass
     n = 0
     for i in range(1, m1):
         u = r[i].conj()
         for _ in range(2):
-            u -= (q[:n].conj() @ u) @ q[:n]
+            u -= (qc[:n] @ u) @ q[:n]
         nrm = math.sqrt(np.vdot(u, u).real)  # np.linalg.norm(u) without its dispatch
         if nrm > 0:
             q[n] = u / nrm
+            qc[n] = q[n].conj()
             n += 1
     e1 = np.zeros(m1, dtype=complex)
     e1[0] = 1.0
@@ -516,6 +521,39 @@ def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
     return -g / (e - _secular_root(newton, -hi, -lo, -hi))
 
 
+def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: ConstraintSpec):
+    """Exact select:K energy step from a: _sphere_minimizer on each of two
+    supports, zero elsewhere; returns the one with the lower
+    f(x) = sum d |x|^2 + 2 Re(g^H x), or None when that is a itself.
+
+    The supports are a's own and the K largest entries of the full-sphere
+    minimizer (the nonzeros of its projection, so project's tie rule
+    holds); the second is skipped when it repeats the first or when every
+    point of the sphere is optimal.  A support on which every point is
+    optimal keeps the point it came from, and a's support wins ties.
+    """
+    n = len(a)
+    starts = [a]
+    full = _sphere_minimizer(d, g, n)
+    if full is not None:
+        top = project(full, constraint)
+        if not np.array_equal(top != 0, a != 0):
+            starts.append(top)
+    best, best_f = None, math.inf
+    for start in starts:
+        support = start != 0
+        part = _sphere_minimizer(d[support], g[support], n)
+        if part is None:
+            x = start
+        else:
+            x = np.zeros(n, dtype=complex)
+            x[support] = part
+        f = float(np.real(np.vdot(x, d * x) + 2.0 * np.vdot(g, x)))
+        if f < best_f:
+            best, best_f = x, f
+    return None if best is a else best
+
+
 def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndarray,
                            constraint: ConstraintSpec, max_iters: int):
     """The gain step of one outer cycle on the shifted arrow Q~ = lambda I - Q.
@@ -524,12 +562,15 @@ def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndar
     lambda + sum (lambda - d)|a|^2 - 2 Re(g^H a) at the start and after
     every accepted step.
 
-    energy: one exact step.  On ||a||^2 = N the objective is lambda (1 + N)
-    minus sum d |a|^2 + 2 Re(g^H a), so its global maximizer is the
-    trust-region solution of _sphere_minimizer, and max_iters is not read.
-    Where every feasible point is optimal, a stays and one value is listed.
+    energy and select:K energy: one exact step, and max_iters is not read.
+    On ||a||^2 = N the objective is lambda (1 + N) minus
+    f(a) = sum d |a|^2 + 2 Re(g^H a), so under energy its global maximizer
+    is the trust-region solution of _sphere_minimizer; under select:K
+    energy _support_step takes that solution on the better of two
+    supports, the current one's never worse than a0.  Where a stays, one
+    value is listed.
 
-    phase, quant, select: up to max_iters power-method-like steps
+    phase, quant, select:K:phase: up to max_iters power-method-like steps
     a <- project((lambda - d) o a - g).  The image is (I_N 0) Q~ (a;1), so
     each step costs O(N) plus the projection; the sequence is
     non-decreasing whenever Q~ is positive semidefinite.  Stops early once
@@ -540,15 +581,18 @@ def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndar
     image = w * a - g
     # a^H image - g^H a = sum w |a|^2 - 2 Re(g^H a) in real part
     objs = [lam + float(np.real(np.vdot(a, image) - np.vdot(g, a)))]
-    if constraint.kind == "energy":
-        best = _sphere_minimizer(d, g, len(a))
+    select_energy = constraint.kind == "select" and constraint.select_mode == "energy"
+    if constraint.kind == "energy" or select_energy:
+        best = (_support_step(a, d, g, constraint) if select_energy
+                else _sphere_minimizer(d, g, len(a)))
         if best is not None:
             a = best
             objs.append(lam + float(np.real(np.vdot(a, w * a - g) - np.vdot(g, a))))
         return a, objs
     for _ in range(max_iters):
         a_new = project(image, constraint)
-        if np.linalg.norm(a_new - a) <= INNER_STOP:
+        diff = a_new - a  # its norm as the sum np.linalg.norm forms
+        if math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) <= INNER_STOP:
             break
         a = a_new
         image = w * a - g
@@ -569,7 +613,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     Each outer cycle solves the auxiliary vector exactly first, so the
     info trace is anchored at info(a0) and rises monotonically;
     the gain update then builds the arrow (d, g), shifts it and runs the
-    power iterations on it once.  The shift exceeds the exact top
+    inner step on it once.  The shift exceeds the exact top
     eigenvalue of the inner quadratic, so a decreasing inner objective
     means lost precision and raises NoDescent.
     """

@@ -465,24 +465,33 @@ def lift_constant(y_tail, model):
     return model.noise_var * float(np.sum(np.abs(y_tail) ** 2))
 
 
-def single_antenna_optimum(h, sensor_noise_var, noise_var, kind):
+def single_antenna_optimum(h, sensor_noise_var, noise_var, kind, k_active=None):
     """Exact optimal gains and variance for one receive antenna (M = 1).
 
     The information is |h^T a|^2 / (sum |h_i|^2 v_i |a_i|^2 + sigma^2).
     "energy" (||a||^2 = N): sigma^2 = sigma^2 ||a||^2 / N on the sphere, so
     the information is the Rayleigh quotient |h^T a|^2 / (a^H diag(delta) a)
     with delta_i = |h_i|^2 v_i + sigma^2 / N, largest at a ~ conj(h) / delta
-    with value sum |h_i|^2 / delta_i.  "phase" (|a_i| = 1): the denominator
-    is fixed, and co-phasing a_i = conj(h_i) / |h_i| gives |h^T a| = sum |h_i|.
+    with value sum |h_i|^2 / delta_i.  "select" (at most k_active nonzeros,
+    ||a||^2 = N): the same quotient on each support, whose best value
+    sum_S |h_i|^2 / delta_i is separable, so the k_active largest scores
+    |h_i|^2 / delta_i form the optimal support (ties to the lower index) and
+    a ~ conj(h) / delta on it.  "phase" (|a_i| = 1): the denominator is
+    fixed, and co-phasing a_i = conj(h_i) / |h_i| gives |h^T a| = sum |h_i|.
     Returns (gains, variance)."""
     h = np.asarray(h, dtype=complex).ravel()
     v = np.asarray(sensor_noise_var, dtype=float)
     n = len(h)
-    if kind == "energy":
+    if kind in ("energy", "select"):
         delta = np.abs(h) ** 2 * v + noise_var / n
-        a = h.conj() / delta
+        score = np.abs(h) ** 2 / delta
+        keep = np.ones(n, dtype=bool)
+        if kind == "select":
+            keep[:] = False
+            keep[np.argsort(-score, kind="stable")[:k_active]] = True
+        a = np.where(keep, h.conj() / delta, 0.0)
         a *= np.sqrt(n) / np.linalg.norm(a)
-        return a, 1.0 / float(np.sum(np.abs(h) ** 2 / delta))
+        return a, 1.0 / float(np.sum(score[keep]))
     if kind == "phase":
         a = h.conj() / np.abs(h)
         info = float(np.sum(np.abs(h))) ** 2 / (float(np.sum(np.abs(h) ** 2 * v)) + noise_var)
