@@ -4,7 +4,11 @@ Every node broadcasts its amplified observation to all neighbors; to avoid
 duplicate information in the network, each transmission is retained by
 exactly one neighbor (the carrier, picked by highest information value).
 Stacking the retained rows produces a compressed global linear model whose
-quadratic form decouples into per-sink local forms.
+quadratic form decouples into per-sink local forms.  Each sensor keeps one
+row, holding its one link gain, so the compressed H is a scaled
+permutation and its noise covariance R_w is diagonal: the model is
+recorded row by row, and the estimator and the optimizer work on it
+elementwise.
 """
 
 from __future__ import annotations
@@ -75,11 +79,23 @@ class GlobalModel:
     one retained row per sensor, in the order of :meth:`CompressionPlan.rows`.
     The combined noise covariance is H D V D^H H^H + noise_var * I with
     D = Diag(a) and V = Diag(sensor_noise_var).
+
+    The compressed model is a scaled permutation: row r holds the link gain
+    ``row_gain[r]`` in the column of sensor ``row_sensor[r]`` (0-based) and
+    zeros elsewhere, so R_w is diagonal, with entries
+    |h_r a_k|^2 v_k + noise_var (k = row_sensor[r]).
+    :func:`assemble_global_model` records that structure and the ``plan``
+    it came from; the information, weights, lift and inner quadratic then
+    take an O(N) elementwise path.  A model without it (centralized, or
+    built by hand) takes the dense one.
     """
 
     H: np.ndarray = field(repr=False)
     sensor_noise_var: np.ndarray = field(repr=False)
     noise_var: float
+    plan: CompressionPlan | None = field(default=None, repr=False)
+    row_sensor: np.ndarray | None = field(default=None, repr=False)
+    row_gain: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_sensors(self) -> int:
@@ -140,15 +156,22 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
 
     Row order is sink-major with parents ascending inside each sink.  The
     row for (sink i, parent k) holds h_{i,k} in column k and zeros
-    elsewhere; the estimator is invariant to the row order.
+    elsewhere; the estimator is invariant to the row order.  The model
+    also records each row's sensor and gain and the plan (see
+    :class:`GlobalModel`), so that the formulas on it run elementwise.
     """
     sinks, parents, links = plan.links(scenario.topology)
+    sensors = parents - 1
+    gains = scenario.gain_by_link[links]
     H = np.zeros((len(sinks), scenario.topology.num_nodes), dtype=complex)
-    H[np.arange(len(sinks)), parents - 1] = scenario.gain_by_link[links]
+    H[np.arange(len(sinks)), sensors] = gains
     return GlobalModel(
         H=H,
         sensor_noise_var=np.asarray(scenario.sensor_noise_var, dtype=float),
         noise_var=scenario.comm_noise_var,
+        plan=plan,
+        row_sensor=sensors,
+        row_gain=gains,
     )
 
 
@@ -161,13 +184,19 @@ def centralized_model(scenario: CentralizedScenario) -> GlobalModel:
     )
 
 
-def decentralized_model(scenario: DecentralizedScenario, gains):
+def decentralized_model(scenario: DecentralizedScenario, gains,
+                        previous: GlobalModel | None = None):
     """Full pipeline: information values, carrier assignment, model assembly.
 
     Returns (model, plan).  The information values depend on the current
     gain magnitudes, so gain optimization recomputes the plan per outer
-    iteration unless told to freeze it.
+    iteration unless told to freeze it.  ``previous``, a model assembled
+    for the same scenario, is returned as it is when the new plan keeps its
+    carriers (an O(N) comparison), so a refresh that keeps the plan
+    assembles nothing.
     """
     info = information_table(gains, scenario)
     plan = assign_carriers(scenario.topology, info)
+    if previous is not None and previous.plan == plan:
+        return previous, plan
     return assemble_global_model(plan, scenario), plan

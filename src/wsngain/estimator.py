@@ -2,6 +2,8 @@
 
 The global estimate of theta is a weighted least-squares ratio; its
 variance is the inverse of the information value a^H H^H R_w^{-1} H a.
+On the decentralized compressed model R_w is diagonal, so both are sums
+over the retained rows.
 In the decentralized setting every node reaches the global estimate by
 running average consensus on two scalars (information value and state
 information value) and taking their ratio.  The consensus is synchronous
@@ -51,10 +53,23 @@ def combined_covariance(model: GlobalModel, gains) -> np.ndarray:
     return scaled @ model.H.conj().T + model.noise_var * np.eye(model.num_rows)
 
 
+def _compressed_terms(model: GlobalModel, a: np.ndarray):
+    """(H a, diagonal of R_w) of a compressed model, row by row:
+    h_r a_k and |h_r a_k|^2 v_k + sigma_n^2 with k the row's sensor."""
+    k = model.row_sensor
+    ha = model.row_gain * a[k]
+    return ha, (ha.real ** 2 + ha.imag ** 2) * model.sensor_noise_var[k] + model.noise_var
+
+
 def _information_and_weights(model: GlobalModel, a: np.ndarray):
     # weights w = R_w^{-1} H a; information value = (Ha)^H w, real and >= 0.
-    ha = model.H @ a
-    w = np.linalg.solve(combined_covariance(model, a), ha)
+    # A compressed model's R_w is diagonal, so w is a quotient per row.
+    if model.row_gain is not None:
+        ha, r = _compressed_terms(model, a)
+        w = ha / r
+    else:
+        ha = model.H @ a
+        w = np.linalg.solve(combined_covariance(model, a), ha)
     info = float(np.real(ha.conj() @ w))
     return info, w
 

@@ -38,6 +38,7 @@ from .errors import DegenerateGains, InvalidConfig, NoDescent, ZeroVectorWarning
 from .estimator import (
     INFO_FLOOR,
     GainVector,
+    _compressed_terms,
     _information_and_weights,
     combined_covariance,
     global_variance,
@@ -246,14 +247,19 @@ def build_lifted(model: GlobalModel, gains) -> np.ndarray:
     """Bordered Hermitian matrix R = [[0, (Ha)^H], [Ha, H D V D^H H^H + sigma_n^2 I]].
 
     At the auxiliary minimizer y = [1; -R_w^{-1} H a], y^H R y = -info(a).
+    A compressed model's R_w is diagonal and is filled from its rows.
     """
     a = _gain_values(gains)
     m = model.num_rows
-    b = model.H @ a
     r = np.zeros((m + 1, m + 1), dtype=complex)
+    if model.row_gain is not None:
+        b, r_w = _compressed_terms(model, a)
+        np.fill_diagonal(r[1:, 1:], r_w)
+    else:
+        b = model.H @ a
+        r[1:, 1:] = combined_covariance(model, a)
     r[0, 1:] = b.conj()
     r[1:, 0] = b
-    r[1:, 1:] = combined_covariance(model, a)
     return r
 
 
@@ -299,15 +305,20 @@ def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel):
     Q is the arrow matrix [[diag(d), g], [g^H, 0]]: for diagonal V the
     Hadamard product (H^H y y^H H) o V collapses to d = |g|^2 v with border
     g = H^H y.  The constant sigma_n^2 ||y_tail||^2 does not depend on a,
-    so no step needs it; Q itself is never formed.
+    so no step needs it; Q itself is never formed.  On a compressed model
+    each sensor has one row r, so g_k = conj(h_r) y_r.
     """
     yt = np.asarray(y_tail, dtype=complex)
-    g = model.H.conj().T @ yt
+    if model.row_gain is not None:
+        g = np.zeros(model.num_sensors, dtype=complex)
+        g[model.row_sensor] = model.row_gain.conj() * yt
+    else:
+        g = model.H.conj().T @ yt
     d = np.abs(g) ** 2 * model.sensor_noise_var
     return d, g
 
 
-def _secular_root(step, lo, hi, x):
+def _secular_root(step, lo, hi, x, midpoint=lambda lo, hi: 0.5 * (lo + hi)):
     """Root of an increasing function f on [lo, hi], searched from x by
     model steps; step(x) returns (f(x) >= 0, the model's next point).
 
@@ -315,10 +326,11 @@ def _secular_root(step, lo, hi, x):
     a point with f >= 0 certifies that point.  Safeguard: every evaluated
     point updates the bracket (upper end where f >= 0, lower end
     otherwise), a step is at least a few ulps above the lower end, and a
-    step that lands at or above the upper end is replaced by bisection, so
-    every later point lies strictly inside the bracket.  The search stops
-    once the bracket, or a step from a point with f >= 0, is within a few
-    ulps of the upper end, and returns that end.
+    step that lands at or above the upper end is replaced by bisection
+    (``midpoint(lo, hi)``, a point strictly inside the bracket; the
+    arithmetic mean by default), so every later point lies strictly inside
+    the bracket.  The search stops once the bracket, or a step from a point
+    with f >= 0, is within a few ulps of the upper end, and returns that end.
     """
     while lo < hi:
         above, nxt = step(x)
@@ -330,7 +342,7 @@ def _secular_root(step, lo, hi, x):
         if hi - lo <= tol or (above and x - nxt <= tol):
             break
         nxt = max(nxt, lo + tol)
-        x = nxt if nxt < hi else 0.5 * (lo + hi)
+        x = nxt if nxt < hi else midpoint(lo, hi)
     return hi
 
 
@@ -488,7 +500,11 @@ def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
     [max(0, max_i(|g_i| / sqrt(n) - e_i)), ||g|| / sqrt(n)].  psi is
     concave and rising, so Newton steps on it approach the root from below
     and never pass it: _secular_root runs them on u = -s, where they come
-    from above.
+    from above.  The first step, from the upper end, can land below the
+    bracket; near the hard case (a tiny border entry at min d) the root may
+    then lie many decades under the upper end, so while the bracket's lower
+    end is positive and its ends differ by more than a factor of 4 the
+    bisection is geometric in s, which halves the decades.
     Hard case: g = 0 wherever e = 0 and ||g / e|| <= sqrt(n) over the rest;
     then s = 0 and the remaining norm goes, real and positive, to the
     lowest index with e = 0.  No point evaluated divides by zero.
@@ -516,9 +532,14 @@ def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
         # -(s - psi / psi') with psi' = slope / s2^(3/2)
         return nrm >= root_n, u + s2 * (1.0 - nrm / root_n) / slope
 
+    def midpoint(lo, hi):  # on u = -s, lo < hi <= 0
+        if hi < 0.0 and lo < 4.0 * hi:
+            return -math.sqrt(-lo) * math.sqrt(-hi)
+        return 0.5 * (lo + hi)
+
     lo = max(0.0, float((np.sqrt(g2) / root_n - e).max()))
     hi = math.sqrt(g2.sum()) / root_n
-    return -g / (e - _secular_root(newton, -hi, -lo, -hi))
+    return -g / (e - _secular_root(newton, -hi, -lo, -hi, midpoint))
 
 
 def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: ConstraintSpec):
@@ -607,6 +628,14 @@ def _nondecreasing(seq) -> bool:
     return True
 
 
+def _same_objective(m: GlobalModel, m_new: GlobalModel) -> bool:
+    # V and sigma^2 are the scenario's, so only a new H is a new objective;
+    # a compressed model's H is fixed by its carriers (an O(N) comparison)
+    if m.plan is not None and m_new.plan is not None:
+        return m.plan.carrier == m_new.plan.carrier
+    return np.array_equal(m.H, m_new.H)
+
+
 def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     """One full cyclic maximization from a0; returns its trace.
 
@@ -615,7 +644,9 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     the gain update then builds the arrow (d, g), shifts it and runs the
     inner step on it once.  The shift exceeds the exact top
     eigenvalue of the inner quadratic, so a decreasing inner objective
-    means lost precision and raises NoDescent.
+    means lost precision and raises NoDescent.  A refreshed model that
+    poses a new objective (a new H; for a compressed model, new carriers)
+    starts a segment.
     """
     m = model_fn(a0) if model_fn is not None else model
     a = np.asarray(a0, dtype=complex).copy()
@@ -628,9 +659,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     for k in range(config.max_outer):
         if model_fn is not None and k > 0:
             m_new = model_fn(a)
-            if not np.array_equal(m.H, m_new.H):
-                # V and sigma^2 are the scenario's, so a new H is a new
-                # objective: start a segment
+            if not _same_objective(m, m_new):
                 m = m_new
                 prev = None
                 breaks.append(k)
@@ -750,16 +779,38 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
     """Gain design over a decentralized scenario.
 
     The compressed model depends on the gains through the carrier
-    assignment; by default it is recomputed every outer iteration
-    (refresh_plan=False freezes the plan of the starting point).
-    Returns (gains, trace, plan): the plan of the final gains, or the
-    frozen plan the gains were designed under.
+    assignment; by default the plan is recomputed every outer iteration
+    (refresh_plan=False freezes the plan of the starting point), and the
+    model is reassembled only when the carriers change, which starts a new
+    segment.  Returns (gains, trace, plan): the plan of the final gains, or
+    the frozen plan the gains were designed under.
+
+    phase and quant:Q return the feasible start and its plan at once, with
+    no restart: on the compressed model the information is
+    sum_k c_k p_k / (c_k v_k p_k + sigma_n^2) with p_k = |a_k|^2, and the
+    plan reads |a| only as well, so every unit-modulus gain vector has the
+    same variance.  That trace has one info entry, no inner runs and
+    ``converged`` True, since the start is already optimal.
     """
-    start_model, plan = decentralized_model(scenario, constraint.initial_point(scenario.num_sensors))
-    model_fn = (lambda a: decentralized_model(scenario, a)[0]) if refresh_plan else None
-    gains, trace = optimize(start_model, constraint, config, model_fn=model_fn)
+    t0 = time.perf_counter()
+    a0 = constraint.initial_point(scenario.num_sensors)
+    start_model, plan = decentralized_model(scenario, a0)
+    if constraint.kind in ("phase", "quant"):
+        variance = global_variance(start_model, a0)
+        trace = OptimizerTrace((1.0 / variance,), (), GainVector(a0, constraint), variance,
+                               wall_time_s=time.perf_counter() - t0, converged=True)
+        return trace.final_gains, trace, plan
+    current = start_model
+
+    def refreshed(a):  # the plan-keyed model: a new object only when the carriers change
+        nonlocal current
+        current = decentralized_model(scenario, a, current)[0]
+        return current
+
+    gains, trace = optimize(start_model, constraint, config,
+                            model_fn=refreshed if refresh_plan else None)
     if refresh_plan:
-        _, plan = decentralized_model(scenario, gains)
+        _, plan = decentralized_model(scenario, gains, current)
     return gains, trace, plan
 
 

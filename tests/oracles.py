@@ -83,34 +83,35 @@ def shift_bisection(d, g, margin=1.05):
 def sphere_minimizer_bisection(d, g, n):
     """Global minimizer of sum d_i |a_i|^2 + 2 Re(g^H a) over ||a||^2 = n.
 
-    a = -g / (d - mu) with mu < min d the root of sum |g_i|^2 / (d_i - mu)^2
-    = n, by plain bisection of mu on [min d - ||g|| / sqrt(n), min d],
-    halving to adjacent floats; the lower end, where the norm is at most
-    sqrt(n), is kept.  Hard case: g = 0 wherever d = min d and the other
-    entries reach at most norm sqrt(n) at mu = min d; then mu = min d and
-    the remaining norm goes, real and positive, to the first index with
-    d = min d."""
+    a = -g / (e + s) with e = d - min d and s > 0 (mu = min d - s) the root
+    of sum |g_i|^2 / (e_i + s)^2 = n, by plain bisection of s on
+    [0, ||g|| / sqrt(n)], halving to adjacent floats; the upper end, where
+    the norm is at most sqrt(n), is kept.  Bisecting s rather than mu
+    resolves a root far below the spacing of floats near min d, as near the
+    hard case.  Hard case: g = 0 wherever d = min d and the other entries
+    reach at most norm sqrt(n) at s = 0; then s = 0 and the remaining norm
+    goes, real and positive, to the first index with d = min d."""
     d = np.asarray(d, dtype=float)
     g = np.asarray(g, dtype=complex)
-    d_min = float(d.min())
-    at_min = d == d_min
+    e = d - float(d.min())
+    at_min = e == 0.0
     if not np.any(g[at_min]):
         a = np.zeros(len(d), dtype=complex)
-        a[~at_min] = -g[~at_min] / (d[~at_min] - d_min)
+        a[~at_min] = -g[~at_min] / e[~at_min]
         rest = n - float(np.sum(np.abs(a) ** 2))
         if rest >= 0.0:
             a[np.flatnonzero(at_min)[0]] = np.sqrt(rest)
             return a
-    lo, hi = d_min - np.linalg.norm(g) / np.sqrt(n), d_min
+    lo, hi = 0.0, np.linalg.norm(g) / np.sqrt(n)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if np.sum(np.abs(g) ** 2 / (d - mid) ** 2) <= n:
-            lo = mid
-        else:
+        if np.sum(np.abs(g) ** 2 / (e + mid) ** 2) <= n:
             hi = mid
-    return -g / (d - lo)
+        else:
+            lo = mid
+    return -g / (e + hi)
 
 
 def inner_power_iterations_dense(a0, q_tilde, project, max_iters, stop_tol=1e-10):
@@ -341,15 +342,26 @@ def uqp_ascent_two_matvecs(b_mat, a, max_iters, stop_tol=1e-10):
     return a, objs, bool(step <= stop_tol)
 
 
+def dense_covariance(h_global, a, sensor_noise_var, noise_var):
+    """R_w = H D V D^H H^H + sigma_n^2 I, materialized with D = Diag(a) and
+    V = Diag(sensor_noise_var)."""
+    h = np.asarray(h_global, dtype=complex)
+    d = np.diag(np.asarray(a, dtype=complex))
+    v = np.diag(np.asarray(sensor_noise_var, dtype=float))
+    return h @ d @ v @ d.conj().T @ h.conj().T + noise_var * np.eye(h.shape[0])
+
+
+def dense_weights(h_global, a, sensor_noise_var, noise_var):
+    """(a^H H^H R_w^{-1} H a, w = R_w^{-1} H a) with R_w materialized and a
+    dense solve."""
+    ha = np.asarray(h_global, dtype=complex) @ np.asarray(a, dtype=complex)
+    w = np.linalg.solve(dense_covariance(h_global, a, sensor_noise_var, noise_var), ha)
+    return float(np.real(ha.conj() @ w)), w
+
+
 def dense_information(h_global, a, sensor_noise_var, noise_var):
     """a^H H^H R_w^{-1} H a with R_w materialized and inverted densely."""
-    h = np.asarray(h_global, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    d = np.diag(a)
-    v = np.diag(np.asarray(sensor_noise_var, dtype=float))
-    r_w = h @ d @ v @ d.conj().T @ h.conj().T + noise_var * np.eye(h.shape[0])
-    ha = h @ a
-    return float(np.real(ha.conj() @ np.linalg.solve(r_w, ha)))
+    return dense_weights(h_global, a, sensor_noise_var, noise_var)[0]
 
 
 def link_observations(scenario, a, rng):

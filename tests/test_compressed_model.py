@@ -1,0 +1,180 @@
+"""The compressed decentralized model as a scaled permutation.
+
+Every sensor keeps one retained row, so R_w is diagonal and the estimator
+and the optimizer's per-cycle steps work on it row by row.  These tests
+hold that path to the dense formulas of ``tests/oracles.py``, pin the
+plan-keyed segments of the plan-refresh loop, and check that phase-only
+and quantized decentralized designs return their start.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from wsngain import (
+    ConstraintSpec,
+    OptimizerConfig,
+    assemble_global_model,
+    assign_carriers,
+    build_inner_quadratic,
+    build_lifted,
+    decentralized_model,
+    estimator,
+    gainopt,
+    gen_decentralized_scenario,
+    global_mle,
+    global_variance,
+    information_table,
+    optimize,
+    optimize_decentralized,
+    random_connected_topology,
+)
+from wsngain.estimator import _information_and_weights
+
+RTOL = 1e-12
+
+
+def _close(x, want):
+    x, want = np.asarray(x), np.asarray(want)
+    return float(np.linalg.norm(x - want)) <= RTOL * float(np.linalg.norm(want))
+
+
+def _random_compressed(rng, trial):
+    n = int(rng.integers(2, 40))
+    scen = gen_decentralized_scenario(
+        random_connected_topology(n, float(rng.uniform(0.1, 0.6)), 500 + trial), seed=700 + trial)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if trial % 2:  # zero gains, as under select:K
+        a[rng.choice(n, int(rng.integers(1, n)), replace=False)] = 0.0
+    return scen, a, decentralized_model(scen, a)[0]
+
+
+def test_compressed_path_matches_the_dense_formulas():
+    # information, weights, lift, (d, g), variance and MLE of 50 random
+    # compressed models against the dense R_w and a dense solve
+    rng = np.random.default_rng(5)
+    for trial in range(50):
+        scen, a, model = _random_compressed(rng, trial)
+        assert model.row_gain is not None
+        h, v, s2 = model.H, model.sensor_noise_var, model.noise_var
+        info_ref, w_ref = oracles.dense_weights(h, a, v, s2)
+        info, w = _information_and_weights(model, a)
+        assert abs(info - info_ref) <= RTOL * info_ref and _close(w, w_ref), trial
+
+        lift_ref = np.zeros((len(a) + 1, len(a) + 1), dtype=complex)
+        lift_ref[1:, 0] = h @ a
+        lift_ref[0, 1:] = (h @ a).conj()
+        lift_ref[1:, 1:] = oracles.dense_covariance(h, a, v, s2)
+        assert _close(build_lifted(model, a), lift_ref), trial
+
+        y_tail = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        d, g = build_inner_quadratic(y_tail, model)
+        g_ref = h.conj().T @ y_tail
+        assert _close(g, g_ref) and _close(d, np.abs(g_ref) ** 2 * v), trial
+
+        assert abs(global_variance(model, a) * info_ref - 1.0) <= RTOL, trial
+        y = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        mle_ref = complex(w_ref.conj() @ y) / info_ref
+        assert abs(global_mle(model, a, y) - mle_ref) <= RTOL * abs(mle_ref), trial
+
+
+def test_assembled_model_records_its_rows_and_plan():
+    scen = gen_decentralized_scenario(random_connected_topology(12, 0.3, 2), seed=2)
+    model, plan = decentralized_model(scen, np.ones(12))
+    assert model.plan == plan
+    rebuilt = np.zeros_like(model.H)
+    rebuilt[np.arange(12), model.row_sensor] = model.row_gain
+    assert np.array_equal(rebuilt, model.H)
+    assert sorted(model.row_sensor) == list(range(12))  # one row per sensor
+
+
+def test_refresh_reuses_the_model_while_the_plan_holds():
+    scen = gen_decentralized_scenario(random_connected_topology(20, 0.25, 4), seed=4)
+    model, plan = decentralized_model(scen, np.ones(20))
+    phases = np.exp(2j * np.pi * np.random.default_rng(4).random(20))  # the same |a|
+    same, same_plan = decentralized_model(scen, phases, model)
+    assert same is model and same_plan == plan
+    a = np.ones(20)
+    a[plan.carrier[0] - 1] = 1e-6  # the first node's carrier goes quiet
+    moved, moved_plan = decentralized_model(scen, a, model)
+    assert moved_plan.carrier != plan.carrier and moved is not model
+    assert np.array_equal(moved.H, assemble_global_model(moved_plan, scen).H)
+
+
+@pytest.mark.parametrize("text", ["energy", "select:12"])
+def test_segment_breaks_are_the_cycles_whose_carriers_changed(text, monkeypatch):
+    # every cycle's model is the one assembled from the carriers of the gains
+    # it starts from, and a segment starts exactly where those carriers change
+    constraint = ConstraintSpec.parse(text)
+    lift = gainopt.build_lifted
+    seen = []
+    monkeypatch.setattr(gainopt, "build_lifted",
+                        lambda model, a: seen.append((model, np.array(a))) or lift(model, a))
+    for seed in range(4):
+        scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed), seed=seed)
+        seen.clear()
+        _, trace, _ = optimize_decentralized(scen, constraint, OptimizerConfig(outer_tol=1e-6))
+        assert len(seen) == trace.outer_iters
+        carriers = []
+        for model, a in seen:
+            info = information_table(a, scen)
+            carrier = oracles.carriers([scen.topology.neighbors(k) for k in range(1, 31)], info)
+            assert carrier == assign_carriers(scen.topology, info).carrier
+            assert np.array_equal(model.H, assemble_global_model(model.plan, scen).H)
+            assert model.plan.carrier == carrier
+            carriers.append(carrier)
+        changed = tuple(k for k in range(1, len(carriers)) if carriers[k] != carriers[k - 1])
+        assert trace.segment_breaks == changed, seed
+        assert trace.stationarity_residual <= 1e-10
+
+
+def test_decentralized_cycles_take_no_dense_covariance_or_solve(monkeypatch):
+    calls = []
+
+    def counted(fn, name):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    scens = [gen_decentralized_scenario(random_connected_topology(40, 0.15, s), seed=s)
+             for s in range(3)]
+    monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve, "solve"))
+    for module in (estimator, gainopt):
+        monkeypatch.setattr(module, "combined_covariance",
+                            counted(estimator.combined_covariance, "combined_covariance"))
+    cycles = 0
+    for scen in scens:
+        for text in ("energy", "select:10", "phase", "quant:4"):
+            _, trace, _ = optimize_decentralized(scen, ConstraintSpec.parse(text),
+                                                 OptimizerConfig(restarts=2))
+            cycles += trace.outer_iters
+    assert cycles > 24 and calls == []
+
+
+def test_phase_vectors_share_one_decentralized_variance():
+    rng = np.random.default_rng(8)
+    for seed in range(3):
+        scen = gen_decentralized_scenario(random_connected_topology(100, 0.1, seed), seed=seed)
+        variances = []
+        for _ in range(4):
+            a = np.exp(2j * np.pi * rng.random(100))
+            variances.append(global_variance(decentralized_model(scen, a)[0], a))
+        assert max(variances) - min(variances) <= 1e-14 * min(variances), seed
+
+
+@pytest.mark.parametrize("text", ["phase", "quant:4"])
+def test_phase_and_quant_decentralized_designs_return_their_start(text, monkeypatch):
+    constraint = ConstraintSpec.parse(text)
+    for seed in range(3):
+        scen = gen_decentralized_scenario(random_connected_topology(100, 0.1, seed), seed=seed)
+        a0 = constraint.initial_point(100)
+        start_model, start_plan = decentralized_model(scen, a0)
+        # the cyclic design with plan refresh, as the general path runs it
+        _, cyclic = optimize(start_model, constraint, OptimizerConfig(),
+                             model_fn=lambda a: decentralized_model(scen, a)[0])
+        with monkeypatch.context() as mp:
+            mp.setattr(gainopt, "uqp_matrix", lambda model: pytest.fail("relaxation built"))
+            gains, trace, plan = optimize_decentralized(scen, constraint,
+                                                        OptimizerConfig(restarts=3))
+        assert np.array_equal(gains.values, a0) and plan == start_plan
+        assert trace.info_per_outer == (1.0 / trace.final_variance,)
+        assert trace.inner_objective == () and trace.converged and trace.restart_index == 0
+        assert abs(trace.final_variance - cyclic.final_variance) <= 1e-12 * cyclic.final_variance

@@ -44,6 +44,7 @@ from wsngain import (
     uqp_matrix,
     uqp_step,
 )
+from wsngain import gainopt
 from wsngain.diffusion import GlobalModel
 from wsngain.gainopt import LAMBDA_FLOOR, LAMBDA_MARGIN, _quantize_phases, _restart_points
 from wsngain.scenario import CentralizedScenario
@@ -669,6 +670,37 @@ def test_inner_energy_step_hard_case_and_zero_border_by_hand():
         a, objs = inner_power_iterations(a0, LAMBDA_FLOOR, np.zeros(4), np.zeros(4, dtype=complex),
                                          energy, 50)
         assert np.array_equal(a, a0) and len(objs) == 1
+
+
+@pytest.mark.parametrize("weak_scale", [1e-15, 1e-100])
+def test_sphere_minimizer_near_the_hard_case_takes_few_evaluations(weak_scale, monkeypatch):
+    # a quarter of the border scaled far down puts the root many decades
+    # under the bracket's upper end; each solve stays within 40 secular
+    # evaluations and lands on the bisection oracle's optimum
+    evaluations = []
+    secular_root = gainopt._secular_root
+
+    def counted(step, *args):
+        def counting(x):
+            evaluations.append(x)
+            return step(x)
+        return secular_root(counting, *args)
+
+    monkeypatch.setattr(gainopt, "_secular_root", counted)
+    rng = np.random.default_rng(21)
+    for trial in range(2000):
+        n = int(rng.integers(2, 200))
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d = np.abs(g) ** 2 * rng.uniform(0.5, 1.5, n)
+        g[rng.choice(n, max(1, n // 4), replace=False)] *= weak_scale
+        evaluations.clear()
+        a = gainopt._sphere_minimizer(d, g, n)
+        assert len(evaluations) <= 40, (trial, len(evaluations))
+        if trial % 10 == 0:
+            want = oracles.sphere_minimizer_bisection(d, g, n)
+            f, f_want = (float(np.real(np.vdot(x, d * x) + 2.0 * np.vdot(g, x))) for x in (a, want))
+            assert abs(np.vdot(a, a).real - n) <= 1e-12 * n
+            assert abs(f - f_want) <= 1e-12 * abs(f_want), trial
 
 
 def _oracle_arrow(rng, trial, n):
