@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentPlan, InvalidEdge
+from .errors import InconsistentPlan, InvalidConfig, InvalidEdge
 from .netgraph import Topology
 from .scenario import CentralizedScenario, DecentralizedScenario
 
@@ -138,16 +138,20 @@ def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:
 
     Ties break toward the lowest node index.  Every transmission has one
     carrier, so it is retained exactly once and the compressed dimension
-    equals N.
+    equals N.  A non-finite value raises InvalidConfig.
     """
     info = np.asarray(info, dtype=float)
     if len(info) != topology.num_nodes:
         raise InconsistentPlan("information table length does not match topology")
-    # links by node, then falling neighbour value, then rising neighbour index:
+    if not np.isfinite(info).all():
+        raise InvalidConfig("information values must be finite")
     nodes, nbrs = topology.directed_links()
-    order = np.lexsort((nbrs, -info[nbrs - 1], nodes))
-    # the first link of each node's segment names its carrier
-    carrier = nbrs[order[np.searchsorted(nodes, np.arange(1, len(info) + 1))]]
+    value = info[nbrs - 1]
+    starts = np.searchsorted(nodes, np.arange(1, len(info) + 1))  # each node's links
+    best = np.maximum.reduceat(value, starts)
+    # each segment's first link at its maximum: neighbours ascend, so ties go low
+    hits = (value == best[nodes - 1]).nonzero()[0]
+    carrier = nbrs[hits[np.searchsorted(hits, starts)]]
     return CompressionPlan(tuple(carrier.tolist()), 2 * topology.num_edges - topology.num_nodes)
 
 

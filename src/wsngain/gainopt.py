@@ -3,22 +3,22 @@
 The estimation variance is 1 / info(a), info(a) = (Ha)^H R_w^{-1} (Ha).
 In the lift R = [[0, (Ha)^H], [Ha, R_w]], the least y^H R y over y with
 y_1 = 1 is -info(a), at y = [1; -R_w^{-1} H a].  Alternating that exact
-auxiliary solve with a gain update on a shifted quadratic drives info(a)
-monotonically up under any of four practical constraint families.  Under
-fixed energy the update is one exact step, the global solution of a
-diagonal trust-region subproblem; under K-of-N selection in energy mode it
-is one exact step too, that solution on the better of two supports (the
-current one and the K largest entries of the full solution).  phase,
-quant and select:K:phase take power-method-like iterations.  (No step
-reads R's corner, so the paper's large constant there is left out and
-each cycle reports info(a) itself.)
+auxiliary solve with a gain update that lowers the rest of y^H R y, a
+quadratic f(a), drives info(a) monotonically up under any of four
+practical constraint families.  Under fixed energy the update is one exact
+step, the global solution of a diagonal trust-region subproblem; under
+K-of-N selection in energy mode it is that solution on the better of two
+supports (the current one and the K largest entries of the full one).
+phase, quant and select:K:phase take power-method-like iterations on f's
+matrix shifted positive definite, and only they read the shift.  (No step
+reads R's corner, so the paper's large constant there is left out.)
 The auxiliary solve is block classical Gram-Schmidt run twice ("CGS2";
 Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005), as accurate as the
 modified form at two matrix-vector products per row.
 The inner quadratic is an arrow matrix (a diagonal plus one border row and
 column); it is held as the two length-N vectors (d, g) and never formed,
-so the shift, the exact step and each power step cost O(N) plus the
-projection; the shift and the exact step share one safeguarded secular
+so the exact step, the shift and each power step cost O(N) plus the
+projection; the exact step and the shift share one safeguarded secular
 root finder.  A simplified unimodular-quadratic path handles the
 phase-only case with a constant matrix.
 """
@@ -49,9 +49,7 @@ LAMBDA_FLOOR = 1e-12
 INNER_STOP = 1e-10
 DESCENT_RTOL = 1e-9
 CHECK_ATOL = 1e-9
-# a safety factor, not a modelling choice: the shift lambda must sit
-# strictly above the top eigenvalue it multiplies
-LAMBDA_MARGIN = 1.05
+LAMBDA_MARGIN = 1.05  # a safety factor: the shift sits strictly above the top eigenvalue
 _EPS = float(np.finfo(float).eps)
 
 
@@ -190,8 +188,7 @@ class OptimizerConfig:
     the phase, quant and select:K:phase families (energy and select:K
     energy take one exact step and do not read it); outer iterations stop
     once |info_k - info_{k+1}| <= outer_tol; restarts
-    counts the starts and seed draws the random ones.  The shift's safety
-    factor is the module constant LAMBDA_MARGIN.
+    counts the starts and seed draws the random ones.
     """
 
     inner_iters: int = 50
@@ -214,11 +211,12 @@ class OptimizerTrace:
     ``info_per_outer`` holds the information value info(a) = 1 / variance
     at the start of each outer cycle (for the phase-only UQP path, the
     objective a^H B a after each ascent step, which is the same value).
-    ``inner_objective`` holds one tuple per outer cycle: the inner
-    objective at the cycle's start and after every accepted step, so an
+    ``inner_objective`` holds one tuple per outer cycle: -f(a) with
+    f(a) = sum d |a|^2 + 2 Re(g^H a) on that cycle's arrow (d, g), at the
+    cycle's start and after every accepted step, so an
     energy or select:K energy tuple has two entries (one where the gains
     stay) and the other families' hold up to inner_iters + 1 (the
-    phase-only UQP path records its whole ascent as one run).
+    phase-only UQP path records its whole ascent a^H B a as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
     on info; INNER_STOP on the step for the phase-only UQP path) and False
     when it used up its iteration budget.
@@ -542,10 +540,15 @@ def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
     return -g / (e - _secular_root(newton, -hi, -lo, -hi, midpoint))
 
 
+def _inner_value(a: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
+    """f(a) = sum d |a|^2 + 2 Re(g^H a) = (a;1)^H Q (a;1), Q the arrow of (d, g)."""
+    return float(np.real(np.vdot(a, d * a) + 2.0 * np.vdot(g, a)))
+
+
 def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: ConstraintSpec):
     """Exact select:K energy step from a: _sphere_minimizer on each of two
-    supports, zero elsewhere; returns the one with the lower
-    f(x) = sum d |x|^2 + 2 Re(g^H x), or None when that is a itself.
+    supports, zero elsewhere; returns the one with the lower _inner_value,
+    or None when that is a itself.
 
     The supports are a's own and the K largest entries of the full-sphere
     minimizer (the nonzeros of its projection, so project's tie rule
@@ -569,55 +572,49 @@ def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: Const
         else:
             x = np.zeros(n, dtype=complex)
             x[support] = part
-        f = float(np.real(np.vdot(x, d * x) + 2.0 * np.vdot(g, x)))
+        f = _inner_value(x, d, g)
         if f < best_f:
             best, best_f = x, f
     return None if best is a else best
 
 
-def inner_power_iterations(a0: np.ndarray, lam: float, d: np.ndarray, g: np.ndarray,
+def inner_power_iterations(a0: np.ndarray, d: np.ndarray, g: np.ndarray,
                            constraint: ConstraintSpec, max_iters: int):
-    """The gain step of one outer cycle on the shifted arrow Q~ = lambda I - Q.
+    """The gain step of one outer cycle on the arrow Q of (d, g).
 
-    Returns (a, objectives) where objectives holds (a;1)^H Q~ (a;1) =
-    lambda + sum (lambda - d)|a|^2 - 2 Re(g^H a) at the start and after
-    every accepted step.
+    Returns (a, objectives) where objectives holds -f(a) (_inner_value) at
+    the start and after every accepted step.
 
-    energy and select:K energy: one exact step, and max_iters is not read.
-    On ||a||^2 = N the objective is lambda (1 + N) minus
-    f(a) = sum d |a|^2 + 2 Re(g^H a), so under energy its global maximizer
-    is the trust-region solution of _sphere_minimizer; under select:K
-    energy _support_step takes that solution on the better of two
-    supports, the current one's never worse than a0.  Where a stays, one
-    value is listed.
+    energy and select:K energy: one exact step (max_iters is not read), the
+    global minimizer of f on ||a||^2 = N from _sphere_minimizer, or under
+    select:K energy _support_step's better of two supports, the current
+    one's never worse than a0.  Where a stays, one value is listed.
 
     phase, quant, select:K:phase: up to max_iters power-method-like steps
-    a <- project((lambda - d) o a - g).  The image is (I_N 0) Q~ (a;1), so
-    each step costs O(N) plus the projection; the sequence is
-    non-decreasing whenever Q~ is positive semidefinite.  Stops early once
-    a step moves a by at most INNER_STOP.
+    a <- project((lambda - d) o a - g), lambda = shift_quadratic(d, g):
+    the image is (I_N 0) Q~ (a;1) with Q~ = lambda I - Q positive definite,
+    so a step costs O(N) plus the projection and raises
+    (a;1)^H Q~ (a;1) = lambda (1 + ||a||^2) - f(a), which lowers f where
+    ||a|| stays.  Stops early once a step moves a by at most INNER_STOP.
     """
-    w = lam - d
     a = np.asarray(a0, dtype=complex).copy()
-    image = w * a - g
-    # a^H image - g^H a = sum w |a|^2 - 2 Re(g^H a) in real part
-    objs = [lam + float(np.real(np.vdot(a, image) - np.vdot(g, a)))]
+    objs = [-_inner_value(a, d, g)]
     select_energy = constraint.kind == "select" and constraint.select_mode == "energy"
     if constraint.kind == "energy" or select_energy:
         best = (_support_step(a, d, g, constraint) if select_energy
                 else _sphere_minimizer(d, g, len(a)))
         if best is not None:
             a = best
-            objs.append(lam + float(np.real(np.vdot(a, w * a - g) - np.vdot(g, a))))
+            objs.append(-_inner_value(a, d, g))
         return a, objs
+    w = shift_quadratic(d, g) - d
     for _ in range(max_iters):
-        a_new = project(image, constraint)
+        a_new = project(w * a - g, constraint)
         diff = a_new - a  # its norm as the sum np.linalg.norm forms
         if math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) <= INNER_STOP:
             break
         a = a_new
-        image = w * a - g
-        objs.append(lam + float(np.real(np.vdot(a, image) - np.vdot(g, a))))
+        objs.append(-_inner_value(a, d, g))
     return a, objs
 
 
@@ -641,10 +638,9 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
 
     Each outer cycle solves the auxiliary vector exactly first, so the
     info trace is anchored at info(a0) and rises monotonically;
-    the gain update then builds the arrow (d, g), shifts it and runs the
-    inner step on it once.  The shift exceeds the exact top
-    eigenvalue of the inner quadratic, so a decreasing inner objective
-    means lost precision and raises NoDescent.  A refreshed model that
+    the gain update then builds the arrow (d, g) and runs the inner step on
+    it once.  Every step lowers f(a) in exact arithmetic, so a falling
+    -f(a) means lost precision and raises NoDescent.  A refreshed model that
     poses a new objective (a new H; for a compressed model, new carriers)
     starts a segment.
     """
@@ -678,10 +674,10 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 break
         prev = info
         d, g = build_inner_quadratic(y[1:], m)
-        lam = shift_quadratic(d, g)
-        a_new, objs = inner_power_iterations(a, lam, d, g, constraint, config.inner_iters)
-        if not _nondecreasing(objs):
-            raise NoDescent("inner objective decreased under the exact shift")
+        a_new, objs = inner_power_iterations(a, d, g, constraint, config.inner_iters)
+        # filling a select:K:phase start's support may raise f; the info check guards it
+        if not _nondecreasing(objs[int(np.count_nonzero(a_new) > np.count_nonzero(a)):]):
+            raise NoDescent("inner objective -f(a) decreased")
         inner_runs.append(tuple(objs))
         a = a_new
     return OptimizerTrace(tuple(infos), tuple(inner_runs), GainVector(a, constraint),

@@ -143,12 +143,11 @@ def random_connected_topology(num_nodes: int, edge_probability: float, seed: int
     if not 0.0 < edge_probability <= 1.0:
         raise InvalidConfig(f"edge_probability must be in (0, 1], got {edge_probability}")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(1, num_nodes + 1) for j in range(i + 1, num_nodes + 1)]
+    rows, cols = np.triu_indices(num_nodes, 1)  # pairs i < j, row-major
     for _ in range(DEFAULT_RETRIES):
-        mask = rng.random(len(pairs)) < edge_probability
-        edges = [p for p, keep in zip(pairs, mask) if keep]
+        mask = rng.random(len(rows)) < edge_probability
         try:
-            return build_topology(num_nodes, edges)
+            return build_topology(num_nodes, zip(rows[mask] + 1, cols[mask] + 1))
         except DisconnectedGraph:
             continue
     raise GenerationFailed(

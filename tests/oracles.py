@@ -9,6 +9,9 @@ import itertools
 
 import numpy as np
 
+from wsngain import DisconnectedGraph, GenerationFailed, InvalidConfig, build_topology
+from wsngain.netgraph import DEFAULT_RETRIES
+
 
 def sphere_quadratic_max(q_tilde, n, restarts=24, iters=5000, seed=0):
     """Best value of (a;1)^H Q (a;1) over ||a||^2 = n by projected gradient.
@@ -117,11 +120,12 @@ def sphere_minimizer_bisection(d, g, n):
 def inner_power_iterations_dense(a0, q_tilde, project, max_iters, stop_tol=1e-10):
     """Power-method-like ascent a <- project((I_N 0) Q~ (a;1)) with the
     lifted point and the dense matvec written out; ``project`` maps an image
-    to the feasible set.  Returns (a, objectives) like the optimizer's."""
+    to the feasible set.  Returns (a, lifted): the lifted points (a;1) at
+    the start and after every accepted step, one per optimizer objective."""
     n = len(a0)
     a = np.asarray(a0, dtype=complex).copy()
     z = np.concatenate([a, [1.0 + 0.0j]])
-    objs = [float(np.real(z.conj() @ (q_tilde @ z)))]
+    lifted = [z]
     for _ in range(max_iters):
         image = (q_tilde @ z)[:n]
         a_new = project(image)
@@ -129,8 +133,8 @@ def inner_power_iterations_dense(a0, q_tilde, project, max_iters, stop_tol=1e-10
             break
         a = a_new
         z = np.concatenate([a, [1.0 + 0.0j]])
-        objs.append(float(np.real(z.conj() @ (q_tilde @ z))))
-    return a, objs
+        lifted.append(z)
+    return a, lifted
 
 
 def quantize_phases_floor(angles, q_levels):
@@ -509,3 +513,24 @@ def single_antenna_optimum(h, sensor_noise_var, noise_var, kind, k_active=None):
         info = float(np.sum(np.abs(h))) ** 2 / (float(np.sum(np.abs(h) ** 2 * v)) + noise_var)
         return a, 1.0 / info
     raise ValueError(kind)
+
+
+def random_connected_topology_list(num_nodes: int, edge_probability: float, seed: int):
+    """The Erdos-Renyi draw over a Python list of all N(N-1)/2 pairs,
+    resampled until connected: the same rng.random stream in the same pair
+    order as the library's draw over np.triu_indices."""
+    if not 0.0 < edge_probability <= 1.0:
+        raise InvalidConfig(f"edge_probability must be in (0, 1], got {edge_probability}")
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(1, num_nodes + 1) for j in range(i + 1, num_nodes + 1)]
+    for _ in range(DEFAULT_RETRIES):
+        mask = rng.random(len(pairs)) < edge_probability
+        edges = [p for p, keep in zip(pairs, mask) if keep]
+        try:
+            return build_topology(num_nodes, edges)
+        except DisconnectedGraph:
+            continue
+    raise GenerationFailed(
+        f"no connected graph after {DEFAULT_RETRIES} draws "
+        f"(N={num_nodes}, p={edge_probability})"
+    )

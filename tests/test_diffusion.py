@@ -15,6 +15,7 @@ from wsngain import (
     CompressionPlan,
     GainVector,
     InconsistentPlan,
+    InvalidConfig,
     NoiseConfig,
     assemble_global_model,
     assign_carriers,
@@ -112,6 +113,13 @@ def test_assign_carriers_tie_to_lowest_index():
     plan = assign_carriers(star, np.array([1.0, 5.0, 5.0, 2.0]))
     # leaves must choose the center; the center ties 5 vs 5 -> node 2
     assert plan.carrier == (2, 1, 1, 1)
+
+
+def test_assign_carriers_rejects_non_finite_values():
+    star = build_topology(4, [(1, 2), (1, 3), (1, 4)])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidConfig):
+            assign_carriers(star, np.array([1.0, bad, 5.0, 2.0]))
 
 
 @st.composite

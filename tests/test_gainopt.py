@@ -46,7 +46,7 @@ from wsngain import (
 )
 from wsngain import gainopt
 from wsngain.diffusion import GlobalModel
-from wsngain.gainopt import LAMBDA_FLOOR, LAMBDA_MARGIN, _quantize_phases, _restart_points
+from wsngain.gainopt import LAMBDA_MARGIN, _nondecreasing, _quantize_phases, _restart_points
 from wsngain.scenario import CentralizedScenario
 
 SCALAR_MODEL = GlobalModel(
@@ -517,8 +517,8 @@ def test_project_feasible_and_idempotent(data, n):
 
 def test_inner_identity_matrix_fixed_point():
     a0 = ConstraintSpec.phase_only().random_point(4, np.random.default_rng(6))
-    # Q~ = I is lambda = 1 with d = 0 and g = 0
-    a, objs = inner_power_iterations(a0, 1.0, np.zeros(4), np.zeros(4, dtype=complex),
+    # d = 0 and g = 0 give Q~ = lambda I with lambda = LAMBDA_FLOOR
+    a, objs = inner_power_iterations(a0, np.zeros(4), np.zeros(4, dtype=complex),
                                      ConstraintSpec.phase_only(), 10)
     assert np.allclose(a, a0)
     assert len(objs) == 1
@@ -532,18 +532,18 @@ def test_inner_objective_nondecreasing():
         r = build_lifted(model, a)
         y = solve_auxiliary(r)
         d, g = build_inner_quadratic(y[1:], model)
-        lam = shift_quadratic(d, g)
         for spec in (ConstraintSpec.fixed_energy(), ConstraintSpec.phase_only(),
                      ConstraintSpec.quantized(4), ConstraintSpec.sensor_select(3)):
             a0 = spec.random_point(5, rng)
-            _, objs = inner_power_iterations(a0, lam, d, g, spec, 60)
+            _, objs = inner_power_iterations(a0, d, g, spec, 60)
             diffs = np.diff(objs)
             assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(objs[:-1])))
 
 
 def test_inner_fixed_energy_matches_sphere_oracle():
-    # the power iterations must land on the global sphere maximum found by
-    # a long projected-gradient reference
+    # the exact step must land on the global sphere maximum found by a long
+    # projected-gradient reference on Q~; on ||a||^2 = N the shifted value
+    # is lambda (1 + N) - f, and the tolerance stays that of the shifted value
     rng = np.random.default_rng(8)
     for seed in range(6):
         model = random_model(2, m=2, seed=seed)
@@ -556,10 +556,10 @@ def test_inner_fixed_energy_matches_sphere_oracle():
         for start in range(4):
             a0 = (ConstraintSpec.fixed_energy().initial_point(2) if start == 0
                   else ConstraintSpec.fixed_energy().random_point(2, rng))
-            a, objs = inner_power_iterations(a0, lam, d, g, ConstraintSpec.fixed_energy(), 3000)
+            a, objs = inner_power_iterations(a0, d, g, ConstraintSpec.fixed_energy(), 3000)
             best = max(best, objs[-1])
         want = oracles.sphere_quadratic_max(shifted(lam, d, g), 2)
-        assert best == pytest.approx(want, rel=1e-6)
+        assert abs(best - (want - 3.0 * lam)) <= 1e-6 * want
 
 
 def test_inner_quant_two_levels_matches_exhaustive():
@@ -572,16 +572,17 @@ def test_inner_quant_two_levels_matches_exhaustive():
         y = solve_auxiliary(r)
         d, g = build_inner_quadratic(y[1:], model)
         lam = shift_quadratic(d, g)
-        q_tilde = shifted(lam, d, g)
-        best = -np.inf
+        q, q_tilde = oracles.arrow_matrix(d, g), shifted(lam, d, g)
+        best, scale = -np.inf, -np.inf  # the best -f, and the best shifted value for the tolerance
         for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
             z = np.array(signs + [1], dtype=complex)
-            best = max(best, float(np.real(z.conj() @ (q_tilde @ z))))
+            best = max(best, -float(np.real(z.conj() @ (q @ z))))
+            scale = max(scale, float(np.real(z.conj() @ (q_tilde @ z))))
         reached = -np.inf
         for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
-            _, objs = inner_power_iterations(np.array(signs, dtype=complex), lam, d, g, spec, 50)
+            _, objs = inner_power_iterations(np.array(signs, dtype=complex), d, g, spec, 50)
             reached = max(reached, objs[-1])
-        assert reached == pytest.approx(best, rel=1e-12)
+        assert abs(reached - best) <= 1e-12 * scale
 
 
 POWER_STEP_FAMILIES = (ConstraintSpec.phase_only(), ConstraintSpec.quantized(4),
@@ -590,9 +591,10 @@ POWER_STEP_FAMILIES = (ConstraintSpec.phase_only(), ConstraintSpec.quantized(4),
 
 def test_inner_arrow_step_matches_dense_oracle():
     # the O(N) arrow step against the lifted dense matvec, from the auxiliary
-    # vector of a random anchor: same steps, same gains, same objectives (the
-    # energy and select:K energy families take one exact step instead,
-    # checked against the sphere oracle below)
+    # vector of a random anchor: same steps, same gains, and each -f equal to
+    # the dense -z^H Q z within 1e-12 of the shifted z^H Q~ z (the energy and
+    # select:K energy families take one exact step instead, checked against
+    # the sphere oracle below)
     rng = np.random.default_rng(10)
     for seed in range(30):
         n = int(rng.integers(1, 13))
@@ -600,17 +602,22 @@ def test_inner_arrow_step_matches_dense_oracle():
         anchor = ConstraintSpec.fixed_energy().random_point(n, rng)
         y = solve_auxiliary(build_lifted(model, anchor))
         d, g = build_inner_quadratic(y[1:], model)
-        lam = shift_quadratic(d, g)
-        q_tilde = shifted(lam, d, g)
+        q, q_tilde = oracles.arrow_matrix(d, g), shifted(shift_quadratic(d, g), d, g)
         for spec in POWER_STEP_FAMILIES:
             a0 = spec.random_point(n, rng)
             for max_iters in (3, 60):
-                a, objs = inner_power_iterations(a0, lam, d, g, spec, max_iters)
-                a_ref, objs_ref = oracles.inner_power_iterations_dense(
+                a, objs = inner_power_iterations(a0, d, g, spec, max_iters)
+                a_ref, lifted = oracles.inner_power_iterations_dense(
                     a0, q_tilde, lambda v: project(v, spec), max_iters)
-                assert len(objs) == len(objs_ref)
+                assert len(objs) == len(lifted)
                 assert np.max(np.abs(a - a_ref)) <= 1e-12
-                assert np.allclose(objs, objs_ref, rtol=1e-12, atol=0.0)
+                for obj, z in zip(objs, lifted):
+                    want = -float(np.real(z.conj() @ (q @ z)))
+                    assert abs(obj - want) <= 1e-12 * abs(float(np.real(z.conj() @ (q_tilde @ z))))
+
+
+def _neg_f(d, g, a):
+    return -float(np.real(np.vdot(a, d * a) + 2.0 * np.vdot(g, a)))
 
 
 def _shifted_objective(lam, d, g, a):
@@ -618,11 +625,11 @@ def _shifted_objective(lam, d, g, a):
 
 
 def test_inner_energy_step_matches_sphere_bisection_oracle():
-    # one exact step lands on the global maximum of the shifted objective on
-    # the sphere: arrows from the auxiliary vector of random anchors, plain
-    # draws, exact zeros at the smallest diagonal (the hard case when the
-    # rest falls short of the sphere) and near-zeros there, over many scales;
-    # no warning may fire
+    # one exact step lands on the global maximum of -f on the sphere, within
+    # 1e-12 of the shifted objective there: arrows from the auxiliary vector
+    # of random anchors, plain draws, exact zeros at the smallest diagonal
+    # (the hard case when the rest falls short of the sphere) and near-zeros
+    # there, over many scales; no warning may fire
     rng = np.random.default_rng(12)
     energy = ConstraintSpec.fixed_energy()
     for trial in range(400):
@@ -647,11 +654,12 @@ def test_inner_energy_step_matches_sphere_bisection_oracle():
         a0 = energy.random_point(n, rng)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a, objs = inner_power_iterations(a0, lam, d, g, energy, 1)
+            a, objs = inner_power_iterations(a0, d, g, energy, 1)
         energy.check(a)
-        want = _shifted_objective(lam, d, g, oracles.sphere_minimizer_bisection(d, g, n))
-        assert len(objs) == 2 and objs[0] == _shifted_objective(lam, d, g, a0)
-        assert abs(objs[1] - want) <= 1e-12 * want, trial
+        best = oracles.sphere_minimizer_bisection(d, g, n)
+        assert len(objs) == 2 and objs[0] == _neg_f(d, g, a0)
+        tol = 1e-12 * _shifted_objective(lam, d, g, best)
+        assert abs(objs[1] - _neg_f(d, g, best)) <= tol, trial
 
 
 def test_inner_energy_step_hard_case_and_zero_border_by_hand():
@@ -661,14 +669,12 @@ def test_inner_energy_step_hard_case_and_zero_border_by_hand():
         # g = 0 at the smallest d, and -g / (d - min d) = (0, -1, -1/2) falls
         # short of the sphere: the remaining norm 3 - 5/4 goes to entry 0
         d, g = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0], dtype=complex)
-        a, objs = inner_power_iterations(np.ones(3, dtype=complex), shift_quadratic(d, g),
-                                         d, g, energy, 50)
+        a, objs = inner_power_iterations(np.ones(3, dtype=complex), d, g, energy, 50)
         np.testing.assert_allclose(a, [np.sqrt(1.75), -1.0, -0.5], rtol=1e-15)
         assert a[0].imag == 0.0 and len(objs) == 2 and objs[1] > objs[0]
         # g = 0 (so d = 0 on the optimizer's path): every point is optimal and a stays
         a0 = energy.random_point(4, np.random.default_rng(13))
-        a, objs = inner_power_iterations(a0, LAMBDA_FLOOR, np.zeros(4), np.zeros(4, dtype=complex),
-                                         energy, 50)
+        a, objs = inner_power_iterations(a0, np.zeros(4), np.zeros(4, dtype=complex), energy, 50)
         assert np.array_equal(a, a0) and len(objs) == 1
 
 
@@ -727,19 +733,18 @@ def _oracle_arrow(rng, trial, n):
     return scale * d, scale * g
 
 
-def _support_optimum(lam, d, g, support, n):
-    """Shifted objective at the bisection oracle's sphere minimizer on one
-    support, zero elsewhere."""
+def _support_optimum(d, g, support, n):
+    """The bisection oracle's sphere minimizer on one support, zero elsewhere."""
     a = np.zeros(len(d), dtype=complex)
     a[support] = oracles.sphere_minimizer_bisection(d[support], g[support], n)
-    return _shifted_objective(lam, d, g, a)
+    return a
 
 
 def test_inner_select_energy_step_matches_sphere_bisection_oracle():
-    # one exact step lands on the better of the sphere maxima on two
+    # one exact step lands on the better of the sphere maxima of -f on two
     # supports, the start's and the K largest entries of the full-sphere
-    # maximizer, on every kind of arrow and from starts with K or fewer
-    # nonzeros; no warning may fire
+    # maximizer, within 1e-12 of the shifted objective there, on every kind
+    # of arrow and from starts with K or fewer nonzeros; no warning may fire
     rng = np.random.default_rng(14)
     for trial in range(400):
         n = int(rng.integers(1, 40))
@@ -753,41 +758,42 @@ def test_inner_select_energy_step_matches_sphere_bisection_oracle():
             a0 *= np.sqrt(n) / np.linalg.norm(a0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a, objs = inner_power_iterations(a0, lam, d, g, spec, 1)
+            a, objs = inner_power_iterations(a0, d, g, spec, 1)
         spec.check(a)
         top = project(oracles.sphere_minimizer_bisection(d, g, n), spec) != 0
-        want = max(_support_optimum(lam, d, g, support, n) for support in (a0 != 0, top))
-        assert len(objs) in (1, 2) and objs[0] == _shifted_objective(lam, d, g, a0)
-        assert abs(objs[-1] - want) <= 1e-12 * want, trial
+        best = max((_support_optimum(d, g, support, n) for support in (a0 != 0, top)),
+                   key=lambda x: _neg_f(d, g, x))
+        assert len(objs) in (1, 2) and objs[0] == _neg_f(d, g, a0)
+        tol = 1e-12 * _shifted_objective(lam, d, g, best)
+        assert abs(objs[-1] - _neg_f(d, g, best)) <= tol, trial
 
 
 def test_inner_select_energy_step_by_hand():
     two = ConstraintSpec.sensor_select(2)
     d, g = np.zeros(3), np.array([-3.0, -4.0, -1e-3], dtype=complex)
-    lam = shift_quadratic(d, g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # d = 0: the sphere minimizer is -sqrt(3) g / ||g|| on any support;
         # the full one's two largest entries repeat the start's support
         a0 = np.array([np.sqrt(1.5), np.sqrt(1.5), 0.0], dtype=complex)
-        a, objs = inner_power_iterations(a0, lam, d, g, two, 50)
+        a, objs = inner_power_iterations(a0, d, g, two, 50)
         np.testing.assert_allclose(a, [0.6 * np.sqrt(3), 0.8 * np.sqrt(3), 0.0], rtol=1e-15)
         assert len(objs) == 2 and objs[1] > objs[0]
         # one nonzero of K = 2: the top support {0, 1} beats the start's {0}
         a, objs = inner_power_iterations(np.array([np.sqrt(3), 0, 0], dtype=complex),
-                                         lam, d, g, two, 50)
+                                         d, g, two, 50)
         np.testing.assert_allclose(a, [0.6 * np.sqrt(3), 0.8 * np.sqrt(3), 0.0], rtol=1e-15)
         assert len(objs) == 2 and objs[1] > objs[0]
         # g = 0 on the start's support, where every point is optimal (the
         # solver returns None): the start stays a candidate and loses to the
         # full maximizer's one nonzero, so the result has fewer than K
         g = np.array([0.0, 0.0, -1.0], dtype=complex)
-        a, objs = inner_power_iterations(a0, shift_quadratic(d, g), d, g, two, 50)
+        a, objs = inner_power_iterations(a0, d, g, two, 50)
         np.testing.assert_allclose(a, [0.0, 0.0, np.sqrt(3)], rtol=1e-15)
         assert len(objs) == 2 and objs[1] > objs[0]
         # g = 0 everywhere: both solvers return None and a stays
         g = np.zeros(3, dtype=complex)
-        a, objs = inner_power_iterations(a0, LAMBDA_FLOOR, d, g, two, 50)
+        a, objs = inner_power_iterations(a0, d, g, two, 50)
         assert np.array_equal(a, a0) and len(objs) == 1
     # from project's zero-vector fallback point, the step itself warns nothing
     with pytest.warns(ZeroVectorWarning):
@@ -795,7 +801,7 @@ def test_inner_select_energy_step_by_hand():
     d, g = np.zeros(4), np.array([0.0, 0.0, -1.0, -2.0], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, objs = inner_power_iterations(a0, shift_quadratic(d, g), d, g, two, 50)
+        a, objs = inner_power_iterations(a0, d, g, two, 50)
     np.testing.assert_allclose(a, [0.0, 0.0, 2.0 / np.sqrt(5), 4.0 / np.sqrt(5)], rtol=1e-15)
     assert len(objs) == 2 and objs[1] > objs[0]
 
@@ -964,6 +970,44 @@ def test_energy_refine_of_a_selection_design_never_hurts():
             warnings.simplefilter("error")
             _, trace = refine(model, start.values, energy)
         assert trace.final_variance <= global_variance(model, start) * (1 + 1e-12), (seed, k)
+
+
+def test_only_the_power_step_families_shift(monkeypatch):
+    # energy and select:K energy take one exact step and never compute the
+    # shift; the power-step families compute it once per inner run
+    calls = []
+    shift = gainopt.shift_quadratic
+    monkeypatch.setattr(gainopt, "shift_quadratic", lambda d, g: calls.append(1) or shift(d, g))
+    model = random_model(12, seed=8)
+    scen = gen_decentralized_scenario(random_connected_topology(12, 0.4, seed=8), seed=8)
+    for text in ("energy", "select:4", "quant:4", "select:4:phase"):
+        spec = ConstraintSpec.parse(text)
+        power = spec.kind == "quant" or spec.select_mode == "phase"
+        for run in (lambda: optimize(model, spec), lambda: optimize_decentralized(scen, spec)):
+            calls.clear()
+            trace = run()[1]
+            assert len(calls) == (len(trace.inner_objective) if power else 0), text
+            assert trace.inner_objective or trace.outer_iters == 1  # decentralized quant: the start
+
+
+def test_select_phase_refine_from_fewer_than_k_gains():
+    # from a start with fewer than K nonzeros the first power step fills the
+    # support, which can lower -f (the norm grows); the run goes on, records
+    # that -f, keeps -f monotone from there and never hurts the warm start
+    spec = ConstraintSpec.sensor_select(4, "phase")
+    noisy = NoiseConfig(v_range=(10.0, 100.0))  # large d, so filling the support raises f
+    fell = 0
+    for seed in range(6):
+        model = centralized_model(gen_centralized_scenario(10, 2, noisy, seed=seed))
+        a0 = np.zeros(10, dtype=complex)
+        a0[:2] = np.sqrt(10 / 4)
+        _, trace = refine(model, a0, spec)
+        first = trace.inner_objective[0]
+        fell += first[1] < first[0]
+        for objs in (first[1:], *trace.inner_objective[1:]):
+            assert _nondecreasing(objs)
+        assert trace.final_variance <= global_variance(model, a0) * (1 + 1e-9)
+    assert fell
 
 
 # ------------------------------------------------------------------ UQP path

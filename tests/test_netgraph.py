@@ -1,16 +1,22 @@
 """Topology construction and random connected graph generation."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from wsngain import (
     DisconnectedGraph,
     GenerationFailed,
     InvalidEdge,
     build_topology,
+    gen_decentralized_scenario,
     random_connected_topology,
+    to_json_dict,
 )
 from wsngain.netgraph import DEFAULT_RETRIES
 
@@ -77,6 +83,21 @@ def test_random_topology_deterministic():
     assert a.edges == b.edges
     c = random_connected_topology(16, 0.3, seed=8)
     assert a.edges != c.edges
+
+
+@pytest.mark.parametrize("n", [16, 50, 100])
+def test_random_topology_matches_the_list_draw(n):
+    # the draw over np.triu_indices reads the rng.random stream in the list
+    # draw's pair order, so every graph, after however many disconnected
+    # draws, and every scenario generated on it are the same; at p = 1.2 ln N / N
+    # a third to nearly half of the draws are disconnected
+    p = 1.2 * math.log(n) / n
+    for seed in range(100):
+        topo, ref = (draw(n, p, seed) for draw in (random_connected_topology,
+                                                   oracles.random_connected_topology_list))
+        assert topo == ref, seed
+        doc = json.dumps(to_json_dict(gen_decentralized_scenario(topo, seed=seed)))
+        assert doc == json.dumps(to_json_dict(gen_decentralized_scenario(ref, seed=seed))), seed
 
 
 def test_generation_failure_budget():
