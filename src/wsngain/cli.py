@@ -52,7 +52,7 @@ def _config(args, *groups):
     unread = sorted(set(doc).difference(*groups))
     if unread:
         raise InvalidConfig(f"{args.command} does not read config keys: {', '.join(unread)}")
-    doc = {k: tuple(v) if k in ("n_values", "sigma_grid") else v
+    doc = {k: tuple(v) if k in ("n_values", "sigma_grid") and isinstance(v, list) else v
            for k, v in doc.items()}
     return tuple({k: v for k, v in doc.items() if k in keys} for keys in groups)
 

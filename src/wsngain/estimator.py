@@ -237,17 +237,18 @@ def run_consensus(
     Raises
     ------
     InvalidConfig
-        For tol <= 0, rho <= 0, max_iter < 0 or an unknown stop_mode.
+        For a tol or rho that is not finite and positive, max_iter < 0 or
+        an unknown stop_mode.
     InconsistentPlan
         For a plan that leaves a node without a carrier or a row off the graph.
     NoConvergence
         After max_iter rounds; the exception carries the partial report
         (``converged`` False).
     """
-    if tol <= 0:
-        raise InvalidConfig("tolerance must be positive")
-    if rho <= 0:
-        raise InvalidConfig("ADMM step rho must be positive")
+    if not 0 < tol < math.inf:
+        raise InvalidConfig(f"tolerance must be finite and positive, got {tol!r}")
+    if not 0 < rho < math.inf:
+        raise InvalidConfig(f"ADMM step rho must be finite and positive, got {rho!r}")
     if max_iter < 0:
         raise InvalidConfig("max_iter must be non-negative")
     if stop_mode not in ("analytic", "trailing"):

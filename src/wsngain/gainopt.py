@@ -33,7 +33,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import GlobalModel, _gain_values, decentralized_model
+from .diffusion import (GlobalModel, _gain_values, assign_carriers, decentralized_model,
+                        information_table)
 from .errors import DegenerateGains, InvalidConfig, NoDescent, ZeroVectorWarning
 from .estimator import (
     INFO_FLOOR,
@@ -43,7 +44,7 @@ from .estimator import (
     combined_covariance,
     global_variance,
 )
-from .scenario import DecentralizedScenario
+from .scenario import DecentralizedScenario, _is_int, _is_number
 
 LAMBDA_FLOOR = 1e-12
 INNER_STOP = 1e-10
@@ -188,7 +189,9 @@ class OptimizerConfig:
     the phase, quant and select:K:phase families (energy and select:K
     energy take one exact step and do not read it); outer iterations stop
     once |info_k - info_{k+1}| <= outer_tol; restarts
-    counts the starts and seed draws the random ones.
+    counts the starts and seed draws the random ones.  The counts and the
+    seed are integers (not bool) and outer_tol a finite positive number;
+    anything else raises InvalidConfig.
     """
 
     inner_iters: int = 50
@@ -198,10 +201,15 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("inner_iters", "max_outer", "restarts", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.inner_iters < 1 or self.max_outer < 1 or self.restarts < 1:
             raise InvalidConfig("iteration counts must be positive")
-        if self.outer_tol <= 0:
-            raise InvalidConfig("outer tolerance must be positive")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        if not (_is_number(self.outer_tol) and 0 < self.outer_tol < math.inf):
+            raise InvalidConfig(f"outer_tol must be finite and positive, got {self.outer_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +227,8 @@ class OptimizerTrace:
     phase-only UQP path records its whole ascent a^H B a as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
     on info; INNER_STOP on the step for the phase-only UQP path) and False
-    when it used up its iteration budget.
+    when it used up its iteration budget.  ``segment_breaks`` lists the
+    outer cycles that started on a new model from optimize's model_fn.
     """
 
     info_per_outer: tuple[float, ...]
@@ -316,7 +325,7 @@ def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel):
     return d, g
 
 
-def _secular_root(step, lo, hi, x, midpoint=lambda lo, hi: 0.5 * (lo + hi)):
+def _secular_root(step, lo, hi, x):
     """Root of an increasing function f on [lo, hi], searched from x by
     model steps; step(x) returns (f(x) >= 0, the model's next point).
 
@@ -325,10 +334,11 @@ def _secular_root(step, lo, hi, x, midpoint=lambda lo, hi: 0.5 * (lo + hi)):
     point updates the bracket (upper end where f >= 0, lower end
     otherwise), a step is at least a few ulps above the lower end, and a
     step that lands at or above the upper end is replaced by bisection
-    (``midpoint(lo, hi)``, a point strictly inside the bracket; the
-    arithmetic mean by default), so every later point lies strictly inside
-    the bracket.  The search stops once the bracket, or a step from a point
-    with f >= 0, is within a few ulps of the upper end, and returns that end.
+    (geometric while the bracket lies below zero and spans more than a
+    factor of 4, which halves its decades; else arithmetic), so every later
+    point lies strictly inside the bracket.  The search stops once the
+    bracket, or a step from a point with f >= 0, is within a few ulps of
+    the upper end, and returns that end.
     """
     while lo < hi:
         above, nxt = step(x)
@@ -340,7 +350,10 @@ def _secular_root(step, lo, hi, x, midpoint=lambda lo, hi: 0.5 * (lo + hi)):
         if hi - lo <= tol or (above and x - nxt <= tol):
             break
         nxt = max(nxt, lo + tol)
-        x = nxt if nxt < hi else midpoint(lo, hi)
+        if nxt >= hi:  # bisection
+            geometric = hi < 0.0 and lo < 4.0 * hi
+            nxt = -math.sqrt(-lo) * math.sqrt(-hi) if geometric else 0.5 * (lo + hi)
+        x = nxt
     return hi
 
 
@@ -500,9 +513,7 @@ def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
     and never pass it: _secular_root runs them on u = -s, where they come
     from above.  The first step, from the upper end, can land below the
     bracket; near the hard case (a tiny border entry at min d) the root may
-    then lie many decades under the upper end, so while the bracket's lower
-    end is positive and its ends differ by more than a factor of 4 the
-    bisection is geometric in s, which halves the decades.
+    then lie decades under the upper end, where u's bisection is geometric.
     Hard case: g = 0 wherever e = 0 and ||g / e|| <= sqrt(n) over the rest;
     then s = 0 and the remaining norm goes, real and positive, to the
     lowest index with e = 0.  No point evaluated divides by zero.
@@ -530,14 +541,9 @@ def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
         # -(s - psi / psi') with psi' = slope / s2^(3/2)
         return nrm >= root_n, u + s2 * (1.0 - nrm / root_n) / slope
 
-    def midpoint(lo, hi):  # on u = -s, lo < hi <= 0
-        if hi < 0.0 and lo < 4.0 * hi:
-            return -math.sqrt(-lo) * math.sqrt(-hi)
-        return 0.5 * (lo + hi)
-
     lo = max(0.0, float((np.sqrt(g2) / root_n - e).max()))
     hi = math.sqrt(g2.sum()) / root_n
-    return -g / (e - _secular_root(newton, -hi, -lo, -hi, midpoint))
+    return -g / (e - _secular_root(newton, -hi, -lo, -hi))
 
 
 def _inner_value(a: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
@@ -625,14 +631,6 @@ def _nondecreasing(seq) -> bool:
     return True
 
 
-def _same_objective(m: GlobalModel, m_new: GlobalModel) -> bool:
-    # V and sigma^2 are the scenario's, so only a new H is a new objective;
-    # a compressed model's H is fixed by its carriers (an O(N) comparison)
-    if m.plan is not None and m_new.plan is not None:
-        return m.plan.carrier == m_new.plan.carrier
-    return np.array_equal(m.H, m_new.H)
-
-
 def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     """One full cyclic maximization from a0; returns its trace.
 
@@ -640,11 +638,11 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     info trace is anchored at info(a0) and rises monotonically;
     the gain update then builds the arrow (d, g) and runs the inner step on
     it once.  Every step lowers f(a) in exact arithmetic, so a falling
-    -f(a) means lost precision and raises NoDescent.  A refreshed model that
-    poses a new objective (a new H; for a compressed model, new carriers)
-    starts a segment.
+    -f(a) means lost precision and raises NoDescent.  With model_fn the run
+    starts on model_fn(a0, model), and a later model_fn(a, m) other than
+    the current m itself starts a segment and restarts the convergence test.
     """
-    m = model_fn(a0) if model_fn is not None else model
+    m = model if model_fn is None else model_fn(a0, model)
     a = np.asarray(a0, dtype=complex).copy()
     infos: list[float] = []
     inner_runs: list[tuple[float, ...]] = []
@@ -654,8 +652,8 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     converged = False
     for k in range(config.max_outer):
         if model_fn is not None and k > 0:
-            m_new = model_fn(a)
-            if not _same_objective(m, m_new):
+            m_new = model_fn(a, m)
+            if m_new is not m:
                 m = m_new
                 prev = None
                 breaks.append(k)
@@ -685,7 +683,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                           stationarity_residual=stat_resid, converged=converged)
 
 
-def _restart_points(n, constraint, config, model, model_fn):
+def _restart_points(n, constraint, config, model):
     """Initialization schedule: deterministic start, then random feasible draws.
 
     For quantized phases the second start is the solved phase-only
@@ -695,8 +693,7 @@ def _restart_points(n, constraint, config, model, model_fn):
     """
     points = [constraint.initial_point(n)]
     if constraint.kind == "quant" and config.restarts > 1:
-        relax_model = model_fn(points[0]) if model_fn is not None else model
-        relaxed, _ = optimize_phase_only_uqp(relax_model, config)
+        relaxed, _ = optimize_phase_only_uqp(model, config)
         points.append(project(relaxed.values, constraint))
     r = len(points)
     while len(points) < config.restarts:
@@ -725,15 +722,16 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     Parameters
     ----------
     model : GlobalModel
-        Observation model (sizes the problem and serves as the first
-        segment when no factory is given).
+        Observation model (sizes the problem; the factory's first
+        ``previous``, or every cycle's model when no factory is given).
     constraint : ConstraintSpec
         Feasible set for the gains.
     config : OptimizerConfig
         Iteration budgets, stop tolerance, restarts, seed.
     model_fn : callable, optional
-        gains -> GlobalModel, re-evaluated per outer iteration for models
-        that depend on the gains (decentralized plan refresh).
+        (gains, previous) -> GlobalModel, called with (a0, model), then per
+        later cycle with its gains and current model; any object other than
+        ``previous`` itself starts a segment (the decentralized plan refresh).
 
     Returns
     -------
@@ -749,7 +747,7 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     raises the information value.
     """
     t0 = time.perf_counter()
-    starts = _restart_points(model.num_sensors, constraint, config, model, model_fn)
+    starts = _restart_points(model.num_sensors, constraint, config, model)
     return _best_of_starts(lambda a0: _cyclic_run(model, model_fn, a0, constraint, config),
                            starts, t0)
 
@@ -776,10 +774,11 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
 
     The compressed model depends on the gains through the carrier
     assignment; by default the plan is recomputed every outer iteration
-    (refresh_plan=False freezes the plan of the starting point), and the
-    model is reassembled only when the carriers change, which starts a new
-    segment.  Returns (gains, trace, plan): the plan of the final gains, or
-    the frozen plan the gains were designed under.
+    (refresh_plan=False freezes the plan of the starting point) by
+    decentralized_model, which returns the current model itself, and so
+    starts no segment, while the carriers hold.  Returns (gains, trace,
+    plan): the plan of the final gains, or the frozen plan the gains were
+    designed under.
 
     phase and quant:Q return the feasible start and its plan at once, with
     no restart: on the compressed model the information is
@@ -796,17 +795,10 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
         trace = OptimizerTrace((1.0 / variance,), (), GainVector(a0, constraint), variance,
                                wall_time_s=time.perf_counter() - t0, converged=True)
         return trace.final_gains, trace, plan
-    current = start_model
-
-    def refreshed(a):  # the plan-keyed model: a new object only when the carriers change
-        nonlocal current
-        current = decentralized_model(scenario, a, current)[0]
-        return current
-
-    gains, trace = optimize(start_model, constraint, config,
-                            model_fn=refreshed if refresh_plan else None)
+    model_fn = (lambda a, m: decentralized_model(scenario, a, m)[0]) if refresh_plan else None
+    gains, trace = optimize(start_model, constraint, config, model_fn=model_fn)
     if refresh_plan:
-        _, plan = decentralized_model(scenario, gains, current)
+        plan = assign_carriers(scenario.topology, information_table(gains, scenario))
     return gains, trace, plan
 
 
@@ -864,5 +856,5 @@ def optimize_phase_only_uqp(model: GlobalModel,
                               GainVector(a, constraint), 1.0 / objs[-1], wall_time_s=0.0,
                               converged=bool(step <= INNER_STOP))
 
-    starts = _restart_points(model.num_sensors, constraint, config, model, None)
+    starts = _restart_points(model.num_sensors, constraint, config, model)
     return _best_of_starts(ascend, starts, t0)

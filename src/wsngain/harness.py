@@ -36,7 +36,7 @@ from .gainopt import (
     refine,
     uqp_matrix,
 )
-from .scenario import NoiseConfig, gen_centralized_scenario
+from .scenario import NoiseConfig, _is_int, _is_number, gen_centralized_scenario
 
 EXHAUSTIVE_BUDGET = 10**7
 
@@ -62,7 +62,9 @@ class ExperimentConfig:
     experiment, which needs K < N; the candidate sizes, each enumerable, for
     the oracle-gap study); ``sigma_grid`` is the receiver-noise grid for
     selection experiments.  Every scenario and optimizer seed derives from
-    ``seed``.  ``include_runtime`` exists because wall times are inherently
+    ``seed``, a non-negative integer; the counts, seed and each sensor count
+    are integers (not bool), and anything else raises InvalidConfig.
+    ``include_runtime`` exists because wall times are inherently
     non-reproducible: disabling it leaves the runtime column empty so
     identical (config, seed) pairs produce identical CSV bytes.
     """
@@ -81,6 +83,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment kind {self.kind!r}")
+        for name in ("realizations", "num_antennas", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.n_values, (tuple, list)) and all(map(_is_int, self.n_values))):
+            raise InvalidConfig(f"n_values must be a list of integers, got {self.n_values!r}")
+        if not (isinstance(self.sigma_grid, (tuple, list))
+                and all(map(_is_number, self.sigma_grid))):
+            raise InvalidConfig(f"sigma_grid must be a list of numbers, got {self.sigma_grid!r}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if self.realizations < 1:
             raise InvalidConfig("realizations must be at least 1")
         if not self.n_values:

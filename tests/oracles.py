@@ -481,7 +481,7 @@ def lift_constant(y_tail, model):
     return model.noise_var * float(np.sum(np.abs(y_tail) ** 2))
 
 
-def single_antenna_optimum(h, sensor_noise_var, noise_var, kind, k_active=None):
+def single_antenna_optimum(h, sensor_noise_var, noise_var, kind, k_active=None, q_levels=None):
     """Exact optimal gains and variance for one receive antenna (M = 1).
 
     The information is |h^T a|^2 / (sum |h_i|^2 v_i |a_i|^2 + sigma^2).
@@ -494,6 +494,14 @@ def single_antenna_optimum(h, sensor_noise_var, noise_var, kind, k_active=None):
     |h_i|^2 / delta_i form the optimal support (ties to the lower index) and
     a ~ conj(h) / delta on it.  "phase" (|a_i| = 1): the denominator is
     fixed, and co-phasing a_i = conj(h_i) / |h_i| gives |h^T a| = sum |h_i|.
+    "quant" (a_i on the q_levels-point phase grid): the denominator is fixed
+    too.  At the optimum, with psi = arg(h^T a), each a_i must be the grid
+    phase nearest psi - arg h_i (that maximizes each Re(e^{-j psi} h_i a_i),
+    whose sum is |h^T a|), so sweeping the common phase psi finds it.  The
+    nearest grid phases change only at the N Q breakpoints
+    arg h_i + (2q + 1) pi / Q, so one psi inside each arc between
+    consecutive breakpoints (its midpoint, which ties cannot reach) covers
+    every candidate; the largest |h^T a| wins.
     Returns (gains, variance)."""
     h = np.asarray(h, dtype=complex).ravel()
     v = np.asarray(sensor_noise_var, dtype=float)
@@ -511,6 +519,16 @@ def single_antenna_optimum(h, sensor_noise_var, noise_var, kind, k_active=None):
     if kind == "phase":
         a = h.conj() / np.abs(h)
         info = float(np.sum(np.abs(h))) ** 2 / (float(np.sum(np.abs(h) ** 2 * v)) + noise_var)
+        return a, 1.0 / info
+    if kind == "quant":
+        step = 2.0 * np.pi / q_levels
+        arg_h = np.angle(h)
+        cuts = np.sort(np.mod(arg_h[:, None] + (np.arange(q_levels) + 0.5) * step,
+                              2.0 * np.pi).ravel())
+        psi = 0.5 * (cuts + np.append(cuts[1:], cuts[0] + 2.0 * np.pi))
+        cand = np.exp(1j * step * np.round((psi[:, None] - arg_h[None, :]) / step))
+        a = cand[int(np.argmax(np.abs(cand @ h)))]
+        info = float(np.abs(h @ a)) ** 2 / (float(np.sum(np.abs(h) ** 2 * v)) + noise_var)
         return a, 1.0 / info
     raise ValueError(kind)
 

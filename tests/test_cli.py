@@ -258,6 +258,31 @@ def test_noise_config_of_wrong_shape_or_type_fails_cleanly(tmp_path, capsys, com
     assert next(iter(noise)) in payload["message"]
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("optimize --n 4", {"max_outer": 2.5}),
+    ("optimize --n 4", {"restarts": "3"}),
+    ("optimize --n 4", {"inner_iters": True}),
+    ("optimize --n 4", {"outer_tol": float("nan")}),
+    ("optimize --n 4", {"outer_tol": "1e-8"}),
+    ("sweep --n 4", {"realizations": 2.5}),
+    ("sweep --n 4", {"num_antennas": 4.0}),
+    ("sweep", {"n_values": [4.5]}),
+    ("sweep", {"n_values": 4}),
+    ("select --n 6 --constraint select:2", {"sigma_grid": 1.0}),
+    ("sweep --n 4", {"max_outer": False}),
+])
+def test_config_value_of_wrong_type_fails_cleanly(tmp_path, capsys, command, doc):
+    # each value is checked when its config is built, so none reaches a loop as a
+    # float, a string or a NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, *command.split(), "--config", str(cfg))
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidConfig"
+    assert next(iter(doc)) in payload["message"]
+
+
 def test_bad_constraint_string_fails_cleanly(capsys):
     for text in ("power:2", "quant:x", "select:2.5", "quant:"):
         rc, _, err = run_cli(capsys, "optimize", "--n", "4", "--constraint", text)
@@ -270,6 +295,10 @@ def test_bad_constraint_string_fails_cleanly(capsys):
     "select --sigma-grid 1,x",
     "gen-scenario --n 4 --theta abc",
     "simulate-consensus --n 4 --theta abc",
+    # a consensus tolerance or step that is not finite and positive
+    "simulate-consensus --n 4 --tol nan",
+    "simulate-consensus --n 4 --rho nan",
+    "simulate-consensus --n 4 --rho inf",
     # non-finite numbers parse but are not valid inputs
     "gen-scenario --n 4 --theta nan",
     "gen-scenario --n 4 --theta inf",

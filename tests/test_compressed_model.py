@@ -169,7 +169,7 @@ def test_phase_and_quant_decentralized_designs_return_their_start(text, monkeypa
         start_model, start_plan = decentralized_model(scen, a0)
         # the cyclic design with plan refresh, as the general path runs it
         _, cyclic = optimize(start_model, constraint, OptimizerConfig(),
-                             model_fn=lambda a: decentralized_model(scen, a)[0])
+                             model_fn=lambda a, m: decentralized_model(scen, a, m)[0])
         with monkeypatch.context() as mp:
             mp.setattr(gainopt, "uqp_matrix", lambda model: pytest.fail("relaxation built"))
             gains, trace, plan = optimize_decentralized(scen, constraint,

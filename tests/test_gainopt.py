@@ -872,6 +872,35 @@ def test_single_antenna_selection_design_nears_the_exact_optimum(n):
         assert 1.0 - 1e-12 <= ratio <= 1.25, (seed, ratio)
 
 
+@pytest.mark.parametrize("q_levels", [2, 4, 8])
+def test_single_antenna_quant_oracle_matches_enumeration(q_levels):
+    # the common-phase sweep over the N Q breakpoints finds the best of all
+    # Q^N grid assignments
+    for n in range(1, 6):
+        for seed in range(8):
+            model = centralized_model(gen_centralized_scenario(n, 1, NoiseConfig(), seed=seed))
+            a, best = oracles.single_antenna_optimum(model.H, model.sensor_noise_var,
+                                                     model.noise_var, "quant", q_levels=q_levels)
+            ConstraintSpec.quantized(q_levels).check(a)
+            assert global_variance(model, a) == pytest.approx(best, rel=1e-12)
+            _, enumerated = oracles.exhaustive_quantized_product(uqp_matrix(model), q_levels)
+            assert best == pytest.approx(enumerated, rel=1e-12), (n, seed)
+
+
+@pytest.mark.xfail(strict=True, reason="quant:Q returns its start at restarts=1 (Known defect)")
+def test_single_antenna_quant_design_nears_the_exact_optimum():
+    # the default quant design stays within 1.05 of the exact M = 1 optimum
+    # (oracles.single_antenna_optimum); it reads 5-163x today
+    for q_levels in (4, 8):
+        for seed in range(20):
+            model = centralized_model(gen_centralized_scenario(30, 1, NoiseConfig(), seed=seed))
+            _, best = oracles.single_antenna_optimum(model.H, model.sensor_noise_var,
+                                                     model.noise_var, "quant", q_levels=q_levels)
+            _, trace = optimize(model, ConstraintSpec.quantized(q_levels))
+            ratio = trace.final_variance / best
+            assert 1.0 - 1e-12 <= ratio <= 1.05, (q_levels, seed, ratio)
+
+
 def zero_information_model():
     """H = [[1, -1]]: the all-ones start (and every start of equal entries)
     carries no information."""
@@ -930,6 +959,16 @@ def test_optimize_final_gains_feasible():
                  ConstraintSpec.sensor_select(3, "phase")):
         gains, _ = optimize(model, spec, OptimizerConfig(seed=2, restarts=2))
         spec.check(gains.values)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(max_outer=2.5), dict(restarts="3"), dict(inner_iters=True), dict(max_outer=0),
+    dict(seed=np.float64(1.0)), dict(seed=-1), dict(outer_tol=float("nan")),
+    dict(outer_tol=float("inf")), dict(outer_tol="1e-8"), dict(outer_tol=0.0)])
+def test_optimizer_config_rejects_bad_values(bad):
+    # counts and the seed are integers, never bool; the tolerance is finite and positive
+    with pytest.raises(InvalidConfig):
+        OptimizerConfig(**bad)
 
 
 def test_refine_requires_feasible_start():
@@ -1053,7 +1092,7 @@ def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget):
     config = OptimizerConfig(restarts=restarts, seed=3, **budget)
     gains, trace = optimize_phase_only_uqp(model, config)
     b_mat = uqp_matrix(model)
-    starts = _restart_points(n, ConstraintSpec.phase_only(), config, model, None)
+    starts = _restart_points(n, ConstraintSpec.phase_only(), config, model)
     runs = [oracles.uqp_ascent_two_matvecs(b_mat, a0, config.max_outer * config.inner_iters)
             for a0 in starts]
     best = min(range(restarts), key=lambda idx: (1.0 / runs[idx][1][-1], idx))

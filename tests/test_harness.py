@@ -286,6 +286,12 @@ def test_experiment_config_validation():
                          constraint=ConstraintSpec.fixed_energy())
     with pytest.raises(InvalidConfig):
         ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=0)
+    # counts, seeds and sensor counts are integers, never bool; a seed is non-negative
+    for bad in (dict(realizations=2.5), dict(realizations=True), dict(num_antennas=4.0),
+                dict(seed=1.5), dict(seed=-1), dict(n_values=(4.0,)), dict(n_values=(True,)),
+                dict(n_values=4), dict(sigma_grid=("1",))):
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig(**{"kind": "sweep-N", "n_values": (4,), **bad})
     with pytest.raises(InvalidConfig):
         ExperimentConfig(kind="sweep-noise", sigma_grid=(1.0,))
     with pytest.raises(InvalidConfig):

@@ -1,0 +1,102 @@
+"""Print one digest line per job of the four benchmark workloads.
+
+    python3 tools/job_digests.py ROOT SEED [SEED ...] [--jobs N]
+
+ROOT is a checkout of this repository: the library is imported from
+``ROOT/src`` and the jobs come from ``ROOT/perfbench/workloads.py``, which
+is only read.  Each line is ``workload seed job sha256``, the hash taken
+over everything a job returns except wall times:
+
+- designs: gain bytes, variance, outer count, segment breaks, ``converged``,
+  the info and inner traces and, for a decentralized design, the plan;
+- consensus: the plan, the measurement, the estimate, the analytic variance
+  and the rounds;
+- phase-sweep: the rows, without their mean runtimes.
+
+A job that raises a library error is hashed by its error class and message.
+Two checkouts that print the same lines for the same seeds produce the
+same bytes on every job.  ``--jobs N`` runs only the first N jobs of each
+workload.  BLAS is pinned to one thread, as in ``perfbench/run.py``.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+
+def load_workloads(root: Path):
+    """``ROOT/perfbench/workloads.py`` as a module, on the library in ``ROOT/src``."""
+    src = (root / "src").resolve()
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    import wsngain
+    if Path(wsngain.__file__).resolve().parent.parent != src:
+        sys.exit(f"wsngain was imported from {wsngain.__file__}, not from {src}")
+    spec = importlib.util.spec_from_file_location("job_digests_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def _design_parts(gains, trace, plan=None):
+    return [gains.values.tobytes(), repr(trace.final_variance), trace.outer_iters,
+            trace.segment_breaks, trace.converged, trace.info_per_outer, trace.inner_objective,
+            None if plan is None else plan.carrier]
+
+
+def _parts(name: str, output) -> list:
+    if name == "central-design":
+        return _design_parts(*output)
+    if name == "decentral-design":
+        return [part for design in output for part in _design_parts(*design)]
+    if name == "consensus":
+        _, plan, y, report = output
+        return [plan.carrier, y.tobytes(), repr(report.theta_hat),
+                repr(report.analytic_variance), report.iterations_to_tol]
+    # the rows keep their wall times even when the CSV leaves them out
+    return [[{k: v for k, v in row.items() if k != "mean_runtime_s"} for row in output]]
+
+
+def job_lines(workloads, seed: int, jobs=None) -> list:
+    """One ``workload seed job sha256`` line per job, workloads in their declared order."""
+    from wsngain.errors import WsnGainError
+
+    lines = []
+    for name, workload in workloads.WORKLOADS.items():
+        state = workload.build(seed)
+        for j in range(workload.pass_jobs if jobs is None else min(jobs, workload.pass_jobs)):
+            try:
+                parts = _parts(name, workload.job(state, j))
+            except WsnGainError as exc:
+                parts = [type(exc).__name__, str(exc)]
+            digest = hashlib.sha256()
+            for part in parts:
+                digest.update(part if isinstance(part, bytes) else repr(part).encode())
+                digest.update(b"\0")
+            lines.append(f"{name} {seed} {j} {digest.hexdigest()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", type=Path, help="repository checkout to import")
+    parser.add_argument("seeds", type=int, nargs="+", help="workload seeds")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="run only the first JOBS jobs of each workload")
+    args = parser.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # read when numpy first loads, in load_workloads
+    workloads = load_workloads(args.root)
+    for seed in args.seeds:
+        for line in job_lines(workloads, seed, args.jobs):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
