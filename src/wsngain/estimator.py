@@ -21,7 +21,7 @@ import numpy as np
 
 from .diffusion import CompressionPlan, GlobalModel, _gain_values, link_terms
 from .errors import DegenerateGains, InvalidConfig, NoConvergence
-from .scenario import CentralizedScenario, DecentralizedScenario
+from .scenario import CentralizedScenario, DecentralizedScenario, _is_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gainopt import ConstraintSpec
@@ -237,8 +237,9 @@ def run_consensus(
     Raises
     ------
     InvalidConfig
-        For a tol or rho that is not finite and positive, max_iter < 0 or
-        an unknown stop_mode.
+        For a tol or rho that is not finite and positive, a max_iter that
+        is not a non-negative integer (a bool is none) or an unknown
+        stop_mode.
     InconsistentPlan
         For a plan that leaves a node without a carrier or a row off the graph.
     NoConvergence
@@ -249,8 +250,8 @@ def run_consensus(
         raise InvalidConfig(f"tolerance must be finite and positive, got {tol!r}")
     if not 0 < rho < math.inf:
         raise InvalidConfig(f"ADMM step rho must be finite and positive, got {rho!r}")
-    if max_iter < 0:
-        raise InvalidConfig("max_iter must be non-negative")
+    if not _is_int(max_iter) or max_iter < 0:
+        raise InvalidConfig(f"max_iter must be a non-negative integer, got {max_iter!r}")
     if stop_mode not in ("analytic", "trailing"):
         raise InvalidConfig("stop_mode must be 'analytic' or 'trailing'")
     topo = scenario.topology

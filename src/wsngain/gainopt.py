@@ -20,7 +20,8 @@ column); it is held as the two length-N vectors (d, g) and never formed,
 so the exact step, the shift and each power step cost O(N) plus the
 projection; the exact step and the shift share one safeguarded secular
 root finder.  A simplified unimodular-quadratic path handles the
-phase-only case with a constant matrix.
+phase-only case with a constant matrix; its ascent stops on the same
+outer_tol test of the information as the cyclic loop.
 """
 
 from __future__ import annotations
@@ -188,10 +189,11 @@ class OptimizerConfig:
     inner_iters caps the power-method-like iterations per outer cycle of
     the phase, quant and select:K:phase families (energy and select:K
     energy take one exact step and do not read it); outer iterations stop
-    once |info_k - info_{k+1}| <= outer_tol; restarts
-    counts the starts and seed draws the random ones.  The counts and the
-    seed are integers (not bool) and outer_tol a finite positive number;
-    anything else raises InvalidConfig.
+    once |info_k - info_{k+1}| <= outer_tol, and so do the ascent steps of
+    the phase-only UQP path, whose budget is max_outer * inner_iters
+    steps; restarts counts the starts and seed draws the random ones.  The
+    counts and the seed are integers (not bool) and outer_tol a finite
+    positive number; anything else raises InvalidConfig.
     """
 
     inner_iters: int = 50
@@ -226,8 +228,8 @@ class OptimizerTrace:
     stay) and the other families' hold up to inner_iters + 1 (the
     phase-only UQP path records its whole ascent a^H B a as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
-    on info; INNER_STOP on the step for the phase-only UQP path) and False
-    when it used up its iteration budget.  ``segment_breaks`` lists the
+    on info, per outer cycle or per UQP ascent step) and False when it used
+    up its iteration budget.  ``segment_breaks`` lists the
     outer cycles that started on a new model from optimize's model_fn.
     """
 
@@ -683,18 +685,46 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                           stationarity_residual=stat_resid, converged=converged)
 
 
+def _rotation_rounding(model: GlobalModel, relaxed: np.ndarray,
+                       constraint: ConstraintSpec) -> np.ndarray:
+    """The best grid rounding of e^{j psi} relaxed over every global phase psi.
+
+    a^H B a ignores a global phase, so a phase-only optimum stands for a
+    circle of them.  As psi sweeps [0, 2 pi / Q), sensor i's nearest grid
+    phase steps up once, at its breakpoint (pi / Q - arg relaxed_i) mod
+    2 pi / Q, so the N distinct roundings are project(relaxed) and that
+    point with its first k sensors in breakpoint order one grid step up,
+    k = 1..N-1.  H c moves by one column per step, so one cumulative sum
+    gives every rounding's H c (M x N, no N x N matrix); each is scored by
+    its information (H c)^H C^{-1} (H c), C the unit-modulus R_w, and the
+    first best wins, so project(relaxed) stays unless another one beats it.
+    """
+    q = constraint.q_levels
+    width = 2.0 * np.pi / q
+    angles = np.angle(relaxed)
+    pick = _grid_pick(angles, q).astype(np.intp)
+    base = _phase_grid(q)[pick]
+    order = np.argsort(np.mod(np.pi / q - angles, width), kind="stable")[:-1]
+    moves = model.H[:, order] * ((np.exp(1j * width) - 1.0) * base[order])
+    hc = np.cumsum(np.column_stack((model.H @ base, moves)), axis=1)
+    core = combined_covariance(model, np.ones(len(base)))
+    info = np.real(np.sum(hc.conj() * np.linalg.solve(core, hc), axis=0))
+    pick[order[:int(np.argmax(info))]] += 1
+    return _phase_grid(q)[np.mod(pick, q)]
+
+
 def _restart_points(n, constraint, config, model):
     """Initialization schedule: deterministic start, then random feasible draws.
 
     For quantized phases the second start is the solved phase-only
-    relaxation projected onto the grid; rounding the continuous optimum
-    reaches grid points that random draws and the frozen-phase iterations
-    rarely find.
+    relaxation rounded onto the grid at its best global phase
+    (_rotation_rounding); rounding the continuous optimum reaches grid
+    points that random draws and the frozen-phase iterations rarely find.
     """
     points = [constraint.initial_point(n)]
     if constraint.kind == "quant" and config.restarts > 1:
         relaxed, _ = optimize_phase_only_uqp(model, config)
-        points.append(project(relaxed.values, constraint))
+        points.append(_rotation_rounding(model, relaxed.values, constraint))
     r = len(points)
     while len(points) < config.restarts:
         rng = np.random.default_rng((config.seed, r))
@@ -831,8 +861,11 @@ def optimize_phase_only_uqp(model: GlobalModel,
     Builds B once and iterates a <- e^{j arg(B a)}; the objective a^H B a
     is non-decreasing because B is positive semidefinite.  For unit-modulus
     gains a^H B a is the information value, so the objective is the info
-    trace, as on the general path.  A start whose objective ends below
-    INFO_FLOOR raises DegenerateGains.
+    trace, as on the general path, and the ascent stops as the general
+    path's outer loop does: once a step changes it by at most
+    config.outer_tol (``converged`` True), or after max_outer * inner_iters
+    steps.  A start whose objective ends below INFO_FLOOR raises
+    DegenerateGains.
     """
     t0 = time.perf_counter()
     b_mat = uqp_matrix(model)
@@ -843,18 +876,16 @@ def optimize_phase_only_uqp(model: GlobalModel,
         image = b_mat @ a
         objs = [float((a.conj() @ image).real)]
         for _ in range(max_iters):  # at least one step: the config rejects empty budgets
-            a_new, image = uqp_step(b_mat, image)
-            diff = a_new - a  # its norm as the sum np.linalg.norm forms
-            step = math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag))
-            a = a_new
+            a, image = uqp_step(b_mat, image)
             objs.append(float((a.conj() @ image).real))
-            if step <= INNER_STOP:
+            converged = abs(objs[-1] - objs[-2]) <= config.outer_tol
+            if converged:
                 break
         if objs[-1] < INFO_FLOOR:
             raise DegenerateGains("effective gains carry no information")
         return OptimizerTrace(tuple(objs), (tuple(objs),),
                               GainVector(a, constraint), 1.0 / objs[-1], wall_time_s=0.0,
-                              converged=bool(step <= INNER_STOP))
+                              converged=converged)
 
     starts = _restart_points(model.num_sensors, constraint, config, model)
     return _best_of_starts(ascend, starts, t0)

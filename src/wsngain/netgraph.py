@@ -19,6 +19,14 @@ from .errors import DisconnectedGraph, GenerationFailed, InvalidConfig, InvalidE
 DEFAULT_RETRIES = 200
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed) for a non-negative integer seed (not a
+    bool); any other seed raises InvalidConfig."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 @dataclass(frozen=True)
 class Topology:
     """Immutable undirected connected graph.
@@ -136,13 +144,14 @@ def build_topology(num_nodes: int, edges) -> Topology:
 def random_connected_topology(num_nodes: int, edge_probability: float, seed: int) -> Topology:
     """Erdos-Renyi draw, resampled until connected.
 
-    Deterministic given the seed.  Raises :class:`GenerationFailed` after
+    Deterministic given the seed, a non-negative integer (any other seed
+    raises InvalidConfig).  Raises :class:`GenerationFailed` after
     ``DEFAULT_RETRIES`` disconnected draws, which signals that
     ``edge_probability`` is too low for the requested size.
     """
     if not 0.0 < edge_probability <= 1.0:
         raise InvalidConfig(f"edge_probability must be in (0, 1], got {edge_probability}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     rows, cols = np.triu_indices(num_nodes, 1)  # pairs i < j, row-major
     for _ in range(DEFAULT_RETRIES):
         mask = rng.random(len(rows)) < edge_probability

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DisconnectedGraph, InvalidConfig, InvalidEdge
-from .netgraph import Topology, build_topology
+from .netgraph import Topology, _seeded_rng, build_topology
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,15 @@ def gen_centralized_scenario(
     theta: complex = 1 + 0j,
     seed: int = 0,
 ) -> CentralizedScenario:
-    """Generate a centralized scenario, deterministic given the seed.
+    """Generate a centralized scenario, deterministic given the seed (a
+    non-negative integer; any other seed raises InvalidConfig).
 
     Each sensor gets one distance d_i shared by all M antennas; phases are
     drawn independently per antenna, so H[m, i] = e^{j gamma_{m,i}} / d_i^alpha.
     """
     if num_sensors < 1 or num_antennas < 1:
         raise InvalidConfig("need at least one sensor and one antenna")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     d = rng.uniform(noise.d_range[0], noise.d_range[1], num_sensors)
     phases = rng.uniform(0.0, 2.0 * np.pi, (num_antennas, num_sensors))
     channel = np.exp(1j * phases) / d[None, :] ** noise.path_loss_exp
@@ -194,7 +195,7 @@ def gen_decentralized_scenario(
     with d ~ Uniform(d_range) and gamma ~ Uniform[0, 2pi); one (links, 2)
     draw holds the (distance, phase) pairs, link by link.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     links = [link for i, j in topology.edges for link in ((i, j), (j, i))]
     draws = rng.uniform([noise.d_range[0], 0.0], [noise.d_range[1], 2.0 * np.pi], size=(len(links), 2))
     # Python-float powers: numpy's vectorized power can differ in the last bit

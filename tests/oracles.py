@@ -327,23 +327,20 @@ def consensus_two_sums(i0, p0, parents, starts, deg, rho, max_iter, tol, stop_mo
     return max_iter, trace, float(residual), False
 
 
-def uqp_ascent_two_matvecs(b_mat, a, max_iters, stop_tol=1e-10):
+def uqp_ascent_two_matvecs(b_mat, a, max_iters, stop_tol=1e-8):
     """Unimodular ascent a <- e^{j arg(B a)} forming B a twice per step.
 
     One product drives the step and a second, of the same point, gives the
-    objective a^H B a; the step length is ``np.linalg.norm``.  Stops after
-    max_iters steps or once a step moves a by at most stop_tol.  Returns
-    (a, objectives, converged).
+    objective a^H B a.  Stops after max_iters steps or once a step changes
+    the objective by at most stop_tol.  Returns (a, objectives, converged).
     """
     objs = [float(np.real(a.conj() @ (b_mat @ a)))]
     for _ in range(max_iters):
-        a_new = np.exp(1j * np.angle(b_mat @ np.asarray(a, dtype=complex)))
-        step = np.linalg.norm(a_new - a)
-        a = a_new
+        a = np.exp(1j * np.angle(b_mat @ np.asarray(a, dtype=complex)))
         objs.append(float(np.real(a.conj() @ (b_mat @ a))))
-        if step <= stop_tol:
+        if abs(objs[-1] - objs[-2]) <= stop_tol:
             break
-    return a, objs, bool(step <= stop_tol)
+    return a, objs, abs(objs[-1] - objs[-2]) <= stop_tol
 
 
 def dense_covariance(h_global, a, sensor_noise_var, noise_var):

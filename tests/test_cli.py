@@ -299,6 +299,10 @@ def test_bad_constraint_string_fails_cleanly(capsys):
     "simulate-consensus --n 4 --tol nan",
     "simulate-consensus --n 4 --rho nan",
     "simulate-consensus --n 4 --rho inf",
+    # a negative seed, generated or read from a scenario file
+    "gen-scenario --n 4 --seed -1",
+    "simulate-consensus --n 4 --seed -1",
+    "simulate-consensus --scenario decentralized:alpha=1 --seed -1",
     # non-finite numbers parse but are not valid inputs
     "gen-scenario --n 4 --theta nan",
     "gen-scenario --n 4 --theta inf",

@@ -269,9 +269,11 @@ def test_consensus_matches_two_sum_oracle_bit_for_bit():
 @pytest.mark.parametrize("settings", [dict(rho=0.0), dict(rho=-0.5), dict(max_iter=-1),
                                       dict(tol=0.0), dict(stop_mode="never"),
                                       dict(tol=float("nan")), dict(tol=float("inf")),
-                                      dict(rho=float("nan")), dict(rho=float("inf"))],
+                                      dict(rho=float("nan")), dict(rho=float("inf")),
+                                      dict(max_iter=2.5), dict(max_iter=True)],
                          ids=["rho-zero", "rho-negative", "max-iter-negative", "tol-zero",
-                              "stop-mode-unknown", "tol-nan", "tol-inf", "rho-nan", "rho-inf"])
+                              "stop-mode-unknown", "tol-nan", "tol-inf", "rho-nan", "rho-inf",
+                              "max-iter-float", "max-iter-bool"])
 def test_consensus_rejects_bad_settings(settings):
     scen = two_node_scenario()
     gains = GainVector(np.ones(2, dtype=complex))

@@ -46,7 +46,8 @@ from wsngain import (
 )
 from wsngain import gainopt
 from wsngain.diffusion import GlobalModel
-from wsngain.gainopt import LAMBDA_MARGIN, _nondecreasing, _quantize_phases, _restart_points
+from wsngain.gainopt import (LAMBDA_MARGIN, _nondecreasing, _quantize_phases, _restart_points,
+                             _rotation_rounding)
 from wsngain.scenario import CentralizedScenario
 
 SCALAR_MODEL = GlobalModel(
@@ -1093,7 +1094,8 @@ def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget):
     gains, trace = optimize_phase_only_uqp(model, config)
     b_mat = uqp_matrix(model)
     starts = _restart_points(n, ConstraintSpec.phase_only(), config, model)
-    runs = [oracles.uqp_ascent_two_matvecs(b_mat, a0, config.max_outer * config.inner_iters)
+    runs = [oracles.uqp_ascent_two_matvecs(b_mat, a0, config.max_outer * config.inner_iters,
+                                           config.outer_tol)
             for a0 in starts]
     best = min(range(restarts), key=lambda idx: (1.0 / runs[idx][1][-1], idx))
     a, objs, converged = runs[best]
@@ -1105,6 +1107,23 @@ def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget):
     assert trace.info_per_outer == tuple(objs)
     assert trace.final_variance == 1.0 / objs[-1]
     assert trace.converged is converged
+
+
+def test_uqp_ascent_stops_on_outer_tol():
+    # the phase-only path stops as the cyclic loop does: once a step changes
+    # the information by at most outer_tol; a budget stop is not converged
+    model = random_model(30, seed=7)
+    steps = {}
+    for tol in (1e-8, 1e-3):
+        _, trace = optimize_phase_only_uqp(model, OptimizerConfig(outer_tol=tol))
+        objs = trace.info_per_outer
+        assert trace.converged and abs(objs[-1] - objs[-2]) <= tol
+        assert all(abs(cur - prev) > tol for prev, cur in zip(objs[:-2], objs[1:-1]))
+        steps[tol] = len(objs)
+    assert steps[1e-3] < steps[1e-8]
+    _, trace = optimize_phase_only_uqp(model, OptimizerConfig(max_outer=1, inner_iters=3))
+    objs = trace.info_per_outer
+    assert not trace.converged and len(objs) == 4 and abs(objs[-1] - objs[-2]) > 1e-8
 
 
 def test_uqp_objective_nondecreasing():
@@ -1121,6 +1140,39 @@ def test_uqp_matches_general_path():
         _, general = optimize(model, ConstraintSpec.phase_only(),
                               OptimizerConfig(seed=seed, max_outer=400))
         assert fast.final_variance == pytest.approx(general.final_variance, rel=0.01)
+
+
+def _uqp_values(b_mat, points):
+    """a^H B a for each row a of points."""
+    return np.einsum("kn,nm,km->k", points.conj(), b_mat, points).real
+
+
+@pytest.mark.parametrize("q_levels", [2, 4, 8])
+def test_rotation_rounding_beats_a_rotation_scan_and_plain_projection(q_levels):
+    # the N breakpoint roundings cover every global phase: none of 10^4
+    # rotations, rounded, beats the pick, and neither does project(relaxed)
+    spec = ConstraintSpec.quantized(q_levels)
+    psi = np.arange(10_000) * (2.0 * np.pi / q_levels / 10_000)
+    rng = np.random.default_rng(q_levels)
+    for n in range(1, 7):
+        for seed in range(4):
+            model = random_model(n, m=1 + seed % 4, seed=100 * n + seed)
+            b_mat = uqp_matrix(model)
+            relaxed = ConstraintSpec.phase_only().random_point(n, rng)
+            if seed % 2:
+                relaxed = optimize_phase_only_uqp(model, OptimizerConfig(seed=seed))[0].values
+            picked = _rotation_rounding(model, relaxed, spec)
+            spec.check(picked)
+            best = _uqp_values(b_mat, picked[None, :])[0]
+            rotated = (relaxed[None, :] * np.exp(1j * psi)[:, None]).ravel()
+            scan = _uqp_values(b_mat, project(rotated, spec).reshape(len(psi), n))
+            assert best >= scan.max() * (1.0 - 1e-12), (n, seed)
+            assert best >= scan[0] * (1.0 - 1e-12)  # psi = 0: project(relaxed) itself
+    for seed in range(10):
+        model = random_model(60, seed=seed)
+        relaxed = optimize_phase_only_uqp(model, OptimizerConfig(seed=seed))[0].values
+        plain = global_variance(model, project(relaxed, spec))
+        assert global_variance(model, _rotation_rounding(model, relaxed, spec)) <= plain
 
 
 # -------------------------------------------------------------- decentralized

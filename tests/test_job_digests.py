@@ -6,6 +6,7 @@ a second run and must tell different outputs apart.
 """
 
 import importlib.util
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -24,7 +25,13 @@ def test_job_digest_lines_repeat_and_tell_seeds_apart(capsys):
 
     first = lines(3)
     assert [line.split()[:3] for line in first] == [[name, "3", "0"] for name in WORKLOADS]
-    assert all(len(line.split()[3]) == 64 for line in first)
+    assert all(len(line.split()) == 5 and len(line.split()[3]) == 64 for line in first)
+    # the headline: one design variance, two decentralized ones, the consensus
+    # rounds, and the optimized mean variance at each of the three sweep sizes
+    central, decentral, consensus, sweep = (line.split()[4].split(",") for line in first)
+    assert len(central) == 1 and len(decentral) == 2 and len(sweep) == 3
+    assert all(0.0 < float(v) < math.inf for v in central + decentral + sweep)
+    assert int(consensus[0]) >= 1 and len(consensus) == 1
     assert lines(3) == first
     # another seed draws other inputs, so every job's output, and its digest, differs
     other = lines(4)

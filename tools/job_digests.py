@@ -4,8 +4,8 @@
 
 ROOT is a checkout of this repository: the library is imported from
 ``ROOT/src`` and the jobs come from ``ROOT/perfbench/workloads.py``, which
-is only read.  Each line is ``workload seed job sha256``, the hash taken
-over everything a job returns except wall times:
+is only read.  Each line is ``workload seed job sha256 values``, the hash
+taken over everything a job returns except wall times:
 
 - designs: gain bytes, variance, outer count, segment breaks, ``converged``,
   the info and inner traces and, for a decentralized design, the plan;
@@ -13,7 +13,12 @@ over everything a job returns except wall times:
   and the rounds;
 - phase-sweep: the rows, without their mean runtimes.
 
-A job that raises a library error is hashed by its error class and message.
+``values`` is the job's headline, comma-separated: a design's variance
+(both variances, in constraint order, for a decentralized job), the
+consensus rounds, or a phase sweep's optimized mean variances in N order.
+So a ``diff`` of two checkouts' lines shows which way a moved job went.
+A job that raises a library error is hashed by its error class and
+message, and its headline is the error class.
 Two checkouts that print the same lines for the same seeds produce the
 same bytes on every job.  ``--jobs N`` runs only the first N jobs of each
 workload.  BLAS is pinned to one thread, as in ``perfbench/run.py``.
@@ -62,8 +67,19 @@ def _parts(name: str, output) -> list:
     return [[{k: v for k, v in row.items() if k != "mean_runtime_s"} for row in output]]
 
 
+def _headline(name: str, output) -> list:
+    if name == "central-design":
+        return [output[1].final_variance]
+    if name == "decentral-design":
+        return [trace.final_variance for _, trace, _ in output]
+    if name == "consensus":
+        return [output[3].iterations_to_tol]
+    return [row["mean_variance"] for row in output if row["method"] == "optimized"]
+
+
 def job_lines(workloads, seed: int, jobs=None) -> list:
-    """One ``workload seed job sha256`` line per job, workloads in their declared order."""
+    """One ``workload seed job sha256 values`` line per job, workloads in
+    their declared order."""
     from wsngain.errors import WsnGainError
 
     lines = []
@@ -71,14 +87,18 @@ def job_lines(workloads, seed: int, jobs=None) -> list:
         state = workload.build(seed)
         for j in range(workload.pass_jobs if jobs is None else min(jobs, workload.pass_jobs)):
             try:
-                parts = _parts(name, workload.job(state, j))
+                output = workload.job(state, j)
+                parts = _parts(name, output)
+                values = ",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                  for v in _headline(name, output))
             except WsnGainError as exc:
                 parts = [type(exc).__name__, str(exc)]
+                values = type(exc).__name__
             digest = hashlib.sha256()
             for part in parts:
                 digest.update(part if isinstance(part, bytes) else repr(part).encode())
                 digest.update(b"\0")
-            lines.append(f"{name} {seed} {j} {digest.hexdigest()}")
+            lines.append(f"{name} {seed} {j} {digest.hexdigest()} {values}")
     return lines
 
 
