@@ -21,7 +21,7 @@ from .estimator import GainVector
 from .gainopt import ConstraintSpec, OptimizerConfig, optimize_decentralized
 from .harness import (CONSENSUS_COLUMNS, ExperimentConfig, columns_for, consensus_trace,
                       optimize_for, render_csv, run_experiment)
-from .netgraph import _seeded_rng, random_connected_topology
+from .netgraph import random_connected_topology, seeded_rng
 from .scenario import (
     CentralizedScenario,
     NoiseConfig,
@@ -134,7 +134,7 @@ def _cmd_simulate_consensus(args) -> int:
     scen = _scenario(args, noise_kw)
     if isinstance(scen, CentralizedScenario):
         raise InvalidConfig("consensus needs a decentralized scenario")
-    rows, report, plan = consensus_trace(scen, _seeded_rng(args.seed),
+    rows, report, plan = consensus_trace(scen, seeded_rng(args.seed),
                                          args.max_iter, args.tol, args.rho)
     if args.dump_plan:
         json.dump(plan.to_json_dict(), sys.stderr)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .diffusion import CompressionPlan, GlobalModel, _gain_values, link_terms
 from .errors import DegenerateGains, InvalidConfig, NoConvergence
-from .scenario import CentralizedScenario, DecentralizedScenario, _is_int
+from .netgraph import is_int
+from .scenario import CentralizedScenario, DecentralizedScenario
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gainopt import ConstraintSpec
@@ -250,7 +251,7 @@ def run_consensus(
         raise InvalidConfig(f"tolerance must be finite and positive, got {tol!r}")
     if not 0 < rho < math.inf:
         raise InvalidConfig(f"ADMM step rho must be finite and positive, got {rho!r}")
-    if not _is_int(max_iter) or max_iter < 0:
+    if not is_int(max_iter) or max_iter < 0:
         raise InvalidConfig(f"max_iter must be a non-negative integer, got {max_iter!r}")
     if stop_mode not in ("analytic", "trailing"):
         raise InvalidConfig("stop_mode must be 'analytic' or 'trailing'")

@@ -20,8 +20,9 @@ column); it is held as the two length-N vectors (d, g) and never formed,
 so the exact step, the shift and each power step cost O(N) plus the
 projection; the exact step and the shift share one safeguarded secular
 root finder.  A simplified unimodular-quadratic path handles the
-phase-only case with a constant matrix; its ascent stops on the same
-outer_tol test of the information as the cyclic loop.
+phase-only case with a constant matrix; its ascent stops once a step
+gains at most outer_tol of information and the shrinking gains promise at
+most outer_tol more.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from .estimator import (
     combined_covariance,
     global_variance,
 )
-from .scenario import DecentralizedScenario, _is_int, _is_number
+from .netgraph import is_int
+from .scenario import DecentralizedScenario, _is_number
 
 LAMBDA_FLOOR = 1e-12
 INNER_STOP = 1e-10
@@ -189,11 +191,12 @@ class OptimizerConfig:
     inner_iters caps the power-method-like iterations per outer cycle of
     the phase, quant and select:K:phase families (energy and select:K
     energy take one exact step and do not read it); outer iterations stop
-    once |info_k - info_{k+1}| <= outer_tol, and so do the ascent steps of
-    the phase-only UQP path, whose budget is max_outer * inner_iters
-    steps; restarts counts the starts and seed draws the random ones.  The
-    counts and the seed are integers (not bool) and outer_tol a finite
-    positive number; anything else raises InvalidConfig.
+    once |info_k - info_{k+1}| <= outer_tol; the phase-only UQP path's
+    ascent, whose budget is max_outer * inner_iters steps, reads outer_tol
+    as well (_ascent_settled); restarts counts the starts and seed draws
+    the random ones.  The counts and the seed are integers (not bool) and
+    outer_tol a finite positive number; anything else raises
+    InvalidConfig.
     """
 
     inner_iters: int = 50
@@ -204,7 +207,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("inner_iters", "max_outer", "restarts", "seed"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.inner_iters < 1 or self.max_outer < 1 or self.restarts < 1:
             raise InvalidConfig("iteration counts must be positive")
@@ -228,9 +231,9 @@ class OptimizerTrace:
     stay) and the other families' hold up to inner_iters + 1 (the
     phase-only UQP path records its whole ascent a^H B a as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
-    on info, per outer cycle or per UQP ascent step) and False when it used
-    up its iteration budget.  ``segment_breaks`` lists the
-    outer cycles that started on a new model from optimize's model_fn.
+    on info per outer cycle, or _ascent_settled per UQP ascent step) and
+    False when it used up its iteration budget.  ``segment_breaks`` lists
+    the outer cycles that started on a new model from optimize's model_fn.
     """
 
     info_per_outer: tuple[float, ...]
@@ -696,8 +699,9 @@ def _rotation_rounding(model: GlobalModel, relaxed: np.ndarray,
     point with its first k sensors in breakpoint order one grid step up,
     k = 1..N-1.  H c moves by one column per step, so one cumulative sum
     gives every rounding's H c (M x N, no N x N matrix); each is scored by
-    its information (H c)^H C^{-1} (H c), C the unit-modulus R_w, and the
-    first best wins, so project(relaxed) stays unless another one beats it.
+    its information (H c)^H C^{-1} (H c), C the unit-modulus R_w
+    (_unit_modulus_solve, as in uqp_matrix), and the first best wins, so
+    project(relaxed) stays unless another one beats it.
     """
     q = constraint.q_levels
     width = 2.0 * np.pi / q
@@ -707,8 +711,7 @@ def _rotation_rounding(model: GlobalModel, relaxed: np.ndarray,
     order = np.argsort(np.mod(np.pi / q - angles, width), kind="stable")[:-1]
     moves = model.H[:, order] * ((np.exp(1j * width) - 1.0) * base[order])
     hc = np.cumsum(np.column_stack((model.H @ base, moves)), axis=1)
-    core = combined_covariance(model, np.ones(len(base)))
-    info = np.real(np.sum(hc.conj() * np.linalg.solve(core, hc), axis=0))
+    info = np.real(np.sum(hc.conj() * _unit_modulus_solve(model, hc), axis=0))
     pick[order[:int(np.argmax(info))]] += 1
     return _phase_grid(q)[np.mod(pick, q)]
 
@@ -832,14 +835,19 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
     return gains, trace, plan
 
 
+def _unit_modulus_solve(model: GlobalModel, rhs: np.ndarray) -> np.ndarray:
+    """C^{-1} rhs for C = H V H^H + M, the combined covariance of every
+    unit-modulus gain vector (V is diagonal and |a_i| = 1 makes D V D^H = V)."""
+    return np.linalg.solve(combined_covariance(model, np.ones(model.num_sensors)), rhs)
+
+
 def uqp_matrix(model: GlobalModel) -> np.ndarray:
     """Constant matrix of the phase-only program: B = H^H (H V H^H + M)^{-1} H.
 
-    Valid because V is diagonal and |a_i| = 1 makes D V D^H = V, so the
-    combined covariance no longer depends on the gains.
+    Valid because the combined covariance no longer depends on unit-modulus
+    gains (_unit_modulus_solve).
     """
-    core = combined_covariance(model, np.ones(model.num_sensors))
-    return model.H.conj().T @ np.linalg.solve(core, model.H)
+    return model.H.conj().T @ _unit_modulus_solve(model, model.H)
 
 
 def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -853,6 +861,19 @@ def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a_new, b_mat @ a_new
 
 
+def _ascent_settled(gain: float, last: float, tol: float) -> bool:
+    """Whether an ascent stops after a step that gained ``gain`` following
+    one that gained ``last`` (0.0 before the first step).
+
+    The step must gain at most tol, and the gains' geometric decay must
+    promise at most tol more: Aitken's remaining gain gain r / (1 - r),
+    r = gain / last, is at most tol, i.e. gain^2 <= tol (last - gain).
+    Gains that do not shrink (a slow crawl past a saddle) keep it going;
+    a gain <= 0 (nothing left to gain in floating point) stops it.
+    """
+    return gain <= tol and (gain <= 0.0 or gain * gain <= tol * (last - gain))
+
+
 def optimize_phase_only_uqp(model: GlobalModel,
                             config: OptimizerConfig = OptimizerConfig()
                             ) -> tuple[GainVector, OptimizerTrace]:
@@ -861,10 +882,10 @@ def optimize_phase_only_uqp(model: GlobalModel,
     Builds B once and iterates a <- e^{j arg(B a)}; the objective a^H B a
     is non-decreasing because B is positive semidefinite.  For unit-modulus
     gains a^H B a is the information value, so the objective is the info
-    trace, as on the general path, and the ascent stops as the general
-    path's outer loop does: once a step changes it by at most
-    config.outer_tol (``converged`` True), or after max_outer * inner_iters
-    steps.  A start whose objective ends below INFO_FLOOR raises
+    trace, as on the general path.  The ascent stops once a step gains at
+    most config.outer_tol and the shrinking gains promise at most that
+    much more (_ascent_settled; ``converged`` True), or after max_outer *
+    inner_iters steps.  A start whose objective ends below INFO_FLOOR raises
     DegenerateGains.
     """
     t0 = time.perf_counter()
@@ -875,10 +896,12 @@ def optimize_phase_only_uqp(model: GlobalModel,
     def ascend(a):
         image = b_mat @ a
         objs = [float((a.conj() @ image).real)]
+        gain = 0.0
         for _ in range(max_iters):  # at least one step: the config rejects empty budgets
             a, image = uqp_step(b_mat, image)
             objs.append(float((a.conj() @ image).real))
-            converged = abs(objs[-1] - objs[-2]) <= config.outer_tol
+            gain, last = objs[-1] - objs[-2], gain
+            converged = _ascent_settled(gain, last, config.outer_tol)
             if converged:
                 break
         if objs[-1] < INFO_FLOOR:

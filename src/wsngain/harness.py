@@ -36,7 +36,8 @@ from .gainopt import (
     refine,
     uqp_matrix,
 )
-from .scenario import NoiseConfig, _is_int, _is_number, gen_centralized_scenario
+from .netgraph import is_int
+from .scenario import NoiseConfig, _is_number, gen_centralized_scenario
 
 EXHAUSTIVE_BUDGET = 10**7
 
@@ -84,9 +85,9 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment kind {self.kind!r}")
         for name in ("realizations", "num_antennas", "seed"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not (isinstance(self.n_values, (tuple, list)) and all(map(_is_int, self.n_values))):
+        if not (isinstance(self.n_values, (tuple, list)) and all(map(is_int, self.n_values))):
             raise InvalidConfig(f"n_values must be a list of integers, got {self.n_values!r}")
         if not (isinstance(self.sigma_grid, (tuple, list))
                 and all(map(_is_number, self.sigma_grid))):

@@ -19,10 +19,15 @@ from .errors import DisconnectedGraph, GenerationFailed, InvalidConfig, InvalidE
 DEFAULT_RETRIES = 200
 
 
-def _seeded_rng(seed) -> np.random.Generator:
-    """np.random.default_rng(seed) for a non-negative integer seed (not a
-    bool); any other seed raises InvalidConfig."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+def is_int(x) -> bool:
+    """An integer (Python or numpy), never a bool: JSON true is no integer."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed) for a non-negative integer seed (is_int);
+    any other seed raises InvalidConfig."""
+    if not is_int(seed) or seed < 0:
         raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
@@ -151,7 +156,7 @@ def random_connected_topology(num_nodes: int, edge_probability: float, seed: int
     """
     if not 0.0 < edge_probability <= 1.0:
         raise InvalidConfig(f"edge_probability must be in (0, 1], got {edge_probability}")
-    rng = _seeded_rng(seed)
+    rng = seeded_rng(seed)
     rows, cols = np.triu_indices(num_nodes, 1)  # pairs i < j, row-major
     for _ in range(DEFAULT_RETRIES):
         mask = rng.random(len(rows)) < edge_probability

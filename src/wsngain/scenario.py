@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DisconnectedGraph, InvalidConfig, InvalidEdge
-from .netgraph import Topology, _seeded_rng, build_topology
+from .netgraph import Topology, build_topology, is_int, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def gen_centralized_scenario(
     """
     if num_sensors < 1 or num_antennas < 1:
         raise InvalidConfig("need at least one sensor and one antenna")
-    rng = _seeded_rng(seed)
+    rng = seeded_rng(seed)
     d = rng.uniform(noise.d_range[0], noise.d_range[1], num_sensors)
     phases = rng.uniform(0.0, 2.0 * np.pi, (num_antennas, num_sensors))
     channel = np.exp(1j * phases) / d[None, :] ** noise.path_loss_exp
@@ -195,7 +195,7 @@ def gen_decentralized_scenario(
     with d ~ Uniform(d_range) and gamma ~ Uniform[0, 2pi); one (links, 2)
     draw holds the (distance, phase) pairs, link by link.
     """
-    rng = _seeded_rng(seed)
+    rng = seeded_rng(seed)
     links = [link for i, j in topology.edges for link in ((i, j), (j, i))]
     draws = rng.uniform([noise.d_range[0], 0.0], [noise.d_range[1], 2.0 * np.pi], size=(len(links), 2))
     # Python-float powers: numpy's vectorized power can differ in the last bit
@@ -258,10 +258,6 @@ _REQUIRED = {
 }
 
 
-def _is_int(x) -> bool:
-    return type(x) is int  # JSON true is no integer
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)  # JSON true is no number
 
@@ -280,7 +276,7 @@ def _pair2c(pair, what: str) -> complex:
 
 
 def _count(doc: dict, key: str) -> int:
-    if not _is_int(doc[key]) or doc[key] < 1:
+    if not is_int(doc[key]) or doc[key] < 1:
         raise InvalidConfig(f"{key} must be a positive integer, got {doc[key]!r}")
     return doc[key]
 
@@ -327,7 +323,7 @@ def from_json_dict(doc: dict):
     n = _count(doc, "N")
     theta = _pair2c(doc["theta"], "theta")
     seed = doc.get("seed")
-    if seed is not None and not _is_int(seed):
+    if seed is not None and not is_int(seed):
         raise InvalidConfig(f"seed must be an integer or null, got {seed!r}")
     common = dict(
         seed=seed,
@@ -353,7 +349,7 @@ def from_json_dict(doc: dict):
         )
     edges, entries = doc["edges"], doc["links"]
     if not (isinstance(edges, list) and all(
-            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges)):
+            isinstance(e, list) and len(e) == 2 and all(map(is_int, e)) for e in edges)):
         raise InvalidConfig("edges must be a list of [i, j] pairs of integer node labels")
     try:
         topology = build_topology(n, [tuple(e) for e in edges])
@@ -361,7 +357,7 @@ def from_json_dict(doc: dict):
         raise InvalidConfig(f"edges do not form a graph on N = {n} nodes: {exc}") from None
     if not (isinstance(entries, list) and all(
             isinstance(e, dict) and {"rx", "tx", "gain"} <= e.keys()
-            and _is_int(e["rx"]) and _is_int(e["tx"]) for e in entries)):
+            and is_int(e["rx"]) and is_int(e["tx"]) for e in entries)):
         raise InvalidConfig("links must be a list of entries with integer rx and tx and a gain")
     link_gain = {(e["rx"], e["tx"]): _pair2c(e["gain"], "a link gain") for e in entries}
     if len(link_gain) != len(entries):

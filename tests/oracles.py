@@ -327,20 +327,27 @@ def consensus_two_sums(i0, p0, parents, starts, deg, rho, max_iter, tol, stop_mo
     return max_iter, trace, float(residual), False
 
 
-def uqp_ascent_two_matvecs(b_mat, a, max_iters, stop_tol=1e-8):
+def uqp_ascent_two_matvecs(b_mat, a, max_iters, stop_tol):
     """Unimodular ascent a <- e^{j arg(B a)} forming B a twice per step.
 
     One product drives the step and a second, of the same point, gives the
-    objective a^H B a.  Stops after max_iters steps or once a step changes
-    the objective by at most stop_tol.  Returns (a, objectives, converged).
+    objective a^H B a.  Stops after max_iters steps, or once a step gains
+    g <= stop_tol following a gain g' (0 before the first step) with g <= 0
+    or with Aitken's remaining gain g^2 / (g' - g) at most stop_tol, written
+    g^2 <= stop_tol (g' - g).  Returns (a, objectives, converged).
     """
     objs = [float(np.real(a.conj() @ (b_mat @ a)))]
+    gains = [0.0]
+    settled = False
     for _ in range(max_iters):
         a = np.exp(1j * np.angle(b_mat @ np.asarray(a, dtype=complex)))
         objs.append(float(np.real(a.conj() @ (b_mat @ a))))
-        if abs(objs[-1] - objs[-2]) <= stop_tol:
+        gains.append(objs[-1] - objs[-2])
+        g, g_prev = gains[-1], gains[-2]
+        settled = g <= stop_tol and (g <= 0.0 or g * g <= stop_tol * (g_prev - g))
+        if settled:
             break
-    return a, objs, abs(objs[-1] - objs[-2]) <= stop_tol
+    return a, objs, settled
 
 
 def dense_covariance(h_global, a, sensor_noise_var, noise_var):
