@@ -20,9 +20,10 @@ column); it is held as the two length-N vectors (d, g) and never formed,
 so the exact step, the shift and each power step cost O(N) plus the
 projection; the exact step and the shift share one safeguarded secular
 root finder.  A simplified unimodular-quadratic path handles the
-phase-only case with a constant matrix; its ascent stops once a step
-gains at most outer_tol of information and the shrinking gains promise at
-most outer_tol more.
+phase-only case with a constant matrix.  Its ascent, and the cycles of
+the power-step families, stop once a step gains at most outer_tol of
+information and the shrinking gains promise at most outer_tol more; the
+exact-step families stop on |delta info| <= outer_tol.
 """
 
 from __future__ import annotations
@@ -191,12 +192,13 @@ class OptimizerConfig:
     inner_iters caps the power-method-like iterations per outer cycle of
     the phase, quant and select:K:phase families (energy and select:K
     energy take one exact step and do not read it); outer iterations stop
-    once |info_k - info_{k+1}| <= outer_tol; the phase-only UQP path's
-    ascent, whose budget is max_outer * inner_iters steps, reads outer_tol
-    as well (_ascent_settled); restarts counts the starts and seed draws
-    the random ones.  The counts and the seed are integers (not bool) and
-    outer_tol a finite positive number; anything else raises
-    InvalidConfig.
+    once |info_k - info_{k+1}| <= outer_tol under energy and select:K
+    energy, and under the other families once _ascent_settled reads that
+    gain as settled; the phase-only UQP path's ascent, whose budget is
+    max_outer * inner_iters steps, stops on _ascent_settled as well;
+    restarts counts the starts and seed draws the random ones.  The counts
+    and the seed are integers (not bool) and outer_tol a finite positive
+    number; anything else raises InvalidConfig.
     """
 
     inner_iters: int = 50
@@ -231,7 +233,8 @@ class OptimizerTrace:
     stay) and the other families' hold up to inner_iters + 1 (the
     phase-only UQP path records its whole ascent a^H B a as one run).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
-    on info per outer cycle, or _ascent_settled per UQP ascent step) and
+    on info per outer cycle, through _ascent_settled for the power-step
+    families and per UQP ascent step) and
     False when it used up its iteration budget.  ``segment_breaks`` lists
     the outer cycles that started on a new model from optimize's model_fn.
     """
@@ -589,6 +592,13 @@ def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: Const
     return None if best is a else best
 
 
+def _exact_family(constraint: ConstraintSpec) -> bool:
+    """Whether the family takes one exact inner step (energy, select:K
+    energy) rather than power-method-like steps."""
+    return constraint.kind == "energy" or (constraint.kind == "select"
+                                           and constraint.select_mode == "energy")
+
+
 def inner_power_iterations(a0: np.ndarray, d: np.ndarray, g: np.ndarray,
                            constraint: ConstraintSpec, max_iters: int):
     """The gain step of one outer cycle on the arrow Q of (d, g).
@@ -610,9 +620,8 @@ def inner_power_iterations(a0: np.ndarray, d: np.ndarray, g: np.ndarray,
     """
     a = np.asarray(a0, dtype=complex).copy()
     objs = [-_inner_value(a, d, g)]
-    select_energy = constraint.kind == "select" and constraint.select_mode == "energy"
-    if constraint.kind == "energy" or select_energy:
-        best = (_support_step(a, d, g, constraint) if select_energy
+    if _exact_family(constraint):
+        best = (_support_step(a, d, g, constraint) if constraint.kind == "select"
                 else _sphere_minimizer(d, g, len(a)))
         if best is not None:
             a = best
@@ -636,6 +645,19 @@ def _nondecreasing(seq) -> bool:
     return True
 
 
+def _ascent_settled(gain: float, last: float, tol: float) -> bool:
+    """Whether an ascent stops after a step that gained ``gain`` following
+    one that gained ``last`` (0.0 before the first step).
+
+    The step must gain at most tol, and the gains' geometric decay must
+    promise at most tol more: Aitken's remaining gain gain r / (1 - r),
+    r = gain / last, is at most tol, i.e. gain^2 <= tol (last - gain).
+    Gains that do not shrink (a slow crawl past a saddle) keep it going;
+    a gain <= 0 (nothing left to gain in floating point) stops it.
+    """
+    return gain <= tol and (gain <= 0.0 or gain * gain <= tol * (last - gain))
+
+
 def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     """One full cyclic maximization from a0; returns its trace.
 
@@ -646,13 +668,18 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     -f(a) means lost precision and raises NoDescent.  With model_fn the run
     starts on model_fn(a0, model), and a later model_fn(a, m) other than
     the current m itself starts a segment and restarts the convergence test.
+    energy and select:K energy stop once |info_k - info_{k+1}| <= outer_tol;
+    the power-step families (phase, quant, select:K:phase) can crawl past a
+    saddle with gains below outer_tol that do not shrink, so they stop on
+    _ascent_settled, as the phase-only UQP ascent does.
     """
     m = model if model_fn is None else model_fn(a0, model)
     a = np.asarray(a0, dtype=complex).copy()
     infos: list[float] = []
     inner_runs: list[tuple[float, ...]] = []
     breaks: list[int] = []
-    prev = None
+    prev, gain = None, 0.0
+    exact = _exact_family(constraint)
     stat_resid = 0.0
     converged = False
     for k in range(config.max_outer):
@@ -660,7 +687,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
             m_new = model_fn(a, m)
             if m_new is not m:
                 m = m_new
-                prev = None
+                prev, gain = None, 0.0
                 breaks.append(k)
         r = build_lifted(m, a)
         y = solve_auxiliary(r)
@@ -672,7 +699,9 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
         if prev is not None:
             if info < prev - DESCENT_RTOL * abs(prev):
                 raise NoDescent(f"information fell from {prev} to {info}")
-            if abs(info - prev) <= config.outer_tol:
+            gain, last = info - prev, gain
+            if (abs(gain) <= config.outer_tol if exact
+                    else _ascent_settled(gain, last, config.outer_tol)):
                 converged = True
                 break
         prev = info
@@ -853,25 +882,19 @@ def uqp_matrix(model: GlobalModel) -> np.ndarray:
 def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One unimodular ascent step a <- e^{j arg(B a)}, from the image B a.
 
+    The phase factor is formed as B a / |B a| entrywise, with no angle and
+    no exponential; an exact zero entry of B a gets phase 0 (a_i = 1), as
+    np.angle(0) gives, through a guarded divide that issues no warning.
     Returns the new point and its image B a_new, which the objective and
     the next step both read.  Non-decreasing in a^H B a for positive
     semidefinite B: the step maximizes Re(z^H B a) over unit-modulus z.
     """
-    a_new = np.exp(1j * np.arctan2(image.imag, image.real))  # np.angle without its wrapper
+    mag = np.abs(image)
+    if np.count_nonzero(mag) == len(mag):
+        a_new = image / mag
+    else:
+        a_new = np.divide(image, mag, out=np.ones_like(image), where=mag != 0.0)
     return a_new, b_mat @ a_new
-
-
-def _ascent_settled(gain: float, last: float, tol: float) -> bool:
-    """Whether an ascent stops after a step that gained ``gain`` following
-    one that gained ``last`` (0.0 before the first step).
-
-    The step must gain at most tol, and the gains' geometric decay must
-    promise at most tol more: Aitken's remaining gain gain r / (1 - r),
-    r = gain / last, is at most tol, i.e. gain^2 <= tol (last - gain).
-    Gains that do not shrink (a slow crawl past a saddle) keep it going;
-    a gain <= 0 (nothing left to gain in floating point) stops it.
-    """
-    return gain <= tol and (gain <= 0.0 or gain * gain <= tol * (last - gain))
 
 
 def optimize_phase_only_uqp(model: GlobalModel,
@@ -879,8 +902,10 @@ def optimize_phase_only_uqp(model: GlobalModel,
                             ) -> tuple[GainVector, OptimizerTrace]:
     """Phase-only design via the unimodular quadratic program.
 
-    Builds B once and iterates a <- e^{j arg(B a)}; the objective a^H B a
-    is non-decreasing because B is positive semidefinite.  For unit-modulus
+    Builds B once and iterates a <- e^{j arg(B a)} (uqp_step: B a / |B a|
+    entrywise, phase 0 where B a has an exact zero), reading the objective
+    a^H B a as one vdot with the image each step already formed; it is
+    non-decreasing because B is positive semidefinite.  For unit-modulus
     gains a^H B a is the information value, so the objective is the info
     trace, as on the general path.  The ascent stops once a step gains at
     most config.outer_tol and the shrinking gains promise at most that
@@ -895,11 +920,11 @@ def optimize_phase_only_uqp(model: GlobalModel,
 
     def ascend(a):
         image = b_mat @ a
-        objs = [float((a.conj() @ image).real)]
+        objs = [float(np.vdot(a, image).real)]
         gain = 0.0
         for _ in range(max_iters):  # at least one step: the config rejects empty budgets
             a, image = uqp_step(b_mat, image)
-            objs.append(float((a.conj() @ image).real))
+            objs.append(float(np.vdot(a, image).real))
             gain, last = objs[-1] - objs[-2], gain
             converged = _ascent_settled(gain, last, config.outer_tol)
             if converged:

@@ -7,6 +7,7 @@ The paper's corner eta0 (oracles.eta0_bound) would add eta0 to y^H R y and
 to C1 and change nothing else.
 """
 
+import dataclasses
 import itertools
 import warnings
 
@@ -996,6 +997,46 @@ def test_energy_design_converges_where_power_steps_ran_out():
     assert trace.final_variance < 0.0061268
 
 
+def test_cyclic_phase_design_crawls_past_a_saddle():
+    # the saddle of test_uqp_ascent_crawls_past_a_saddle: a plain
+    # |delta info| <= outer_tol stop ended this cyclic run after 536 cycles
+    # at variance 0.0599339; the settled-gain stop crawls on and converges
+    model = random_model(30, seed=3611603448)
+    _, trace = optimize(model, ConstraintSpec.phase_only(), OptimizerConfig(max_outer=4000))
+    assert trace.converged and trace.final_variance < 0.05970
+
+
+def test_power_step_cycles_do_not_settle_on_their_first_gain():
+    # the first gain counts against a previous gain of 0, so an outer_tol
+    # above it does not stop a power-step family there; energy keeps the
+    # |delta info| <= outer_tol stop and does
+    model = random_model(30, seed=7)
+    for text in ("phase", "select:10:phase"):
+        _, trace = optimize(model, ConstraintSpec.parse(text), OptimizerConfig(outer_tol=1e3))
+        infos = trace.info_per_outer
+        assert 0.0 < infos[1] - infos[0] <= 1e3, text
+        assert trace.converged and trace.outer_iters > 2, text
+    _, trace = optimize(model, ConstraintSpec.fixed_energy(), OptimizerConfig(outer_tol=1e3))
+    assert trace.converged and trace.outer_iters == 2
+
+
+def test_a_new_segment_restarts_the_settled_gain_test():
+    # a segment's first gain counts against 0, not against the gain of the
+    # segment before, so an outer_tol above it does not stop the run there
+    model = random_model(30, seed=7)
+    calls = []
+
+    def model_fn(a, previous):
+        calls.append(1)
+        return dataclasses.replace(previous) if len(calls) == 3 else previous
+
+    _, trace = optimize(model, ConstraintSpec.phase_only(), OptimizerConfig(outer_tol=1e3),
+                        model_fn=model_fn)
+    infos = trace.info_per_outer
+    assert trace.segment_breaks == (2,) and 0.0 < infos[3] - infos[2] <= 1e3
+    assert trace.converged and trace.outer_iters > 4
+
+
 def test_energy_refine_of_a_selection_design_never_hurts():
     # on a frozen decentralized model, the zero gains of a select:K design
     # leave g_k = 0 where d_k = min d = 0 (the hard case whenever the rest
@@ -1074,6 +1115,16 @@ def test_uqp_step_worked_example():
     assert float(np.real(a1.conj() @ image)) == pytest.approx(4.0)
 
 
+def test_uqp_step_gives_an_exact_zero_phase_zero():
+    # B a / |B a| would divide 0 by 0; the zero entry takes phase 0 and no
+    # RuntimeWarning fires
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a1, image = uqp_step(np.eye(3), np.array([1j, 0, -2]))
+    assert a1.tolist() == [1j, 1, -1]
+    assert np.array_equal(image, a1)
+
+
 def test_uqp_step_identity_fixed_points():
     rng = np.random.default_rng(5)
     a = ConstraintSpec.phase_only().random_point(5, rng)
@@ -1109,6 +1160,22 @@ def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget):
     assert trace.converged is converged
 
 
+def test_uqp_ascent_steps_through_the_module_attribute(monkeypatch):
+    # the benchmark's tracer counts uqp_step by wrapping gainopt.uqp_step:
+    # every ascent step of every restart must call it there, once
+    calls = []
+    step = gainopt.uqp_step
+    monkeypatch.setattr(gainopt, "uqp_step", lambda b, image: calls.append(1) or step(b, image))
+    model = random_model(30, seed=7)
+    config = OptimizerConfig(restarts=3, seed=2)
+    optimize_phase_only_uqp(model, config)
+    b_mat = uqp_matrix(model)
+    runs = [oracles.uqp_ascent_two_matvecs(b_mat, a0, config.max_outer * config.inner_iters,
+                                           config.outer_tol)
+            for a0 in _restart_points(30, ConstraintSpec.phase_only(), config, model)]
+    assert len(calls) == sum(len(objs) - 1 for _, objs, _ in runs) > 3
+
+
 def _settled_steps(objs, tol):
     """1-based steps k at which an ascent with objectives objs may stop: the
     gain g = objs[k] - objs[k-1] is at most tol, and g <= 0 or the gains'
@@ -1131,6 +1198,12 @@ def test_uqp_ascent_stops_on_outer_tol():
         assert _settled_steps(objs, tol) == [len(objs) - 1]
         steps[tol] = len(objs)
     assert steps[1e-3] < steps[1e-8]
+    # the first gain counts against a previous gain of 0: an outer_tol above
+    # it does not stop the ascent at step 1
+    _, trace = optimize_phase_only_uqp(model, OptimizerConfig(outer_tol=1e3))
+    objs = trace.info_per_outer
+    assert 0.0 < objs[1] - objs[0] <= 1e3
+    assert trace.converged and len(objs) > 2 and _settled_steps(objs, 1e3) == [len(objs) - 1]
     _, trace = optimize_phase_only_uqp(model, OptimizerConfig(max_outer=1, inner_iters=3))
     objs = trace.info_per_outer
     assert not trace.converged and len(objs) == 4 and _settled_steps(objs, 1e-8) == []
