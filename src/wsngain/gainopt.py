@@ -890,6 +890,8 @@ def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarr
     semidefinite B: the step maximizes Re(z^H B a) over unit-modulus z.
     """
     mag = np.abs(image)
+    # both divides give the same bits wherever mag != 0; the masked one costs
+    # about 2 us more a call, so it runs only when B a has an exact zero
     if np.count_nonzero(mag) == len(mag):
         a_new = image / mag
     else:

@@ -1137,9 +1137,12 @@ def test_uqp_step_identity_fixed_points():
                          ids=["default-budget", "tiny-budget"])
 @pytest.mark.parametrize("restarts", [1, 3])
 @pytest.mark.parametrize("n", [1, 5, 30, 60])
-def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget):
+def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget, monkeypatch):
     # the ascent forms B a once per step and reuses it for the objective and
     # the next step; every reported value keeps the bits of the two-product form
+    calls = []
+    step = gainopt.uqp_step
+    monkeypatch.setattr(gainopt, "uqp_step", lambda b, image: calls.append(1) or step(b, image))
     model = random_model(n, seed=40 + n)
     config = OptimizerConfig(restarts=restarts, seed=3, **budget)
     gains, trace = optimize_phase_only_uqp(model, config)
@@ -1158,22 +1161,9 @@ def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget):
     assert trace.info_per_outer == tuple(objs)
     assert trace.final_variance == 1.0 / objs[-1]
     assert trace.converged is converged
-
-
-def test_uqp_ascent_steps_through_the_module_attribute(monkeypatch):
     # the benchmark's tracer counts uqp_step by wrapping gainopt.uqp_step:
     # every ascent step of every restart must call it there, once
-    calls = []
-    step = gainopt.uqp_step
-    monkeypatch.setattr(gainopt, "uqp_step", lambda b, image: calls.append(1) or step(b, image))
-    model = random_model(30, seed=7)
-    config = OptimizerConfig(restarts=3, seed=2)
-    optimize_phase_only_uqp(model, config)
-    b_mat = uqp_matrix(model)
-    runs = [oracles.uqp_ascent_two_matvecs(b_mat, a0, config.max_outer * config.inner_iters,
-                                           config.outer_tol)
-            for a0 in _restart_points(30, ConstraintSpec.phase_only(), config, model)]
-    assert len(calls) == sum(len(objs) - 1 for _, objs, _ in runs) > 3
+    assert len(calls) == sum(len(objs) - 1 for _, objs, _ in runs)
 
 
 def _settled_steps(objs, tol):
