@@ -82,8 +82,8 @@ class GlobalModel:
 
     The compressed model is a scaled permutation: row r holds the link gain
     ``row_gain[r]`` in the column of sensor ``row_sensor[r]`` (0-based) and
-    zeros elsewhere, so R_w is diagonal, with entries
-    |h_r a_k|^2 v_k + noise_var (k = row_sensor[r]).
+    zeros elsewhere, so R_w is diagonal, with the :func:`link_terms`
+    entries |h_r a_k|^2 v_k + noise_var (k = row_sensor[r]).
     :func:`assemble_global_model` records that structure and the ``plan``
     it came from; the information, weights, lift and inner quadratic then
     take an O(N) elementwise path.  A model without it (centralized, or
@@ -106,23 +106,35 @@ class GlobalModel:
         return self.H.shape[0]
 
 
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y elementwise in real arithmetic, each product rounded before its sum: numpy's
+    complex product may fuse multiply-adds, so its last bit (and a plan) depends on the CPU."""
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+
+def _link_terms(h: np.ndarray, k: np.ndarray, a: np.ndarray, v: np.ndarray, noise_var: float):
+    """:func:`link_terms` of link gains h from 0-based sensors k; a and v by sensor."""
+    ha = _product(h, a[k])
+    # np.abs of a complex array may take a CPU-specific SIMD path; hypot
+    # rounds |h a| as scalar abs() does
+    p = np.hypot(ha.real, ha.imag) ** 2
+    denom = p * v[k] + noise_var
+    return ha, denom, p / denom
+
+
 def link_terms(scenario: DecentralizedScenario, gains, links):
     """Per-link arrays (h a, d, |h a|^2 / d), d = |h a|^2 sigma_v^2 + sigma_n^2,
     over the directed links at positions ``links`` (an index array or a
     slice) of :meth:`Topology.directed_links`.
 
     The last is the link's information term; a sink's information value
-    sums it over the sink's links.
+    sums it over the sink's links.  It is the one per-link rule: the plan,
+    the compressed model's R_w, the consensus streams and the measurement
+    take their terms from its core, so they agree to the last bit.
     """
-    a = _gain_values(gains)
-    h = scenario.gain_by_link[links]
     k = scenario.topology.directed_links()[1][links] - 1
-    ha = h * a[k]
-    # np.abs of a complex array may take a CPU-specific SIMD path; hypot
-    # rounds |h a| as scalar abs() does
-    p = np.hypot(ha.real, ha.imag) ** 2
-    denom = p * np.asarray(scenario.sensor_noise_var, dtype=float)[k] + scenario.comm_noise_var
-    return ha, denom, p / denom
+    return _link_terms(scenario.gain_by_link[links], k, _gain_values(gains),
+                       np.asarray(scenario.sensor_noise_var, dtype=float), scenario.comm_noise_var)
 
 
 def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diffusion import CompressionPlan, GlobalModel, _gain_values, link_terms
+from .diffusion import (CompressionPlan, GlobalModel, _gain_values, _link_terms, _product,
+                        link_terms)
 from .errors import DegenerateGains, InvalidConfig, NoConvergence
 from .netgraph import is_int
 from .scenario import CentralizedScenario, DecentralizedScenario
@@ -54,19 +55,12 @@ def combined_covariance(model: GlobalModel, gains) -> np.ndarray:
     return scaled @ model.H.conj().T + model.noise_var * np.eye(model.num_rows)
 
 
-def _compressed_terms(model: GlobalModel, a: np.ndarray):
-    """(H a, diagonal of R_w) of a compressed model, row by row:
-    h_r a_k and |h_r a_k|^2 v_k + sigma_n^2 with k the row's sensor."""
-    k = model.row_sensor
-    ha = model.row_gain * a[k]
-    return ha, (ha.real ** 2 + ha.imag ** 2) * model.sensor_noise_var[k] + model.noise_var
-
-
 def _information_and_weights(model: GlobalModel, a: np.ndarray):
     # weights w = R_w^{-1} H a; information value = (Ha)^H w, real and >= 0.
     # A compressed model's R_w is diagonal, so w is a quotient per row.
     if model.row_gain is not None:
-        ha, r = _compressed_terms(model, a)
+        ha, r, _ = _link_terms(model.row_gain, model.row_sensor, a, model.sensor_noise_var,
+                               model.noise_var)
         w = ha / r
     else:
         ha = model.H @ a
@@ -100,13 +94,6 @@ def _complex_gaussian(rng: np.random.Generator, var, size) -> np.ndarray:
     return std * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # x y elementwise, spelled out in real arithmetic because numpy's
-    # vectorized complex product may fuse multiply-adds, which makes its
-    # last bit depend on the CPU
-    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
-
-
 def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, rng=None) -> np.ndarray:
     """Draw one observation vector under the scenario's model.
 
@@ -133,8 +120,7 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
     edges = np.array(topo.edges)
     draw_of_link = np.argsort(topo.link_index(edges.ravel(), edges[:, ::-1].ravel()))
     n = noise[draw_of_link[links]]
-    k = parents - 1
-    return _product(_product(scenario.gain_by_link[links], a[k]), z[k]) + (n[:, 0] + 1j * n[:, 1])
+    return _product(link_terms(scenario, a, links)[0], z[parents - 1]) + (n[:, 0] + 1j * n[:, 1])
 
 
 def _rows_per_sink(plan: CompressionPlan) -> np.ndarray:

@@ -36,13 +36,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import (GlobalModel, _gain_values, assign_carriers, decentralized_model,
-                        information_table)
+from .diffusion import (GlobalModel, _gain_values, _link_terms, assign_carriers,
+                        decentralized_model, information_table)
 from .errors import DegenerateGains, InvalidConfig, NoDescent, ZeroVectorWarning
 from .estimator import (
     INFO_FLOOR,
     GainVector,
-    _compressed_terms,
     _information_and_weights,
     combined_covariance,
     global_variance,
@@ -78,11 +77,11 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.kind not in ("energy", "phase", "quant", "select"):
             raise InvalidConfig(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "quant" and (self.q_levels is None or self.q_levels < 2):
-            raise InvalidConfig("quantized constraint needs q_levels >= 2")
+        if self.kind == "quant" and not (is_int(self.q_levels) and self.q_levels >= 2):
+            raise InvalidConfig(f"q_levels must be an integer >= 2, got {self.q_levels!r}")
         if self.kind == "select":
-            if self.k_active is None or self.k_active < 1:
-                raise InvalidConfig("selection constraint needs k_active >= 1")
+            if not (is_int(self.k_active) and self.k_active >= 1):
+                raise InvalidConfig(f"k_active must be an integer >= 1, got {self.k_active!r}")
             if self.select_mode not in ("energy", "phase"):
                 raise InvalidConfig(f"unknown selection mode {self.select_mode!r}")
 
@@ -139,8 +138,7 @@ class ConstraintSpec:
                 raise InvalidConfig("gains are not unit modulus")
             return
         if self.kind == "quant":
-            grid = np.exp(2j * np.pi * np.arange(self.q_levels) / self.q_levels)
-            dist = np.min(np.abs(a[:, None] - grid[None, :]), axis=1)
+            dist = np.min(np.abs(a[:, None] - _phase_grid(self.q_levels)), axis=1)
             if np.max(dist) > CHECK_ATOL:
                 raise InvalidConfig("gains are off the phase grid")
             return
@@ -173,8 +171,7 @@ class ConstraintSpec:
         if self.kind == "phase":
             return np.exp(2j * np.pi * rng.random(n))
         if self.kind == "quant":
-            q = rng.integers(0, self.q_levels, n)
-            return np.exp(2j * np.pi * q / self.q_levels)
+            return _phase_grid(self.q_levels)[rng.integers(0, self.q_levels, n)]
         support = rng.choice(n, size=min(self.k_active, n), replace=False)
         a = np.zeros(n, dtype=complex)
         if self.select_mode == "energy":
@@ -268,7 +265,8 @@ def build_lifted(model: GlobalModel, gains) -> np.ndarray:
     m = model.num_rows
     r = np.zeros((m + 1, m + 1), dtype=complex)
     if model.row_gain is not None:
-        b, r_w = _compressed_terms(model, a)
+        b, r_w, _ = _link_terms(model.row_gain, model.row_sensor, a, model.sensor_noise_var,
+                                model.noise_var)
         np.fill_diagonal(r[1:, 1:], r_w)
     else:
         b = model.H @ a
@@ -819,11 +817,13 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     """Single cyclic run on a fixed model from a caller-provided feasible
     start (warm start).
 
-    Useful when one constraint family's solution is feasible for a looser
-    one; monotone descent then guarantees the refined variance does not
-    exceed the warm start's.
+    Useful when one constraint family's solution is feasible for a looser one;
+    monotone descent then guarantees the refined variance does not exceed the
+    warm start's.  An infeasible start, or one not of length N, raises InvalidConfig.
     """
     a0 = np.asarray(a0, dtype=complex)
+    if a0.shape != (model.num_sensors,):
+        raise InvalidConfig(f"start has shape {a0.shape}, the model {model.num_sensors} sensors")
     constraint.check(a0)
     return _best_of_starts(lambda start: _cyclic_run(model, None, start, constraint, config),
                            [a0], time.perf_counter())
@@ -883,8 +883,9 @@ def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """One unimodular ascent step a <- e^{j arg(B a)}, from the image B a.
 
     The phase factor is formed as B a / |B a| entrywise, with no angle and
-    no exponential; an exact zero entry of B a gets phase 0 (a_i = 1), as
-    np.angle(0) gives, through a guarded divide that issues no warning.
+    no exponential; an exact zero entry of B a gets phase 0 (a_i = 1), whatever
+    its signs of zero, through a guarded divide that issues no warning
+    (project(., phase) maps -0.0 + 0j to -1, as np.angle(-0.0 + 0j) is pi).
     Returns the new point and its image B a_new, which the objective and
     the next step both read.  Non-decreasing in a^H B a for positive
     semidefinite B: the step maximizes Re(z^H B a) over unit-modulus z.

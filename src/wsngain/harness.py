@@ -31,6 +31,7 @@ from .estimator import (
 from .gainopt import (
     ConstraintSpec,
     OptimizerConfig,
+    _phase_grid,
     optimize,
     optimize_phase_only_uqp,
     refine,
@@ -146,14 +147,13 @@ def baseline_exhaustive_quantized(model, q_levels: int) -> tuple[GainVector, flo
     n = model.num_sensors
     total = _check_enumerable(q_levels, n)
     b_mat = uqp_matrix(model)
-    grid = np.exp(2j * np.pi * np.arange(q_levels) / q_levels)
     place = q_levels ** np.arange(n - 1, -1, -1)
     best_obj = -np.inf
     best_a = None
     chunk = 100_000
     for start in range(0, total, chunk):
         index = np.arange(start, min(start + chunk, total))
-        cand = grid[index[:, None] // place % q_levels]
+        cand = _phase_grid(q_levels)[index[:, None] // place % q_levels]
         objs = np.real(np.einsum("bi,ij,bj->b", cand.conj(), b_mat, cand))
         k = int(np.argmax(objs))
         if objs[k] > best_obj:

@@ -29,6 +29,7 @@ from wsngain import (
     optimize_decentralized,
     random_connected_topology,
 )
+from wsngain.diffusion import link_terms
 from wsngain.estimator import _information_and_weights
 
 RTOL = 1e-12
@@ -76,6 +77,19 @@ def test_compressed_path_matches_the_dense_formulas():
         y = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
         mle_ref = complex(w_ref.conj() @ y) / info_ref
         assert abs(global_mle(model, a, y) - mle_ref) <= RTOL * abs(mle_ref), trial
+
+
+def test_model_rows_take_the_link_terms_bit_for_bit():
+    # the model's R_w diagonal and weights come from the per-link rule of the
+    # carrier plan and the consensus streams, with no arithmetic of their own
+    for seed in range(20):
+        scen = gen_decentralized_scenario(random_connected_topology(50, 0.15, seed), seed=seed)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        model, plan = decentralized_model(scen, a)
+        ha, denom, _ = link_terms(scen, a, plan.links(scen.topology)[2])
+        assert np.diag(build_lifted(model, a))[1:].real.tobytes() == denom.tobytes(), seed
+        assert _information_and_weights(model, a)[1].tobytes() == (ha / denom).tobytes(), seed
 
 
 def test_assembled_model_records_its_rows_and_plan():

@@ -27,6 +27,7 @@ from wsngain import (
     information_table,
     random_connected_topology,
 )
+from wsngain.diffusion import _product, link_terms
 from wsngain.estimator import initial_streams
 from wsngain.scenario import DecentralizedScenario
 
@@ -211,6 +212,21 @@ def test_carrier_uses_current_gains():
     _, plan_b = decentralized_model(scen, np.array([1.0, 1.0, 3.0], dtype=complex))
     assert plan_a.carrier[0] == 3  # I_3 = 1/2 + 9/10 beats I_2 = 1
     assert plan_b.carrier[0] == 2
+
+
+def test_link_products_round_each_product_before_the_sum():
+    # h a_k in real arithmetic, each product rounded before its sum: numpy's
+    # complex * may fuse multiply-adds, and then its last bit (and a carrier
+    # plan) depends on the CPU
+    rng = np.random.default_rng(8)
+    for seed in range(5):
+        scen = gen_decentralized_scenario(random_connected_topology(50, 0.15, seed), seed=seed)
+        a = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        h, k = scen.gain_by_link, scen.topology.directed_links()[1] - 1
+        ak = a[k]
+        want = (h.real * ak.real - h.imag * ak.imag) + 1j * (h.real * ak.imag + h.imag * ak.real)
+        assert _product(h, ak).tobytes() == want.tobytes()
+        assert link_terms(scen, a, slice(None))[0].tobytes() == want.tobytes(), seed
 
 
 def test_information_table_order():

@@ -77,6 +77,14 @@ def test_parse_rejects_garbage():
     for text in ("power", "quant", "quant:1", "select:0", "select:2:odd", "phase:8"):
         with pytest.raises(InvalidConfig):
             ConstraintSpec.parse(text)
+    # the counts are integers (Python or numpy), never a bool
+    for bad in (dict(q_levels=2.5), dict(q_levels="4"), dict(q_levels=True)):
+        with pytest.raises(InvalidConfig):
+            ConstraintSpec("quant", **bad)
+    for bad in (dict(k_active=2.5), dict(k_active=True), dict(k_active="2")):
+        with pytest.raises(InvalidConfig):
+            ConstraintSpec("select", **bad)
+    assert ConstraintSpec("quant", q_levels=np.int64(4)).label() == "quant:4"
 
 
 def test_random_points_are_feasible():
@@ -978,6 +986,11 @@ def test_refine_requires_feasible_start():
     for start in (np.full(4, 0.5 + 0j), np.full(4, np.nan + 0j)):
         with pytest.raises(InvalidConfig):
             refine(model, start, ConstraintSpec.fixed_energy())
+    # a start of another length is rejected before any product with the model
+    for n in (3, 5):
+        for spec in (ConstraintSpec.phase_only(), ConstraintSpec.fixed_energy()):
+            with pytest.raises(InvalidConfig, match="sensors"):
+                refine(model, spec.initial_point(n), spec)
 
 
 def test_refine_never_hurts_warm_start():

@@ -5,6 +5,7 @@ read-only.  Two checkouts compare by their lines, so a line must repeat on
 a second run and must tell different outputs apart.
 """
 
+import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -14,10 +15,15 @@ TOOL = ROOT / "tools" / "job_digests.py"
 WORKLOADS = ("central-design", "decentral-design", "consensus", "phase-sweep")
 
 
-def test_job_digest_lines_repeat_and_tell_seeds_apart(capsys):
+def _tool():
     spec = importlib.util.spec_from_file_location("job_digests", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_job_digest_lines_repeat_and_tell_seeds_apart(capsys):
+    tool = _tool()
 
     def lines(seed):
         assert tool.main([str(ROOT), str(seed), "--jobs", "1"]) == 0
@@ -25,10 +31,11 @@ def test_job_digest_lines_repeat_and_tell_seeds_apart(capsys):
 
     first = lines(3)
     assert [line.split()[:3] for line in first] == [[name, "3", "0"] for name in WORKLOADS]
-    assert all(len(line.split()) == 5 and len(line.split()[3]) == 64 for line in first)
+    assert all(len(line.split()) == 6 and len(line.split()[3]) == 64
+               and len(line.split()[4]) == tool.SHAPE_HEX for line in first)
     # the headline: one design variance, two decentralized ones, the consensus
     # rounds, and the optimized mean variance at each of the three sweep sizes
-    central, decentral, consensus, sweep = (line.split()[4].split(",") for line in first)
+    central, decentral, consensus, sweep = (line.split()[5].split(",") for line in first)
     assert len(central) == 1 and len(decentral) == 2 and len(sweep) == 3
     assert all(0.0 < float(v) < math.inf for v in central + decentral + sweep)
     assert int(consensus[0]) >= 1 and len(consensus) == 1
@@ -36,3 +43,18 @@ def test_job_digest_lines_repeat_and_tell_seeds_apart(capsys):
     # another seed draws other inputs, so every job's output, and its digest, differs
     other = lines(4)
     assert all(a.split()[3] != b.split()[3] for a, b in zip(first, other))
+
+
+def test_shape_digest_reads_only_the_discrete_outcome():
+    tool = _tool()
+    workload = tool.load_workloads(ROOT).WORKLOADS["central-design"]
+    gains, trace = workload.job(workload.build(3), 0)
+    parts, shape = tool._parts("central-design", (gains, trace))
+    # the last bit of the variance moves the full digest, not the shape
+    nudged = dataclasses.replace(trace, final_variance=math.nextafter(trace.final_variance, 1.0))
+    moved, same = tool._parts("central-design", (gains, nudged))
+    assert tool._digest(moved) != tool._digest(parts) and tool._digest(same) == tool._digest(shape)
+    # another outer count moves both
+    longer = dataclasses.replace(trace, info_per_outer=trace.info_per_outer * 2)
+    moved, other = tool._parts("central-design", (gains, longer))
+    assert tool._digest(moved) != tool._digest(parts) and tool._digest(other) != tool._digest(shape)

@@ -4,8 +4,8 @@
 
 ROOT is a checkout of this repository: the library is imported from
 ``ROOT/src`` and the jobs come from ``ROOT/perfbench/workloads.py``, which
-is only read.  Each line is ``workload seed job sha256 values``, the hash
-taken over everything a job returns except wall times:
+is only read.  Each line is ``workload seed job sha256 shape values``, the
+sha256 taken over everything a job returns except wall times:
 
 - designs: gain bytes, variance, outer count, segment breaks, ``converged``,
   the info and inner traces and, for a decentralized design, the plan;
@@ -13,12 +13,17 @@ taken over everything a job returns except wall times:
   and the rounds;
 - phase-sweep: the rows, without their mean runtimes.
 
-``values`` is the job's headline, comma-separated: a design's variance
-(both variances, in constraint order, for a decentralized job), the
-consensus rounds, or a phase sweep's optimized mean variances in N order.
-So a ``diff`` of two checkouts' lines shows which way a moved job went.
-A job that raises a library error is hashed by its error class and
-message, and its headline is the error class.
+``shape`` is a short hash of the job's discrete outcome alone: a design's
+outer count, segment breaks, ``converged`` and plan; a consensus run's
+plan and rounds; the phase-sweep rows without their floats.  Two lines
+that differ in the sha256 but not in the shape moved only in floating-point
+values, such as their last bits.  ``values`` is the job's headline,
+comma-separated: a design's variance (both variances, in constraint order,
+for a decentralized job), the consensus rounds, or a phase sweep's
+optimized mean variances in N order.  So a ``diff`` of two checkouts'
+lines shows which way a moved job went.  A job that raises a library
+error is hashed by its error class and message, its shape by the class,
+and its headline is the error class.
 Two checkouts that print the same lines for the same seeds produce the
 same bytes on every job.  ``--jobs N`` runs only the first N jobs of each
 workload.  BLAS is pinned to one thread, as in ``perfbench/run.py``.
@@ -30,6 +35,8 @@ import importlib.util
 import os
 import sys
 from pathlib import Path
+
+SHAPE_HEX = 16  # hex digits kept of the shape hash: short enough to read in a diff
 
 
 def load_workloads(root: Path):
@@ -49,22 +56,35 @@ def load_workloads(root: Path):
 
 
 def _design_parts(gains, trace, plan=None):
-    return [gains.values.tobytes(), repr(trace.final_variance), trace.outer_iters,
-            trace.segment_breaks, trace.converged, trace.info_per_outer, trace.inner_objective,
-            None if plan is None else plan.carrier]
+    shape = [trace.outer_iters, trace.segment_breaks, trace.converged,
+             None if plan is None else plan.carrier]
+    return [gains.values.tobytes(), repr(trace.final_variance), trace.info_per_outer,
+            trace.inner_objective] + shape, shape
 
 
-def _parts(name: str, output) -> list:
+def _parts(name: str, output) -> tuple[list, list]:
+    """(everything the job returns but wall times, its discrete outcome)."""
     if name == "central-design":
         return _design_parts(*output)
     if name == "decentral-design":
-        return [part for design in output for part in _design_parts(*design)]
+        designs = [_design_parts(*design) for design in output]
+        return [p for parts, _ in designs for p in parts], [p for _, shape in designs for p in shape]
     if name == "consensus":
         _, plan, y, report = output
-        return [plan.carrier, y.tobytes(), repr(report.theta_hat),
-                repr(report.analytic_variance), report.iterations_to_tol]
+        return ([plan.carrier, y.tobytes(), repr(report.theta_hat),
+                 repr(report.analytic_variance), report.iterations_to_tol],
+                [plan.carrier, report.iterations_to_tol])
     # the rows keep their wall times even when the CSV leaves them out
-    return [[{k: v for k, v in row.items() if k != "mean_runtime_s"} for row in output]]
+    return ([[{k: v for k, v in row.items() if k != "mean_runtime_s"} for row in output]],
+            [[{k: v for k, v in row.items() if not isinstance(v, float)} for row in output]])
+
+
+def _digest(parts: list) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part if isinstance(part, bytes) else repr(part).encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def _headline(name: str, output) -> list:
@@ -78,8 +98,8 @@ def _headline(name: str, output) -> list:
 
 
 def job_lines(workloads, seed: int, jobs=None) -> list:
-    """One ``workload seed job sha256 values`` line per job, workloads in
-    their declared order."""
+    """One ``workload seed job sha256 shape values`` line per job, workloads
+    in their declared order."""
     from wsngain.errors import WsnGainError
 
     lines = []
@@ -88,17 +108,13 @@ def job_lines(workloads, seed: int, jobs=None) -> list:
         for j in range(workload.pass_jobs if jobs is None else min(jobs, workload.pass_jobs)):
             try:
                 output = workload.job(state, j)
-                parts = _parts(name, output)
+                parts, shape = _parts(name, output)
                 values = ",".join(repr(float(v)) if isinstance(v, float) else str(v)
                                   for v in _headline(name, output))
             except WsnGainError as exc:
-                parts = [type(exc).__name__, str(exc)]
+                parts, shape = [type(exc).__name__, str(exc)], [type(exc).__name__]
                 values = type(exc).__name__
-            digest = hashlib.sha256()
-            for part in parts:
-                digest.update(part if isinstance(part, bytes) else repr(part).encode())
-                digest.update(b"\0")
-            lines.append(f"{name} {seed} {j} {digest.hexdigest()} {values}")
+            lines.append(f"{name} {seed} {j} {_digest(parts)} {_digest(shape)[:SHAPE_HEX]} {values}")
     return lines
 
 
