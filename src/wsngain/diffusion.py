@@ -70,6 +70,24 @@ class CompressionPlan:
         return {"carrier": list(self.carrier), "r": self.r, "m_dim": self.m_dim}
 
 
+class _DenseH:
+    """The ``H`` field of :class:`GlobalModel`: the matrix a model was given
+    or, for a compressed model (given None), its scaled permutation built
+    from the rows at each read and not kept, so that a model holds O(N)."""
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            raise AttributeError("H")  # so the dataclass field has no default
+        dense = vars(model)["H"]
+        if dense is None:
+            dense = np.zeros((model.num_rows, model.num_sensors), dtype=complex)
+            dense[np.arange(model.num_rows), model.row_sensor] = model.row_gain
+        return dense
+
+    def __set__(self, model, value):
+        vars(model)["H"] = value
+
+
 @dataclass(frozen=True)
 class GlobalModel:
     """Unified linear observation model y = H a theta + H Diag(a) v + n.
@@ -84,26 +102,31 @@ class GlobalModel:
     ``row_gain[r]`` in the column of sensor ``row_sensor[r]`` (0-based) and
     zeros elsewhere, so R_w is diagonal, with the :func:`link_terms`
     entries |h_r a_k|^2 v_k + noise_var (k = row_sensor[r]).
-    :func:`assemble_global_model` records that structure and the ``plan``
-    it came from; the information, weights, lift and inner quadratic then
-    take an O(N) elementwise path.  A model without it (centralized, or
-    built by hand) takes the dense one.
+    :func:`assemble_global_model` records only those rows and the ``plan``
+    they came from (``H=None``), so the model holds O(N); the information,
+    weights, lift and inner quadratic take an O(N) elementwise path.  Its
+    ``H`` is built from the rows on each read, for the dense readers
+    (``uqp_matrix``, ``combined_covariance``), and is not kept.  A model
+    given its ``H`` (centralized, or built by hand) takes the dense path.
     """
 
-    H: np.ndarray = field(repr=False)
+    H: np.ndarray | None = _DenseH()
     sensor_noise_var: np.ndarray = field(repr=False)
     noise_var: float
     plan: CompressionPlan | None = field(default=None, repr=False)
     row_sensor: np.ndarray | None = field(default=None, repr=False)
     row_gain: np.ndarray | None = field(default=None, repr=False)
 
+    def __repr__(self) -> str:
+        return f"GlobalModel(noise_var={self.noise_var!r})"
+
     @property
     def num_sensors(self) -> int:
-        return self.H.shape[1]
+        return len(self.sensor_noise_var)
 
     @property
     def num_rows(self) -> int:
-        return self.H.shape[0]
+        return self.H.shape[0] if self.row_gain is None else len(self.row_gain)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -173,21 +196,17 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
     Row order is sink-major with parents ascending inside each sink.  The
     row for (sink i, parent k) holds h_{i,k} in column k and zeros
     elsewhere; the estimator is invariant to the row order.  The model
-    also records each row's sensor and gain and the plan (see
-    :class:`GlobalModel`), so that the formulas on it run elementwise.
+    records only each row's sensor and gain and the plan, in O(N), and
+    builds its dense ``H`` on demand (see :class:`GlobalModel`).
     """
-    sinks, parents, links = plan.links(scenario.topology)
-    sensors = parents - 1
-    gains = scenario.gain_by_link[links]
-    H = np.zeros((len(sinks), scenario.topology.num_nodes), dtype=complex)
-    H[np.arange(len(sinks)), sensors] = gains
+    _, parents, links = plan.links(scenario.topology)
     return GlobalModel(
-        H=H,
+        H=None,
         sensor_noise_var=np.asarray(scenario.sensor_noise_var, dtype=float),
         noise_var=scenario.comm_noise_var,
         plan=plan,
-        row_sensor=sensors,
-        row_gain=gains,
+        row_sensor=parents - 1,
+        row_gain=scenario.gain_by_link[links],
     )
 
 

@@ -51,8 +51,9 @@ class GainVector:
 def combined_covariance(model: GlobalModel, gains) -> np.ndarray:
     """R_w = H D V D^H H^H + sigma_n^2 I for the current gains."""
     a = _gain_values(gains)
-    scaled = model.H * (np.abs(a) ** 2 * model.sensor_noise_var)[None, :]
-    return scaled @ model.H.conj().T + model.noise_var * np.eye(model.num_rows)
+    h = model.H  # built anew at each read on a compressed model
+    scaled = h * (np.abs(a) ** 2 * model.sensor_noise_var)[None, :]
+    return scaled @ h.conj().T + model.noise_var * np.eye(model.num_rows)
 
 
 def _information_and_weights(model: GlobalModel, a: np.ndarray):
@@ -117,8 +118,7 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
     _, parents, links = plan.links(topo)
     z = scenario.theta + _complex_gaussian(rng, scenario.sensor_noise_var, topo.num_nodes)
     noise = np.sqrt(scenario.comm_noise_var / 2.0) * rng.standard_normal((2 * topo.num_edges, 2))
-    edges = np.array(topo.edges)
-    draw_of_link = np.argsort(topo.link_index(edges.ravel(), edges[:, ::-1].ravel()))
+    draw_of_link = np.argsort(topo.edge_link_index())
     n = noise[draw_of_link[links]]
     return _product(link_terms(scenario, a, links)[0], z[parents - 1]) + (n[:, 0] + 1j * n[:, 1])
 

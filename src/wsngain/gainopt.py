@@ -67,6 +67,9 @@ class ConstraintSpec:
     kind "select":  at most k_active nonzeros; select_mode "energy" keeps
                     ||a||^2 = N, select_mode "phase" uses constant modulus
                     sqrt(N / K) on the support
+
+    A field its kind ignores must keep its default (q_levels and k_active
+    None, select_mode "energy"), so that one feasible set has one spec.
     """
 
     kind: str
@@ -84,6 +87,12 @@ class ConstraintSpec:
                 raise InvalidConfig(f"k_active must be an integer >= 1, got {self.k_active!r}")
             if self.select_mode not in ("energy", "phase"):
                 raise InvalidConfig(f"unknown selection mode {self.select_mode!r}")
+        ignored = {"q_levels": self.kind != "quant" and self.q_levels is not None,
+                   "k_active": self.kind != "select" and self.k_active is not None,
+                   "select_mode": self.kind != "select" and self.select_mode != "energy"}
+        for name, stray in ignored.items():
+            if stray:
+                raise InvalidConfig(f"{name} does not apply to {self.kind!r} constraints")
 
     @classmethod
     def fixed_energy(cls):
@@ -736,8 +745,9 @@ def _rotation_rounding(model: GlobalModel, relaxed: np.ndarray,
     pick = _grid_pick(angles, q).astype(np.intp)
     base = _phase_grid(q)[pick]
     order = np.argsort(np.mod(np.pi / q - angles, width), kind="stable")[:-1]
-    moves = model.H[:, order] * ((np.exp(1j * width) - 1.0) * base[order])
-    hc = np.cumsum(np.column_stack((model.H @ base, moves)), axis=1)
+    h = model.H
+    moves = h[:, order] * ((np.exp(1j * width) - 1.0) * base[order])
+    hc = np.cumsum(np.column_stack((h @ base, moves)), axis=1)
     info = np.real(np.sum(hc.conj() * _unit_modulus_solve(model, hc), axis=0))
     pick[order[:int(np.argmax(info))]] += 1
     return _phase_grid(q)[np.mod(pick, q)]
@@ -876,7 +886,8 @@ def uqp_matrix(model: GlobalModel) -> np.ndarray:
     Valid because the combined covariance no longer depends on unit-modulus
     gains (_unit_modulus_solve).
     """
-    return model.H.conj().T @ _unit_modulus_solve(model, model.H)
+    h = model.H
+    return h.conj().T @ _unit_modulus_solve(model, h)
 
 
 def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -141,9 +141,12 @@ def baseline_exhaustive_quantized(model, q_levels: int) -> tuple[GainVector, flo
     All candidates are unit modulus, so the combined covariance is the
     constant phase-only one and every objective is a^H B a; candidates are
     scored in chunks, in lexicographic order of their phase indices (the
-    last sensor's index varies fastest).  Raises TooLarge beyond the
+    last sensor's index varies fastest).  Raises InvalidConfig unless
+    q_levels is an integer >= 2 (netgraph.is_int), and TooLarge beyond the
     enumeration budget.
     """
+    if not (is_int(q_levels) and q_levels >= 2):
+        raise InvalidConfig(f"q_levels must be an integer >= 2, got {q_levels!r}")
     n = model.num_sensors
     total = _check_enumerable(q_levels, n)
     b_mat = uqp_matrix(model)

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DisconnectedGraph, GenerationFailed, InvalidConfig, InvalidEdge
 
 DEFAULT_RETRIES = 200
+PAIR_CHUNK = 1 << 20  # pairs per rng.random call of random_connected_topology
 
 
 def is_int(x) -> bool:
@@ -80,6 +81,13 @@ class Topology:
         parents = np.concatenate(self.neighbor_seq)
         sinks.flags.writeable = parents.flags.writeable = False
         return sinks, parents
+
+    def edge_link_index(self) -> np.ndarray:
+        """Positions in :meth:`directed_links` order of the links in sorted
+        edge order, (i, j) before (j, i): the order in which the generators
+        draw link gains and link noise."""
+        edges = np.array(self.edges)
+        return self.link_index(edges.ravel(), edges[:, ::-1].ravel())
 
     def link_index(self, sinks, parents) -> np.ndarray:
         """Positions of the links (sinks[l], parents[l]) in :meth:`directed_links`
@@ -149,6 +157,13 @@ def build_topology(num_nodes: int, edges) -> Topology:
 def random_connected_topology(num_nodes: int, edge_probability: float, seed: int) -> Topology:
     """Erdos-Renyi draw, resampled until connected.
 
+    Each draw reads one ``rng.random`` value per pair i < j, row-major
+    ((1, 2), (1, 3), ..., (2, 3), ...), and keeps the pairs below
+    ``edge_probability``.  The stream is read in chunks of at most
+    ``PAIR_CHUNK`` pairs, so a draw holds O(N + E + PAIR_CHUNK) memory
+    rather than the N(N-1)/2 pairs at once; the chunks read the stream
+    that one draw over every pair would.
+
     Deterministic given the seed, a non-negative integer (any other seed
     raises InvalidConfig).  Raises :class:`GenerationFailed` after
     ``DEFAULT_RETRIES`` disconnected draws, which signals that
@@ -157,11 +172,17 @@ def random_connected_topology(num_nodes: int, edge_probability: float, seed: int
     if not 0.0 < edge_probability <= 1.0:
         raise InvalidConfig(f"edge_probability must be in (0, 1], got {edge_probability}")
     rng = seeded_rng(seed)
-    rows, cols = np.triu_indices(num_nodes, 1)  # pairs i < j, row-major
+    # row_start[i] is the pair index of (i + 1, i + 2), the first pair of row i + 1
+    row_start = np.concatenate(([0], np.cumsum(np.arange(num_nodes - 1, 0, -1))))
+    total = int(row_start[-1])
     for _ in range(DEFAULT_RETRIES):
-        mask = rng.random(len(rows)) < edge_probability
+        kept = [np.flatnonzero(rng.random(min(PAIR_CHUNK, total - start)) < edge_probability)
+                + start for start in range(0, total, PAIR_CHUNK)]
+        pairs = np.concatenate(kept) if kept else np.zeros(0, dtype=int)
+        rows = np.searchsorted(row_start, pairs, side="right") - 1
+        cols = pairs - row_start[rows] + rows + 1
         try:
-            return build_topology(num_nodes, zip(rows[mask] + 1, cols[mask] + 1))
+            return build_topology(num_nodes, zip((rows + 1).tolist(), (cols + 1).tolist()))
         except DisconnectedGraph:
             continue
     raise GenerationFailed(

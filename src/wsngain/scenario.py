@@ -115,14 +115,16 @@ class CentralizedScenario:
 class DecentralizedScenario:
     """Sensors on a graph; every directed link carries its own gain.
 
-    ``link_gain[(rx, tx)]`` is h_{rx,tx}, the coefficient seen by receiver
-    ``rx`` for transmitter ``tx``.  Both directions of each edge are
-    present and may differ.  ``gain_by_link`` holds the same gains as one
-    array in :meth:`Topology.directed_links` order; other modules index it.
+    ``gain_by_link`` holds h_{rx,tx}, the coefficient seen by receiver
+    ``rx`` for transmitter ``tx``, as one complex array (2|E| long, O(E)
+    memory) in :meth:`Topology.directed_links` order: sink (receiver)
+    major, transmitters ascending.  Both directions of each edge are
+    present and may differ; :meth:`Topology.link_index` finds a link's
+    position.
     """
 
     topology: Topology
-    link_gain: dict[tuple[int, int], complex] = field(repr=False)
+    gain_by_link: np.ndarray = field(repr=False)
     sensor_noise_var: np.ndarray = field(repr=False)
     comm_noise_var: float
     theta: complex
@@ -130,14 +132,12 @@ class DecentralizedScenario:
     alpha: float = 1.0
     d_range: tuple[float, float] = (1.0, 10.0)
     v_range: tuple[float, float] = (0.5, 1.5)
-    gain_by_link: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sinks, parents = self.topology.directed_links()
-        gains = [self.link_gain.get(link) for link in zip(sinks.tolist(), parents.tolist())]
-        if None in gains or len(self.link_gain) != len(gains):
+        gains = np.asarray(self.gain_by_link, dtype=complex)
+        if gains.shape != (2 * self.topology.num_edges,):
             raise InvalidConfig("link gains must cover both directions of every edge")
-        object.__setattr__(self, "gain_by_link", np.array(gains, dtype=complex))
+        object.__setattr__(self, "gain_by_link", gains)
         _check_values(self.sensor_noise_var, self.num_sensors, self.comm_noise_var,
                       self.gain_by_link, self.theta)
         _check_draws(self.d_range, self.v_range, self.alpha)
@@ -193,19 +193,20 @@ def gen_decentralized_scenario(
     are visited in sorted edge order, (i, j) before (j, i), which pins the
     RNG stream for reproducibility.  Link gains are e^{j gamma} / d^alpha
     with d ~ Uniform(d_range) and gamma ~ Uniform[0, 2pi); one (links, 2)
-    draw holds the (distance, phase) pairs, link by link.
+    draw holds the (distance, phase) pairs, link by link.  The gains are
+    stored in :meth:`Topology.directed_links` order (``gain_by_link``).
     """
     rng = seeded_rng(seed)
-    links = [link for i, j in topology.edges for link in ((i, j), (j, i))]
-    draws = rng.uniform([noise.d_range[0], 0.0], [noise.d_range[1], 2.0 * np.pi], size=(len(links), 2))
+    order = topology.edge_link_index()  # the position of each drawn link
+    draws = rng.uniform([noise.d_range[0], 0.0], [noise.d_range[1], 2.0 * np.pi], size=(len(order), 2))
     # Python-float powers: numpy's vectorized power can differ in the last bit
     loss = [d ** noise.path_loss_exp for d in draws[:, 0].tolist()]
-    gains = np.exp(1j * draws[:, 1]) / np.array(loss)
-    link_gain = dict(zip(links, gains.tolist()))
+    gains = np.empty(len(order), dtype=complex)
+    gains[order] = np.exp(1j * draws[:, 1]) / np.array(loss)
     v = rng.uniform(noise.v_range[0], noise.v_range[1], topology.num_nodes)
     return DecentralizedScenario(
         topology=topology,
-        link_gain=link_gain,
+        gain_by_link=gains,
         sensor_noise_var=v,
         comm_noise_var=noise.channel_noise_var,
         theta=complex(theta),
@@ -233,6 +234,7 @@ def to_json_dict(scenario) -> dict:
             "fc_noise_var": float(scenario.fc_noise_var),
         }
     elif isinstance(scenario, DecentralizedScenario):
+        sinks, parents = scenario.topology.directed_links()
         doc = {
             "kind": "decentralized",
             "N": scenario.num_sensors,
@@ -240,7 +242,8 @@ def to_json_dict(scenario) -> dict:
             "edges": [[i, j] for i, j in scenario.topology.edges],
             "links": [
                 {"rx": rx, "tx": tx, "gain": _c2pair(g)}
-                for (rx, tx), g in sorted(scenario.link_gain.items())
+                for rx, tx, g in zip(sinks.tolist(), parents.tolist(),
+                                     scenario.gain_by_link.tolist())
             ],
             "sensor_noise_var": [float(x) for x in scenario.sensor_noise_var],
             "comm_noise_var": float(scenario.comm_noise_var),
@@ -312,7 +315,8 @@ def from_json_dict(doc: dict):
     a list or pair of numbers), a non-finite alpha, a range outside
     0 < low <= high < inf, a seed that is neither an integer nor null, an
     edge or link entry of the wrong shape, a node label that is not an
-    integer, or a link listed twice.
+    integer in 1..N, a link off the graph or listed twice, or an edge
+    direction without a link.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _REQUIRED:
@@ -357,14 +361,22 @@ def from_json_dict(doc: dict):
         raise InvalidConfig(f"edges do not form a graph on N = {n} nodes: {exc}") from None
     if not (isinstance(entries, list) and all(
             isinstance(e, dict) and {"rx", "tx", "gain"} <= e.keys()
-            and is_int(e["rx"]) and is_int(e["tx"]) for e in entries)):
-        raise InvalidConfig("links must be a list of entries with integer rx and tx and a gain")
-    link_gain = {(e["rx"], e["tx"]): _pair2c(e["gain"], "a link gain") for e in entries}
-    if len(link_gain) != len(entries):
+            and is_int(e["rx"]) and is_int(e["tx"]) and 1 <= e["rx"] <= n and 1 <= e["tx"] <= n
+            for e in entries)):
+        raise InvalidConfig("links must be a list of entries with rx and tx in 1..N and a gain")
+    try:
+        links = topology.link_index([e["rx"] for e in entries], [e["tx"] for e in entries])
+    except InvalidEdge as exc:
+        raise InvalidConfig(f"a link entry is off the graph: {exc}") from None
+    if len(np.unique(links)) != len(links):
         raise InvalidConfig("a link is listed twice")
+    if len(links) != 2 * topology.num_edges:
+        raise InvalidConfig("link gains must cover both directions of every edge")
+    gains = np.empty(len(links), dtype=complex)
+    gains[links] = [_pair2c(e["gain"], "a link gain") for e in entries]
     return DecentralizedScenario(
         topology=topology,
-        link_gain=link_gain,
+        gain_by_link=gains,
         sensor_noise_var=_noise_vars(doc),
         comm_noise_var=_number(doc, "comm_noise_var"),
         theta=theta,

@@ -210,6 +210,13 @@ def gen_channel_coefficient(rng, distance, path_loss_exp):
     return complex(np.exp(1j * gamma) / distance**path_loss_exp)
 
 
+def link_gains(scenario):
+    """The scenario's link gains as a dict keyed by (rx, tx), values Python
+    complex, in the order of :meth:`Topology.directed_links`."""
+    sinks, parents = scenario.topology.directed_links()
+    return dict(zip(zip(sinks.tolist(), parents.tolist()), scenario.gain_by_link.tolist()))
+
+
 def decentralized_link_gains(topology, noise, seed):
     """Link gains and sensor noise variances drawn one link at a time:
     sorted edge order, (i, j) before (j, i), a scalar distance draw and
@@ -388,11 +395,12 @@ def link_observations(scenario, a, rng):
     std_v = np.sqrt(np.asarray(scenario.sensor_noise_var, dtype=float) / 2.0)
     z = scenario.theta + std_v * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     std_n = np.sqrt(np.asarray(scenario.comm_noise_var, dtype=float) / 2.0)
+    gains = link_gains(scenario)
     obs = {}
     for i, j in scenario.topology.edges:
         for rx, tx in ((i, j), (j, i)):
             noise = std_n * (rng.standard_normal(()) + 1j * rng.standard_normal(()))
-            obs[(rx, tx)] = scenario.link_gain[(rx, tx)] * a[tx - 1] * z[tx - 1] + complex(noise)
+            obs[(rx, tx)] = gains[(rx, tx)] * a[tx - 1] * z[tx - 1] + complex(noise)
     return obs
 
 
@@ -423,7 +431,8 @@ def water_filling(scenario, carrier):
     efficiency in distributed sensing", IEEE TSP 2007).
     """
     n = scenario.topology.num_nodes
-    c = np.array([abs(scenario.link_gain[(carrier[k], k + 1)]) ** 2 for k in range(n)])
+    gains = link_gains(scenario)
+    c = np.array([abs(gains[(carrier[k], k + 1)]) ** 2 for k in range(n)])
     v = np.asarray(scenario.sensor_noise_var, dtype=float)
     s2 = float(scenario.comm_noise_var)
 
@@ -543,7 +552,7 @@ def single_antenna_optimum(h, sensor_noise_var, noise_var, kind, k_active=None, 
 def random_connected_topology_list(num_nodes: int, edge_probability: float, seed: int):
     """The Erdos-Renyi draw over a Python list of all N(N-1)/2 pairs,
     resampled until connected: the same rng.random stream in the same pair
-    order as the library's draw over np.triu_indices."""
+    order as the library's chunked draw."""
     if not 0.0 < edge_probability <= 1.0:
         raise InvalidConfig(f"edge_probability must be in (0, 1], got {edge_probability}")
     rng = np.random.default_rng(seed)

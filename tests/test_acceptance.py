@@ -183,6 +183,7 @@ def test_c06_consensus_reaches_global_mle_on_16_nodes():
             f"run {run}: node error {final_err:.3e} after {report.iterations_to_tol} iterations")
         # pre-consensus estimates must be each sink's own local MLE
         received = received_by_sink(plan, w)
+        h = oracles.link_gains(scen)
         for sink in range(1, 17):
             parents = oracles.retained_rows(plan)[sink - 1]
             est = report.per_node_trace[0][sink - 1]
@@ -191,7 +192,7 @@ def test_c06_consensus_reaches_global_mle_on_16_nodes():
                 continue
             num, den = 0.0 + 0j, 0.0
             for y_k, k in zip(received[sink], parents):
-                g = scen.link_gain[(sink, k)]
+                g = h[(sink, k)]
                 denom = abs(g) ** 2 * scen.sensor_noise_var[k - 1] + scen.comm_noise_var
                 num += np.conj(g) * y_k / denom
                 den += abs(g) ** 2 / denom
@@ -214,10 +215,11 @@ def test_c07_global_form_decouples_across_sinks():
         assert np.all(nonzero.sum(axis=0) == 1), "a sensor column appears in two rows"
         assert np.all(nonzero.sum(axis=1) == 1)
         total = oracles.dense_information(model.H, a, model.sensor_noise_var, model.noise_var)
+        h = oracles.link_gains(scen)
         by_sink = 0.0
         for sink, parents in enumerate(oracles.retained_rows(plan), start=1):
             for k in parents:
-                g = scen.link_gain[(sink, k)] * a[k - 1]
+                g = h[(sink, k)] * a[k - 1]
                 by_sink += abs(g) ** 2 / (abs(g) ** 2 * scen.sensor_noise_var[k - 1]
                                           + scen.comm_noise_var)
         assert abs(total - by_sink) <= 1e-10 * abs(total), (

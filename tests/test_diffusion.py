@@ -37,7 +37,7 @@ TOY_TREE = build_topology(6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
 def scalar_link_scenario(gain_12=1.0, gain_21=1.0):
     return DecentralizedScenario(
         topology=build_topology(2, [(1, 2)]),
-        link_gain={(1, 2): complex(gain_12), (2, 1): complex(gain_21)},
+        gain_by_link=np.array([gain_12, gain_21], dtype=complex),  # links (1, 2), (2, 1)
         sensor_noise_var=np.array([1.0, 1.0]),
         comm_noise_var=1.0,
         theta=1 + 0j,
@@ -57,7 +57,7 @@ def test_information_value_two_identical_neighbors():
     topo = build_topology(3, [(1, 2), (1, 3), (2, 3)])
     scen = DecentralizedScenario(
         topology=topo,
-        link_gain={(i, j): 1 + 0j for i in (1, 2, 3) for j in (1, 2, 3) if i != j},
+        gain_by_link=np.ones(6, dtype=complex),
         sensor_noise_var=np.ones(3),
         comm_noise_var=1.0,
         theta=1 + 0j,
@@ -71,9 +71,10 @@ def test_information_value_matches_dense_oracle():
     rng = np.random.default_rng(3)
 
     def dense(sink, parents, scen, a):
+        gains = oracles.link_gains(scen)
         h_rows = np.zeros((len(parents), 7), dtype=complex)
         for r, k in enumerate(parents):
-            h_rows[r, k - 1] = scen.link_gain[(sink, k)]
+            h_rows[r, k - 1] = gains[(sink, k)]
         return oracles.dense_information(h_rows, a, scen.sensor_noise_var, scen.comm_noise_var)
 
     for seed in range(5):
@@ -164,8 +165,9 @@ def test_assemble_toy_tree_structure():
     nnz_cols = [int(np.flatnonzero(model.H[r]).item()) + 1 for r in range(6)]
     assert sorted(nnz_cols[:3]) == [1, 2, 4]
     assert sorted(nnz_cols[3:]) == [3, 5, 6]
+    gains = oracles.link_gains(scen)
     for r, (sink, parent) in enumerate(zip(*plan.rows())):
-        assert model.H[r, parent - 1] == scen.link_gain[(sink, parent)]
+        assert model.H[r, parent - 1] == gains[(sink, parent)]
 
 
 def test_assemble_rejects_non_neighbor_rows():
@@ -203,7 +205,7 @@ def test_carrier_uses_current_gains():
     topo = build_topology(3, [(1, 2), (1, 3), (2, 3)])
     scen = DecentralizedScenario(
         topology=topo,
-        link_gain={(i, j): 1 + 0j for i in (1, 2, 3) for j in (1, 2, 3) if i != j},
+        gain_by_link=np.ones(6, dtype=complex),
         sensor_noise_var=np.ones(3),
         comm_noise_var=1.0,
         theta=1 + 0j,

@@ -6,6 +6,9 @@ trace entry bit for bit against the two-sum rounds
 (``oracles.consensus_two_sums``).
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,7 +53,7 @@ def scalar_scenario(sensor_var=1.0, fc_var=1.0, theta=1 + 0j):
 def two_node_scenario(theta=1 + 0j):
     return DecentralizedScenario(
         topology=build_topology(2, [(1, 2)]),
-        link_gain={(1, 2): 1 + 0j, (2, 1): 1 + 0j},
+        gain_by_link=np.ones(2, dtype=complex),
         sensor_noise_var=np.ones(2),
         comm_noise_var=1.0,
         theta=theta,
@@ -116,7 +119,7 @@ def test_local_mle_symmetric_average():
     topo = build_topology(3, [(1, 2), (1, 3)])
     scen = DecentralizedScenario(
         topology=topo,
-        link_gain={(1, 2): 1 + 0j, (2, 1): 1 + 0j, (1, 3): 1 + 0j, (3, 1): 1 + 0j},
+        gain_by_link=np.ones(4, dtype=complex),
         sensor_noise_var=np.ones(3),
         comm_noise_var=1.0,
         theta=1 + 0j,
@@ -316,6 +319,7 @@ def test_consensus_initial_estimates_are_local_mles():
     received = received_by_sink(plan, y)
     report = run_consensus(scen, gains, plan, received, max_iter=500, tol=1e-6)
     first = report.per_node_trace[0]
+    h = oracles.link_gains(scen)
     for sink in range(1, 11):
         parents = oracles.retained_rows(plan)[sink - 1]
         est = first[sink - 1]
@@ -328,7 +332,7 @@ def test_consensus_initial_estimates_are_local_mles():
         num = 0.0 + 0j
         den = 0.0
         for y_k, k in zip(received[sink], parents):
-            ha = scen.link_gain[(sink, k)]
+            ha = h[(sink, k)]
             denom = abs(ha) ** 2 * scen.sensor_noise_var[k - 1] + scen.comm_noise_var
             num += np.conj(ha) * y_k / denom
             den += abs(ha) ** 2 / denom
@@ -399,10 +403,34 @@ def test_variance_equals_inverse_information_sum():
         scen = gen_decentralized_scenario(topo, NoiseConfig(), 1 + 0j, seed=seed)
         gains = GainVector(np.ones(9, dtype=complex))
         model, plan = decentralized_model(scen, gains)
+        h = oracles.link_gains(scen)
         total = 0.0
         for sink, parents in enumerate(oracles.retained_rows(plan), start=1):
             for k in parents:
-                ha = scen.link_gain[(sink, k)]
+                ha = h[(sink, k)]
                 total += abs(ha) ** 2 / (abs(ha) ** 2 * scen.sensor_noise_var[k - 1]
                                          + scen.comm_noise_var)
         assert global_variance(model, gains) == pytest.approx(1.0 / total, rel=1e-10)
+
+
+def test_consensus_pipeline_memory_grows_with_the_links():
+    # graph, scenario, compressed model, one measurement, consensus and the
+    # global MLE at N = 3000, p = 2 ln N / N (about 24,000 edges) in
+    # O(N + E) memory: an N x N complex array alone is 144 MB, the
+    # N(N-1)/2 pairs as two int arrays 72 MB
+    n = 3000
+    tracemalloc.start()
+    try:
+        topo = random_connected_topology(n, 2 * math.log(n) / n, seed=1)
+        scen = gen_decentralized_scenario(topo, seed=1)
+        gains = np.ones(n, dtype=complex)
+        model, plan = decentralized_model(scen, gains)
+        y = simulate_measurement(scen, gains, plan, np.random.default_rng(1))
+        report = run_consensus(scen, gains, plan, received_by_sink(plan, y), record_trace=False)
+        mle = global_mle(model, gains, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and model.num_rows == n
+    assert mle == pytest.approx(report.theta_hat, rel=1e-12)
+    assert peak < 50e6, f"peak traced memory {peak / 1e6:.1f} MB"

@@ -87,6 +87,20 @@ def test_parse_rejects_garbage():
     assert ConstraintSpec("quant", q_levels=np.int64(4)).label() == "quant:4"
 
 
+def test_spec_refuses_fields_its_kind_ignores():
+    # one feasible set, one spec: a field the kind ignores keeps its default
+    for kind in ("energy", "phase", "select"):
+        with pytest.raises(InvalidConfig, match="q_levels"):
+            ConstraintSpec(kind, q_levels=3, k_active=2 if kind == "select" else None)
+    for kind in ("energy", "phase", "quant"):
+        with pytest.raises(InvalidConfig, match="k_active"):
+            ConstraintSpec(kind, k_active=2, q_levels=4 if kind == "quant" else None)
+        with pytest.raises(InvalidConfig, match="select_mode"):
+            ConstraintSpec(kind, select_mode="phase", q_levels=4 if kind == "quant" else None)
+    assert ConstraintSpec("energy", select_mode="energy") == ConstraintSpec("energy")
+    assert ConstraintSpec("select", k_active=2, select_mode="phase").label() == "select:2:phase"
+
+
 def test_random_points_are_feasible():
     rng = np.random.default_rng(0)
     for spec in (

@@ -106,6 +106,15 @@ def test_exhaustive_matches_product_order_oracle_bitwise():
         assert v == want_v, (n, q)
 
 
+def test_exhaustive_rejects_a_non_integer_grid():
+    # the grid size is checked as ConstraintSpec checks it, before any enumeration
+    for bad in (2.5, 1, 0, -3, True, "4", None):
+        with pytest.raises(InvalidConfig):
+            baseline_exhaustive_quantized(SCALAR_MODEL, bad)
+    _, v = baseline_exhaustive_quantized(SCALAR_MODEL, np.int64(4))
+    assert v == pytest.approx(2.0)
+
+
 def test_exhaustive_budget_guard():
     model = model_for(13, seed=3)
     with pytest.raises(TooLarge):

@@ -18,6 +18,7 @@ from wsngain import (
     random_connected_topology,
     to_json_dict,
 )
+from wsngain import netgraph
 from wsngain.netgraph import DEFAULT_RETRIES
 
 TOY_TREE_EDGES = [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)]
@@ -85,12 +86,16 @@ def test_random_topology_deterministic():
     assert a.edges != c.edges
 
 
+@pytest.mark.parametrize("chunk", [None, 3])
 @pytest.mark.parametrize("n", [16, 50, 100])
-def test_random_topology_matches_the_list_draw(n):
-    # the draw over np.triu_indices reads the rng.random stream in the list
-    # draw's pair order, so every graph, after however many disconnected
-    # draws, and every scenario generated on it are the same; at p = 1.2 ln N / N
-    # a third to nearly half of the draws are disconnected
+def test_random_topology_matches_the_list_draw(n, chunk, monkeypatch):
+    # the chunked draw reads the rng.random stream in the list draw's pair
+    # order, so every graph, after however many disconnected draws, and
+    # every scenario generated on it are the same; at p = 1.2 ln N / N a
+    # third to nearly half of the draws are disconnected.  A chunk of 3
+    # pairs, below one row, makes every draw span many chunks and rows.
+    if chunk is not None:
+        monkeypatch.setattr(netgraph, "PAIR_CHUNK", chunk)
     p = 1.2 * math.log(n) / n
     for seed in range(100):
         topo, ref = (draw(n, p, seed) for draw in (random_connected_topology,

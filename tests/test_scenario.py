@@ -61,28 +61,48 @@ def test_centralized_determinism():
 
 def test_decentralized_link_count():
     two = gen_decentralized_scenario(build_topology(2, [(1, 2)]), NoiseConfig(), 1 + 0j, seed=0)
-    assert len(two.link_gain) == 2
+    assert len(two.gain_by_link) == 2
     tree = gen_decentralized_scenario(TOY_TREE, NoiseConfig(), 1 + 0j, seed=0)
-    assert len(tree.link_gain) == 10
+    assert len(tree.gain_by_link) == 10
     # both directions present, independent draws
-    assert (1, 3) in tree.link_gain and (3, 1) in tree.link_gain
-    assert tree.link_gain[(1, 3)] != tree.link_gain[(3, 1)]
+    gains = oracles.link_gains(tree)
+    assert (1, 3) in gains and (3, 1) in gains
+    assert gains[(1, 3)] != gains[(3, 1)]
 
 
 def test_decentralized_links_must_match_edges():
     path = build_topology(3, [(1, 2), (2, 3)])
-    gains = {(1, 2): 1j, (2, 1): 2j, (2, 3): 3j, (3, 2): 4j}
+    gains = [1j, 2j, 3j, 4j]  # in directed_links() order: (1,2), (2,1), (2,3), (3,2)
 
-    def scenario(link_gain):
-        return DecentralizedScenario(path, link_gain, np.ones(3), 1.0, 1 + 0j)
+    def scenario(gain_by_link):
+        return DecentralizedScenario(path, gain_by_link, np.ones(3), 1.0, 1 + 0j)
 
-    # the array follows directed_links(): (1,2), (2,1), (2,3), (3,2)
-    assert scenario(gains).gain_by_link.tolist() == [1j, 2j, 3j, 4j]
-    missing = {link: g for link, g in gains.items() if link != (3, 2)}
+    scen = scenario(gains)
+    assert scen.gain_by_link.dtype == complex and scen.gain_by_link.tolist() == gains
+    assert oracles.link_gains(scen) == {(1, 2): 1j, (2, 1): 2j, (2, 3): 3j, (3, 2): 4j}
     with pytest.raises(InvalidConfig):
-        scenario(missing)
+        scenario(gains[:3])  # a direction without a gain
     with pytest.raises(InvalidConfig):
-        scenario({**gains, (1, 3): 5j})
+        scenario(gains + [5j])  # a gain without a link
+    # the JSON schema names each link: a missing direction, a link listed
+    # twice and a link off the graph are each refused
+    doc = to_json_dict(scen)
+    assert [(e["rx"], e["tx"]) for e in doc["links"]] == [(1, 2), (2, 1), (2, 3), (3, 2)]
+    entries = doc["links"]
+
+    def link(rx, tx):
+        return {"rx": rx, "tx": tx, "gain": [5.0, 0.0]}
+
+    for links, why in ((entries[:3], "both directions"), (entries + entries[:1], "twice"),
+                       (entries[:3] + [entries[0]], "twice"),
+                       (entries + [link(1, 3)], "off the graph"),
+                       (entries[:3] + [link(1, 3)], "off the graph"),
+                       (entries[:3] + [link(3, 4)], "1..N"),
+                       (entries[:3] + [link(10**30, 2)], "1..N")):
+        with pytest.raises(InvalidConfig, match=why):
+            from_json_dict({**doc, "links": links})
+    assert np.array_equal(from_json_dict({**doc, "links": entries[::-1]}).gain_by_link,
+                          scen.gain_by_link)
 
 
 @pytest.mark.parametrize("kind,count", [("centralized", 1), ("centralized", 3),
@@ -101,14 +121,16 @@ def test_noise_vector_length_must_match_sensors(kind, count):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.7, 3.5])
 def test_decentralized_links_match_literal_draw(alpha):
     # one vectorized draw must give the per-link loop's gains bit for bit,
-    # in the same dict order, and leave the RNG where the loop leaves it
+    # each at its link's place, and leave the RNG where the loop leaves it
     for k in range(8):
         topo = random_connected_topology(4 + 5 * k, 0.3, seed=k)
         noise = NoiseConfig(d_range=(0.5 + k % 3, 10.0 + k), path_loss_exp=alpha)
         scen = gen_decentralized_scenario(topo, noise, seed=40 + k)
         gains, v = oracles.decentralized_link_gains(topo, noise, 40 + k)
-        assert list(scen.link_gain) == list(gains)
-        assert all(scen.link_gain[link] == gain and type(scen.link_gain[link]) is complex
+        assert scen.gain_by_link.dtype == complex
+        by_link = oracles.link_gains(scen)
+        assert sorted(by_link) == sorted(gains)
+        assert all(by_link[link] == gain and type(by_link[link]) is complex
                    for link, gain in gains.items())
         assert np.array_equal(scen.sensor_noise_var, v)
 
@@ -117,7 +139,7 @@ def test_decentralized_determinism():
     topo = random_connected_topology(16, 0.3, seed=7)
     a = gen_decentralized_scenario(topo, NoiseConfig(), 10 + 0j, seed=3)
     b = gen_decentralized_scenario(topo, NoiseConfig(), 10 + 0j, seed=3)
-    assert a.link_gain == b.link_gain
+    assert a.gain_by_link.tobytes() == b.gain_by_link.tobytes()
 
 
 def test_invalid_noise_config():
@@ -152,7 +174,7 @@ def test_decentralized_roundtrip_bit_exact(tmp_path):
     back = load_scenario(path)
     assert isinstance(back, DecentralizedScenario)
     assert back.topology.edges == scen.topology.edges
-    assert back.link_gain == scen.link_gain
+    assert back.gain_by_link.tobytes() == scen.gain_by_link.tobytes()
     assert np.array_equal(back.sensor_noise_var, scen.sensor_noise_var)
     assert back.comm_noise_var == scen.comm_noise_var
     assert back.theta == scen.theta
