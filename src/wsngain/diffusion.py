@@ -106,8 +106,11 @@ class GlobalModel:
     they came from (``H=None``), so the model holds O(N); the information,
     weights, lift and inner quadratic take an O(N) elementwise path.  Its
     ``H`` is built from the rows on each read, for the dense readers
-    (``uqp_matrix``, ``combined_covariance``), and is not kept.  A model
-    given its ``H`` (centralized, or built by hand) takes the dense path.
+    (``uqp_matrix``, ``combined_covariance``), and is not kept: a model
+    given rows stores no dense ``H``, so an ``H`` passed along with them
+    (as ``dataclasses.replace`` passes the one it reads) is dropped.  A
+    model given only its ``H`` (centralized, or built by hand) takes the
+    dense path.
     """
 
     H: np.ndarray | None = _DenseH()
@@ -116,6 +119,10 @@ class GlobalModel:
     plan: CompressionPlan | None = field(default=None, repr=False)
     row_sensor: np.ndarray | None = field(default=None, repr=False)
     row_gain: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.row_gain is not None:
+            vars(self)["H"] = None  # the rows define H
 
     def __repr__(self) -> str:
         return f"GlobalModel(noise_var={self.noise_var!r})"

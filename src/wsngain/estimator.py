@@ -56,16 +56,21 @@ def combined_covariance(model: GlobalModel, gains) -> np.ndarray:
     return scaled @ h.conj().T + model.noise_var * np.eye(model.num_rows)
 
 
-def _information_and_weights(model: GlobalModel, a: np.ndarray):
-    # weights w = R_w^{-1} H a; information value = (Ha)^H w, real and >= 0.
-    # A compressed model's R_w is diagonal, so w is a quotient per row.
+def _covariance_terms(model: GlobalModel, a: np.ndarray):
+    # (H a, R_w) of the gains: a compressed model's R_w is diagonal and comes
+    # back as that diagonal (1-D), any other model's as the dense M x M matrix
     if model.row_gain is not None:
         ha, r, _ = _link_terms(model.row_gain, model.row_sensor, a, model.sensor_noise_var,
                                model.noise_var)
-        w = ha / r
-    else:
-        ha = model.H @ a
-        w = np.linalg.solve(combined_covariance(model, a), ha)
+        return ha, r
+    return model.H @ a, combined_covariance(model, a)
+
+
+def _information_and_weights(model: GlobalModel, a: np.ndarray):
+    # weights w = R_w^{-1} H a; information value = (Ha)^H w, real and >= 0.
+    # A compressed model's R_w is diagonal, so w is a quotient per row.
+    ha, r_w = _covariance_terms(model, a)
+    w = ha / r_w if r_w.ndim == 1 else np.linalg.solve(r_w, ha)
     info = float(np.real(ha.conj() @ w))
     return info, w
 

@@ -2,19 +2,22 @@
 
 The estimation variance is 1 / info(a), info(a) = (Ha)^H R_w^{-1} (Ha).
 In the lift R = [[0, (Ha)^H], [Ha, R_w]], the least y^H R y over y with
-y_1 = 1 is -info(a), at y = [1; -R_w^{-1} H a].  Alternating that exact
-auxiliary solve with a gain update that lowers the rest of y^H R y, a
-quadratic f(a), drives info(a) monotonically up under any of four
-practical constraint families.  Under fixed energy the update is one exact
-step, the global solution of a diagonal trust-region subproblem; under
-K-of-N selection in energy mode it is that solution on the better of two
-supports (the current one and the K largest entries of the full one).
+y_1 = 1 is -info(a), at y = [1; -w] with the weights w = R_w^{-1} H a.
+Alternating that exact auxiliary step with a gain update that lowers the
+rest of y^H R y, a quadratic f(a), drives info(a) monotonically up under
+any of four practical constraint families.  Under fixed energy the update
+is one exact step, the global solution of a diagonal trust-region
+subproblem; under K-of-N selection in energy mode it is that solution on
+the better of two supports (the current one and the K largest entries of
+the full one).
 phase, quant and select:K:phase take power-method-like iterations on f's
 matrix shifted positive definite, and only they read the shift.  (No step
 reads R's corner, so the paper's large constant there is left out.)
-The auxiliary solve is block classical Gram-Schmidt run twice ("CGS2";
-Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005), as accurate as the
-modified form at two matrix-vector products per row.
+A cycle never forms the lift: it takes w from the estimator, a quotient
+per row on the compressed decentralized model (R_w diagonal) and an M x M
+solve otherwise.  The lift (build_lifted) and its Gram-Schmidt solve
+(solve_auxiliary) remain as the paper's lifted formulation, the reference
+the tests hold the cycle's y to.
 The inner quadratic is an arrow matrix (a diagonal plus one border row and
 column); it is held as the two length-N vectors (d, g) and never formed,
 so the exact step, the shift and each power step cost O(N) plus the
@@ -36,12 +39,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import (GlobalModel, _gain_values, _link_terms, assign_carriers,
+from .diffusion import (GlobalModel, _gain_values, assign_carriers,
                         decentralized_model, information_table)
 from .errors import DegenerateGains, InvalidConfig, NoDescent, ZeroVectorWarning
 from .estimator import (
     INFO_FLOOR,
     GainVector,
+    _covariance_terms,
     _information_and_weights,
     combined_covariance,
     global_variance,
@@ -243,6 +247,11 @@ class OptimizerTrace:
     families and per UQP ascent step) and
     False when it used up its iteration budget.  ``segment_breaks`` lists
     the outer cycles that started on a new model from optimize's model_fn.
+    ``stationarity_residual`` is the largest relative residual
+    ||R_w w - H a|| / ||H a|| of the weights w behind a cycle's auxiliary
+    vector y = [1; -w], over the run's cycles, with R_w and H a formed
+    anew from the model (no lift); 0.0 on the phase-only UQP path and the
+    phase and quant decentralized designs, which take no auxiliary step.
     """
 
     info_per_outer: tuple[float, ...]
@@ -268,18 +277,15 @@ def build_lifted(model: GlobalModel, gains) -> np.ndarray:
     """Bordered Hermitian matrix R = [[0, (Ha)^H], [Ha, H D V D^H H^H + sigma_n^2 I]].
 
     At the auxiliary minimizer y = [1; -R_w^{-1} H a], y^H R y = -info(a).
-    A compressed model's R_w is diagonal and is filled from its rows.
+    A compressed model's R_w is diagonal and is filled from its rows.  The
+    paper's dense lift, kept as a reference: no design builds it.
     """
-    a = _gain_values(gains)
-    m = model.num_rows
-    r = np.zeros((m + 1, m + 1), dtype=complex)
-    if model.row_gain is not None:
-        b, r_w, _ = _link_terms(model.row_gain, model.row_sensor, a, model.sensor_noise_var,
-                                model.noise_var)
+    b, r_w = _covariance_terms(model, _gain_values(gains))
+    r = np.zeros((len(b) + 1, len(b) + 1), dtype=complex)
+    if r_w.ndim == 1:
         np.fill_diagonal(r[1:, 1:], r_w)
     else:
-        b = model.H @ a
-        r[1:, 1:] = combined_covariance(model, a)
+        r[1:, 1:] = r_w
     r[0, 1:] = b.conj()
     r[1:, 0] = b
     return r
@@ -298,7 +304,8 @@ def solve_auxiliary(r: np.ndarray) -> np.ndarray:
     enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005) at two
     matrix-vector products per row.  A row that is already in the span of
     the basis is skipped.  Falls back to a direct solve when the residual
-    nearly vanishes (near-singular lift).
+    nearly vanishes (near-singular lift).  A reference only: no design
+    calls it, as _cyclic_run forms y = [1; -R_w^{-1} H a] from the weights.
     """
     r = np.asarray(r, dtype=complex)
     m1 = r.shape[0]
@@ -665,13 +672,26 @@ def _ascent_settled(gain: float, last: float, tol: float) -> bool:
     return gain <= tol and (gain <= 0.0 or gain * gain <= tol * (last - gain))
 
 
+def _weights_residual(model: GlobalModel, a: np.ndarray, w: np.ndarray) -> float:
+    """||R_w w - H a|| / ||H a|| with H a and R_w formed anew (R_w diagonal
+    on a compressed model), so a w that does not solve R_w w = H a shows."""
+    ha, r_w = _covariance_terms(model, a)
+    res = r_w * w - ha if r_w.ndim == 1 else r_w @ w - ha
+    return float(np.linalg.norm(res)) / max(float(np.linalg.norm(ha)), INFO_FLOOR)
+
+
 def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     """One full cyclic maximization from a0; returns its trace.
 
-    Each outer cycle solves the auxiliary vector exactly first, so the
-    info trace is anchored at info(a0) and rises monotonically;
-    the gain update then builds the arrow (d, g) and runs the inner step on
-    it once.  Every step lowers f(a) in exact arithmetic, so a falling
+    Each outer cycle takes the exact auxiliary vector first, so the info
+    trace is anchored at info(a0) and rises monotonically: info(a) and the
+    weights w = R_w^{-1} H a come from _information_and_weights (read
+    through this module at call time), and y = [1; -w] minimizes the lift's
+    y^H R y without a lift or Gram-Schmidt, in O(N) on a compressed model
+    and one M x M solve on a dense one.  _weights_residual checks w each
+    cycle (stationarity_residual is the largest).  The gain update then
+    builds the arrow (d, g) of y's tail -w and runs the inner step on it
+    once.  Every step lowers f(a) in exact arithmetic, so a falling
     -f(a) means lost precision and raises NoDescent.  With model_fn the run
     starts on model_fn(a0, model), and a later model_fn(a, m) other than
     the current m itself starts a segment and restarts the convergence test.
@@ -696,12 +716,8 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 m = m_new
                 prev, gain = None, 0.0
                 breaks.append(k)
-        r = build_lifted(m, a)
-        y = solve_auxiliary(r)
-        info = -float(np.real(y.conj() @ (r @ y)))
-        # the exact solve must land on the minimum value -info(a)
-        direct, _ = _information_and_weights(m, a)
-        stat_resid = max(stat_resid, abs(info - direct) / max(direct, INFO_FLOOR))
+        info, w = _information_and_weights(m, a)
+        stat_resid = max(stat_resid, _weights_residual(m, a, w))
         infos.append(info)
         if prev is not None:
             if info < prev - DESCENT_RTOL * abs(prev):
@@ -712,7 +728,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 converged = True
                 break
         prev = info
-        d, g = build_inner_quadratic(y[1:], m)
+        d, g = build_inner_quadratic(-w, m)  # the tail of y = [1; -w]
         a_new, objs = inner_power_iterations(a, d, g, constraint, config.inner_iters)
         # filling a select:K:phase start's support may raise f; the info check guards it
         if not _nondecreasing(objs[int(np.count_nonzero(a_new) > np.count_nonzero(a)):]):

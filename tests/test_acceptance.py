@@ -48,12 +48,21 @@ def descent_suite():
 
     Constraint families rotate across the suite so every projection path
     is exercised; the same traces back both monotonicity checks.  Each
-    entry is (run index, trace, lifts), where lifts holds every lift the
-    run handed to the auxiliary solve, with the paper's corner constant
-    for the run's model.
+    entry is (run index, trace, cycles), where cycles holds, for every
+    outer cycle, the model and gains the cycle handed to the weights
+    solve, the weights w it got back (its auxiliary vector is [1; -w]) and
+    the paper's corner constant for the run's model.
     """
     runs = []
-    solve = gainopt.solve_auxiliary
+    weights = gainopt._information_and_weights
+
+    def seen(cycles, eta0):
+        def record(model, a):
+            info, w = weights(model, a)
+            cycles.append((model, np.array(a), w, eta0))
+            return info, w
+        return record
+
     for i in range(100):
         n = (5, 10, 20, 40)[i % 4]
         spec = (
@@ -65,11 +74,11 @@ def descent_suite():
         scen = gen_centralized_scenario(n, 4, NoiseConfig(), seed=derived_seed(SUITE_SEED, i))
         model = centralized_model(scen)
         eta0 = oracles.eta0_bound(model)
-        lifts = []
+        cycles = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gainopt, "solve_auxiliary", lambda r: lifts.append((r, eta0)) or solve(r))
+            mp.setattr(gainopt, "_information_and_weights", seen(cycles, eta0))
             _, trace = optimize(model, spec, OptimizerConfig(seed=derived_seed(SUITE_SEED, i, 1)))
-        runs.append((i, trace, lifts))
+        runs.append((i, trace, cycles))
     return runs
 
 
@@ -88,21 +97,28 @@ def test_c01_outer_and_inner_monotone_descent(descent_suite):
 
 def test_c02_auxiliary_solve_is_stationary(descent_suite, measure):
     worst = max(trace.stationarity_residual for _, trace, _ in descent_suite)
-    measure(f"stationarity: max |-y^H R y - info| / info = {worst:.3e} over 100 runs")
+    measure(f"stationarity: max ||R_w w - Ha|| / ||Ha|| = {worst:.3e} over 100 runs")
     for i, trace, _ in descent_suite:
         assert trace.stationarity_residual <= 1e-10, (
             f"run {i}: auxiliary residual {trace.stationarity_residual:.3e}")
 
 
 def test_c02_auxiliary_vector_ignores_the_lift_corner(descent_suite):
-    # the paper's corner eta0 never reaches a step: every lift of the suite
-    # gives the same bytes of y with the corner 0 and with eta0
+    # the paper's corner eta0 never reaches a step: every cycle's lift of the
+    # suite gives the same bytes of y with the corner 0 and with eta0; and
+    # the cycle's y = [1; -w], formed without a lift, is the lifted solve's
+    # y and the modified Gram-Schmidt oracle's
     count = 0
-    for i, _, lifts in descent_suite:
-        for r, eta0 in lifts:
+    for i, _, cycles in descent_suite:
+        for model, a, w, eta0 in cycles:
+            r = build_lifted(model, a)
             paper = r.copy()
             paper[0, 0] = eta0
-            assert solve_auxiliary(r).tobytes() == solve_auxiliary(paper).tobytes(), i
+            lifted = solve_auxiliary(r)
+            assert lifted.tobytes() == solve_auxiliary(paper).tobytes(), i
+            y = np.concatenate([[1.0 + 0j], -w])
+            for ref in (lifted, oracles.solve_auxiliary_mgs(r)):
+                assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref), i
             count += 1
     assert count >= 100
 

@@ -7,6 +7,8 @@ plan-keyed segments of the plan-refresh loop, and check that phase-only
 and quantized decentralized designs return their start.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,17 @@ def test_assembled_model_records_its_rows_and_plan():
     assert sorted(model.row_sensor) == list(range(12))  # one row per sensor
 
 
+def test_a_copied_compressed_model_stores_no_dense_h():
+    # dataclasses.replace reads H through the field, which builds the dense
+    # scaled permutation; the copy keeps its rows and drops that matrix
+    scen = gen_decentralized_scenario(random_connected_topology(200, 0.05, 3), seed=3)
+    model, _ = decentralized_model(scen, np.ones(200))
+    copied = dataclasses.replace(model)
+    assert vars(model)["H"] is None and vars(copied)["H"] is None
+    assert np.array_equal(copied.H, model.H) and copied.plan == model.plan
+    assert global_variance(copied, np.ones(200)) == global_variance(model, np.ones(200))
+
+
 def test_refresh_reuses_the_model_while_the_plan_holds():
     scen = gen_decentralized_scenario(random_connected_topology(20, 0.25, 4), seed=4)
     model, plan = decentralized_model(scen, np.ones(20))
@@ -120,10 +133,10 @@ def test_segment_breaks_are_the_cycles_whose_carriers_changed(text, monkeypatch)
     # every cycle's model is the one assembled from the carriers of the gains
     # it starts from, and a segment starts exactly where those carriers change
     constraint = ConstraintSpec.parse(text)
-    lift = gainopt.build_lifted
     seen = []
-    monkeypatch.setattr(gainopt, "build_lifted",
-                        lambda model, a: seen.append((model, np.array(a))) or lift(model, a))
+    monkeypatch.setattr(gainopt, "_information_and_weights",
+                        lambda model, a: seen.append((model, np.array(a)))
+                        or _information_and_weights(model, a))
     for seed in range(4):
         scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed), seed=seed)
         seen.clear()

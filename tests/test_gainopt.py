@@ -966,6 +966,48 @@ def test_optimize_info_trace_monotone():
             assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(np.array(objs[:-1]))))
 
 
+def _decentralized_scenario():
+    return gen_decentralized_scenario(random_connected_topology(30, 0.2, 2), seed=2)
+
+
+def test_designs_build_no_lift_and_run_no_gram_schmidt(monkeypatch):
+    # the cycle takes y = [1; -w] from the weights: the lifted reference
+    # never runs inside a design, centralized or decentralized
+    def refuse(*args):
+        raise AssertionError("the lifted reference ran inside a design")
+
+    monkeypatch.setattr(gainopt, "build_lifted", refuse)
+    monkeypatch.setattr(gainopt, "solve_auxiliary", refuse)
+    for text in ("energy", "phase", "quant:4", "select:3", "select:3:phase"):
+        _, trace = optimize(random_model(8, seed=5), ConstraintSpec.parse(text),
+                            OptimizerConfig(restarts=2))
+        assert trace.outer_iters > 1, text
+    for text in ("energy", "select:10"):
+        _, trace, _ = optimize_decentralized(_decentralized_scenario(), ConstraintSpec.parse(text))
+        assert trace.outer_iters > 1, text
+
+
+@pytest.mark.parametrize("setting", ["centralized", "decentralized"])
+def test_stationarity_residual_catches_weights_that_do_not_solve(setting, monkeypatch):
+    # the residual ||R_w w - H a|| / ||H a|| is formed from the model, not
+    # from the weights solve, so weights off by 1e-8 show through it
+    weights = gainopt._information_and_weights
+
+    def design():
+        if setting == "centralized":
+            return optimize(random_model(8, seed=6), ConstraintSpec.fixed_energy())[1]
+        return optimize_decentralized(_decentralized_scenario(), ConstraintSpec.fixed_energy())[1]
+
+    assert design().stationarity_residual <= 1e-10
+
+    def off(model, a):
+        info, w = weights(model, a)
+        return info, w * (1.0 + 1e-8)
+
+    monkeypatch.setattr(gainopt, "_information_and_weights", off)
+    assert design().stationarity_residual > 1e-10
+
+
 def test_optimize_deterministic():
     model = random_model(6, seed=4)
     cfg = OptimizerConfig(seed=7, restarts=4)
