@@ -7,8 +7,8 @@ over the retained rows.
 In the decentralized setting every node reaches the global estimate by
 running average consensus on two scalars (information value and state
 information value) and taking their ratio.  The consensus is synchronous
-ADMM on the directed links, one gather and one neighbor sum per stream and
-round; its report says whether the run converged and with what residual.
+scaled-dual ADMM on one complex state [I; P]: one gather and one neighbor
+sum per round.  Its report says whether it converged, with what residual.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
     topo = scenario.topology
     _, parents, links = plan.links(topo)
     z = scenario.theta + _complex_gaussian(rng, scenario.sensor_noise_var, topo.num_nodes)
-    noise = np.sqrt(scenario.comm_noise_var / 2.0) * rng.standard_normal((2 * topo.num_edges, 2))
-    draw_of_link = np.argsort(topo.edge_link_index())
-    n = noise[draw_of_link[links]]
+    noise = np.empty((2 * topo.num_edges, 2))  # the draws, moved to directed_links order
+    noise[topo.edge_link_index()] = rng.standard_normal(noise.shape)
+    n = np.sqrt(scenario.comm_noise_var / 2.0) * noise[links]
     return _product(link_terms(scenario, a, links)[0], z[parents - 1]) + (n[:, 0] + 1j * n[:, 1])
 
 
@@ -206,10 +206,10 @@ def run_consensus(
 ) -> EstimateReport:
     """Drive every node's estimate to the global MLE by average consensus.
 
-    Two ADMM streams run in parallel on the initial information and state
-    information values; each node's running estimate is the ratio
-    theta_i(k) = P_i(k) / I_i(k), guarded while |I_i(k)| is tiny (the
-    previous value is held, starting from zero).  Stops once
+    ADMM runs on the initial information and state information values as
+    one complex state [I; P] of 2N entries.  Each node's running estimate
+    is the ratio theta_i(k) = P_i(k) / I_i(k), held (from zero) while
+    |I_i(k)| <= CONSENSUS_GUARD.  Stops once
     max_i |theta_i(k) - theta_ML| <= tol * |theta_ML|; stop_mode
     "trailing" instead waits for max_i |theta_i(k) - theta_i(k-1)| to fall
     under the same scaled tolerance (for deployments where theta_ML is
@@ -217,14 +217,14 @@ def run_consensus(
     maximum at the final round (inf if no round was compared: "trailing"
     with max_iter = 0).
 
-    Each round updates, for every node i with degree d_i,
+    Each round updates, in place, every entry i of degree d_i, initial value
+    x_i and scaled ADMM dual z_i = (x_i - lambda_i) / rho (lambda_i = 0 at first):
 
-        y_i <- (rho d_i y_i + rho sum_{j in S^i} y_j - lambda_i + x_i) / (1 + 2 rho d_i)
-        lambda_i <- lambda_i + rho (d_i y_i_new - sum_{j in S^i} y_j_new)
+        v_i <- (d_i v_i + s_i + z_i) rho / (1 + 2 rho d_i)
+        s_i <- sum_{j in S^i} v_j
+        z_i <- z_i - (d_i v_i - s_i)
 
-    with all nodes reading the previous round's values.  The neighbor sum
-    of the dual update is the next round's neighbor sum, so each stream
-    forms one sum per round.
+    synchronously at every node; the dual update's s is the next round's sum.
 
     Raises
     ------
@@ -246,42 +246,33 @@ def run_consensus(
         raise InvalidConfig(f"max_iter must be a non-negative integer, got {max_iter!r}")
     if stop_mode not in ("analytic", "trailing"):
         raise InvalidConfig("stop_mode must be 'analytic' or 'trailing'")
-    topo = scenario.topology
     i0, p0 = initial_streams(scenario, gains, plan, received_per_node)
     total_info = float(np.sum(i0))
     if total_info < INFO_FLOOR:
         raise DegenerateGains("network carries no information")
     theta_ml = complex(np.sum(p0) / total_info)
-    variance = 1.0 / total_info
 
     # Links are sink-major: parents holds each link's 0-based parent and
-    # starts each sink's first link; every node has a neighbor, so
-    # reduceat yields one neighbor sum per node.
-    parents = topo.directed_links()[1] - 1
-    degrees = topo.degrees()
+    # starts each sink's first link, the P half N entries on.  Every factor
+    # is complex, so no round casts and I keeps imaginary part 0.
+    parents = (scenario.topology.directed_links()[1] + np.array([[-1], [len(i0) - 1]])).ravel()
+    degrees = np.tile(scenario.topology.degrees(), 2)
     starts = np.cumsum(degrees) - degrees
-    deg = degrees.astype(float)
-    rho_deg = rho * deg
-    denom = 1.0 + 2.0 * rho * deg
+    deg = degrees.astype(complex)
+    step = rho / (1.0 + 2.0 * rho * deg)
+    values = np.concatenate((i0, p0))
+    scaled_duals, deg_values = values / rho, deg * values
+    neighbor_sum = np.add.reduceat(values[parents], starts)
+    info, state_info = np.split(values, 2)  # views of the state
 
-    def admm_round(values, neighbor_sum, duals, x):
-        values = (rho_deg * values + rho * neighbor_sum - duals + x) / denom
-        neighbor_sum = np.add.reduceat(values[parents], starts)
-        return values, neighbor_sum, duals + rho * (deg * values - neighbor_sum)
-
-    i_vals, i_duals = i0.astype(float).copy(), np.zeros(topo.num_nodes)
-    p_vals, p_duals = p0.astype(complex).copy(), np.zeros(topo.num_nodes, dtype=complex)
-    i_sum = np.add.reduceat(i_vals[parents], starts)
-    p_sum = np.add.reduceat(p_vals[parents], starts)
-
-    estimates = np.zeros(topo.num_nodes, dtype=complex)
+    estimates = np.zeros_like(p0)
     trace: list[np.ndarray] = []
     limit = tol * max(abs(theta_ml), INFO_FLOOR)
     residual = math.inf
     for k in range(max_iter + 1):
         previous = estimates
-        estimates = np.divide(p_vals, i_vals, out=previous.copy(),
-                              where=np.abs(i_vals) > CONSENSUS_GUARD)
+        estimates = (state_info / info if info.real.min() > CONSENSUS_GUARD else np.divide(
+            state_info, info, out=previous.copy(), where=np.abs(info) > CONSENSUS_GUARD))
         if record_trace:
             trace.append(estimates)
         if stop_mode == "analytic":
@@ -290,9 +281,11 @@ def run_consensus(
             residual = float(np.abs(estimates - previous).max())
         if residual <= limit or k == max_iter:
             break
-        i_vals, i_sum, i_duals = admm_round(i_vals, i_sum, i_duals, i0)
-        p_vals, p_sum, p_duals = admm_round(p_vals, p_sum, p_duals, p0)
-    report = EstimateReport(theta_ml, variance, k, residual, residual <= limit,
+        np.multiply(deg_values + neighbor_sum + scaled_duals, step, out=values)
+        np.add.reduceat(values[parents], starts, out=neighbor_sum)
+        np.multiply(deg, values, out=deg_values)
+        scaled_duals -= deg_values - neighbor_sum
+    report = EstimateReport(theta_ml, 1.0 / total_info, k, residual, residual <= limit,
                             tuple(trace) if record_trace else None)
     if not report.converged:
         raise NoConvergence(f"consensus not within tol after {max_iter} iterations", report)

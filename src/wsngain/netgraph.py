@@ -64,8 +64,8 @@ class Topology:
         return len(self.neighbor_seq[node - 1])
 
     def degrees(self) -> np.ndarray:
-        """All node degrees as an integer vector indexed by node - 1."""
-        return np.array([len(s) for s in self.neighbor_seq], dtype=int)
+        """All node degrees as an integer vector indexed by node - 1; built once, read-only."""
+        return self._links[2]
 
     def directed_links(self) -> tuple[np.ndarray, np.ndarray]:
         """Every directed link as (sinks, parents), both 2|E| long.
@@ -73,21 +73,28 @@ class Topology:
         Sink-major with parents ascending inside each sink: the links of
         sink i are (i, j) for j in S^i.  Built once; both are read-only.
         """
-        return self._links
+        return self._links[:2]
 
     @cached_property
-    def _links(self) -> tuple[np.ndarray, np.ndarray]:
-        sinks = np.repeat(np.arange(1, self.num_nodes + 1), self.degrees())
+    def _links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        degrees = np.array([len(s) for s in self.neighbor_seq], dtype=int)
+        sinks = np.repeat(np.arange(1, self.num_nodes + 1), degrees)
         parents = np.concatenate(self.neighbor_seq)
-        sinks.flags.writeable = parents.flags.writeable = False
-        return sinks, parents
+        sinks.flags.writeable = parents.flags.writeable = degrees.flags.writeable = False
+        return sinks, parents, degrees
 
     def edge_link_index(self) -> np.ndarray:
         """Positions in :meth:`directed_links` order of the links in sorted
         edge order, (i, j) before (j, i): the order in which the generators
-        draw link gains and link noise."""
+        draw link gains and link noise.  Built once; read-only."""
+        return self._edge_links
+
+    @cached_property
+    def _edge_links(self) -> np.ndarray:
         edges = np.array(self.edges)
-        return self.link_index(edges.ravel(), edges[:, ::-1].ravel())
+        order = self.link_index(edges.ravel(), edges[:, ::-1].ravel())
+        order.flags.writeable = False
+        return order
 
     def link_index(self, sinks, parents) -> np.ndarray:
         """Positions of the links (sinks[l], parents[l]) in :meth:`directed_links`

@@ -2,8 +2,9 @@
 
 The consensus rounds are checked against a literal per-node transcription
 of the update equations (``oracles.admm_round``), and every report and
-trace entry bit for bit against the two-sum rounds
-(``oracles.consensus_two_sums``).
+trace entry against the two-sum rounds (``oracles.consensus_two_sums``):
+the rounds, ``converged`` and the estimate exactly, the residual and the
+trace to 1e-12 of their scale.
 """
 
 import math
@@ -226,10 +227,12 @@ def test_admm_matches_literal_transcription():
         p_vals, p_duals = oracles.admm_round(p_vals, p_duals, p0, neighbors, rho)
 
 
-def test_consensus_matches_two_sum_oracle_bit_for_bit():
-    # run_consensus carries the dual update's neighbor sum into the next
-    # round and tests the stop in one pass; its report and every trace entry
-    # keep the bits of the two-sum rounds under the where/divide/where guard
+def test_consensus_matches_two_sum_oracle():
+    # run_consensus runs both streams as one complex state in scaled-dual
+    # form and carries the dual update's neighbor sum into the next round.
+    # Its discrete outcome and theta_hat keep the oracle's bits; the complex
+    # reduceat sums I in another order than the real one, so the residual
+    # and the trace hold to 1e-12 of their scale
     rng = np.random.default_rng(21)
     guarded = partial = 0
     for g in range(20):
@@ -263,9 +266,12 @@ def test_consensus_matches_two_sum_oracle_bit_for_bit():
                     report = err.value.report
                 assert report.converged is converged
                 assert report.iterations_to_tol == rounds
-                assert report.residual == residual
+                assert report.residual == pytest.approx(residual, rel=0, abs=1e-12 * abs(theta_ml))
                 assert report.theta_hat == theta_ml
-                assert [e.tobytes() for e in report.per_node_trace] == [e.tobytes() for e in trace]
+                assert len(report.per_node_trace) == len(trace)
+                scale = max(float(np.abs(e).max()) for e in trace)
+                assert all(np.abs(e - o).max() <= 1e-12 * scale
+                           for e, o in zip(report.per_node_trace, trace))
     assert guarded > 0 and partial > 0
 
 

@@ -66,6 +66,20 @@ def test_link_index_positions_and_non_links():
             topo.link_index([3, sink], [4, parent])
 
 
+def test_topology_index_arrays_are_built_once():
+    # edge_link_index() and degrees() are built on the first call; every
+    # later call hands out the same read-only array
+    for n in (16, 50, 100):
+        for seed in range(20):
+            topo = random_connected_topology(n, 2 * math.log(n) / n, seed)
+            order, degrees = topo.edge_link_index(), topo.degrees()
+            assert topo.edge_link_index() is order and topo.degrees() is degrees
+            assert not order.flags.writeable and not degrees.flags.writeable
+            edges = np.array(topo.edges)
+            assert np.array_equal(order, topo.link_index(edges.ravel(), edges[:, ::-1].ravel()))
+            assert degrees.tolist() == [len(s) for s in topo.neighbor_seq]
+
+
 def test_duplicate_edges_collapse():
     topo = build_topology(2, [(1, 2), (2, 1)])
     assert topo.num_edges == 1

@@ -1,6 +1,7 @@
-"""tools/design_scale.py runs one decentralized design and gates its memory.
+"""tools/design_scale.py runs one decentralized design, and
+tools/consensus_scale.py one consensus run, and each gates its memory.
 
-The tool runs in a fresh interpreter, as CI runs it, so its maximum RSS is
+Each tool runs in a fresh interpreter, as CI runs it, so its maximum RSS is
 its own.
 """
 
@@ -9,22 +10,40 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _design_scale(*args):
+def _run_tool(tool, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(ROOT / "tools" / "design_scale.py"), *args],
+    return subprocess.run([sys.executable, str(ROOT / "tools" / tool), *args],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_design_scale_reports_the_design_and_gates_its_rss():
-    done = _design_scale("300", "1", "--max-rss-mb", "100000")
+    done = _run_tool("design_scale.py", "300", "1", "--max-rss-mb", "100000")
     assert done.returncode == 0, done.stderr
     fields = dict(item.split("=") for item in done.stdout.split())
     assert set(fields) == {"N", "edges", "cycles", "breaks", "converged", "setup_seconds",
                            "design_seconds", "max_rss_mb"}
     assert fields["N"] == "300" and 1 <= int(fields["cycles"]) <= 200
     assert int(fields["breaks"]) < int(fields["cycles"])
-    over = _design_scale("300", "1", "--max-rss-mb", "1")
+    over = _run_tool("design_scale.py", "300", "1", "--max-rss-mb", "1")
     assert over.returncode == 1 and over.stdout.startswith("N=300 ")
+
+
+def test_consensus_scale_reports_the_run_and_gates_its_rss():
+    done = _run_tool("consensus_scale.py", "200", "1", "--max-rss-mb", "100000")
+    assert done.returncode == 0, done.stderr
+    fields = dict(item.split("=") for item in done.stdout.split())
+    assert set(fields) == {"N", "edges", "rounds", "converged", "consensus_s", "round_us",
+                           "seconds", "max_rss_mb"}
+    assert fields["N"] == "200" and fields["converged"] == "True"
+    assert 1 <= int(fields["rounds"]) <= 1000
+    assert float(fields["consensus_s"]) > 0
+    # consensus_s is printed to the millisecond
+    assert float(fields["round_us"]) * int(fields["rounds"]) / 1e6 == pytest.approx(
+        float(fields["consensus_s"]), abs=6e-4)
+    over = _run_tool("consensus_scale.py", "200", "1", "--max-rss-mb", "1")
+    assert over.returncode == 1 and over.stdout.startswith("N=200 ")
