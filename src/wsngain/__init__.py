@@ -4,12 +4,13 @@ The package covers two estimation architectures for a common scalar
 parameter observed through analog relays: a fusion center with multiple
 receive antennas, and a fully decentralized network where sensors exchange
 compressed observations with neighbors and agree on the estimate by
-consensus.  Transmission gains are designed by a cyclic optimizer that
-alternates an exact auxiliary solve with a gain update on a shifted
-quadratic, under fixed-energy, phase-only, quantized-phase, or
-sensor-selection constraints: one exact trust-region step for fixed
-energy and for energy-mode selection, projected power-method steps for
-the others.
+consensus.  Transmission gains are designed under fixed-energy,
+phase-only, quantized-phase or sensor-selection constraints by a cyclic
+optimizer that alternates an exact auxiliary solve with a gain update:
+one exact trust-region step for fixed energy and energy-mode selection,
+projected power-method steps for quantized phases and phase-mode
+selection.  Phase-only gains see one constant matrix, and their design is
+its unimodular power method.
 """
 
 from .diffusion import (

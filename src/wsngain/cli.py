@@ -18,9 +18,9 @@ import numpy as np
 from .diffusion import centralized_model
 from .errors import InvalidConfig
 from .estimator import GainVector
-from .gainopt import ConstraintSpec, OptimizerConfig, optimize_decentralized
+from .gainopt import ConstraintSpec, OptimizerConfig, optimize, optimize_decentralized
 from .harness import (CONSENSUS_COLUMNS, ExperimentConfig, columns_for, consensus_trace,
-                      optimize_for, render_csv, run_experiment)
+                      render_csv, run_experiment)
 from .netgraph import random_connected_topology, seeded_rng
 from .scenario import (
     CentralizedScenario,
@@ -120,7 +120,7 @@ def _cmd_optimize(args) -> int:
     scen = _scenario(args, noise_kw)
     plan = None
     if isinstance(scen, CentralizedScenario):
-        gains, trace = optimize_for(centralized_model(scen), constraint, opt_cfg)
+        gains, trace = optimize(centralized_model(scen), constraint, opt_cfg)
     else:
         gains, trace, plan = optimize_decentralized(scen, constraint, opt_cfg,
                                                     refresh_plan=not args.freeze_plan)

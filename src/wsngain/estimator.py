@@ -67,17 +67,18 @@ def _covariance_terms(model: GlobalModel, a: np.ndarray):
 
 
 def _information_and_weights(model: GlobalModel, a: np.ndarray):
-    # weights w = R_w^{-1} H a; information value = (Ha)^H w, real and >= 0.
-    # A compressed model's R_w is diagonal, so w is a quotient per row.
+    # (info, w, H a, R_w): weights w = R_w^{-1} H a, information (Ha)^H w,
+    # real and >= 0, and the terms w solves, for a check without a second
+    # evaluation.  A compressed model's R_w is diagonal: w is a quotient per row.
     ha, r_w = _covariance_terms(model, a)
     w = ha / r_w if r_w.ndim == 1 else np.linalg.solve(r_w, ha)
     info = float(np.real(ha.conj() @ w))
-    return info, w
+    return info, w, ha, r_w
 
 
 def _informative(model: GlobalModel, gains):
     # (information value, weights) of the gains; DegenerateGains below INFO_FLOOR
-    info, w = _information_and_weights(model, _gain_values(gains))
+    info, w, _, _ = _information_and_weights(model, _gain_values(gains))
     if info < INFO_FLOOR:
         raise DegenerateGains("effective gains carry no information")
     return info, w

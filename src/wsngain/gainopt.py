@@ -10,9 +10,12 @@ is one exact step, the global solution of a diagonal trust-region
 subproblem; under K-of-N selection in energy mode it is that solution on
 the better of two supports (the current one and the K largest entries of
 the full one).
-phase, quant and select:K:phase take power-method-like iterations on f's
-matrix shifted positive definite, and only they read the shift.  (No step
-reads R's corner, so the paper's large constant there is left out.)
+quant and select:K:phase take power-method-like iterations on f's matrix
+shifted positive definite, and only they read the shift.  Under phase R_w
+is constant, info(a) = a^H B a, and the exact step a <- B a / |B a| is the
+unimodular power method (Soltanalian & Stoica, IEEE TSP 2014), which
+optimize and refine run instead of a cycle.  (No step reads R's corner, so
+the paper's large constant there is left out.)
 A cycle never forms the lift: it takes w from the estimator, a quotient
 per row on the compressed decentralized model (R_w diagonal) and an M x M
 solve otherwise.  The lift (build_lifted) and its Gram-Schmidt solve
@@ -22,11 +25,10 @@ The inner quadratic is an arrow matrix (a diagonal plus one border row and
 column); it is held as the two length-N vectors (d, g) and never formed,
 so the exact step, the shift and each power step cost O(N) plus the
 projection; the exact step and the shift share one safeguarded secular
-root finder.  A simplified unimodular-quadratic path handles the
-phase-only case with a constant matrix.  Its ascent, and the cycles of
-the power-step families, stop once a step gains at most outer_tol of
-information and the shrinking gains promise at most outer_tol more; the
-exact-step families stop on |delta info| <= outer_tol.
+root finder.  The phase ascent, and the cycles of the power-step
+families, stop once a step gains at most outer_tol of information and the
+shrinking gains promise at most outer_tol more; the exact-step families
+stop on |delta info| <= outer_tol.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ INNER_STOP = 1e-10
 DESCENT_RTOL = 1e-9
 CHECK_ATOL = 1e-9
 LAMBDA_MARGIN = 1.05  # a safety factor: the shift sits strictly above the top eigenvalue
+INNER_ITERS = 50  # power steps per cycle; the phase ascent takes max_outer times as many
 _EPS = float(np.finfo(float).eps)
 
 
@@ -197,31 +200,28 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the cyclic optimizer.
+    """Knobs of the optimizer.
 
-    inner_iters caps the power-method-like iterations per outer cycle of
-    the phase, quant and select:K:phase families (energy and select:K
-    energy take one exact step and do not read it); outer iterations stop
-    once |info_k - info_{k+1}| <= outer_tol under energy and select:K
-    energy, and under the other families once _ascent_settled reads that
-    gain as settled; the phase-only UQP path's ascent, whose budget is
-    max_outer * inner_iters steps, stops on _ascent_settled as well;
-    restarts counts the starts and seed draws the random ones.  The counts
-    and the seed are integers (not bool) and outer_tol a finite positive
-    number; anything else raises InvalidConfig.
+    Outer cycles, at most max_outer, stop once |info_k - info_{k+1}| <=
+    outer_tol under energy and select:K energy, and under quant and
+    select:K:phase once _ascent_settled reads that gain as settled; each
+    quant or select:K:phase cycle takes up to INNER_ITERS power steps.  The
+    phase ascent stops on _ascent_settled as well, within max_outer *
+    INNER_ITERS steps.  restarts counts the starts and seed draws the
+    random ones.  The counts and the seed are integers (not bool) and
+    outer_tol a finite positive number; anything else raises InvalidConfig.
     """
 
-    inner_iters: int = 50
     outer_tol: float = 1e-8
     max_outer: int = 200
     restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("inner_iters", "max_outer", "restarts", "seed"):
+        for name in ("max_outer", "restarts", "seed"):
             if not is_int(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.inner_iters < 1 or self.max_outer < 1 or self.restarts < 1:
+        if self.max_outer < 1 or self.restarts < 1:
             raise InvalidConfig("iteration counts must be positive")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
@@ -234,24 +234,24 @@ class OptimizerTrace:
     """Full record of one optimization run (best restart).
 
     ``info_per_outer`` holds the information value info(a) = 1 / variance
-    at the start of each outer cycle (for the phase-only UQP path, the
-    objective a^H B a after each ascent step, which is the same value).
+    at the start of each outer cycle (for the phase ascent, the objective
+    a^H B a at its start and after each step, which is the same value).
     ``inner_objective`` holds one tuple per outer cycle: -f(a) with
     f(a) = sum d |a|^2 + 2 Re(g^H a) on that cycle's arrow (d, g), at the
     cycle's start and after every accepted step, so an
     energy or select:K energy tuple has two entries (one where the gains
-    stay) and the other families' hold up to inner_iters + 1 (the
-    phase-only UQP path records its whole ascent a^H B a as one run).
+    stay) and the other families' hold up to INNER_ITERS + 1 (the phase
+    ascent records its whole run a^H B a as one tuple).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
     on info per outer cycle, through _ascent_settled for the power-step
-    families and per UQP ascent step) and
+    families and per phase ascent step) and
     False when it used up its iteration budget.  ``segment_breaks`` lists
     the outer cycles that started on a new model from optimize's model_fn.
     ``stationarity_residual`` is the largest relative residual
     ||R_w w - H a|| / ||H a|| of the weights w behind a cycle's auxiliary
-    vector y = [1; -w], over the run's cycles, with R_w and H a formed
-    anew from the model (no lift); 0.0 on the phase-only UQP path and the
-    phase and quant decentralized designs, which take no auxiliary step.
+    vector y = [1; -w], over the run's cycles, with R_w and H a those the
+    weights solve read (no lift); 0.0 on the phase ascent and the phase and
+    quant decentralized designs, which take no auxiliary step.
     """
 
     info_per_outer: tuple[float, ...]
@@ -672,33 +672,26 @@ def _ascent_settled(gain: float, last: float, tol: float) -> bool:
     return gain <= tol and (gain <= 0.0 or gain * gain <= tol * (last - gain))
 
 
-def _weights_residual(model: GlobalModel, a: np.ndarray, w: np.ndarray) -> float:
-    """||R_w w - H a|| / ||H a|| with H a and R_w formed anew (R_w diagonal
-    on a compressed model), so a w that does not solve R_w w = H a shows."""
-    ha, r_w = _covariance_terms(model, a)
-    res = r_w * w - ha if r_w.ndim == 1 else r_w @ w - ha
-    return float(np.linalg.norm(res)) / max(float(np.linalg.norm(ha)), INFO_FLOOR)
-
-
 def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     """One full cyclic maximization from a0; returns its trace.
 
     Each outer cycle takes the exact auxiliary vector first, so the info
-    trace is anchored at info(a0) and rises monotonically: info(a) and the
-    weights w = R_w^{-1} H a come from _information_and_weights (read
-    through this module at call time), and y = [1; -w] minimizes the lift's
-    y^H R y without a lift or Gram-Schmidt, in O(N) on a compressed model
-    and one M x M solve on a dense one.  _weights_residual checks w each
-    cycle (stationarity_residual is the largest).  The gain update then
+    trace is anchored at info(a0) and rises monotonically: info(a), the
+    weights w = R_w^{-1} H a and the (H a, R_w) they solve come from one
+    _information_and_weights call (read through this module at call time),
+    and y = [1; -w] minimizes the lift's y^H R y without a lift or
+    Gram-Schmidt, in O(N) on a compressed model and one M x M solve on a
+    dense one.  Each cycle checks w by ||R_w w - H a|| / ||H a|| on those
+    terms (stationarity_residual is the largest).  The gain update then
     builds the arrow (d, g) of y's tail -w and runs the inner step on it
     once.  Every step lowers f(a) in exact arithmetic, so a falling
     -f(a) means lost precision and raises NoDescent.  With model_fn the run
     starts on model_fn(a0, model), and a later model_fn(a, m) other than
     the current m itself starts a segment and restarts the convergence test.
     energy and select:K energy stop once |info_k - info_{k+1}| <= outer_tol;
-    the power-step families (phase, quant, select:K:phase) can crawl past a
-    saddle with gains below outer_tol that do not shrink, so they stop on
-    _ascent_settled, as the phase-only UQP ascent does.
+    the power-step families (quant, select:K:phase) can crawl past a saddle
+    with gains below outer_tol that do not shrink, so they stop on
+    _ascent_settled, as the phase ascent does.
     """
     m = model if model_fn is None else model_fn(a0, model)
     a = np.asarray(a0, dtype=complex).copy()
@@ -716,8 +709,10 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 m = m_new
                 prev, gain = None, 0.0
                 breaks.append(k)
-        info, w = _information_and_weights(m, a)
-        stat_resid = max(stat_resid, _weights_residual(m, a, w))
+        info, w, ha, r_w = _information_and_weights(m, a)
+        res = r_w * w - ha if r_w.ndim == 1 else r_w @ w - ha
+        stat_resid = max(stat_resid, float(np.linalg.norm(res))
+                         / max(float(np.linalg.norm(ha)), INFO_FLOOR))
         infos.append(info)
         if prev is not None:
             if info < prev - DESCENT_RTOL * abs(prev):
@@ -729,7 +724,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 break
         prev = info
         d, g = build_inner_quadratic(-w, m)  # the tail of y = [1; -w]
-        a_new, objs = inner_power_iterations(a, d, g, constraint, config.inner_iters)
+        a_new, objs = inner_power_iterations(a, d, g, constraint, INNER_ITERS)
         # filling a select:K:phase start's support may raise f; the info check guards it
         if not _nondecreasing(objs[int(np.count_nonzero(a_new) > np.count_nonzero(a)):]):
             raise NoDescent("inner objective -f(a) decreased")
@@ -805,6 +800,8 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
              model_fn=None) -> tuple[GainVector, OptimizerTrace]:
     """Minimize estimation variance over the constrained gain vector.
 
+    phase runs optimize_phase_only_uqp's ascent; every other family the cycle.
+
     Parameters
     ----------
     model : GlobalModel
@@ -818,6 +815,7 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
         (gains, previous) -> GlobalModel, called with (a0, model), then per
         later cycle with its gains and current model; any object other than
         ``previous`` itself starts a segment (the decentralized plan refresh).
+        A phase design takes none and raises InvalidConfig when given one.
 
     Returns
     -------
@@ -829,9 +827,13 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     -----
     The variance at the returned gains never exceeds the variance at the
     deterministic starting point: the first outer cycle computes the
-    auxiliary vector for a0 before any gain update, and every cycle
-    raises the information value.
+    auxiliary vector for a0 before any gain update, and every cycle (or
+    phase ascent step) raises the information value.
     """
+    if constraint.kind == "phase":
+        if model_fn is not None:
+            raise InvalidConfig("a phase design takes no model factory: it runs on one B")
+        return optimize_phase_only_uqp(model, config)
     t0 = time.perf_counter()
     starts = _restart_points(model.num_sensors, constraint, config, model)
     return _best_of_starts(lambda a0: _cyclic_run(model, model_fn, a0, constraint, config),
@@ -840,19 +842,24 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
 
 def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
            config: OptimizerConfig = OptimizerConfig()) -> tuple[GainVector, OptimizerTrace]:
-    """Single cyclic run on a fixed model from a caller-provided feasible
-    start (warm start).
+    """Single run on a fixed model from a caller-provided feasible start
+    (warm start): the cyclic design, or under phase the unimodular ascent
+    (_uqp_ascent) on uqp_matrix(model).
 
     Useful when one constraint family's solution is feasible for a looser one;
     monotone descent then guarantees the refined variance does not exceed the
     warm start's.  An infeasible start, or one not of length N, raises InvalidConfig.
     """
+    t0 = time.perf_counter()
     a0 = np.asarray(a0, dtype=complex)
     if a0.shape != (model.num_sensors,):
         raise InvalidConfig(f"start has shape {a0.shape}, the model {model.num_sensors} sensors")
     constraint.check(a0)
+    if constraint.kind == "phase":
+        b_mat = uqp_matrix(model)
+        return _best_of_starts(lambda start: _uqp_ascent(b_mat, start, config), [a0], t0)
     return _best_of_starts(lambda start: _cyclic_run(model, None, start, constraint, config),
-                           [a0], time.perf_counter())
+                           [a0], t0)
 
 
 def optimize_decentralized(scenario: DecentralizedScenario, constraint: ConstraintSpec,
@@ -927,43 +934,40 @@ def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a_new, b_mat @ a_new
 
 
+def _uqp_ascent(b_mat: np.ndarray, a: np.ndarray, config: OptimizerConfig) -> OptimizerTrace:
+    """The unimodular ascent a <- e^{j arg(B a)} (uqp_step) from the unit-modulus a.
+
+    Each step's image B a gives the objective a^H B a, the info trace, as
+    one vdot; it is non-decreasing as B is positive semidefinite.  Stops
+    once a step gains at most config.outer_tol and the shrinking gains
+    promise at most that much more (_ascent_settled; ``converged`` True),
+    or after max_outer * INNER_ITERS steps.  An end below INFO_FLOOR raises
+    DegenerateGains.
+    """
+    image = b_mat @ a
+    objs = [float(np.vdot(a, image).real)]
+    gain = 0.0
+    for _ in range(config.max_outer * INNER_ITERS):  # at least one step: max_outer >= 1
+        a, image = uqp_step(b_mat, image)
+        objs.append(float(np.vdot(a, image).real))
+        gain, last = objs[-1] - objs[-2], gain
+        converged = _ascent_settled(gain, last, config.outer_tol)
+        if converged:
+            break
+    if objs[-1] < INFO_FLOOR:
+        raise DegenerateGains("effective gains carry no information")
+    return OptimizerTrace(tuple(objs), (tuple(objs),), GainVector(a, ConstraintSpec.phase_only()),
+                          1.0 / objs[-1], wall_time_s=0.0, converged=converged)
+
+
 def optimize_phase_only_uqp(model: GlobalModel,
                             config: OptimizerConfig = OptimizerConfig()
                             ) -> tuple[GainVector, OptimizerTrace]:
-    """Phase-only design via the unimodular quadratic program.
-
-    Builds B once and iterates a <- e^{j arg(B a)} (uqp_step: B a / |B a|
-    entrywise, phase 0 where B a has an exact zero), reading the objective
-    a^H B a as one vdot with the image each step already formed; it is
-    non-decreasing because B is positive semidefinite.  For unit-modulus
-    gains a^H B a is the information value, so the objective is the info
-    trace, as on the general path.  The ascent stops once a step gains at
-    most config.outer_tol and the shrinking gains promise at most that
-    much more (_ascent_settled; ``converged`` True), or after max_outer *
-    inner_iters steps.  A start whose objective ends below INFO_FLOOR raises
-    DegenerateGains.
+    """Phase-only design via the unimodular quadratic program, the design
+    optimize runs under phase: builds B once (uqp_matrix) and runs
+    _uqp_ascent from each restart point.
     """
     t0 = time.perf_counter()
     b_mat = uqp_matrix(model)
-    constraint = ConstraintSpec.phase_only()
-    max_iters = config.max_outer * config.inner_iters
-
-    def ascend(a):
-        image = b_mat @ a
-        objs = [float(np.vdot(a, image).real)]
-        gain = 0.0
-        for _ in range(max_iters):  # at least one step: the config rejects empty budgets
-            a, image = uqp_step(b_mat, image)
-            objs.append(float(np.vdot(a, image).real))
-            gain, last = objs[-1] - objs[-2], gain
-            converged = _ascent_settled(gain, last, config.outer_tol)
-            if converged:
-                break
-        if objs[-1] < INFO_FLOOR:
-            raise DegenerateGains("effective gains carry no information")
-        return OptimizerTrace(tuple(objs), (tuple(objs),),
-                              GainVector(a, constraint), 1.0 / objs[-1], wall_time_s=0.0,
-                              converged=converged)
-
-    starts = _restart_points(model.num_sensors, constraint, config, model)
-    return _best_of_starts(ascend, starts, t0)
+    starts = _restart_points(model.num_sensors, ConstraintSpec.phase_only(), config, model)
+    return _best_of_starts(lambda a0: _uqp_ascent(b_mat, a0, config), starts, t0)

@@ -33,7 +33,6 @@ from .gainopt import (
     OptimizerConfig,
     _phase_grid,
     optimize,
-    optimize_phase_only_uqp,
     refine,
     uqp_matrix,
 )
@@ -204,13 +203,6 @@ def baseline_selection(model, k_active: int, policy: str) -> tuple[GainVector, f
     return gains, global_variance(model, gains)
 
 
-def optimize_for(model, constraint, opt_config):
-    # phase-only runs go through the constant-matrix fast path
-    if constraint.kind == "phase":
-        return optimize_phase_only_uqp(model, opt_config)
-    return optimize(model, constraint, opt_config)
-
-
 def _realization(config: ExperimentConfig, n: int, noise: NoiseConfig,
                  scenario_seed: int, optimizer_seed: int):
     """The model of one realization's n-sensor scenario and its reseeded optimizer config."""
@@ -240,7 +232,7 @@ def run_sweep(config: ExperimentConfig):
             model, opt_cfg = _realization(config, n, config.noise, derived_seed(config.seed, n, i),
                                           derived_seed(config.seed, n, i, 1))
             try:
-                _, trace = optimize_for(model, config.constraint, opt_cfg)
+                _, trace = optimize(model, config.constraint, opt_cfg)
                 t0 = time.perf_counter()
                 _, v_ones = baseline_all_ones(model)
                 ones_time = time.perf_counter() - t0

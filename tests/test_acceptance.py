@@ -49,18 +49,19 @@ def descent_suite():
     Constraint families rotate across the suite so every projection path
     is exercised; the same traces back both monotonicity checks.  Each
     entry is (run index, trace, cycles), where cycles holds, for every
-    outer cycle, the model and gains the cycle handed to the weights
-    solve, the weights w it got back (its auxiliary vector is [1; -w]) and
-    the paper's corner constant for the run's model.
+    outer cycle (a phase run's ascent has none), the model and gains the
+    cycle handed to the weights solve, the weights w it got back (its
+    auxiliary vector is [1; -w]) and the paper's corner constant for the
+    run's model.
     """
     runs = []
     weights = gainopt._information_and_weights
 
     def seen(cycles, eta0):
         def record(model, a):
-            info, w = weights(model, a)
-            cycles.append((model, np.array(a), w, eta0))
-            return info, w
+            out = weights(model, a)
+            cycles.append((model, np.array(a), out[1], eta0))
+            return out
         return record
 
     for i in range(100):

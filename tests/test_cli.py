@@ -224,7 +224,7 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
             (["gen-scenario", "--n", "4"], "realizations", 1),
             (["simulate-consensus", "--n", "4"], "rho", 50),
             (["simulate-consensus", "--n", "4"], "max_iter", 2),
-            (["simulate-consensus", "--n", "4"], "inner_iters", 5),
+            (["simulate-consensus", "--n", "4"], "outer_tol", 1e-3),
             (["oracle-gap", "--n", "2"], "theta", 2.0),
             (["select"], "edge_probability", 0.5),
             (["sweep", "--n", "4"], "tol", 1e-3),
@@ -233,6 +233,8 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
             # kind only
             (["optimize", "--n", "4"], "eta0_margin", 1.2),
             (["optimize", "--n", "4"], "lambda_margin", 1.2),
+            # the power steps per cycle are a constant too
+            (["optimize", "--n", "4"], "inner_iters", 5),
             (["sweep", "--n", "4"], "sigma_grid", [5.0]),
             (["oracle-gap", "--n", "2"], "sigma_grid", [5.0]),
             (["oracle-gap", "--n", "2"], "include_runtime", False),
@@ -261,7 +263,7 @@ def test_noise_config_of_wrong_shape_or_type_fails_cleanly(tmp_path, capsys, com
 @pytest.mark.parametrize("command, doc", [
     ("optimize --n 4", {"max_outer": 2.5}),
     ("optimize --n 4", {"restarts": "3"}),
-    ("optimize --n 4", {"inner_iters": True}),
+    ("optimize --n 4", {"restarts": True}),
     ("optimize --n 4", {"outer_tol": float("nan")}),
     ("optimize --n 4", {"outer_tol": "1e-8"}),
     ("sweep --n 4", {"realizations": 2.5}),

@@ -8,7 +8,10 @@ a second run and must tell different outputs apart.
 import dataclasses
 import importlib.util
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "job_digests.py"
@@ -58,3 +61,43 @@ def test_shape_digest_reads_only_the_discrete_outcome():
     longer = dataclasses.replace(trace, info_per_outer=trace.info_per_outer * 2)
     moved, other = tool._parts("central-design", (gains, longer))
     assert tool._digest(moved) != tool._digest(parts) and tool._digest(other) != tool._digest(shape)
+
+
+def test_compare_allows_other_kernels_and_catches_moved_outcomes(tmp_path, capsys):
+    # a run on other BLAS kernels may move last bits, and --compare passes
+    # it; a moved shape, a headline off by more than 1e-12 relative or a
+    # missing job fails it
+    tool = _tool()
+    native = tool.job_lines(tool.load_workloads(ROOT), 3, jobs=1)
+    done = subprocess.run([sys.executable, str(TOOL), str(ROOT), "3", "--jobs", "1"],
+                          env=dict(os.environ, OPENBLAS_CORETYPE="Nehalem"),
+                          capture_output=True, text=True, timeout=120, check=True)
+    kernels = done.stdout.splitlines()
+
+    def compare(lines):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("\n".join(native) + "\n")
+        b.write_text("\n".join(lines) + "\n")
+        code = tool.main(["--compare", str(a), str(b)])
+        return code, capsys.readouterr().out.splitlines()
+
+    code, out = compare(kernels)
+    assert code == 0 and len(out) == 1 and out[0].startswith("4 jobs: ")
+
+    def edited(field, change):
+        fields = native[0].split()
+        fields[field] = change(fields[field])
+        return [" ".join(fields)] + native[1:]
+
+    value = float(native[0].split()[5])
+    code, out = compare(edited(3, lambda digest: "0" * 64))
+    assert code == 0 and out == ["4 jobs: 1 byte digests differ, widest headline gap 0 relative"]
+    assert compare(edited(5, lambda v: repr(value * (1 + 1e-13))))[0] == 0
+    code, out = compare(edited(5, lambda v: repr(value * (1 + 1e-11))))
+    assert code == 1 and out[1].startswith("central-design 3 0: headline")
+    code, out = compare(edited(5, lambda v: "DegenerateGains"))
+    assert code == 1 and "headline" in out[1]
+    code, out = compare(edited(4, lambda shape: "0" * tool.SHAPE_HEX))
+    assert code == 1 and out[1].startswith("central-design 3 0: shape")
+    code, out = compare(native[:-1])
+    assert code == 1 and out[1] == "4 lines against 3"

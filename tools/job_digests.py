@@ -1,6 +1,7 @@
 """Print one digest line per job of the four benchmark workloads.
 
     python3 tools/job_digests.py ROOT SEED [SEED ...] [--jobs N]
+    python3 tools/job_digests.py --compare A B
 
 ROOT is a checkout of this repository: the library is imported from
 ``ROOT/src`` and the jobs come from ``ROOT/perfbench/workloads.py``, which
@@ -27,16 +28,26 @@ and its headline is the error class.
 Two checkouts that print the same lines for the same seeds produce the
 same bytes on every job.  ``--jobs N`` runs only the first N jobs of each
 workload.  BLAS is pinned to one thread, as in ``perfbench/run.py``.
+
+``--compare A B`` reads two files of such lines, from runs of the same
+seeds that differ in how floating point is computed (say, another set of
+BLAS kernels through ``OPENBLAS_CORETYPE``).  It prints how many byte
+digests differ and the widest headline gap, and exits 1 unless both
+files list the same jobs, every shape hash matches and every headline
+value agrees within HEADLINE_RTOL relative: the runs reached the same
+outcomes, whatever their last bits.
 """
 
 import argparse
 import hashlib
 import importlib.util
+import math
 import os
 import sys
 from pathlib import Path
 
 SHAPE_HEX = 16  # hex digits kept of the shape hash: short enough to read in a diff
+HEADLINE_RTOL = 1e-12  # --compare: the widest relative gap allowed between headline values
 
 
 def load_workloads(root: Path):
@@ -118,13 +129,64 @@ def job_lines(workloads, seed: int, jobs=None) -> list:
     return lines
 
 
+def _headline_gap(a: str, b: str) -> float:
+    """Relative gap between two headline values: 0 when the texts or the
+    numbers match, inf when either is not a number (an error class)."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(first: list, second: list) -> tuple[list, str]:
+    """(the disagreements of two runs' lines, a one-line summary)."""
+    problems = []
+    if len(first) != len(second):
+        problems.append(f"{len(first)} lines against {len(second)}")
+    bytes_differ, worst = 0, 0.0
+    for a, b in zip(first, second):
+        (*job, digest_a, shape_a, values_a), (*job_b, digest_b, shape_b, values_b) = (
+            a.split(), b.split())
+        name = " ".join(job)
+        if job != job_b:
+            problems.append(f"{name}: against {' '.join(job_b)}")
+            continue
+        bytes_differ += digest_a != digest_b
+        if shape_a != shape_b:
+            problems.append(f"{name}: shape {shape_a} against {shape_b}")
+        values_a, values_b = values_a.split(","), values_b.split(",")
+        gap = (max(map(_headline_gap, values_a, values_b))
+               if len(values_a) == len(values_b) else math.inf)
+        worst = max(worst, gap)
+        if not gap <= HEADLINE_RTOL:
+            problems.append(f"{name}: headline {','.join(values_a)} against {','.join(values_b)}")
+    summary = (f"{min(len(first), len(second))} jobs: {bytes_differ} byte digests differ, "
+               f"widest headline gap {worst:.3g} relative")
+    return problems, summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("root", type=Path, help="repository checkout to import")
-    parser.add_argument("seeds", type=int, nargs="+", help="workload seeds")
+    parser.add_argument("root", type=Path, nargs="?", help="repository checkout to import")
+    parser.add_argument("seeds", type=int, nargs="*", help="workload seeds")
     parser.add_argument("--jobs", type=int, default=None,
                         help="run only the first JOBS jobs of each workload")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two files of digest lines instead of running jobs")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.root or args.seeds:
+            parser.error("--compare takes no ROOT or SEED")
+        problems, summary = compare(*(path.read_text().splitlines() for path in args.compare))
+        print(summary)
+        for problem in problems:
+            print(problem)
+        return 1 if problems else 0
+    if args.root is None or not args.seeds:
+        parser.error("ROOT and at least one SEED are required")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # read when numpy first loads, in load_workloads
     workloads = load_workloads(args.root)
