@@ -46,8 +46,10 @@ SUITE_SEED = 777
 def descent_suite():
     """100 optimizer runs: N in {5,10,20,40}, M=4, default noise and config.
 
-    Constraint families rotate across the suite so every projection path
-    is exercised; the same traces back both monotonicity checks.  Each
+    Constraint families rotate across the suite; the same traces back both
+    monotonicity checks.  The 25 phase runs take the constant-matrix
+    ascent, so no run here passes a power-step cycle through the
+    unit-modulus projection (test_gainopt's select:N:phase tests do).  Each
     entry is (run index, trace, cycles), where cycles holds, for every
     outer cycle (a phase run's ascent has none), the model and gains the
     cycle handed to the weights solve, the weights w it got back (its

@@ -866,11 +866,14 @@ def test_optimize_scalar_phase_invariant():
 def test_single_antenna_designs_reach_the_exact_optimum(n):
     # with one receive antenna the energy optimum is a ~ conj(h) / delta and
     # the phase optimum is co-phasing (oracles.single_antenna_optimum); the
-    # energy design stops within its tolerance of it, the phase ascent on it
+    # energy design and the power-step cycles on the unit-modulus set
+    # (select:N:phase) stop within their tolerance of it, the phase ascent on it
     for seed in range(20):
         model = centralized_model(gen_centralized_scenario(n, 1, NoiseConfig(), seed=seed))
         for kind, design, bound in (
                 ("energy", lambda m: optimize(m, ConstraintSpec.fixed_energy()), 1e-9),
+                ("phase", lambda m: optimize(m, ConstraintSpec.parse(f"select:{n}:phase")),
+                 1e-9),
                 ("phase", lambda m: optimize(m, ConstraintSpec.phase_only()), 1e-12)):
             _, best = oracles.single_antenna_optimum(model.H, model.sensor_noise_var,
                                                      model.noise_var, kind)
@@ -1342,6 +1345,35 @@ def test_uqp_objective_nondecreasing():
     _, trace = optimize_phase_only_uqp(model, OptimizerConfig(seed=0))
     objs = np.array(trace.inner_objective[0])
     assert np.all(np.diff(objs) >= -1e-9 * np.abs(objs[:-1]))
+
+
+def test_uqp_matches_general_path():
+    # the power-step cycles on the unit-modulus set (select:N:phase) reach
+    # the ascent's variance within 1%
+    for seed in range(5):
+        model = random_model(7, seed=20 + seed)
+        _, fast = optimize(model, ConstraintSpec.phase_only(), OptimizerConfig(seed=seed))
+        _, general = optimize(model, ConstraintSpec.parse("select:7:phase"),
+                              OptimizerConfig(seed=seed, max_outer=400))
+        assert fast.final_variance == pytest.approx(general.final_variance, rel=0.01)
+
+
+def test_unit_modulus_cycles_descend_with_stationary_weights():
+    # the power-step cycle under the unit-modulus projection, which phase no
+    # longer runs: information and every inner objective never fall, and
+    # each cycle's weights solve is stationary
+    for i in range(12):
+        n = (5, 10, 20, 40)[i % 4]
+        model = centralized_model(gen_centralized_scenario(n, 4, NoiseConfig(), seed=700 + i))
+        _, trace = optimize(model, ConstraintSpec.parse(f"select:{n}:phase"),
+                            OptimizerConfig(seed=i))
+        infos = np.array(trace.info_per_outer)
+        assert len(infos) > 2, i
+        assert np.all(np.diff(infos) >= -1e-9 * np.abs(infos[:-1])), i
+        for objs in trace.inner_objective:
+            seq = np.array(objs)
+            assert np.all(np.diff(seq) >= -1e-9 * np.maximum(1.0, np.abs(seq[:-1]))), i
+        assert trace.stationarity_residual <= 1e-10, i
 
 
 def _uqp_values(b_mat, points):
