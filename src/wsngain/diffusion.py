@@ -70,24 +70,6 @@ class CompressionPlan:
         return {"carrier": list(self.carrier), "r": self.r, "m_dim": self.m_dim}
 
 
-class _DenseH:
-    """The ``H`` field of :class:`GlobalModel`: the matrix a model was given
-    or, for a compressed model (given None), its scaled permutation built
-    from the rows at each read and not kept, so that a model holds O(N)."""
-
-    def __get__(self, model, owner=None):
-        if model is None:
-            raise AttributeError("H")  # so the dataclass field has no default
-        dense = vars(model)["H"]
-        if dense is None:
-            dense = np.zeros((model.num_rows, model.num_sensors), dtype=complex)
-            dense[np.arange(model.num_rows), model.row_sensor] = model.row_gain
-        return dense
-
-    def __set__(self, model, value):
-        vars(model)["H"] = value
-
-
 @dataclass(frozen=True)
 class GlobalModel:
     """Unified linear observation model y = H a theta + H Diag(a) v + n.
@@ -103,26 +85,20 @@ class GlobalModel:
     zeros elsewhere, so R_w is diagonal, with the :func:`link_terms`
     entries |h_r a_k|^2 v_k + noise_var (k = row_sensor[r]).
     :func:`assemble_global_model` records only those rows and the ``plan``
-    they came from (``H=None``), so the model holds O(N); the information,
-    weights, lift and inner quadratic take an O(N) elementwise path.  Its
-    ``H`` is built from the rows on each read, for the dense readers
-    (``uqp_matrix``, ``combined_covariance``), and is not kept: a model
-    given rows stores no dense ``H``, so an ``H`` passed along with them
-    (as ``dataclasses.replace`` passes the one it reads) is dropped.  A
-    model given only its ``H`` (centralized, or built by hand) takes the
-    dense path.
+    they came from, so a compressed model holds O(N) and its ``H`` is None;
+    the information, weights, lift and inner quadratic take an O(N)
+    elementwise path, and the dense readers (``uqp_matrix``,
+    ``combined_covariance``) reject it with InvalidConfig.  A model given
+    rows is read through them alone.  A model given only its ``H``
+    (centralized, or built by hand) takes the dense path.
     """
 
-    H: np.ndarray | None = _DenseH()
+    H: np.ndarray | None
     sensor_noise_var: np.ndarray = field(repr=False)
     noise_var: float
     plan: CompressionPlan | None = field(default=None, repr=False)
     row_sensor: np.ndarray | None = field(default=None, repr=False)
     row_gain: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.row_gain is not None:
-            vars(self)["H"] = None  # the rows define H
 
     def __repr__(self) -> str:
         return f"GlobalModel(noise_var={self.noise_var!r})"
@@ -134,6 +110,14 @@ class GlobalModel:
     @property
     def num_rows(self) -> int:
         return self.H.shape[0] if self.row_gain is None else len(self.row_gain)
+
+
+def _dense_h(model: GlobalModel) -> np.ndarray:
+    """The model's dense ``H``, for the readers that need the matrix; a
+    compressed model keeps only its rows and raises InvalidConfig."""
+    if model.row_gain is not None:
+        raise InvalidConfig("a compressed model keeps only its rows, not a dense H")
+    return model.H
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -204,7 +188,7 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
     row for (sink i, parent k) holds h_{i,k} in column k and zeros
     elsewhere; the estimator is invariant to the row order.  The model
     records only each row's sensor and gain and the plan, in O(N), and
-    builds its dense ``H`` on demand (see :class:`GlobalModel`).
+    no dense ``H`` (see :class:`GlobalModel`).
     """
     _, parents, links = plan.links(scenario.topology)
     return GlobalModel(

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diffusion import (CompressionPlan, GlobalModel, _gain_values, _link_terms, _product,
-                        link_terms)
+from .diffusion import (CompressionPlan, GlobalModel, _dense_h, _gain_values, _link_terms,
+                        _product, link_terms)
 from .errors import DegenerateGains, InvalidConfig, NoConvergence
 from .netgraph import is_int
 from .scenario import CentralizedScenario, DecentralizedScenario
@@ -49,9 +49,10 @@ class GainVector:
 
 
 def combined_covariance(model: GlobalModel, gains) -> np.ndarray:
-    """R_w = H D V D^H H^H + sigma_n^2 I for the current gains."""
+    """R_w = H D V D^H H^H + sigma_n^2 I for the current gains, as a dense
+    M x M matrix; a compressed model, whose R_w is diagonal, raises InvalidConfig."""
     a = _gain_values(gains)
-    h = model.H  # built anew at each read on a compressed model
+    h = _dense_h(model)  # the compressed model's diagonal comes from _covariance_terms
     scaled = h * (np.abs(a) ** 2 * model.sensor_noise_var)[None, :]
     return scaled @ h.conj().T + model.noise_var * np.eye(model.num_rows)
 

@@ -14,8 +14,10 @@ quant and select:K:phase take power-method-like iterations on f's matrix
 shifted positive definite, and only they read the shift.  Under phase R_w
 is constant, info(a) = a^H B a, and the exact step a <- B a / |B a| is the
 unimodular power method (Soltanalian & Stoica, IEEE TSP 2014), which
-optimize and refine run instead of a cycle.  (No step reads R's corner, so
-the paper's large constant there is left out.)
+optimize and refine run instead of a cycle.  On the compressed
+decentralized model the information reads |a| only, so under phase and
+quant optimize and refine return their start.  (No step reads R's corner,
+so the paper's large constant there is left out.)
 A cycle never forms the lift: it takes w from the estimator, a quotient
 per row on the compressed decentralized model (R_w diagonal) and an M x M
 solve otherwise.  The lift (build_lifted) and its Gram-Schmidt solve
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import (GlobalModel, _gain_values, assign_carriers,
+from .diffusion import (GlobalModel, _dense_h, _gain_values, assign_carriers,
                         decentralized_model, information_table)
 from .errors import DegenerateGains, InvalidConfig, NoDescent, ZeroVectorWarning
 from .estimator import (
@@ -250,8 +252,8 @@ class OptimizerTrace:
     ``stationarity_residual`` is the largest relative residual
     ||R_w w - H a|| / ||H a|| of the weights w behind a cycle's auxiliary
     vector y = [1; -w], over the run's cycles, with R_w and H a those the
-    weights solve read (no lift); 0.0 on the phase ascent and the phase and
-    quant decentralized designs, which take no auxiliary step.
+    weights solve read (no lift); 0.0 on the phase ascent and on the phase
+    and quant designs on a compressed model, which take no auxiliary step.
     """
 
     info_per_outer: tuple[float, ...]
@@ -756,7 +758,7 @@ def _rotation_rounding(model: GlobalModel, relaxed: np.ndarray,
     pick = _grid_pick(angles, q).astype(np.intp)
     base = _phase_grid(q)[pick]
     order = np.argsort(np.mod(np.pi / q - angles, width), kind="stable")[:-1]
-    h = model.H
+    h = _dense_h(model)
     moves = h[:, order] * ((np.exp(1j * width) - 1.0) * base[order])
     hc = np.cumsum(np.column_stack((h @ base, moves)), axis=1)
     info = np.real(np.sum(hc.conj() * _unit_modulus_solve(model, hc), axis=0))
@@ -795,12 +797,30 @@ def _best_of_starts(run_from, starts, t0):
     return trace.final_gains, trace
 
 
+def _start_design(model: GlobalModel, a0: np.ndarray, constraint: ConstraintSpec,
+                  t0: float) -> tuple[GainVector, OptimizerTrace]:
+    """The design under phase and quant:Q on a compressed model: the start a0.
+
+    The information there is sum_k c_k p_k / (c_k v_k p_k + sigma_n^2) with
+    p_k = |a_k|^2, and the plan reads |a| only as well, so every
+    unit-modulus gain vector has the same variance.  The trace has one info
+    entry, no inner runs and ``converged`` True, since the start is already
+    optimal.
+    """
+    variance = global_variance(model, a0)
+    trace = OptimizerTrace((1.0 / variance,), (), GainVector(np.array(a0), constraint), variance,
+                           wall_time_s=time.perf_counter() - t0, converged=True)
+    return trace.final_gains, trace
+
+
 def optimize(model: GlobalModel, constraint: ConstraintSpec,
              config: OptimizerConfig = OptimizerConfig(),
              model_fn=None) -> tuple[GainVector, OptimizerTrace]:
     """Minimize estimation variance over the constrained gain vector.
 
-    phase runs optimize_phase_only_uqp's ascent; every other family the cycle.
+    phase runs optimize_phase_only_uqp's ascent; every other family the
+    cycle.  On a compressed model phase and quant:Q return the feasible
+    start at once, with no restart and no model_fn call (_start_design).
 
     Parameters
     ----------
@@ -830,11 +850,13 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     auxiliary vector for a0 before any gain update, and every cycle (or
     phase ascent step) raises the information value.
     """
+    t0 = time.perf_counter()
+    if model.row_gain is not None and constraint.kind in ("phase", "quant"):
+        return _start_design(model, constraint.initial_point(model.num_sensors), constraint, t0)
     if constraint.kind == "phase":
         if model_fn is not None:
             raise InvalidConfig("a phase design takes no model factory: it runs on one B")
         return optimize_phase_only_uqp(model, config)
-    t0 = time.perf_counter()
     starts = _restart_points(model.num_sensors, constraint, config, model)
     return _best_of_starts(lambda a0: _cyclic_run(model, model_fn, a0, constraint, config),
                            starts, t0)
@@ -844,7 +866,8 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
            config: OptimizerConfig = OptimizerConfig()) -> tuple[GainVector, OptimizerTrace]:
     """Single run on a fixed model from a caller-provided feasible start
     (warm start): the cyclic design, or under phase the unimodular ascent
-    (_uqp_ascent) on uqp_matrix(model).
+    (_uqp_ascent) on uqp_matrix(model).  On a compressed model phase and
+    quant:Q return the start (_start_design).
 
     Useful when one constraint family's solution is feasible for a looser one;
     monotone descent then guarantees the refined variance does not exceed the
@@ -855,6 +878,8 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     if a0.shape != (model.num_sensors,):
         raise InvalidConfig(f"start has shape {a0.shape}, the model {model.num_sensors} sensors")
     constraint.check(a0)
+    if model.row_gain is not None and constraint.kind in ("phase", "quant"):
+        return _start_design(model, a0, constraint, t0)
     if constraint.kind == "phase":
         b_mat = uqp_matrix(model)
         return _best_of_starts(lambda start: _uqp_ascent(b_mat, start, config), [a0], t0)
@@ -873,23 +898,11 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
     decentralized_model, which returns the current model itself, and so
     starts no segment, while the carriers hold.  Returns (gains, trace,
     plan): the plan of the final gains, or the frozen plan the gains were
-    designed under.
-
-    phase and quant:Q return the feasible start and its plan at once, with
-    no restart: on the compressed model the information is
-    sum_k c_k p_k / (c_k v_k p_k + sigma_n^2) with p_k = |a_k|^2, and the
-    plan reads |a| only as well, so every unit-modulus gain vector has the
-    same variance.  That trace has one info entry, no inner runs and
-    ``converged`` True, since the start is already optimal.
+    designed under.  Every family goes through optimize, so phase and
+    quant:Q return the feasible start and its plan (_start_design).
     """
-    t0 = time.perf_counter()
     a0 = constraint.initial_point(scenario.num_sensors)
     start_model, plan = decentralized_model(scenario, a0)
-    if constraint.kind in ("phase", "quant"):
-        variance = global_variance(start_model, a0)
-        trace = OptimizerTrace((1.0 / variance,), (), GainVector(a0, constraint), variance,
-                               wall_time_s=time.perf_counter() - t0, converged=True)
-        return trace.final_gains, trace, plan
     model_fn = (lambda a, m: decentralized_model(scenario, a, m)[0]) if refresh_plan else None
     gains, trace = optimize(start_model, constraint, config, model_fn=model_fn)
     if refresh_plan:
@@ -907,9 +920,10 @@ def uqp_matrix(model: GlobalModel) -> np.ndarray:
     """Constant matrix of the phase-only program: B = H^H (H V H^H + M)^{-1} H.
 
     Valid because the combined covariance no longer depends on unit-modulus
-    gains (_unit_modulus_solve).
+    gains (_unit_modulus_solve).  A compressed model, which holds no dense
+    H, raises InvalidConfig.
     """
-    h = model.H
+    h = _dense_h(model)
     return h.conj().T @ _unit_modulus_solve(model, h)
 
 

@@ -382,6 +382,16 @@ def dense_information(h_global, a, sensor_noise_var, noise_var):
     return dense_weights(h_global, a, sensor_noise_var, noise_var)[0]
 
 
+def dense_h(model):
+    """A compressed model's H as the dense scaled permutation it stands for:
+    row r holds row_gain[r] in the column of sensor row_sensor[r] (0-based)
+    and zeros elsewhere."""
+    h = np.zeros((len(model.row_gain), len(model.sensor_noise_var)), dtype=complex)
+    for r, (k, gain) in enumerate(zip(model.row_sensor, model.row_gain)):
+        h[r, k] = gain
+    return h
+
+
 def link_observations(scenario, a, rng):
     """Literal per-link transcription of one decentralized network round.
 

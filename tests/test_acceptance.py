@@ -229,11 +229,12 @@ def test_c07_global_form_decouples_across_sinks():
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         model, plan = decentralized_model(scen, a)
         assert plan.m_dim == n
-        assert model.H.shape == (n, n)
-        nonzero = model.H != 0
+        h_global = oracles.dense_h(model)
+        assert h_global.shape == (n, n)
+        nonzero = h_global != 0
         assert np.all(nonzero.sum(axis=0) == 1), "a sensor column appears in two rows"
         assert np.all(nonzero.sum(axis=1) == 1)
-        total = oracles.dense_information(model.H, a, model.sensor_noise_var, model.noise_var)
+        total = oracles.dense_information(h_global, a, model.sensor_noise_var, model.noise_var)
         h = oracles.link_gains(scen)
         by_sink = 0.0
         for sink, parents in enumerate(oracles.retained_rows(plan), start=1):

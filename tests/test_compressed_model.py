@@ -4,10 +4,13 @@ Every sensor keeps one retained row, so R_w is diagonal and the estimator
 and the optimizer's per-cycle steps work on it row by row.  These tests
 hold that path to the dense formulas of ``tests/oracles.py``, pin the
 plan-keyed segments of the plan-refresh loop, and check that phase-only
-and quantized decentralized designs return their start.
+and quantized designs on a compressed model return their start and that
+the readers of a dense H reject it.  ``oracles.dense_h`` stands for the
+dense H the model no longer holds.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +18,12 @@ import pytest
 import oracles
 from wsngain import (
     ConstraintSpec,
+    GlobalModel,
+    InvalidConfig,
     OptimizerConfig,
     assemble_global_model,
     assign_carriers,
+    baseline_exhaustive_quantized,
     build_inner_quadratic,
     build_lifted,
     decentralized_model,
@@ -29,7 +35,10 @@ from wsngain import (
     information_table,
     optimize,
     optimize_decentralized,
+    optimize_phase_only_uqp,
     random_connected_topology,
+    refine,
+    uqp_matrix,
 )
 from wsngain.diffusion import link_terms
 from wsngain.estimator import _information_and_weights
@@ -59,7 +68,7 @@ def test_compressed_path_matches_the_dense_formulas():
     for trial in range(50):
         scen, a, model = _random_compressed(rng, trial)
         assert model.row_gain is not None
-        h, v, s2 = model.H, model.sensor_noise_var, model.noise_var
+        h, v, s2 = oracles.dense_h(model), model.sensor_noise_var, model.noise_var
         info_ref, w_ref = oracles.dense_weights(h, a, v, s2)
         info, w, _, _ = _information_and_weights(model, a)
         assert abs(info - info_ref) <= RTOL * info_ref and _close(w, w_ref), trial
@@ -97,22 +106,32 @@ def test_model_rows_take_the_link_terms_bit_for_bit():
 def test_assembled_model_records_its_rows_and_plan():
     scen = gen_decentralized_scenario(random_connected_topology(12, 0.3, 2), seed=2)
     model, plan = decentralized_model(scen, np.ones(12))
-    assert model.plan == plan
-    rebuilt = np.zeros_like(model.H)
-    rebuilt[np.arange(12), model.row_sensor] = model.row_gain
-    assert np.array_equal(rebuilt, model.H)
+    assert model.plan == plan and model.H is None  # the rows stand for H
+    h = oracles.dense_h(model)
+    gains = oracles.link_gains(scen)
+    for r, (sink, parent) in enumerate(zip(*plan.rows())):
+        assert h[r, parent - 1] == gains[(sink, parent)] and np.count_nonzero(h[r]) == 1
     assert sorted(model.row_sensor) == list(range(12))  # one row per sensor
 
 
-def test_a_copied_compressed_model_stores_no_dense_h():
-    # dataclasses.replace reads H through the field, which builds the dense
-    # scaled permutation; the copy keeps its rows and drops that matrix
-    scen = gen_decentralized_scenario(random_connected_topology(200, 0.05, 3), seed=3)
-    model, _ = decentralized_model(scen, np.ones(200))
-    copied = dataclasses.replace(model)
-    assert vars(model)["H"] is None and vars(copied)["H"] is None
-    assert np.array_equal(copied.H, model.H) and copied.plan == model.plan
-    assert global_variance(copied, np.ones(200)) == global_variance(model, np.ones(200))
+def test_copying_a_compressed_model_allocates_no_dense_h():
+    # dataclasses.replace passes every field on, H = None among them, so the
+    # copy costs O(1); an N x N complex H would be 61 MiB at N = 2000
+    n = 2000
+    scen = gen_decentralized_scenario(
+        random_connected_topology(n, 2 * np.log(n) / n, 3), seed=3)
+    model, _ = decentralized_model(scen, np.ones(n))
+    tracemalloc.start()
+    try:
+        copied = dataclasses.replace(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert copied.H is None and copied.plan == model.plan
+    assert np.array_equal(copied.row_sensor, model.row_sensor)
+    assert np.array_equal(copied.row_gain, model.row_gain)
+    assert global_variance(copied, np.ones(n)) == global_variance(model, np.ones(n))
 
 
 def test_refresh_reuses_the_model_while_the_plan_holds():
@@ -125,7 +144,8 @@ def test_refresh_reuses_the_model_while_the_plan_holds():
     a[plan.carrier[0] - 1] = 1e-6  # the first node's carrier goes quiet
     moved, moved_plan = decentralized_model(scen, a, model)
     assert moved_plan.carrier != plan.carrier and moved is not model
-    assert np.array_equal(moved.H, assemble_global_model(moved_plan, scen).H)
+    assert np.array_equal(oracles.dense_h(moved),
+                          oracles.dense_h(assemble_global_model(moved_plan, scen)))
 
 
 @pytest.mark.parametrize("text", ["energy", "select:12"])
@@ -147,7 +167,8 @@ def test_segment_breaks_are_the_cycles_whose_carriers_changed(text, monkeypatch)
             info = information_table(a, scen)
             carrier = oracles.carriers([scen.topology.neighbors(k) for k in range(1, 31)], info)
             assert carrier == assign_carriers(scen.topology, info).carrier
-            assert np.array_equal(model.H, assemble_global_model(model.plan, scen).H)
+            assert np.array_equal(oracles.dense_h(model),
+                                  oracles.dense_h(assemble_global_model(model.plan, scen)))
             assert model.plan.carrier == carrier
             carriers.append(carrier)
         changed = tuple(k for k in range(1, len(carriers)) if carriers[k] != carriers[k - 1])
@@ -187,6 +208,19 @@ def test_phase_vectors_share_one_decentralized_variance():
         assert max(variances) - min(variances) <= 1e-14 * min(variances), seed
 
 
+def _dense_twin(model):
+    """The compressed model with its rows as a dense H, which the optimizer
+    designs on like any hand-built model."""
+    return GlobalModel(H=oracles.dense_h(model), sensor_noise_var=model.sensor_noise_var,
+                       noise_var=model.noise_var)
+
+
+def _is_start_trace(trace):
+    return (trace.info_per_outer == (1.0 / trace.final_variance,) and trace.inner_objective == ()
+            and trace.converged and trace.restart_index == 0 and trace.segment_breaks == ()
+            and trace.stationarity_residual == 0.0)
+
+
 @pytest.mark.parametrize("text", ["phase", "quant:4"])
 def test_phase_and_quant_decentralized_designs_return_their_start(text, monkeypatch):
     constraint = ConstraintSpec.parse(text)
@@ -194,16 +228,49 @@ def test_phase_and_quant_decentralized_designs_return_their_start(text, monkeypa
         scen = gen_decentralized_scenario(random_connected_topology(100, 0.1, seed), seed=seed)
         a0 = constraint.initial_point(100)
         start_model, start_plan = decentralized_model(scen, a0)
-        # a design on the start's model: with plan refresh for quant; the
-        # phase ascent takes no factory, and the plan holds for unit-modulus
-        # gains anyway (each has the same variance on the compressed model)
-        model_fn = None if text == "phase" else (lambda a, m: decentralized_model(scen, a, m)[0])
-        _, cyclic = optimize(start_model, constraint, OptimizerConfig(), model_fn=model_fn)
+        # a real design on the start model's dense twin (the ascent for phase,
+        # the cycle for quant): the plan holds for unit-modulus gains, and none
+        # beats the start, as every one has the same variance
+        _, design = optimize(_dense_twin(start_model), constraint, OptimizerConfig())
         with monkeypatch.context() as mp:
             mp.setattr(gainopt, "uqp_matrix", lambda model: pytest.fail("relaxation built"))
             gains, trace, plan = optimize_decentralized(scen, constraint,
                                                         OptimizerConfig(restarts=3))
         assert np.array_equal(gains.values, a0) and plan == start_plan
-        assert trace.info_per_outer == (1.0 / trace.final_variance,)
-        assert trace.inner_objective == () and trace.converged and trace.restart_index == 0
-        assert abs(trace.final_variance - cyclic.final_variance) <= 1e-12 * cyclic.final_variance
+        assert _is_start_trace(trace)
+        assert abs(trace.final_variance - design.final_variance) <= 1e-12 * design.final_variance
+
+
+@pytest.mark.parametrize("text", ["phase", "quant:4"])
+def test_unit_modulus_designs_on_a_compressed_model_return_their_start(text, monkeypatch):
+    # optimize and refine decide the rule on the model, before any ascent,
+    # rounding, restart or model factory
+    constraint = ConstraintSpec.parse(text)
+    monkeypatch.setattr(gainopt, "uqp_matrix", lambda model: pytest.fail("relaxation built"))
+    monkeypatch.setattr(gainopt, "_rotation_rounding",
+                        lambda *args: pytest.fail("relaxation rounded"))
+    rng = np.random.default_rng(6)
+    for seed in range(3):
+        scen = gen_decentralized_scenario(random_connected_topology(60, 0.12, seed), seed=seed)
+        model = decentralized_model(scen, np.ones(60))[0]
+        gains, trace = optimize(model, constraint, OptimizerConfig(restarts=3),
+                                model_fn=lambda a, m: pytest.fail("factory called"))
+        assert np.array_equal(gains.values, constraint.initial_point(60)), seed
+        assert _is_start_trace(trace)
+        assert trace.final_variance == global_variance(model, gains)
+        a0 = constraint.random_point(60, rng)
+        gains, trace = refine(model, a0, constraint)
+        assert np.array_equal(gains.values, a0) and _is_start_trace(trace), seed
+        assert trace.final_variance == global_variance(model, a0)
+
+
+def test_dense_readers_reject_a_compressed_model():
+    scen = gen_decentralized_scenario(random_connected_topology(8, 0.4, 1), seed=1)
+    model = decentralized_model(scen, np.ones(8))[0]
+    for read in (uqp_matrix, optimize_phase_only_uqp,
+                 lambda m: estimator.combined_covariance(m, np.ones(8)),
+                 lambda m: baseline_exhaustive_quantized(m, 2)):
+        with pytest.raises(InvalidConfig, match="compressed model"):
+            read(model)
+    # the dense twin of the same rows is read as any dense model
+    assert uqp_matrix(_dense_twin(model)).shape == (8, 8)
