@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from wsngain import DisconnectedGraph, GenerationFailed, InvalidConfig, build_topology
+from wsngain.diffusion import _product, link_terms
 from wsngain.netgraph import DEFAULT_RETRIES
 
 
@@ -332,6 +333,77 @@ def consensus_two_sums(i0, p0, parents, starts, deg, rho, max_iter, tol, stop_mo
         i_vals, i_duals = admm_round_two_sums(i_vals, i_duals, i0, parents, starts, deg, rho)
         p_vals, p_duals = admm_round_two_sums(p_vals, p_duals, p0, parents, starts, deg, rho)
     return max_iter, trace, float(residual), False
+
+
+def consensus_per_round(topology, i0, p0, max_iter, tol, rho, record_trace, stop_mode, guard):
+    """The one-state scaled-dual ADMM consensus that reads its stop rule
+    after every round: the reference ``run_consensus``'s block-wise stop
+    test must match bit for bit.
+
+    Takes the initial streams and returns (rounds, residual, converged,
+    trace), with trace None unless record_trace.
+    """
+    total_info = float(np.sum(i0))
+    theta_ml = complex(np.sum(p0) / total_info)
+
+    parents = (topology.directed_links()[1] + np.array([[-1], [len(i0) - 1]])).ravel()
+    degrees = np.tile(topology.degrees(), 2)
+    starts = np.cumsum(degrees) - degrees
+    deg = degrees.astype(complex)
+    step = rho / (1.0 + 2.0 * rho * deg)
+    values = np.concatenate((i0, p0))
+    scaled_duals, deg_values = values / rho, deg * values
+    neighbor_sum = np.add.reduceat(values[parents], starts)
+    info, state_info = np.split(values, 2)  # views of the state
+
+    estimates = np.zeros_like(p0)
+    trace = []
+    limit = tol * max(abs(theta_ml), 1e-300)
+    residual = np.inf
+    for k in range(max_iter + 1):
+        previous = estimates
+        estimates = (state_info / info if info.real.min() > guard else np.divide(
+            state_info, info, out=previous.copy(), where=np.abs(info) > guard))
+        if record_trace:
+            trace.append(estimates)
+        if stop_mode == "analytic":
+            residual = float(np.abs(estimates - theta_ml).max())
+        elif k > 0:
+            residual = float(np.abs(estimates - previous).max())
+        if residual <= limit or k == max_iter:
+            break
+        np.multiply(deg_values + neighbor_sum + scaled_duals, step, out=values)
+        np.add.reduceat(values[parents], starts, out=neighbor_sum)
+        np.multiply(deg, values, out=deg_values)
+        scaled_duals -= deg_values - neighbor_sum
+    return k, residual, residual <= limit, tuple(trace) if record_trace else None
+
+
+def received_by_sink_split(plan, stacked):
+    """Per-sink rows of a stacked observation vector by ``np.split``, one
+    entry per sink (empty where a sink retains no row)."""
+    counts = np.bincount(plan.carrier, minlength=len(plan.carrier) + 1)[1:]
+    return dict(enumerate(np.split(np.asarray(stacked, dtype=complex), np.cumsum(counts))[:-1],
+                          start=1))
+
+
+def initial_streams_per_sink(scenario, gains, plan, received_per_node):
+    """(I(0), P(0)) with each sink's sample count checked and its samples
+    converted one sink at a time, then concatenated in sink order."""
+    n = scenario.topology.num_nodes
+    sinks, _, links = plan.links(scenario.topology)
+    samples = []
+    counts = np.bincount(plan.carrier, minlength=len(plan.carrier) + 1)[1:]
+    for sink, count in enumerate(counts, start=1):
+        y = np.asarray(received_per_node.get(sink, ()), dtype=complex)
+        if len(y) != count:
+            raise InvalidConfig(f"sink {sink} expects {count} retained samples")
+        samples.append(y)
+    ha, denom, terms = link_terms(scenario, gains, links)
+    i0 = np.bincount(sinks - 1, weights=terms, minlength=n)
+    p0 = np.zeros(n, dtype=complex)
+    np.add.at(p0, sinks - 1, _product(ha.conj(), np.concatenate(samples)) / denom)
+    return i0, p0
 
 
 def uqp_ascent_two_matvecs(b_mat, a, max_iters, stop_tol):

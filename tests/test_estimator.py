@@ -4,9 +4,12 @@ The consensus rounds are checked against a literal per-node transcription
 of the update equations (``oracles.admm_round``), and every report and
 trace entry against the two-sum rounds (``oracles.consensus_two_sums``):
 the rounds, ``converged`` and the estimate exactly, the residual and the
-trace to 1e-12 of their scale.
+trace to 1e-12 of their scale.  The stop test, read once per block of
+rounds, is held bit for bit to the loop that reads it after every round
+(``oracles.consensus_per_round``).
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -36,7 +39,7 @@ from wsngain import (
     run_consensus,
     simulate_measurement,
 )
-from wsngain.estimator import CONSENSUS_GUARD, initial_streams
+from wsngain.estimator import CONSENSUS_BLOCK, CONSENSUS_GUARD, initial_streams
 from wsngain.scenario import CentralizedScenario, DecentralizedScenario
 
 
@@ -273,6 +276,127 @@ def test_consensus_matches_two_sum_oracle():
                 assert all(np.abs(e - o).max() <= 1e-12 * scale
                            for e, o in zip(report.per_node_trace, trace))
     assert guarded > 0 and partial > 0
+
+
+def _consensus_outcome(*args, **settings):
+    # (report, raised): the report run_consensus returns, or the partial
+    # report NoConvergence carries
+    try:
+        return run_consensus(*args, **settings), False
+    except NoConvergence as err:
+        return err.report, True
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1.5e-6],
+                         ids=["unit-gains", "guarded-early", "guarded-throughout"])
+def test_block_stop_test_matches_per_round_loop_bit_for_bit(scale):
+    # run_consensus tests its stop rule once per block of CONSENSUS_BLOCK
+    # rounds; its report must keep every bit of the loop that tests after
+    # each round.  Budgets sit at and around a block's edge, and tolerances
+    # are taken from each stop mode's per-round residuals so that runs stop
+    # there too.  Gains scaled by 1e-5 put some |I_i(k)| at the guard in
+    # rounds 0 and 1; by 1.5e-6, some node stays at the guard in every
+    # round, so every block takes the guarded divide and holds estimates
+    # across its edges.
+    b = CONSENSUS_BLOCK
+    rng = np.random.default_rng(32)
+    partial = 0
+    stops = set()
+    for g in range(6):
+        n = int(rng.integers(6, 40))
+        topo = random_connected_topology(n, float(rng.uniform(0.15, 0.5)), seed=300 + g)
+        scen = gen_decentralized_scenario(topo, NoiseConfig(), complex(*rng.normal(size=2)) * 10,
+                                          seed=400 + g)
+        gains = GainVector(scale * rng.uniform(0.5, 1.5, n)
+                           * np.exp(2j * np.pi * rng.uniform(size=n)))
+        _, plan = decentralized_model(scen, gains)
+        received = received_by_sink(plan, simulate_measurement(scen, gains, plan, rng))
+        i0, p0 = initial_streams(scen, gains, plan, received)
+        rho = (0.3, 1.0, 2.5)[g % 3]
+        theta_ml = complex(np.sum(p0) / float(np.sum(i0)))
+        _, _, _, trace = oracles.consensus_per_round(topo, i0, p0, 2 * b, 1e-300, rho, True,
+                                                     "analytic", CONSENSUS_GUARD)
+        per_round = {"analytic": [np.abs(e - theta_ml).max() for e in trace],
+                     "trailing": [math.inf] + [np.abs(e - d).max()
+                                               for d, e in zip(trace, trace[1:])]}
+        for stop_mode, residuals in per_round.items():
+            # 1e3 stops "analytic" at round 0 and "trailing" at round 1; held
+            # estimates can leave a trailing residual of 0
+            edge = [max(residuals[k] / abs(theta_ml) * (1 + 1e-9), 1e-300)
+                    for k in (b - 1, b, b + 1)]
+            for max_iter, tol, record_trace in itertools.product(
+                    (0, 1, b - 1, b, b + 1, 500), [1e-6, 1e3] + edge, (True, False)):
+                rounds, residual, converged, want = oracles.consensus_per_round(
+                    topo, i0, p0, max_iter, tol, rho, record_trace, stop_mode, CONSENSUS_GUARD)
+                report, raised = _consensus_outcome(
+                    scen, gains, plan, received, max_iter=max_iter, tol=tol, rho=rho,
+                    record_trace=record_trace, stop_mode=stop_mode)
+                assert raised is not converged
+                assert report.converged is converged
+                assert report.iterations_to_tol == rounds
+                assert report.residual == residual
+                if record_trace:
+                    assert [e.tobytes() for e in report.per_node_trace] == [
+                        e.tobytes() for e in want]
+                else:
+                    assert report.per_node_trace is None and want is None
+                partial += raised
+                if converged:
+                    stops.add(rounds)
+    assert partial > 0 and {0, 1} <= stops
+    if scale >= 1e-5:  # estimates held at the guard throughout stop the runs early
+        assert {b - 1, b, b + 1} <= stops
+
+
+def test_consensus_memory_does_not_grow_with_max_iter():
+    # the rounds are advanced a block at a time, never all max_iter at once
+    n = 200
+    topo = random_connected_topology(n, 2 * math.log(n) / n, seed=1)
+    scen = gen_decentralized_scenario(topo, seed=1)
+    gains = np.ones(n, dtype=complex)
+    _, plan = decentralized_model(scen, gains)
+    received = received_by_sink(plan, simulate_measurement(scen, gains, plan,
+                                                           np.random.default_rng(1)))
+    peaks, rounds = [], set()
+    for max_iter in (500, 10 ** 6):
+        tracemalloc.start()
+        try:
+            report = run_consensus(scen, gains, plan, received, max_iter=max_iter,
+                                   record_trace=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rounds.add(report.iterations_to_tol)
+    assert len(rounds) == 1 and rounds.pop() < 500
+    assert peaks[1] <= peaks[0] + 4096, f"peak traced memory {peaks}"
+
+
+def test_received_by_sink_views_the_stacked_vector():
+    # each sink's rows are a slice of the measurement, and the streams built
+    # from them keep every bit of the per-sink split and concatenation
+    for seed in range(4):
+        topo = random_connected_topology(30, 0.2, seed=seed)
+        scen = gen_decentralized_scenario(topo, NoiseConfig(), 10 + 0j, seed=seed)
+        rng = np.random.default_rng(seed)
+        gains = GainVector(rng.uniform(0.5, 1.5, 30) * np.exp(2j * np.pi * rng.uniform(size=30)))
+        _, plan = decentralized_model(scen, gains)
+        y = simulate_measurement(scen, gains, plan, rng)
+        received = received_by_sink(plan, y)
+        split = oracles.received_by_sink_split(plan, y)
+        assert all(np.shares_memory(rows, y) for rows in received.values())
+        assert {s for s, rows in split.items() if len(rows)} == received.keys()
+        assert all(received[s].tobytes() == split[s].tobytes() for s in received)
+        i0, p0 = oracles.initial_streams_per_sink(scen, gains, plan, split)
+        as_lists = {s: rows.tolist() for s, rows in received.items()}
+        for fed in (received, split, as_lists):
+            got_i0, got_p0 = initial_streams(scen, gains, plan, fed)
+            assert got_i0.tobytes() == i0.tobytes() and got_p0.tobytes() == p0.tobytes()
+        # two wrong counts: the error names the first sink in sink order
+        low, high = sorted(received)[1], sorted(received)[-1]
+        bad = {**received, low: received[low][:-1], high: np.append(received[high], 1)}
+        for streams in (initial_streams, oracles.initial_streams_per_sink):
+            with pytest.raises(InvalidConfig, match=f"^sink {low} expects "):
+                streams(scen, gains, plan, bad)
 
 
 @pytest.mark.parametrize("settings", [dict(rho=0.0), dict(rho=-0.5), dict(max_iter=-1),
