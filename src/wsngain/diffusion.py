@@ -120,20 +120,34 @@ def _dense_h(model: GlobalModel) -> np.ndarray:
     return model.H
 
 
+def _product_parts(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of x y elementwise, each product rounded
+    before its sum: numpy's complex product may fuse multiply-adds, so its
+    last bit (and a plan) depends on the CPU."""
+    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+
+
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x y elementwise in real arithmetic, each product rounded before its sum: numpy's
-    complex product may fuse multiply-adds, so its last bit (and a plan) depends on the CPU."""
-    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+    """x y elementwise as one complex array of :func:`_product_parts`."""
+    re, im = _product_parts(x, y)
+    return re + 1j * im
 
 
-def _link_terms(h: np.ndarray, k: np.ndarray, a: np.ndarray, v: np.ndarray, noise_var: float):
-    """:func:`link_terms` of link gains h from 0-based sensors k; a and v by sensor."""
-    ha = _product(h, a[k])
+def _link_info(re: np.ndarray, im: np.ndarray, v: np.ndarray, noise_var: float):
+    """(d, |h a|^2 / d) of links whose h a has parts re and im and whose
+    parents have noise variance v: the core of :func:`link_terms`."""
     # np.abs of a complex array may take a CPU-specific SIMD path; hypot
     # rounds |h a| as scalar abs() does
-    p = np.hypot(ha.real, ha.imag) ** 2
-    denom = p * v[k] + noise_var
-    return ha, denom, p / denom
+    p = np.hypot(re, im) ** 2
+    denom = p * v + noise_var
+    return denom, p / denom
+
+
+def _link_terms(h: np.ndarray, a: np.ndarray, v: np.ndarray, noise_var: float):
+    """:func:`link_terms` of link gains h, with a and v the gain and noise
+    variance of each link's parent."""
+    re, im = _product_parts(h, a)
+    return (re + 1j * im, *_link_info(re, im, v, noise_var))
 
 
 def link_terms(scenario: DecentralizedScenario, gains, links):
@@ -144,19 +158,22 @@ def link_terms(scenario: DecentralizedScenario, gains, links):
     The last is the link's information term; a sink's information value
     sums it over the sink's links.  It is the one per-link rule: the plan,
     the compressed model's R_w, the consensus streams and the measurement
-    take their terms from its core, so they agree to the last bit.
+    take their terms from its core (:func:`_link_info` of
+    :func:`_product_parts`), so they agree to the last bit.
     """
-    k = scenario.topology.directed_links()[1][links] - 1
-    return _link_terms(scenario.gain_by_link[links], k, _gain_values(gains),
-                       np.asarray(scenario.sensor_noise_var, dtype=float), scenario.comm_noise_var)
+    k = scenario.topology.indexed_links()[1][links]
+    return _link_terms(scenario.gain_by_link[links], _gain_values(gains)[k],
+                       scenario.noise_by_link[links], scenario.comm_noise_var)
 
 
 def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:
     """Information values for all sinks, indexed by node - 1: the sum of each
-    sink's :func:`link_terms` information terms, the inverse of its local ML variance."""
-    sinks, _ = scenario.topology.directed_links()
-    _, _, info = link_terms(scenario, gains, slice(None))
-    return np.bincount(sinks - 1, weights=info, minlength=scenario.topology.num_nodes)
+    sink's :func:`link_terms` information terms, the inverse of its local ML
+    variance.  It reads those terms from the parts of h a, never forming h a."""
+    sinks, parents, _ = scenario.topology.indexed_links()
+    re, im = _product_parts(scenario.gain_by_link, _gain_values(gains)[parents])
+    _, info = _link_info(re, im, scenario.noise_by_link, scenario.comm_noise_var)
+    return np.bincount(sinks, weights=info, minlength=scenario.topology.num_nodes)
 
 
 def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:
@@ -171,13 +188,12 @@ def assign_carriers(topology: Topology, info: np.ndarray) -> CompressionPlan:
         raise InconsistentPlan("information table length does not match topology")
     if not np.isfinite(info).all():
         raise InvalidConfig("information values must be finite")
-    nodes, nbrs = topology.directed_links()
-    value = info[nbrs - 1]
-    starts = np.searchsorted(nodes, np.arange(1, len(info) + 1))  # each node's links
+    sinks, parents, starts = topology.indexed_links()
+    value = info[parents]
     best = np.maximum.reduceat(value, starts)
     # each segment's first link at its maximum: neighbours ascend, so ties go low
-    hits = (value == best[nodes - 1]).nonzero()[0]
-    carrier = nbrs[hits[np.searchsorted(hits, starts)]]
+    hits = (value == best[sinks]).nonzero()[0]
+    carrier = topology.directed_links()[1][hits[np.searchsorted(hits, starts)]]
     return CompressionPlan(tuple(carrier.tolist()), 2 * topology.num_edges - topology.num_nodes)
 
 

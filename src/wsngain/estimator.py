@@ -62,8 +62,8 @@ def _covariance_terms(model: GlobalModel, a: np.ndarray):
     # (H a, R_w) of the gains: a compressed model's R_w is diagonal and comes
     # back as that diagonal (1-D), any other model's as the dense M x M matrix
     if model.row_gain is not None:
-        ha, r, _ = _link_terms(model.row_gain, model.row_sensor, a, model.sensor_noise_var,
-                               model.noise_var)
+        k = model.row_sensor
+        ha, r, _ = _link_terms(model.row_gain, a[k], model.sensor_noise_var[k], model.noise_var)
         return ha, r
     return model.H @ a, combined_covariance(model, a)
 

@@ -465,6 +465,11 @@ def _phase_grid(q_levels: int) -> np.ndarray:
     return grid
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x|| of a complex vector as np.linalg.norm forms it, without its dispatch."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _onto_sphere(a: np.ndarray):
     """sqrt(N) a / ||a|| (None for a zero vector): the squared norm as one
     vdot and the scaling as one product."""
@@ -524,6 +529,23 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     return scaled
 
 
+def _hard_case(e: np.ndarray, g: np.ndarray, n: int):
+    """_sphere_minimizer's hard case for e = d - min d: (True, its
+    minimizer, None when every feasible point is one), or (False, None)
+    when s > 0."""
+    zero = e == 0.0
+    if g[zero].any():
+        return False, None
+    if zero.all():  # then g = 0 too
+        return True, None
+    a = -g / np.where(zero, 1.0, e)
+    rest = n - np.vdot(a, a).real
+    if not rest >= 0.0:
+        return False, None
+    a[np.argmax(zero)] = math.sqrt(rest)
+    return True, a
+
+
 def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
     """Global minimizer of sum d |a|^2 + 2 Re(g^H a) over ||a||^2 = n, or
     None when every feasible point is one (g = 0 and d constant).
@@ -543,23 +565,17 @@ def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
     lowest index with e = 0.  No point evaluated divides by zero.
     """
     e = d - d.min()
-    zero = e == 0.0
-    root_n = math.sqrt(n)
-    if not g[zero].any():
-        if zero.all():  # then g = 0 too
-            return None
-        a = -g / np.where(zero, 1.0, e)
-        rest = n - np.vdot(a, a).real
-        if rest >= 0.0:
-            a[np.argmax(zero)] = math.sqrt(rest)
-            return a
+    hard, a = _hard_case(e, g, n)
+    if hard:
+        return a
 
     g2 = np.abs(g) ** 2
+    root_n = math.sqrt(n)
 
     def newton(u):
         inv = 1.0 / (e - u)
         q = g2 * inv * inv
-        s2 = float(q.sum())  # ||a||^2
+        s2 = float(np.add.reduce(q))  # ||a||^2, as q.sum() forms it
         nrm = math.sqrt(s2)
         slope = float(q.dot(inv))  # -d(s2)/ds / 2
         # -(s - psi / psi') with psi' = slope / s2^(3/2)
@@ -575,6 +591,19 @@ def _inner_value(a: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
     return float(np.real(np.vdot(a, d * a) + 2.0 * np.vdot(g, a)))
 
 
+def _support_known(a: np.ndarray, d: np.ndarray, g: np.ndarray, k: int) -> bool:
+    """Whether the full-sphere minimizer's K largest entries are a's own
+    support, known without solving: g vanishes exactly where a does, a has
+    at most K nonzeros, and the minimizer is not the hard case's.  Then it
+    is -g / (e + s) with s > 0, nonzero exactly where g is.  On the
+    compressed decentralized model g_k is proportional to a_k, so every
+    select:K energy step there takes this path.
+    """
+    support = a != 0
+    return (np.count_nonzero(support) <= k and np.array_equal(g != 0, support)
+            and not _hard_case(d - d.min(), g, len(a))[0])
+
+
 def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: ConstraintSpec):
     """Exact select:K energy step from a: _sphere_minimizer on each of two
     supports, zero elsewhere; returns the one with the lower _inner_value,
@@ -582,13 +611,14 @@ def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: Const
 
     The supports are a's own and the K largest entries of the full-sphere
     minimizer (the nonzeros of its projection, so project's tie rule
-    holds); the second is skipped when it repeats the first or when every
-    point of the sphere is optimal.  A support on which every point is
-    optimal keeps the point it came from, and a's support wins ties.
+    holds); the second is skipped when it repeats the first (found without
+    the full solve where _support_known holds) or when every point of the
+    sphere is optimal.  A support on which every point is optimal keeps the
+    point it came from, and a's support wins ties.
     """
     n = len(a)
     starts = [a]
-    full = _sphere_minimizer(d, g, n)
+    full = None if _support_known(a, d, g, constraint.k_active) else _sphere_minimizer(d, g, n)
     if full is not None:
         top = project(full, constraint)
         if not np.array_equal(top != 0, a != 0):
@@ -646,8 +676,7 @@ def inner_power_iterations(a0: np.ndarray, d: np.ndarray, g: np.ndarray,
     w = shift_quadratic(d, g) - d
     for _ in range(max_iters):
         a_new = project(w * a - g, constraint)
-        diff = a_new - a  # its norm as the sum np.linalg.norm forms
-        if math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) <= INNER_STOP:
+        if _norm(a_new - a) <= INNER_STOP:
             break
         a = a_new
         objs.append(-_inner_value(a, d, g))
@@ -713,8 +742,7 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
                 breaks.append(k)
         info, w, ha, r_w = _information_and_weights(m, a)
         res = r_w * w - ha if r_w.ndim == 1 else r_w @ w - ha
-        stat_resid = max(stat_resid, float(np.linalg.norm(res))
-                         / max(float(np.linalg.norm(ha)), INFO_FLOOR))
+        stat_resid = max(stat_resid, _norm(res) / max(_norm(ha), INFO_FLOOR))
         infos.append(info)
         if prev is not None:
             if info < prev - DESCENT_RTOL * abs(prev):

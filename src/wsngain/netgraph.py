@@ -83,6 +83,23 @@ class Topology:
         sinks.flags.writeable = parents.flags.writeable = degrees.flags.writeable = False
         return sinks, parents, degrees
 
+    def indexed_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`directed_links` as 0-based (sinks, parents), with each
+        sink's first position: ``sinks - 1``, ``parents - 1`` and
+        ``cumsum(degrees) - degrees``, the indices the per-link readers
+        gather and reduce by.  Built once; all three are read-only."""
+        return self._indexed[:3]
+
+    @cached_property
+    def _indexed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        sinks, parents, degrees = self._links
+        # link_index's search keys sink (N+1) + parent ascend in directed_links order
+        cached = (sinks - 1, parents - 1, np.cumsum(degrees) - degrees,
+                  sinks * (self.num_nodes + 1) + parents)
+        for array in cached:
+            array.flags.writeable = False
+        return cached
+
     def edge_link_index(self) -> np.ndarray:
         """Positions in :meth:`directed_links` order of the links in sorted
         edge order, (i, j) before (j, i): the order in which the generators
@@ -101,9 +118,7 @@ class Topology:
         order; raises :class:`InvalidEdge` for a pair that is not a link."""
         all_sinks, all_parents = self.directed_links()
         sinks, parents = np.asarray(sinks, dtype=int), np.asarray(parents, dtype=int)
-        # the keys sink (N+1) + parent ascend in directed_links order
-        stride = self.num_nodes + 1
-        pos = np.searchsorted(all_sinks * stride + all_parents, sinks * stride + parents)
+        pos = np.searchsorted(self._indexed[3], sinks * (self.num_nodes + 1) + parents)
         at = np.minimum(pos, len(all_sinks) - 1)
         bad = np.flatnonzero((all_sinks[at] != sinks) | (all_parents[at] != parents))
         if len(bad):

@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +146,15 @@ class DecentralizedScenario:
     @property
     def num_sensors(self) -> int:
         return self.topology.num_nodes
+
+    @cached_property
+    def noise_by_link(self) -> np.ndarray:
+        """Each directed link's parent noise variance, sigma_v^2 of the
+        transmitter, in :meth:`Topology.directed_links` order.  Built once;
+        read-only."""
+        v = np.asarray(self.sensor_noise_var, dtype=float)[self.topology.indexed_links()[1]]
+        v.flags.writeable = False
+        return v
 
 
 def gen_centralized_scenario(

@@ -232,6 +232,23 @@ def test_link_products_round_each_product_before_the_sum():
         assert link_terms(scen, a, slice(None))[0].tobytes() == want.tobytes(), seed
 
 
+def test_information_table_sums_the_link_terms_bit_for_bit():
+    # information_table reads |h a|^2 from the parts of h a and never forms
+    # h a; its sums must keep every bit of bincount over link_terms
+    rng = np.random.default_rng(33)
+    for seed in range(8):
+        n = int(rng.integers(2, 60))
+        topo = random_connected_topology(n, float(rng.uniform(0.1, 0.6)), seed)
+        scen = gen_decentralized_scenario(topo, seed=seed)
+        sinks = topo.directed_links()[0]
+        gaussian = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        partly_zero = np.where(rng.uniform(size=n) < 0.4, 0.0, gaussian)
+        for a in (gaussian, np.ones(n, dtype=complex), partly_zero, GainVector(gaussian)):
+            want = np.bincount(sinks - 1, weights=link_terms(scen, a, slice(None))[2],
+                               minlength=n)
+            assert information_table(a, scen).tobytes() == want.tobytes(), seed
+
+
 def test_information_table_order():
     scen = scalar_link_scenario(gain_12=2.0, gain_21=1.0)
     table = information_table(np.ones(2, dtype=complex), scen)

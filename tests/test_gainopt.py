@@ -792,6 +792,64 @@ def test_inner_select_energy_step_matches_sphere_bisection_oracle():
         assert abs(objs[-1] - _neg_f(d, g, best)) <= tol, trial
 
 
+def _recorded_support_steps(monkeypatch, designs):
+    """The (a, d, g, constraint) of every _support_step the designs take."""
+    arrows = []
+    step = gainopt._support_step
+
+    def recording(a, d, g, constraint):
+        arrows.append((a.copy(), d.copy(), g.copy(), constraint))
+        return step(a, d, g, constraint)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gainopt, "_support_step", recording)
+        designs()
+    return arrows
+
+
+def _support_step_bytes(arrow):
+    out = gainopt._support_step(*arrow)
+    return None if out is None else out.tobytes()
+
+
+def test_known_support_skips_no_step_it_changes(monkeypatch):
+    # on the compressed model g_k is proportional to a_k, so the full-sphere
+    # minimizer's support is a's own and _support_step skips that solve; it
+    # must return the bytes of the step that runs it
+    select = ConstraintSpec.sensor_select(25)
+    config = OptimizerConfig(outer_tol=1e-3)
+
+    def decentralized():
+        for seed in range(5):
+            scen = gen_decentralized_scenario(random_connected_topology(50, 0.15, seed=seed),
+                                              seed=seed)
+            optimize_decentralized(scen, select, config)
+
+    arrows = _recorded_support_steps(monkeypatch, decentralized)
+    assert len(arrows) > 20
+    assert all(gainopt._support_known(a, d, g, c.k_active) for a, d, g, c in arrows)
+    skipped = [_support_step_bytes(arrow) for arrow in arrows]
+    monkeypatch.setattr(gainopt, "_support_known", lambda *args: False)
+    assert skipped == [_support_step_bytes(arrow) for arrow in arrows]
+    monkeypatch.undo()
+
+    # a centralized border is nonzero off the support: the full solve runs
+    def centralized():
+        for seed in range(3):
+            optimize(centralized_model(gen_centralized_scenario(30, 4, seed=seed)),
+                     ConstraintSpec.sensor_select(6), OptimizerConfig(max_outer=5))
+
+    arrows = _recorded_support_steps(monkeypatch, centralized)
+    assert arrows and not any(gainopt._support_known(a, d, g, c.k_active)
+                              for a, d, g, c in arrows)
+    # the hard case: g vanishes where a does, but min d sits off the support
+    # and the full minimizer puts its remaining norm there
+    a = np.array([np.sqrt(2), np.sqrt(2), 0, 0], dtype=complex)
+    d, g = np.array([4.0, 4.0, 0.0, 0.0]), np.array([0.1, 0.1, 0, 0], dtype=complex)
+    assert gainopt._sphere_minimizer(d, g, 4)[2] != 0
+    assert not gainopt._support_known(a, d, g, 2)
+
+
 def test_inner_select_energy_step_by_hand():
     two = ConstraintSpec.sensor_select(2)
     d, g = np.zeros(3), np.array([-3.0, -4.0, -1e-3], dtype=complex)

@@ -80,6 +80,35 @@ def test_topology_index_arrays_are_built_once():
             assert degrees.tolist() == [len(s) for s in topo.neighbor_seq]
 
 
+def test_cached_link_indices_are_the_expressions_they_replace():
+    # indexed_links() and link_index's search keys are built once, read-only,
+    # and hold what the per-link readers used to recompute on every call
+    for n in (2, 16, 50):
+        for seed in range(10):
+            topo = (build_topology(2, [(1, 2)]) if n == 2
+                    else random_connected_topology(n, 2 * math.log(n) / n, seed))
+            sinks, parents = topo.directed_links()
+            cached = topo.indexed_links()
+            assert all(x is y for x, y in zip(cached, topo.indexed_links()))
+            keys = topo._indexed[3]
+            for array in (*cached, keys):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+            sink0, parent0, starts = cached
+            assert np.array_equal(sink0, sinks - 1) and np.array_equal(parent0, parents - 1)
+            assert np.array_equal(starts, np.searchsorted(sinks, np.arange(1, n + 1)))
+            assert np.array_equal(keys, sinks * (n + 1) + parents)
+            assert np.all(np.diff(keys) > 0)  # link_index searches them
+            scen = gen_decentralized_scenario(topo, seed=seed)
+            noise = scen.noise_by_link
+            assert noise is scen.noise_by_link and not noise.flags.writeable
+            assert noise.tobytes() == np.asarray(scen.sensor_noise_var, float)[parents - 1].tobytes()
+            for sink, parent in [(1, 1), (n, n + 1), (0, 1)]:
+                with pytest.raises(InvalidEdge):
+                    topo.link_index([sinks[0], sink], [parents[0], parent])
+
+
 def test_duplicate_edges_collapse():
     topo = build_topology(2, [(1, 2), (2, 1)])
     assert topo.num_edges == 1
