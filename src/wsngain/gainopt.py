@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import (GlobalModel, _dense_h, _gain_values, assign_carriers,
+from .diffusion import (GlobalModel, _dense_h, _gain_values, _product, assign_carriers,
                         decentralized_model, information_table)
 from .errors import DegenerateGains, InvalidConfig, NoDescent, ZeroVectorWarning
 from .estimator import (
@@ -337,12 +337,13 @@ def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel):
     Hadamard product (H^H y y^H H) o V collapses to d = |g|^2 v with border
     g = H^H y.  The constant sigma_n^2 ||y_tail||^2 does not depend on a,
     so no step needs it; Q itself is never formed.  On a compressed model
-    each sensor has one row r, so g_k = conj(h_r) y_r.
+    each sensor has one row r, so g_k = conj(h_r) y_r, formed by
+    diffusion._product, whose bits do not depend on the CPU.
     """
     yt = np.asarray(y_tail, dtype=complex)
     if model.row_gain is not None:
         g = np.zeros(model.num_sensors, dtype=complex)
-        g[model.row_sensor] = model.row_gain.conj() * yt
+        g[model.row_sensor] = _product(model.row_gain.conj(), yt)
     else:
         g = model.H.conj().T @ yt
     d = np.abs(g) ** 2 * model.sensor_noise_var

@@ -40,7 +40,7 @@ from wsngain import (
     refine,
     uqp_matrix,
 )
-from wsngain.diffusion import link_terms
+from wsngain.diffusion import _product, link_terms
 from wsngain.estimator import _information_and_weights
 
 RTOL = 1e-12
@@ -101,6 +101,20 @@ def test_model_rows_take_the_link_terms_bit_for_bit():
         ha, denom, _ = link_terms(scen, a, plan.links(scen.topology)[2])
         assert np.diag(build_lifted(model, a))[1:].real.tobytes() == denom.tobytes(), seed
         assert _information_and_weights(model, a)[1].tobytes() == (ha / denom).tobytes(), seed
+
+
+def test_compressed_border_takes_the_link_product_bit_for_bit():
+    # g_k = conj(h_r) y_r in real arithmetic, each product rounded before its
+    # sum, as diffusion._product forms it: numpy's complex * may fuse
+    # multiply-adds, and then the border's last bit depends on the CPU
+    rng = np.random.default_rng(34)
+    for trial in range(20):
+        scen, a, model = _random_compressed(rng, trial)
+        y_tail = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        _, g = build_inner_quadratic(y_tail, model)
+        want = np.zeros(len(a), dtype=complex)
+        want[model.row_sensor] = _product(model.row_gain.conj(), y_tail)
+        assert g.tobytes() == want.tobytes(), trial
 
 
 def test_assembled_model_records_its_rows_and_plan():
