@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .gainopt import ConstraintSpec
 
 INFO_FLOOR = 1e-300  # below this the quadratic form carries no information
-CONSENSUS_GUARD = 1e-12  # hold the previous ratio while |I_i(k)| is this small
+CONSENSUS_GUARD = 1e-12  # hold the previous ratio while |I_i(k)| is this small, relative
 CONSENSUS_BLOCK = 16  # ADMM rounds advanced between stop tests (measured at N = 100)
 
 
@@ -225,7 +225,9 @@ def run_consensus(
     ADMM runs on the initial information and state information values as
     one complex state [I; P] of 2N entries.  Each node's running estimate
     is the ratio theta_i(k) = P_i(k) / I_i(k), held (from zero) while
-    |I_i(k)| <= CONSENSUS_GUARD.  Stops once
+    |I_i(k)| <= CONSENSUS_GUARD sum_j I_j(0) / N, a guard relative to the
+    mean information every I_i tends to, so that it holds at any scale of
+    the gains.  Stops once
     max_i |theta_i(k) - theta_ML| <= tol * |theta_ML|; stop_mode
     "trailing" instead waits for max_i |theta_i(k) - theta_i(k-1)| to fall
     under the same scaled tolerance (for deployments where theta_ML is
@@ -273,6 +275,7 @@ def run_consensus(
     if total_info < INFO_FLOOR:
         raise DegenerateGains("network carries no information")
     theta_ml = complex(np.sum(p0) / total_info)
+    guard = CONSENSUS_GUARD * total_info / len(i0)
 
     # Links are sink-major: parents holds each link's 0-based parent and
     # starts each sink's first link, the P half N entries on.  Every factor
@@ -307,14 +310,14 @@ def run_consensus(
             np.subtract(deg_values, neighbor_sum, out=tmp)
             scaled_duals -= tmp
         info, state_info = block[:size, :n], block[:size, n:]
-        if info.real.min() > CONSENSUS_GUARD:
+        if info.real.min() > guard:
             estimates = state_info / info
         else:
             estimates = np.empty_like(state_info)
             held = previous
             for est, i, p in zip(estimates, info, state_info):
                 est[:] = held
-                np.divide(p, i, out=est, where=np.abs(i) > CONSENSUS_GUARD)
+                np.divide(p, i, out=est, where=np.abs(i) > guard)
                 held = est
         if stop_mode == "analytic":
             residuals = np.abs(estimates - theta_ml).max(axis=1)

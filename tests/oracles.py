@@ -303,14 +303,17 @@ def admm_round_two_sums(values, duals, x, parents, starts, deg, rho):
 def consensus_two_sums(i0, p0, parents, starts, deg, rho, max_iter, tol, stop_mode, guard):
     """Consensus over :func:`admm_round_two_sums` with a guarded ratio.
 
-    Round k's estimate at node i is P_i(k) / I_i(k) where |I_i(k)| > guard,
-    else the previous estimate (zero at first).  The run stops when the
+    Round k's estimate at node i is P_i(k) / I_i(k) where |I_i(k)| > guard
+    sum I(0) / N (the guard is relative to the mean information), else the
+    previous estimate (zero at first).  The run stops when the
     largest deviation of the estimates, from theta_ML = sum P / sum I
     ("analytic") or from the previous round ("trailing", from round 1 on),
     is within tol |theta_ML|.  Returns (rounds, trace, residual, converged),
     with residual inf when no round was compared.
     """
-    theta_ml = complex(np.sum(p0) / float(np.sum(i0)))
+    total_info = float(np.sum(i0))
+    theta_ml = complex(np.sum(p0) / total_info)
+    guard = guard * total_info / len(i0)
     limit = tol * max(abs(theta_ml), 1e-300)
     i_vals, i_duals = i0.astype(float).copy(), np.zeros(len(i0))
     p_vals, p_duals = p0.astype(complex).copy(), np.zeros(len(p0), dtype=complex)
@@ -340,11 +343,13 @@ def consensus_per_round(topology, i0, p0, max_iter, tol, rho, record_trace, stop
     after every round: the reference ``run_consensus``'s block-wise stop
     test must match bit for bit.
 
-    Takes the initial streams and returns (rounds, residual, converged,
-    trace), with trace None unless record_trace.
+    Takes the initial streams and the guard relative to the mean information
+    (as ``run_consensus`` reads ``CONSENSUS_GUARD``), and returns (rounds,
+    residual, converged, trace), with trace None unless record_trace.
     """
     total_info = float(np.sum(i0))
     theta_ml = complex(np.sum(p0) / total_info)
+    guard = guard * total_info / len(i0)
 
     parents = (topology.directed_links()[1] + np.array([[-1], [len(i0) - 1]])).ravel()
     degrees = np.tile(topology.degrees(), 2)

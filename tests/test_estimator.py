@@ -39,6 +39,7 @@ from wsngain import (
     run_consensus,
     simulate_measurement,
 )
+from wsngain import estimator
 from wsngain.estimator import CONSENSUS_BLOCK, CONSENSUS_GUARD, initial_streams
 from wsngain.scenario import CentralizedScenario, DecentralizedScenario
 
@@ -221,16 +222,26 @@ def test_admm_matches_literal_transcription():
     i_vals, i_duals = i0.copy(), np.zeros(9)
     p_vals, p_duals = p0.copy(), np.zeros(9, dtype=complex)
     estimates = np.zeros(9, dtype=complex)
+    guard = CONSENSUS_GUARD * np.sum(i0) / 9  # relative to the mean information
     for k in range(rounds):
         for i in range(9):
-            if abs(i_vals[i]) > CONSENSUS_GUARD:
+            if abs(i_vals[i]) > guard:
                 estimates[i] = p_vals[i] / i_vals[i]
         assert report.per_node_trace[k] == pytest.approx(estimates, rel=1e-12, abs=1e-12)
         i_vals, i_duals = oracles.admm_round(i_vals, i_duals, i0, neighbors, rho)
         p_vals, p_duals = oracles.admm_round(p_vals, p_duals, p0, neighbors, rho)
 
 
-def test_consensus_matches_two_sum_oracle():
+def _take_guard(monkeypatch, i0, absolute):
+    """Set CONSENSUS_GUARD and return it, as the oracles take it: its own
+    value or, with ``absolute``, the one that puts the guard, relative to
+    the mean information, at 1e-12 for these streams."""
+    setting = 1e-12 * len(i0) / float(np.sum(i0)) if absolute else CONSENSUS_GUARD
+    monkeypatch.setattr(estimator, "CONSENSUS_GUARD", setting)
+    return setting
+
+
+def test_consensus_matches_two_sum_oracle(monkeypatch):
     # run_consensus runs both streams as one complex state in scaled-dual
     # form and carries the dual update's neighbor sum into the next round.
     # Its discrete outcome and theta_hat keep the oracle's bits; the complex
@@ -243,14 +254,15 @@ def test_consensus_matches_two_sum_oracle():
         topo = random_connected_topology(n, float(rng.uniform(0.15, 0.5)), seed=100 + g)
         scen = gen_decentralized_scenario(topo, NoiseConfig(), complex(*rng.normal(size=2)) * 10,
                                           seed=200 + g)
-        # gains near 1e-5 put I_i(k) near the guard, which then holds
-        # nonzero estimates in later rounds too
+        # gains near 1e-5, with the guard at 1e-12 absolute, put I_i(k) near
+        # the guard, which then holds nonzero estimates in later rounds too
         scale = 1e-5 if g % 5 == 4 else 1.0
         gains = GainVector(scale * rng.uniform(0.5, 1.5, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
         _, plan = decentralized_model(scen, gains)
         received = received_by_sink(plan, simulate_measurement(scen, gains, plan, rng))
         i0, p0 = initial_streams(scen, gains, plan, received)
-        guarded += int(np.sum(np.abs(i0) <= CONSENSUS_GUARD))
+        guard = _take_guard(monkeypatch, i0, scale < 1.0)
+        guarded += int(np.sum(np.abs(i0) <= guard * np.sum(i0) / n))
         theta_ml = complex(np.sum(p0) / float(np.sum(i0)))
         degrees = topo.degrees()
         links = (topo.directed_links()[1] - 1, np.cumsum(degrees) - degrees, degrees.astype(float))
@@ -258,7 +270,7 @@ def test_consensus_matches_two_sum_oracle():
         for rho in (0.3, 1.0, 2.5):
             for stop_mode in ("analytic", "trailing"):
                 rounds, trace, residual, converged = oracles.consensus_two_sums(
-                    i0, p0, *links, rho, max_iter, 1e-6, stop_mode, CONSENSUS_GUARD)
+                    i0, p0, *links, rho, max_iter, 1e-6, stop_mode, guard)
                 settings = dict(max_iter=max_iter, tol=1e-6, rho=rho, stop_mode=stop_mode)
                 if converged:
                     report = run_consensus(scen, gains, plan, received, **settings)
@@ -287,21 +299,10 @@ def _consensus_outcome(*args, **settings):
         return err.report, True
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-5, 1.5e-6],
-                         ids=["unit-gains", "guarded-early", "guarded-throughout"])
-def test_block_stop_test_matches_per_round_loop_bit_for_bit(scale):
-    # run_consensus tests its stop rule once per block of CONSENSUS_BLOCK
-    # rounds; its report must keep every bit of the loop that tests after
-    # each round.  Budgets sit at and around a block's edge, and tolerances
-    # are taken from each stop mode's per-round residuals so that runs stop
-    # there too.  Gains scaled by 1e-5 put some |I_i(k)| at the guard in
-    # rounds 0 and 1; by 1.5e-6, some node stays at the guard in every
-    # round, so every block takes the guarded divide and holds estimates
-    # across its edges.
-    b = CONSENSUS_BLOCK
+def _six_consensus_graphs(scale):
+    """Six seeded graphs (N = 6-40), their gains scaled by ``scale``, one
+    measurement each: (scenario, gains, plan, received, stacked, rho)."""
     rng = np.random.default_rng(32)
-    partial = 0
-    stops = set()
     for g in range(6):
         n = int(rng.integers(6, 40))
         topo = random_connected_topology(n, float(rng.uniform(0.15, 0.5)), seed=300 + g)
@@ -310,12 +311,31 @@ def test_block_stop_test_matches_per_round_loop_bit_for_bit(scale):
         gains = GainVector(scale * rng.uniform(0.5, 1.5, n)
                            * np.exp(2j * np.pi * rng.uniform(size=n)))
         _, plan = decentralized_model(scen, gains)
-        received = received_by_sink(plan, simulate_measurement(scen, gains, plan, rng))
+        stacked = simulate_measurement(scen, gains, plan, rng)
+        yield scen, gains, plan, received_by_sink(plan, stacked), stacked, (0.3, 1.0, 2.5)[g % 3]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1.5e-6],
+                         ids=["unit-gains", "guarded-early", "guarded-throughout"])
+def test_block_stop_test_matches_per_round_loop_bit_for_bit(scale, monkeypatch):
+    # run_consensus tests its stop rule once per block of CONSENSUS_BLOCK
+    # rounds; its report must keep every bit of the loop that tests after
+    # each round.  Budgets sit at and around a block's edge, and tolerances
+    # are taken from each stop mode's per-round residuals so that runs stop
+    # there too.  The scaled gains take the guard at 1e-12 absolute: by
+    # 1e-5 some |I_i(k)| sits at it in rounds 0 and 1; by 1.5e-6, some node
+    # stays at it in every round, so every block takes the guarded divide
+    # and holds estimates across its edges.
+    b = CONSENSUS_BLOCK
+    partial = 0
+    stops = set()
+    for scen, gains, plan, received, _, rho in _six_consensus_graphs(scale):
+        topo = scen.topology
         i0, p0 = initial_streams(scen, gains, plan, received)
-        rho = (0.3, 1.0, 2.5)[g % 3]
+        guard = _take_guard(monkeypatch, i0, scale < 1.0)
         theta_ml = complex(np.sum(p0) / float(np.sum(i0)))
         _, _, _, trace = oracles.consensus_per_round(topo, i0, p0, 2 * b, 1e-300, rho, True,
-                                                     "analytic", CONSENSUS_GUARD)
+                                                     "analytic", guard)
         per_round = {"analytic": [np.abs(e - theta_ml).max() for e in trace],
                      "trailing": [math.inf] + [np.abs(e - d).max()
                                                for d, e in zip(trace, trace[1:])]}
@@ -327,7 +347,7 @@ def test_block_stop_test_matches_per_round_loop_bit_for_bit(scale):
             for max_iter, tol, record_trace in itertools.product(
                     (0, 1, b - 1, b, b + 1, 500), [1e-6, 1e3] + edge, (True, False)):
                 rounds, residual, converged, want = oracles.consensus_per_round(
-                    topo, i0, p0, max_iter, tol, rho, record_trace, stop_mode, CONSENSUS_GUARD)
+                    topo, i0, p0, max_iter, tol, rho, record_trace, stop_mode, guard)
                 report, raised = _consensus_outcome(
                     scen, gains, plan, received, max_iter=max_iter, tol=tol, rho=rho,
                     record_trace=record_trace, stop_mode=stop_mode)
@@ -346,6 +366,20 @@ def test_block_stop_test_matches_per_round_loop_bit_for_bit(scale):
     assert partial > 0 and {0, 1} <= stops
     if scale >= 1e-5:  # estimates held at the guard throughout stop the runs early
         assert {b - 1, b, b + 1} <= stops
+
+
+def test_consensus_guard_is_relative_to_the_network_information():
+    # at gains scaled by 1.5e-6 every I_i sits near 1e-12; a guard relative
+    # to the mean information lets every node's ratio through, so each run
+    # converges on the global MLE of the compressed model
+    for scen, gains, plan, received, stacked, rho in _six_consensus_graphs(1.5e-6):
+        i0, _ = initial_streams(scen, gains, plan, received)
+        assert np.sum(i0) / len(i0) < 1e-10
+        report = run_consensus(scen, gains, plan, received, max_iter=5000, tol=1e-6, rho=rho)
+        theta_ml = global_mle(assemble_global_model(plan, scen), gains, stacked)
+        assert report.converged and report.residual <= 1e-6 * abs(theta_ml)
+        assert report.theta_hat == pytest.approx(theta_ml, rel=1e-12)
+        assert np.abs(report.per_node_trace[-1] - theta_ml).max() <= 1e-6 * abs(theta_ml)
 
 
 def test_consensus_memory_does_not_grow_with_max_iter():
