@@ -26,8 +26,9 @@ def test_design_scale_reports_the_design_and_gates_its_rss():
     assert done.returncode == 0, done.stderr
     fields = dict(item.split("=") for item in done.stdout.split())
     assert set(fields) == {"N", "edges", "cycles", "breaks", "converged", "setup_seconds",
-                           "design_seconds", "max_rss_mb"}
+                           "design_seconds", "refresh_seconds", "max_rss_mb"}
     assert fields["N"] == "300" and 1 <= int(fields["cycles"]) <= 200
+    assert 0 <= float(fields["refresh_seconds"]) <= float(fields["design_seconds"]) + 0.01
     assert int(fields["breaks"]) < int(fields["cycles"])
     over = _run_tool("design_scale.py", "300", "1", "--max-rss-mb", "1")
     assert over.returncode == 1 and over.stdout.startswith("N=300 ")

@@ -7,8 +7,11 @@ Draws ``random_connected_topology(N, 2 ln N / N, SEED)`` and a scenario on
 it (seed SEED), then runs ``optimize_decentralized`` with the ``energy``
 constraint at ``OptimizerConfig()``, plan refresh on.  Prints one line: N,
 edges, outer cycles, plan changes, whether the design converged, the
-seconds taken by the graph and scenario draw and by the design, and the
-process's maximum resident set size (``ru_maxrss``) in MB.  Exits 1 when,
+seconds taken by the graph and scenario draw and by the design, the part
+of the design's seconds spent refreshing the carrier plan, and the
+process's maximum resident set size (``ru_maxrss``) in MB.  The refresh
+time is measured by wrapping, for the run, the ``decentralized_model``,
+``information_table`` and ``assign_carriers`` that ``gainopt`` calls.  Exits 1 when,
 with ``--max-rss-mb``, the maximum RSS reached the limit.  It checks no
 variance: a design that ends on its cycle budget reports the variance of
 its last cycle's plan, not of the returned one.
@@ -20,8 +23,21 @@ import resource
 import sys
 import time
 
-from wsngain import (ConstraintSpec, gen_decentralized_scenario, optimize_decentralized,
-                     random_connected_topology)
+from wsngain import (ConstraintSpec, gainopt, gen_decentralized_scenario,
+                     optimize_decentralized, random_connected_topology)
+
+REFRESH = ("decentralized_model", "information_table", "assign_carriers")
+
+
+def _timed(fn, spent: list):
+    """fn, adding the seconds each call takes to spent[0]."""
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - t0
+    return timed
 
 
 def main() -> int:
@@ -34,13 +50,22 @@ def main() -> int:
     t0 = time.perf_counter()
     topo = random_connected_topology(n, 2 * math.log(n) / n, seed=args.seed)
     scen = gen_decentralized_scenario(topo, seed=args.seed)
+    refresh = [0.0]
+    originals = {name: getattr(gainopt, name) for name in REFRESH}
+    for name, fn in originals.items():
+        setattr(gainopt, name, _timed(fn, refresh))
     t1 = time.perf_counter()
-    _, trace, _ = optimize_decentralized(scen, ConstraintSpec.fixed_energy())
-    t2 = time.perf_counter()
+    try:
+        _, trace, _ = optimize_decentralized(scen, ConstraintSpec.fixed_energy())
+    finally:
+        t2 = time.perf_counter()
+        for name, fn in originals.items():
+            setattr(gainopt, name, fn)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"N={n} edges={topo.num_edges} cycles={trace.outer_iters} "
           f"breaks={len(trace.segment_breaks)} converged={trace.converged} "
-          f"setup_seconds={t1 - t0:.2f} design_seconds={t2 - t1:.2f} max_rss_mb={rss_mb:.0f}")
+          f"setup_seconds={t1 - t0:.2f} design_seconds={t2 - t1:.2f} "
+          f"refresh_seconds={refresh[0]:.2f} max_rss_mb={rss_mb:.0f}")
     return 0 if rss_mb < args.max_rss_mb else 1
 
 
