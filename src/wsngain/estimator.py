@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .gainopt import ConstraintSpec
 
 INFO_FLOOR = 1e-300  # below this the quadratic form carries no information
-CONSENSUS_GUARD = 1e-12  # hold the previous ratio while |I_i(k)| is this small, relative
+CONSENSUS_GUARD = 1e-12  # hold the ratio while |I_i(k)| is at most this times the mean I_i(0)
 CONSENSUS_BLOCK = 16  # ADMM rounds advanced between stop tests (measured at N = 100)
 
 

@@ -11,10 +11,10 @@ seconds taken by the graph and scenario draw and by the design, the part
 of the design's seconds spent refreshing the carrier plan, and the
 process's maximum resident set size (``ru_maxrss``) in MB.  The refresh
 time is measured by wrapping, for the run, the ``decentralized_model``,
-``information_table`` and ``assign_carriers`` that ``gainopt`` calls.  Exits 1 when,
-with ``--max-rss-mb``, the maximum RSS reached the limit.  It checks no
-variance: a design that ends on its cycle budget reports the variance of
-its last cycle's plan, not of the returned one.
+``information_table`` and ``assign_carriers`` that ``gainopt`` calls.
+Exits 1 when, with ``--max-rss-mb``, the maximum RSS reached the limit.
+It checks no variance: a design that ends on its cycle budget reports the
+variance of its last cycle's plan, not of the returned one.
 """
 
 import argparse
@@ -51,16 +51,11 @@ def main() -> int:
     topo = random_connected_topology(n, 2 * math.log(n) / n, seed=args.seed)
     scen = gen_decentralized_scenario(topo, seed=args.seed)
     refresh = [0.0]
-    originals = {name: getattr(gainopt, name) for name in REFRESH}
-    for name, fn in originals.items():
-        setattr(gainopt, name, _timed(fn, refresh))
+    for name in REFRESH:
+        setattr(gainopt, name, _timed(getattr(gainopt, name), refresh))
     t1 = time.perf_counter()
-    try:
-        _, trace, _ = optimize_decentralized(scen, ConstraintSpec.fixed_energy())
-    finally:
-        t2 = time.perf_counter()
-        for name, fn in originals.items():
-            setattr(gainopt, name, fn)
+    _, trace, _ = optimize_decentralized(scen, ConstraintSpec.fixed_energy())
+    t2 = time.perf_counter()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"N={n} edges={topo.num_edges} cycles={trace.outer_iters} "
           f"breaks={len(trace.segment_breaks)} converged={trace.converged} "
