@@ -22,9 +22,13 @@ from .netgraph import Topology
 from .scenario import CentralizedScenario, DecentralizedScenario
 
 
-def _gain_values(gains) -> np.ndarray:
-    # Accept a bare array or anything carrying a .values array.
-    return np.asarray(getattr(gains, "values", gains), dtype=complex)
+def _gain_values(gains, num_sensors: int) -> np.ndarray:
+    """The gains as a complex array, from a bare array or anything carrying
+    a .values array; InvalidConfig unless it holds one gain per sensor."""
+    a = np.asarray(getattr(gains, "values", gains), dtype=complex)
+    if a.shape != (num_sensors,):
+        raise InvalidConfig(f"{num_sensors} sensors need {num_sensors} gains, got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ def link_terms(scenario: DecentralizedScenario, gains, links):
     :func:`_product_parts`), so they agree to the last bit.
     """
     k = scenario.topology.indexed_links()[1][links]
-    return _link_terms(scenario.gain_by_link[links], _gain_values(gains)[k],
+    return _link_terms(scenario.gain_by_link[links], _gain_values(gains, scenario.num_sensors)[k],
                        scenario.noise_by_link[links], scenario.comm_noise_var)
 
 
@@ -171,7 +175,8 @@ def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:
     sink's :func:`link_terms` information terms, the inverse of its local ML
     variance.  It reads those terms from the parts of h a, never forming h a."""
     sinks, parents, _ = scenario.topology.indexed_links()
-    re, im = _product_parts(scenario.gain_by_link, _gain_values(gains)[parents])
+    a = _gain_values(gains, scenario.num_sensors)
+    re, im = _product_parts(scenario.gain_by_link, a[parents])
     _, info = _link_info(re, im, scenario.noise_by_link, scenario.comm_noise_var)
     return np.bincount(sinks, weights=info, minlength=scenario.topology.num_nodes)
 

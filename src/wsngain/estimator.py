@@ -52,7 +52,7 @@ class GainVector:
 def combined_covariance(model: GlobalModel, gains) -> np.ndarray:
     """R_w = H D V D^H H^H + sigma_n^2 I for the current gains, as a dense
     M x M matrix; a compressed model, whose R_w is diagonal, raises InvalidConfig."""
-    a = _gain_values(gains)
+    a = _gain_values(gains, model.num_sensors)
     h = _dense_h(model)  # the compressed model's diagonal comes from _covariance_terms
     scaled = h * (np.abs(a) ** 2 * model.sensor_noise_var)[None, :]
     return scaled @ h.conj().T + model.noise_var * np.eye(model.num_rows)
@@ -80,7 +80,7 @@ def _information_and_weights(model: GlobalModel, a: np.ndarray):
 
 def _informative(model: GlobalModel, gains):
     # (information value, weights) of the gains; DegenerateGains below INFO_FLOOR
-    info, w, _, _ = _information_and_weights(model, _gain_values(gains))
+    info, w, _, _ = _information_and_weights(model, _gain_values(gains, model.num_sensors))
     if info < INFO_FLOOR:
         raise DegenerateGains("effective gains carry no information")
     return info, w
@@ -115,7 +115,7 @@ def simulate_measurement(scenario, gains, plan: CompressionPlan | None = None, r
     """
     if rng is None:
         rng = np.random.default_rng()
-    a = _gain_values(gains)
+    a = _gain_values(gains, scenario.num_sensors)
     if isinstance(scenario, CentralizedScenario):
         v = _complex_gaussian(rng, scenario.sensor_noise_var, scenario.num_sensors)
         n = _complex_gaussian(rng, scenario.fc_noise_var, scenario.num_antennas)

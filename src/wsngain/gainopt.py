@@ -64,6 +64,7 @@ CHECK_ATOL = 1e-9
 LAMBDA_MARGIN = 1.05  # a safety factor: the shift sits strictly above the top eigenvalue
 INNER_ITERS = 50  # power steps per cycle; the phase ascent takes max_outer times as many
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def build_lifted(model: GlobalModel, gains) -> np.ndarray:
     A compressed model's R_w is diagonal and is filled from its rows.  The
     paper's dense lift, kept as a reference: no design builds it.
     """
-    b, r_w = _covariance_terms(model, _gain_values(gains))
+    b, r_w = _covariance_terms(model, _gain_values(gains, model.num_sensors))
     r = np.zeros((len(b) + 1, len(b) + 1), dtype=complex)
     if r_w.ndim == 1:
         np.fill_diagonal(r[1:, 1:], r_w)
@@ -480,14 +481,32 @@ def _onto_sphere(a: np.ndarray):
     return a * (math.sqrt(len(a)) / nrm)
 
 
+def _unit_phase(x: np.ndarray) -> np.ndarray:
+    """e^{j arg x} entrywise as x / |x|, with no angle and no exponential; an
+    exact zero, whatever its signs of zero, gets phase 0 (1), with no warning.
+
+    numpy divides by |x| as a product with 1 / |x|, which overflows once |x|
+    is subnormal, so such an entry is lifted by 2^600 (exact) first.  Only
+    an x with a zero, subnormal or NaN entry takes that masked path (about
+    2 us more a call); both give the same bits wherever |x| is normal.
+    """
+    mag = np.abs(x)
+    if not mag.size or mag[mag.argmin()] >= _TINY:  # argmin costs less than mag < _TINY
+        return x / mag
+    x = np.multiply(x, 2.0**600, out=x.copy(), where=mag < _TINY)
+    mag = np.abs(x)
+    return np.divide(x, mag, out=np.ones_like(x), where=mag != 0.0)
+
+
 def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     """Nearest feasible point to a_hat (ties and degeneracies deterministic).
 
     energy: sqrt(N) a_hat / ||a_hat||
-    phase: e^{j arg a_hat} entrywise
+    phase: e^{j arg a_hat} entrywise (_unit_phase: an exact zero gets 1)
     quant: nearest grid phase, midpoint ties to the smaller phase value
     select: keep the K largest magnitudes (rank ties keep the lower
-    index), then rescale (energy) or apply constant modulus (phase)
+    index), then rescale (energy) or apply constant modulus (phase, with
+    the phases of _unit_phase)
 
     A zero input under the energy or select-energy family has no unique
     nearest point; a deterministic feasible point is returned and a
@@ -502,7 +521,7 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
             return np.ones(n, dtype=complex)
         return out
     if constraint.kind == "phase":
-        return np.exp(1j * np.angle(a))
+        return _unit_phase(a)
     if constraint.kind == "quant":
         angles = np.angle(a)
         pick = _grid_pick(angles, constraint.q_levels)
@@ -519,7 +538,7 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
         keep[tied[len(tied) - (np.count_nonzero(keep) - k):]] = False
     out = np.zeros(n, dtype=complex)
     if constraint.select_mode == "phase":
-        out[keep] = np.sqrt(n / k) * np.exp(1j * np.angle(a[keep]))
+        out[keep] = np.sqrt(n / k) * _unit_phase(a[keep])
         return out
     np.copyto(out, a, where=keep)
     scaled = _onto_sphere(out)
@@ -903,9 +922,7 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     warm start's.  An infeasible start, or one not of length N, raises InvalidConfig.
     """
     t0 = time.perf_counter()
-    a0 = np.asarray(a0, dtype=complex)
-    if a0.shape != (model.num_sensors,):
-        raise InvalidConfig(f"start has shape {a0.shape}, the model {model.num_sensors} sensors")
+    a0 = _gain_values(a0, model.num_sensors)
     constraint.check(a0)
     if model.row_gain is not None and constraint.kind in ("phase", "quant"):
         return _start_design(model, a0, constraint, t0)
@@ -959,21 +976,13 @@ def uqp_matrix(model: GlobalModel) -> np.ndarray:
 def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One unimodular ascent step a <- e^{j arg(B a)}, from the image B a.
 
-    The phase factor is formed as B a / |B a| entrywise, with no angle and
-    no exponential; an exact zero entry of B a gets phase 0 (a_i = 1), whatever
-    its signs of zero, through a guarded divide that issues no warning
-    (project(., phase) maps -0.0 + 0j to -1, as np.angle(-0.0 + 0j) is pi).
-    Returns the new point and its image B a_new, which the objective and
-    the next step both read.  Non-decreasing in a^H B a for positive
-    semidefinite B: the step maximizes Re(z^H B a) over unit-modulus z.
+    The phase factor is _unit_phase(B a), the rule project(., phase) follows:
+    an exact zero entry of B a gets phase 0 (a_i = 1).  Returns the new point
+    and its image B a_new, which the objective and the next step both read.
+    Non-decreasing in a^H B a for positive semidefinite B: the step
+    maximizes Re(z^H B a) over unit-modulus z.
     """
-    mag = np.abs(image)
-    # both divides give the same bits wherever mag != 0; the masked one costs
-    # about 2 us more a call, so it runs only when B a has an exact zero
-    if np.count_nonzero(mag) == len(mag):
-        a_new = image / mag
-    else:
-        a_new = np.divide(image, mag, out=np.ones_like(image), where=mag != 0.0)
+    a_new = _unit_phase(image)
     return a_new, b_mat @ a_new
 
 

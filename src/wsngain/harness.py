@@ -4,7 +4,9 @@ Three experiment kinds run on centralized scenarios: variance sweeps over
 the sensor count, sensor-selection comparisons over a receiver-noise grid
 and exhaustive-enumeration oracle gaps for quantized phases.  All
 randomness derives per realization from (master seed, tags), so identical
-configurations yield identical outputs.
+configurations yield identical outputs.  Every runner hands its
+per-realization body to one loop, :func:`_realizations`, which counts the
+realizations that fail by error class for the metadata's ``failures``.
 
 ``EXPERIMENTS`` maps each experiment kind to its runner's name and its CSV
 columns; kind validation, :func:`run_experiment` and :func:`columns_for` read it.
@@ -15,6 +17,7 @@ behind ``wsngain simulate-consensus``.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,11 +206,23 @@ def baseline_selection(model, k_active: int, policy: str) -> tuple[GainVector, f
     return gains, global_variance(model, gains)
 
 
-def _realization(config: ExperimentConfig, n: int, noise: NoiseConfig,
-                 scenario_seed: int, optimizer_seed: int):
-    """The model of one realization's n-sensor scenario and its reseeded optimizer config."""
-    scen = gen_centralized_scenario(n, config.num_antennas, noise, seed=scenario_seed)
-    return centralized_model(scen), replace(config.optimizer, seed=optimizer_seed)
+def _realizations(config: ExperimentConfig, draws, body, failures: Counter) -> dict:
+    """``body(model, optimizer config)`` on each realization of ``draws``, one
+    (N, noise, scenario seed, optimizer seed) each: its N-sensor centralized
+    model and its reseeded optimizer config (a scenario that cannot be
+    built raises).  Returns {draw index: result} over the realizations that
+    succeeded; a body's WsnGainError is tallied in ``failures`` by error
+    class, and any other exception propagates.
+    """
+    results = {}
+    for i, (n, noise, scenario_seed, optimizer_seed) in enumerate(draws):
+        scen = gen_centralized_scenario(n, config.num_antennas, noise, seed=scenario_seed)
+        model, opt_cfg = centralized_model(scen), replace(config.optimizer, seed=optimizer_seed)
+        try:
+            results[i] = body(model, opt_cfg)
+        except WsnGainError as exc:
+            failures[type(exc).__name__] += 1
+    return results
 
 
 def _mean(values) -> float:
@@ -219,40 +234,27 @@ def run_sweep(config: ExperimentConfig):
     """Variance vs sensor count: optimizer against the all-ones baseline.
 
     Returns (rows, metadata).  Failed realizations are excluded from the
-    means and counted in the failures column; they are never silently
-    dropped.
+    means; each row's failures column counts them per N, and the metadata's
+    ``failures`` maps each error class to its count over the sweep.
     """
-    rows = []
-    meta = {"kind": config.kind, "methods": ("optimized", "all-ones")}
+    methods = ("optimized", "all-ones")
+
+    def body(model, opt_cfg):
+        _, trace = optimize(model, config.constraint, opt_cfg)
+        t0 = time.perf_counter()
+        _, v_ones = baseline_all_ones(model)
+        return (trace.final_variance, trace.wall_time_s), (v_ones, time.perf_counter() - t0)
+
+    rows, failures = [], Counter()
     for n in config.n_values:
-        results = {"optimized": [], "all-ones": []}
-        runtimes = {"optimized": [], "all-ones": []}
-        failures = 0
-        for i in range(config.realizations):
-            model, opt_cfg = _realization(config, n, config.noise, derived_seed(config.seed, n, i),
-                                          derived_seed(config.seed, n, i, 1))
-            try:
-                _, trace = optimize(model, config.constraint, opt_cfg)
-                t0 = time.perf_counter()
-                _, v_ones = baseline_all_ones(model)
-                ones_time = time.perf_counter() - t0
-            except WsnGainError:
-                failures += 1
-                continue
-            results["optimized"].append(trace.final_variance)
-            runtimes["optimized"].append(trace.wall_time_s)
-            results["all-ones"].append(v_ones)
-            runtimes["all-ones"].append(ones_time)
-        for method in ("optimized", "all-ones"):
-            rows.append({
-                "N": n,
-                "method": method,
-                "mean_variance": _mean(results[method]),
-                "mean_runtime_s": _mean(runtimes[method]),
-                "realizations": len(results[method]),
-                "failures": failures,
-            })
-    return rows, meta
+        draws = [(n, config.noise, derived_seed(config.seed, n, i),
+                  derived_seed(config.seed, n, i, 1)) for i in range(config.realizations)]
+        runs = list(_realizations(config, draws, body, failures).values())
+        rows += [{"N": n, "method": method, "mean_variance": _mean([run[j][0] for run in runs]),
+                  "mean_runtime_s": _mean([run[j][1] for run in runs]),
+                  "realizations": len(runs), "failures": config.realizations - len(runs)}
+                 for j, method in enumerate(methods)]
+    return rows, {"kind": config.kind, "methods": methods, "failures": dict(failures)}
 
 
 def _selection_noise(noise: NoiseConfig, sigma_n2) -> NoiseConfig:
@@ -267,91 +269,69 @@ def run_selection_experiment(config: ExperimentConfig):
     min-sensor-noise baselines and the matched-energy all-N reference.
     The all-N run is refined from the proposed K-sparse solution when the
     energy budgets match, so it lower-bounds every K < N method per
-    realization by feasible-set inclusion.
+    realization by feasible-set inclusion.  Failed realizations are
+    excluded from the means and counted by error class in the metadata.
     """
     k = config.constraint.k_active
     n = config.n_values[0]
     methods = ("proposed", "greedy", "min-sensor-noise", "all-N")
-    rows = []
-    meta = {
-        "kind": config.kind,
-        "methods": methods,
-        "note": "greedy and min-sensor-noise baselines reimplemented by interpretation",
-        "failures": 0,
-    }
+
+    def body(model, opt_cfg):
+        prop_gains, prop_trace = optimize(model, config.constraint, opt_cfg)
+        greedy_gains, v_greedy = baseline_selection(model, k, "greedy")
+        minnoise_gains, v_minnoise = baseline_selection(model, k, "min-sensor-noise")
+        _, all_trace = optimize(model, ConstraintSpec.fixed_energy(), opt_cfg)
+        v_all = all_trace.final_variance
+        if config.constraint.select_mode == "energy":
+            # feasible-set inclusion: every K-sparse energy-N vector is a
+            # valid warm start, so refining from each method's solution
+            # keeps all-N a per-realization lower bound
+            for warm_start in (prop_gains, greedy_gains, minnoise_gains):
+                _, warm = refine(model, warm_start.values, ConstraintSpec.fixed_energy(), opt_cfg)
+                v_all = min(v_all, warm.final_variance)
+        return prop_trace.final_variance, v_greedy, v_minnoise, v_all
+
+    rows, failures = [], Counter()
     for sigma_n2 in config.sigma_grid:
         noise = _selection_noise(config.noise, sigma_n2)
-        results = {m: [] for m in methods}
-        failures = 0
-        for i in range(config.realizations):
-            model, opt_cfg = _realization(
-                config, n, noise, derived_seed(config.seed, i, int(1e6 * sigma_n2) % (2**31)),
-                derived_seed(config.seed, i, 2))
-            try:
-                prop_gains, prop_trace = optimize(model, config.constraint, opt_cfg)
-                greedy_gains, v_greedy = baseline_selection(model, k, "greedy")
-                minnoise_gains, v_minnoise = baseline_selection(model, k, "min-sensor-noise")
-                _, all_trace = optimize(model, ConstraintSpec.fixed_energy(), opt_cfg)
-                v_all = all_trace.final_variance
-                if config.constraint.select_mode == "energy":
-                    # feasible-set inclusion: every K-sparse energy-N vector is a
-                    # valid warm start, so refining from each method's solution
-                    # keeps all-N a per-realization lower bound
-                    for warm_start in (prop_gains, greedy_gains, minnoise_gains):
-                        _, warm = refine(model, warm_start.values, ConstraintSpec.fixed_energy(), opt_cfg)
-                        v_all = min(v_all, warm.final_variance)
-            except WsnGainError:
-                failures += 1
-                continue
-            results["proposed"].append(prop_trace.final_variance)
-            results["greedy"].append(v_greedy)
-            results["min-sensor-noise"].append(v_minnoise)
-            results["all-N"].append(v_all)
-        meta["failures"] += failures
-        for method in methods:
-            rows.append({
-                "sigma_n2": float(sigma_n2),
-                "method": method,
-                "mean_variance": _mean(results[method]),
-            })
-    return rows, meta
+        draws = [(n, noise, derived_seed(config.seed, i, int(1e6 * sigma_n2) % (2**31)),
+                  derived_seed(config.seed, i, 2)) for i in range(config.realizations)]
+        runs = list(_realizations(config, draws, body, failures).values())
+        rows += [{"sigma_n2": float(sigma_n2), "method": method,
+                  "mean_variance": _mean([run[j] for run in runs])}
+                 for j, method in enumerate(methods)]
+    return rows, {"kind": config.kind, "methods": methods,
+                  "note": "greedy and min-sensor-noise baselines reimplemented by interpretation",
+                  "failures": dict(failures)}
 
 
 def run_oracle_gap(config: ExperimentConfig):
     """Optimizer vs exhaustive enumeration on small quantized instances.
 
     One row per seed; the hit column marks runs whose variance is within
-    10 percent of the enumerated optimum.  The enumeration substitutes
-    for comparisons against external solvers, as recorded in the
-    metadata.
+    10 percent of the enumerated optimum.  A failed realization gets no
+    row, counts as a miss in ``success_rate`` (hits over realizations) and
+    is counted by error class in the metadata.  The enumeration
+    substitutes for comparisons against external solvers, as recorded in
+    the metadata.
     """
-    q = config.constraint.q_levels
-    rows = []
-    hits = 0
-    for i in range(config.realizations):
-        pick = np.random.default_rng(derived_seed(config.seed, i, 7))
-        n = int(pick.choice(config.n_values))
-        model, opt_cfg = _realization(config, n, config.noise, derived_seed(config.seed, i),
-                                      derived_seed(config.seed, i, 3))
+
+    def body(model, opt_cfg):
         _, trace = optimize(model, config.constraint, opt_cfg)
-        _, v_best = baseline_exhaustive_quantized(model, q)
+        _, v_best = baseline_exhaustive_quantized(model, config.constraint.q_levels)
         ratio = trace.final_variance / v_best
-        hit = ratio <= 1.10 + 1e-12
-        hits += int(hit)
-        rows.append({
-            "seed": i,
-            "N": n,
-            "variance_opt": trace.final_variance,
-            "variance_best": v_best,
-            "ratio": ratio,
-            "hit": int(hit),
-        })
-    meta = {
-        "kind": config.kind,
-        "oracle": "exhaustive enumeration (substitute for external solver baselines)",
-        "success_rate": hits / config.realizations,
-    }
-    return rows, meta
+        return {"N": model.num_sensors, "variance_opt": trace.final_variance,
+                "variance_best": v_best, "ratio": ratio, "hit": int(ratio <= 1.10 + 1e-12)}
+
+    draws = [(int(np.random.default_rng(derived_seed(config.seed, i, 7)).choice(config.n_values)),
+              config.noise, derived_seed(config.seed, i), derived_seed(config.seed, i, 3))
+             for i in range(config.realizations)]
+    failures = Counter()
+    rows = [{"seed": i, **row} for i, row in _realizations(config, draws, body, failures).items()]
+    return rows, {"kind": config.kind,
+                  "oracle": "exhaustive enumeration (substitute for external solver baselines)",
+                  "success_rate": sum(row["hit"] for row in rows) / config.realizations,
+                  "failures": dict(failures)}
 
 
 def consensus_trace(scenario, rng, max_iter: int, tol: float, rho: float):

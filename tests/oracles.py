@@ -166,18 +166,26 @@ def exhaustive_quantized_product(b_mat, q_levels):
     return cand[k], 1.0 / float(objs[k])
 
 
+def unit_phase_plain(z):
+    """e^{j arg z} from the angle, with the optimizer's zero rule: an exact
+    zero, whatever its signs of zero, gets phase 0 (np.angle of -0.0 + 0j
+    is pi)."""
+    return np.where(z == 0, 1.0 + 0j, np.exp(1j * np.angle(z)))
+
+
 def project_sorted(a_hat, constraint):
     """Nearest feasible point written the plain way: a full stable ranking
-    of the magnitudes, ``np.linalg.norm`` and a complex scale, and each
-    grid phase rounded and exponentiated entry by entry.  A zero input
-    gives the optimizer's deterministic point, without its warning."""
+    of the magnitudes, ``np.linalg.norm`` and a complex scale, each unit
+    phase from its angle (unit_phase_plain) and each grid phase rounded and
+    exponentiated entry by entry.  A zero input gives the optimizer's
+    deterministic point, without its warning."""
     a = np.asarray(a_hat, dtype=complex)
     n = len(a)
     if constraint.kind == "energy":
         nrm = np.linalg.norm(a)
         return np.ones(n, dtype=complex) if nrm == 0.0 else np.sqrt(n) * a / nrm
     if constraint.kind == "phase":
-        return np.exp(1j * np.angle(a))
+        return unit_phase_plain(a)
     if constraint.kind == "quant":
         q = constraint.q_levels
         out = np.empty(n, dtype=complex)
@@ -201,7 +209,7 @@ def project_sorted(a_hat, constraint):
             out[:k] = np.sqrt(n / k)
             return out
         return np.sqrt(n) * out / nrm
-    out[order[:k]] = np.sqrt(n / k) * np.exp(1j * np.angle(a[order[:k]]))
+    out[order[:k]] = np.sqrt(n / k) * unit_phase_plain(a[order[:k]])
     return out
 
 

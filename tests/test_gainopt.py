@@ -22,6 +22,7 @@ from wsngain import (
     DegenerateGains,
     GainVector,
     InvalidConfig,
+    NoDescent,
     NoiseConfig,
     OptimizerConfig,
     ZeroVectorWarning,
@@ -1225,6 +1226,22 @@ def test_select_phase_refine_from_fewer_than_k_gains():
     assert fell
 
 
+
+@pytest.mark.xfail(strict=True, raises=NoDescent,
+                   reason="refine under select:K:phase from fewer than K nonzeros can "
+                   "lose information as the power steps fill the support (Known defect)")
+def test_select_phase_refine_from_fewer_than_k_gains_keeps_its_information():
+    # seed 16 of the draws above: the information falls from 0.02621 to
+    # 0.02463 in a later cycle and the run raises NoDescent
+    spec = ConstraintSpec.sensor_select(4, "phase")
+    noisy = NoiseConfig(v_range=(10.0, 100.0))
+    model = centralized_model(gen_centralized_scenario(10, 2, noisy, seed=16))
+    a0 = np.zeros(10, dtype=complex)
+    a0[:2] = np.sqrt(10 / 4)
+    _, trace = refine(model, a0, spec)
+    assert trace.final_variance <= global_variance(model, a0) * (1 + 1e-9)
+
+
 # ------------------------------------------------------------------ UQP path
 
 
@@ -1257,6 +1274,23 @@ def test_uqp_step_gives_an_exact_zero_phase_zero():
         a1, image = uqp_step(np.eye(3), np.array([1j, 0, -2]))
     assert a1.tolist() == [1j, 1, -1]
     assert np.array_equal(image, a1)
+
+
+def test_one_zero_rule_for_every_unit_phase():
+    # uqp_step, project(., phase) and the support phases of select:K:phase
+    # share one rule: an exact zero, whatever its signs of zero, gets phase 0
+    # (np.angle(-0.0 + 0j) is pi, so e^{j angle} would give -1 there), and a
+    # subnormal entry keeps its phase on the unit circle, with no warning
+    x = np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                  complex(-0.0, -0.0), 5e-324 - 5e-324j, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = {"uqp_step": uqp_step(np.eye(6), x)[0],
+                "phase": project(x, ConstraintSpec.phase_only()),
+                "select:6:phase": project(x, ConstraintSpec.sensor_select(6, "phase"))}
+    for caller, out in outs.items():
+        assert out[[0, 1, 2, 3, 5]].tolist() == [1, 1, 1, 1, -1], caller
+        np.testing.assert_allclose(out[4], (1 - 1j) / np.sqrt(2), rtol=1e-15, err_msg=caller)
 
 
 def test_uqp_step_identity_fixed_points():

@@ -1,13 +1,20 @@
 """Experiment harness: baselines, sweeps, and CSV rendering."""
 
+import itertools
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from wsngain import (
     ConstraintSpec,
+    DegenerateGains,
     ExperimentConfig,
     InvalidConfig,
+    NoDescent,
     NoiseConfig,
     OptimizerConfig,
     TooLarge,
@@ -25,6 +32,7 @@ from wsngain import (
     run_experiment,
     uqp_matrix,
 )
+from wsngain.cli import main
 from wsngain.diffusion import GlobalModel
 from wsngain.harness import (
     CONSENSUS_COLUMNS,
@@ -184,7 +192,7 @@ def test_selection_experiment_orderings():
         constraint=ConstraintSpec.sensor_select(3),
         optimizer=OptimizerConfig(seed=0, restarts=2), seed=7)
     rows, meta = run_selection_experiment(config)
-    assert meta["failures"] == 0
+    assert meta["failures"] == {}
     table = {(r["sigma_n2"], r["method"]): r["mean_variance"] for r in rows}
     for sigma in (0.01, 4.0):
         # matched-energy all-N refinement lower-bounds every K-sparse method
@@ -319,6 +327,107 @@ def test_experiment_config_validation():
                              constraint=ConstraintSpec.sensor_select(k))
     ExperimentConfig(kind="selection", n_values=(6,), sigma_grid=(1.0,),
                      constraint=ConstraintSpec.sensor_select(5))
+
+
+# ----------------------------------------------------------- failure tally
+
+
+def fail_on_calls(monkeypatch, errors):
+    """Replace harness.optimize with a double that raises errors[call] on the
+    chosen calls (counted from 0) and runs the real design on the others."""
+    calls = itertools.count()
+    design = harness.optimize
+
+    def optimize(*args, **kwargs):
+        error = errors.get(next(calls))
+        if error is not None:
+            raise error("injected")
+        return design(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "optimize", optimize)
+
+
+def test_sweep_counts_failures_per_n_and_by_class(monkeypatch):
+    # one optimize call per realization, N-major: calls 0-2 run N = 4, 3-5 N = 6
+    fail_on_calls(monkeypatch, {0: NoDescent, 2: DegenerateGains, 4: NoDescent})
+    config = ExperimentConfig(kind="sweep-N", n_values=(4, 6), realizations=3, seed=5)
+    rows, meta = run_experiment(config)
+    by = {(r["N"], r["method"]): r for r in rows}
+    for n, failed in ((4, 2), (6, 1)):
+        for method in ("optimized", "all-ones"):
+            assert by[(n, method)]["failures"] == failed
+            assert by[(n, method)]["realizations"] == 3 - failed
+            assert math.isfinite(by[(n, method)]["mean_variance"])
+    assert meta["failures"] == {"NoDescent": 2, "DegenerateGains": 1}
+
+
+def test_sweep_with_every_realization_failed_reports_nan_means(monkeypatch):
+    fail_on_calls(monkeypatch, {0: NoDescent, 1: NoDescent})
+    config = ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=2, seed=5)
+    rows, meta = run_sweep(config)
+    for row in rows:
+        assert row["realizations"] == 0 and row["failures"] == 2
+        assert math.isnan(row["mean_variance"]) and math.isnan(row["mean_runtime_s"])
+    assert meta["failures"] == {"NoDescent": 2}
+
+
+def test_selection_counts_failures_by_class(monkeypatch):
+    # two optimize calls per realization (proposed, then all-N), sigma-major;
+    # a realization whose first call fails makes no second one, so call 6 is
+    # the all-N design of the last realization
+    fail_on_calls(monkeypatch, {0: NoDescent, 6: DegenerateGains})
+    config = ExperimentConfig(kind="selection", n_values=(6,), sigma_grid=(0.1, 1.0),
+                              realizations=2, constraint=ConstraintSpec.sensor_select(2), seed=3)
+    rows, meta = run_experiment(config)
+    assert meta["failures"] == {"NoDescent": 1, "DegenerateGains": 1}
+    assert len(rows) == 8 and all(math.isfinite(r["mean_variance"]) for r in rows)
+    # each grid point keeps the values of its surviving realization, as a
+    # run of that point alone with the same realization failed gives them
+    for sigma, errors in ((0.1, {0: NoDescent}), (1.0, {3: DegenerateGains})):
+        monkeypatch.undo()
+        fail_on_calls(monkeypatch, errors)
+        want, _ = run_selection_experiment(replace(config, sigma_grid=(sigma,)))
+        assert [r for r in rows if r["sigma_n2"] == sigma] == want
+
+
+def test_oracle_gap_counts_failed_realizations_as_misses(monkeypatch):
+    fail_on_calls(monkeypatch, {1: NoDescent, 2: DegenerateGains})
+    config = ExperimentConfig(kind="oracle-gap", n_values=(2, 3), realizations=4,
+                              constraint=ConstraintSpec.quantized(4),
+                              optimizer=OptimizerConfig(restarts=4), seed=8)
+    rows, meta = run_experiment(config)
+    assert [r["seed"] for r in rows] == [0, 3]
+    assert meta["failures"] == {"NoDescent": 1, "DegenerateGains": 1}
+    assert meta["success_rate"] == sum(r["hit"] for r in rows) / 4
+
+
+def test_failures_are_empty_without_errors_and_other_exceptions_propagate(monkeypatch):
+    configs = (ExperimentConfig(kind="sweep-N", n_values=(4,), realizations=2),
+               ExperimentConfig(kind="selection", n_values=(4,), sigma_grid=(1.0,),
+                                realizations=1, constraint=ConstraintSpec.sensor_select(2)),
+               ExperimentConfig(kind="oracle-gap", n_values=(2,), realizations=2,
+                                constraint=ConstraintSpec.quantized(4)))
+    for config in configs:
+        assert run_experiment(config)[1]["failures"] == {}
+    for config in configs:
+        monkeypatch.undo()
+        fail_on_calls(monkeypatch, {0: ZeroDivisionError})
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(config)
+
+
+def test_cli_json_shows_the_failure_tally(tmp_path, capsys, monkeypatch):
+    def run(argv, errors):
+        monkeypatch.undo()
+        fail_on_calls(monkeypatch, errors)
+        assert main(argv + ["--seed", "2", "--out", str(tmp_path / "rows.csv")]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    doc = run(["sweep", "--n", "4", "--realizations", "2"], {1: NoDescent})
+    assert doc["failures"] == {"NoDescent": 1}
+    doc = run(["oracle-gap", "--n", "2", "--realizations", "3"], {0: DegenerateGains})
+    assert doc["failures"] == {"DegenerateGains": 1}
+    assert doc["success_rate"] <= 2 / 3
 
 
 # --------------------------------------------------------------------- CSV
