@@ -43,8 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import (GlobalModel, _dense_h, _gain_values, _product, assign_carriers,
-                        decentralized_model, information_table)
+from .diffusion import GlobalModel, _dense_h, _gain_values, _product, decentralized_model
 from .errors import DegenerateGains, InvalidConfig, NoDescent, ZeroVectorWarning
 from .estimator import (
     INFO_FLOOR,
@@ -249,7 +248,7 @@ class OptimizerTrace:
     on info per outer cycle, through _ascent_settled for the power-step
     families and per phase ascent step) and
     False when it used up its iteration budget.  ``segment_breaks`` lists
-    the outer cycles that started on a new model from optimize's model_fn.
+    the cycles after the first that ran on new carriers (plan refresh).
     ``stationarity_residual`` is the largest relative residual
     ||R_w w - H a|| / ||H a|| of the weights w behind a cycle's auxiliary
     vector y = [1; -w], over the run's cycles, with R_w and H a those the
@@ -723,29 +722,30 @@ def _ascent_settled(gain: float, last: float, tol: float) -> bool:
     return gain <= tol and (gain <= 0.0 or gain * gain <= tol * (last - gain))
 
 
-def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
+def _cyclic_run(model_at, a0, constraint, config) -> OptimizerTrace:
     """One full cyclic maximization from a0; returns its trace.
 
-    Each outer cycle takes the exact auxiliary vector first, so the info
-    trace is anchored at info(a0) and rises monotonically: info(a), the
-    weights w = R_w^{-1} H a and the (H a, R_w) they solve come from one
-    _information_and_weights call (read through this module at call time),
-    and y = [1; -w] minimizes the lift's y^H R y without a lift or
-    Gram-Schmidt, in O(N) on a compressed model and one M x M solve on a
-    dense one.  Each cycle checks w by ||R_w w - H a|| / ||H a|| on those
-    terms (stationarity_residual is the largest).  The gain update then
-    builds the arrow (d, g) of y's tail -w and runs the inner step on it
-    once.  Every step lowers f(a) in exact arithmetic, so a falling
-    -f(a) means lost precision and raises NoDescent.  With model_fn the run
-    starts on model_fn(a0, model), and a later model_fn(a, m) other than
-    the current m itself starts a segment and restarts the convergence test.
+    Each outer cycle runs on model_at(a, m), m the previous cycle's model
+    (None at the first); a model other than m itself starts a segment and
+    restarts the convergence test.  The cycle takes the exact auxiliary
+    vector first, so the info trace is anchored at info(a0) and rises
+    monotonically: info(a), the weights w = R_w^{-1} H a and the (H a, R_w)
+    they solve come from one _information_and_weights call (read through
+    this module at call time), and y = [1; -w] minimizes the lift's y^H R y
+    without a lift or Gram-Schmidt, in O(N) on a compressed model and one
+    M x M solve on a dense one.  Each cycle checks w by ||R_w w - H a|| /
+    ||H a|| on those terms (stationarity_residual is the largest).  The gain
+    update then builds the arrow (d, g) of y's tail -w and runs the inner
+    step on it once.  Every step lowers f(a) in exact arithmetic, so a
+    falling -f(a) means lost precision and raises NoDescent.
     energy and select:K energy stop once |info_k - info_{k+1}| <= outer_tol;
     the power-step families (quant, select:K:phase) can crawl past a saddle
     with gains below outer_tol that do not shrink, so they stop on
-    _ascent_settled, as the phase ascent does.
+    _ascent_settled, as the phase ascent does.  A run stopped by its budget
+    calls model_at once more and reports the variance on its last gains' model.
     """
-    m = model if model_fn is None else model_fn(a0, model)
     a = np.asarray(a0, dtype=complex).copy()
+    m = None
     infos: list[float] = []
     inner_runs: list[tuple[float, ...]] = []
     breaks: list[int] = []
@@ -754,12 +754,11 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
     stat_resid = 0.0
     converged = False
     for k in range(config.max_outer):
-        if model_fn is not None and k > 0:
-            m_new = model_fn(a, m)
-            if m_new is not m:
-                m = m_new
-                prev, gain = None, 0.0
-                breaks.append(k)
+        m_new = model_at(a, m)
+        if m is not None and m_new is not m:
+            prev, gain = None, 0.0
+            breaks.append(k)
+        m = m_new
         info, w, ha, r_w = _information_and_weights(m, a)
         res = r_w * w - ha if r_w.ndim == 1 else r_w @ w - ha
         stat_resid = max(stat_resid, _norm(res) / max(_norm(ha), INFO_FLOOR))
@@ -780,6 +779,8 @@ def _cyclic_run(model, model_fn, a0, constraint, config) -> OptimizerTrace:
             raise NoDescent("inner objective -f(a) decreased")
         inner_runs.append(tuple(objs))
         a = a_new
+    else:
+        m = model_at(a, m)
     return OptimizerTrace(tuple(infos), tuple(inner_runs), GainVector(a, constraint),
                           global_variance(m, a), wall_time_s=0.0, segment_breaks=tuple(breaks),
                           stationarity_residual=stat_resid, converged=converged)
@@ -862,28 +863,21 @@ def _start_design(model: GlobalModel, a0: np.ndarray, constraint: ConstraintSpec
 
 
 def optimize(model: GlobalModel, constraint: ConstraintSpec,
-             config: OptimizerConfig = OptimizerConfig(),
-             model_fn=None) -> tuple[GainVector, OptimizerTrace]:
+             config: OptimizerConfig = OptimizerConfig()) -> tuple[GainVector, OptimizerTrace]:
     """Minimize estimation variance over the constrained gain vector.
 
     phase runs optimize_phase_only_uqp's ascent; every other family the
     cycle.  On a compressed model phase and quant:Q return the feasible
-    start at once, with no restart and no model_fn call (_start_design).
+    start at once, with no restart (_start_design).
 
     Parameters
     ----------
     model : GlobalModel
-        Observation model (sizes the problem; the factory's first
-        ``previous``, or every cycle's model when no factory is given).
+        Observation model, fixed for the whole design.
     constraint : ConstraintSpec
         Feasible set for the gains.
     config : OptimizerConfig
         Iteration budgets, stop tolerance, restarts, seed.
-    model_fn : callable, optional
-        (gains, previous) -> GlobalModel, called with (a0, model), then per
-        later cycle with its gains and current model; any object other than
-        ``previous`` itself starts a segment (the decentralized plan refresh).
-        A phase design takes none and raises InvalidConfig when given one.
 
     Returns
     -------
@@ -902,11 +896,9 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     if model.row_gain is not None and constraint.kind in ("phase", "quant"):
         return _start_design(model, constraint.initial_point(model.num_sensors), constraint, t0)
     if constraint.kind == "phase":
-        if model_fn is not None:
-            raise InvalidConfig("a phase design takes no model factory: it runs on one B")
         return optimize_phase_only_uqp(model, config)
     starts = _restart_points(model.num_sensors, constraint, config, model)
-    return _best_of_starts(lambda a0: _cyclic_run(model, model_fn, a0, constraint, config),
+    return _best_of_starts(lambda a0: _cyclic_run(lambda a, m: model, a0, constraint, config),
                            starts, t0)
 
 
@@ -929,8 +921,8 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     if constraint.kind == "phase":
         b_mat = uqp_matrix(model)
         return _best_of_starts(lambda start: _uqp_ascent(b_mat, start, config), [a0], t0)
-    return _best_of_starts(lambda start: _cyclic_run(model, None, start, constraint, config),
-                           [a0], t0)
+    return _best_of_starts(lambda start: _cyclic_run(lambda a, m: model, start, constraint,
+                                                     config), [a0], t0)
 
 
 def optimize_decentralized(scenario: DecentralizedScenario, constraint: ConstraintSpec,
@@ -939,21 +931,29 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
     """Gain design over a decentralized scenario.
 
     The compressed model depends on the gains through the carrier
-    assignment; by default the plan is recomputed every outer iteration
-    (refresh_plan=False freezes the plan of the starting point) by
-    decentralized_model, which returns the current model itself, and so
-    starts no segment, while the carriers hold.  Returns (gains, trace,
-    plan): the plan of the final gains, or the frozen plan the gains were
-    designed under.  Every family goes through optimize, so phase and
-    quant:Q return the feasible start and its plan (_start_design).
+    assignment.  By default each cycle refreshes it once, by
+    decentralized_model(scenario, a, m), which returns the previous cycle's
+    model m itself, and so starts no segment, while the carriers hold.
+    refresh_plan=False, and phase and quant:Q (_start_design), run optimize
+    on the start's model.  Returns (gains, trace, plan): the winning run's
+    last plan, or the frozen one, under which the variance is reported.
     """
-    a0 = constraint.initial_point(scenario.num_sensors)
-    start_model, plan = decentralized_model(scenario, a0)
-    model_fn = (lambda a, m: decentralized_model(scenario, a, m)[0]) if refresh_plan else None
-    gains, trace = optimize(start_model, constraint, config, model_fn=model_fn)
-    if refresh_plan:
-        plan = assign_carriers(scenario.topology, information_table(gains, scenario))
-    return gains, trace, plan
+    if not refresh_plan or constraint.kind in ("phase", "quant"):
+        model, plan = decentralized_model(scenario, constraint.initial_point(scenario.num_sensors))
+        return (*optimize(model, constraint, config), plan)
+    t0 = time.perf_counter()
+    last = []  # each run's latest model; a run's first cycle passes m = None
+
+    def model_at(a, m):
+        if m is None:
+            last.append(None)
+        last[-1] = decentralized_model(scenario, a, m)[0]
+        return last[-1]
+
+    starts = _restart_points(scenario.num_sensors, constraint, config, None)
+    gains, trace = _best_of_starts(lambda a0: _cyclic_run(model_at, a0, constraint, config),
+                                   starts, t0)
+    return gains, trace, last[trace.restart_index].plan
 
 
 def _unit_modulus_solve(model: GlobalModel, rhs: np.ndarray) -> np.ndarray:

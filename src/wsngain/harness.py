@@ -66,8 +66,8 @@ class ExperimentConfig:
     experiment, which needs K < N; the candidate sizes, each enumerable, for
     the oracle-gap study); ``sigma_grid`` is the receiver-noise grid for
     selection experiments.  Every scenario and optimizer seed derives from
-    ``seed``, a non-negative integer; the counts, seed and each sensor count
-    are integers (not bool), and anything else raises InvalidConfig.
+    ``seed``, an integer >= 0; the counts and each sensor count are integers
+    >= 1 (not bool), and anything else raises InvalidConfig.
     ``include_runtime`` exists because wall times are inherently
     non-reproducible: disabling it leaves the runtime column empty so
     identical (config, seed) pairs produce identical CSV bytes.
@@ -87,20 +87,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment kind {self.kind!r}")
-        for name in ("realizations", "num_antennas", "seed"):
-            if not is_int(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, least in (("realizations", 1), ("num_antennas", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidConfig(f"{name} must be at least {least}, got {value}")
         if not (isinstance(self.n_values, (tuple, list)) and all(map(is_int, self.n_values))):
             raise InvalidConfig(f"n_values must be a list of integers, got {self.n_values!r}")
         if not (isinstance(self.sigma_grid, (tuple, list))
                 and all(map(_is_number, self.sigma_grid))):
             raise InvalidConfig(f"sigma_grid must be a list of numbers, got {self.sigma_grid!r}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
-        if self.realizations < 1:
-            raise InvalidConfig("realizations must be at least 1")
-        if not self.n_values:
-            raise InvalidConfig(f"{self.kind} needs a nonempty n_values")
+        if not self.n_values or min(self.n_values) < 1:
+            raise InvalidConfig(f"{self.kind} needs sensor counts >= 1, got {self.n_values!r}")
         if self.kind == "selection" and not self.sigma_grid:
             raise InvalidConfig(f"{self.kind} needs a nonempty sigma_grid")
         if self.kind == "selection" and self.constraint.kind != "select":

@@ -258,7 +258,7 @@ def test_phase_and_quant_decentralized_designs_return_their_start(text, monkeypa
 @pytest.mark.parametrize("text", ["phase", "quant:4"])
 def test_unit_modulus_designs_on_a_compressed_model_return_their_start(text, monkeypatch):
     # optimize and refine decide the rule on the model, before any ascent,
-    # rounding, restart or model factory
+    # rounding or restart
     constraint = ConstraintSpec.parse(text)
     monkeypatch.setattr(gainopt, "uqp_matrix", lambda model: pytest.fail("relaxation built"))
     monkeypatch.setattr(gainopt, "_rotation_rounding",
@@ -267,8 +267,7 @@ def test_unit_modulus_designs_on_a_compressed_model_return_their_start(text, mon
     for seed in range(3):
         scen = gen_decentralized_scenario(random_connected_topology(60, 0.12, seed), seed=seed)
         model = decentralized_model(scen, np.ones(60))[0]
-        gains, trace = optimize(model, constraint, OptimizerConfig(restarts=3),
-                                model_fn=lambda a, m: pytest.fail("factory called"))
+        gains, trace = optimize(model, constraint, OptimizerConfig(restarts=3))
         assert np.array_equal(gains.values, constraint.initial_point(60)), seed
         assert _is_start_trace(trace)
         assert trace.final_variance == global_variance(model, gains)

@@ -1156,16 +1156,21 @@ def test_power_step_cycles_do_not_settle_on_their_first_gain():
 
 def test_a_new_segment_restarts_the_settled_gain_test():
     # a segment's first gain counts against 0, not against the gain of the
-    # segment before, so an outer_tol above it does not stop the run there
+    # segment before, so an outer_tol above it does not stop the run there;
+    # the hook sees no previous model at the first cycle only
     model = random_model(30, seed=7)
-    calls = []
+    previous_models = []
 
-    def model_fn(a, previous):
-        calls.append(1)
-        return dataclasses.replace(previous) if len(calls) == 3 else previous
+    def model_at(a, previous):
+        previous_models.append(previous)
+        if previous is None:
+            return model
+        return dataclasses.replace(previous) if len(previous_models) == 3 else previous
 
-    _, trace = optimize(model, ConstraintSpec.parse("select:10:phase"),
-                        OptimizerConfig(outer_tol=1e3), model_fn=model_fn)
+    spec = ConstraintSpec.parse("select:10:phase")
+    trace = gainopt._cyclic_run(model_at, spec.initial_point(30), spec,
+                                OptimizerConfig(outer_tol=1e3))
+    assert previous_models[0] is None and None not in previous_models[1:]
     infos = trace.info_per_outer
     assert 0.0 < infos[1] - infos[0] <= 1e3  # the first segment's first gain
     assert trace.segment_breaks == (2,) and 0.0 < infos[3] - infos[2] <= 1e3
@@ -1378,14 +1383,6 @@ def test_phase_refine_is_the_ascent_from_its_start(n):
         assert trace.final_variance <= global_variance(model, a0) * (1 + 1e-12), seed
 
 
-def test_phase_design_takes_no_model_factory():
-    # no phase design reads a factory's models: the ascent runs on one
-    # matrix B, and a decentralized phase design returns its start
-    model = random_model(6, seed=1)
-    with pytest.raises(InvalidConfig, match="factory"):
-        optimize(model, ConstraintSpec.phase_only(), model_fn=lambda a, m: m)
-
-
 def _settled_steps(objs, tol):
     """1-based steps k at which an ascent with objectives objs may stop: the
     gain g = objs[k] - objs[k-1] is at most tol, and g <= 0 or the gains'
@@ -1552,6 +1549,50 @@ def test_frozen_energy_design_reaches_water_filling():
         _, trace, _ = optimize_decentralized(scen, energy, OptimizerConfig(), refresh_plan=False)
         gap = trace.final_variance / oracles.water_filling(scen, start.carrier) - 1.0
         assert 0.0 <= gap <= 1e-6, (seed, gap)
+
+
+def _budget_sweep():
+    """(scenario, constraint, config) of the 80 small decentralized designs
+    (N = 30, p = 0.2, seeds 0-9) at budgets of 2 to 8 cycles."""
+    for seed in range(10):
+        scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed=seed), seed=seed)
+        for text, max_outer in itertools.product(("energy", "select:10"), (2, 3, 5, 8)):
+            yield scen, ConstraintSpec.parse(text), OptimizerConfig(max_outer=max_outer)
+
+
+def test_budget_stopped_decentralized_designs_report_the_returned_plans_variance():
+    # a run stopped by its budget refreshes the plan for the gains it
+    # returns, so its variance is taken under the plan it returns
+    stopped = 0
+    for scen, constraint, config in _budget_sweep():
+        gains, trace, plan = optimize_decentralized(scen, constraint, config)
+        if not trace.converged:
+            stopped += 1
+            v = global_variance(assemble_global_model(plan, scen), gains)
+            assert abs(trace.final_variance - v) <= 1e-12 * v, (constraint, config)
+    assert stopped >= 40
+
+
+def test_each_gain_vector_is_refreshed_once(monkeypatch):
+    # every cycle refreshes the plan for its gains once, and a run stopped
+    # by its budget once more for the gains it returns; nothing else
+    # refreshes, summed over the three starts of each design
+    refreshes, traces = [], []
+    refresh, run = gainopt.decentralized_model, gainopt._cyclic_run
+    monkeypatch.setattr(gainopt, "decentralized_model",
+                        lambda *args: refreshes.append(1) or refresh(*args))
+    monkeypatch.setattr(gainopt, "_cyclic_run", lambda *args: traces.append(run(*args)) or traces[-1])
+    outcomes = set()
+    for seed, text, max_outer in itertools.product(range(4), ("energy", "select:10"), (3, 200)):
+        scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed=seed), seed=seed)
+        refreshes.clear()
+        traces.clear()
+        optimize_decentralized(scen, ConstraintSpec.parse(text),
+                               OptimizerConfig(max_outer=max_outer, restarts=3))
+        assert len(traces) == 3
+        assert len(refreshes) == sum(t.outer_iters + (not t.converged) for t in traces)
+        outcomes.update(t.converged for t in traces)
+    assert outcomes == {True, False}
 
 
 def test_optimize_decentralized_segments_descend_piecewise():

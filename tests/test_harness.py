@@ -329,6 +329,22 @@ def test_experiment_config_validation():
                      constraint=ConstraintSpec.sensor_select(5))
 
 
+def test_experiment_config_rejects_no_sensors():
+    with pytest.raises(InvalidConfig, match=r"got \(0,\)"):
+        ExperimentConfig(kind="sweep-N", n_values=(0,))
+
+
+def test_experiment_config_rejects_a_negative_sensor_count():
+    # it once reached derived_seed and raised numpy's ValueError
+    with pytest.raises(InvalidConfig, match=r"got \(4, -3\)"):
+        ExperimentConfig(kind="sweep-N", n_values=(4, -3))
+
+
+def test_experiment_config_rejects_no_antennas():
+    with pytest.raises(InvalidConfig, match="num_antennas must be at least 1, got 0"):
+        ExperimentConfig(kind="sweep-N", n_values=(4,), num_antennas=0)
+
+
 # ----------------------------------------------------------- failure tally
 
 
