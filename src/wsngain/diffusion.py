@@ -8,7 +8,8 @@ quadratic form decouples into per-sink local forms.  Each sensor keeps one
 row, holding its one link gain, so the compressed H is a scaled
 permutation and its noise covariance R_w is diagonal: the model is
 recorded row by row, and the estimator and the optimizer work on it
-elementwise.
+elementwise.  A link's information term, q / (q sigma_v^2 + sigma_n^2)
+with q = |h|^2 |a|^2, and so the plan and R_w, read the gains only by |a|.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import InconsistentPlan, InvalidConfig, InvalidEdge
 from .netgraph import Topology
-from .scenario import CentralizedScenario, DecentralizedScenario
+from .scenario import CentralizedScenario, DecentralizedScenario, _power
 
 
 def _gain_values(gains, num_sensors: int) -> np.ndarray:
@@ -87,7 +88,7 @@ class GlobalModel:
     The compressed model is a scaled permutation: row r holds the link gain
     ``row_gain[r]`` in the column of sensor ``row_sensor[r]`` (0-based) and
     zeros elsewhere, so R_w is diagonal, with the :func:`link_terms`
-    entries |h_r a_k|^2 v_k + noise_var (k = row_sensor[r]).
+    entries |h_r|^2 |a_k|^2 v_k + noise_var (k = row_sensor[r]).
     :func:`assemble_global_model` records only those rows and the ``plan``
     they came from, so a compressed model holds O(N) and its ``H`` is None;
     the information, weights, lift and inner quadratic take an O(N)
@@ -124,60 +125,44 @@ def _dense_h(model: GlobalModel) -> np.ndarray:
     return model.H
 
 
-def _product_parts(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of x y elementwise, each product rounded
-    before its sum: numpy's complex product may fuse multiply-adds, so its
-    last bit (and a plan) depends on the CPU."""
-    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
-
-
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x y elementwise as one complex array of :func:`_product_parts`."""
-    re, im = _product_parts(x, y)
-    return re + 1j * im
+    """x y elementwise, each real product rounded before its sum: numpy's
+    complex product may fuse multiply-adds, so its last bit depends on the CPU."""
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
-def _link_info(re: np.ndarray, im: np.ndarray, v: np.ndarray, noise_var: float):
-    """(d, |h a|^2 / d) of links whose h a has parts re and im and whose
-    parents have noise variance v: the core of :func:`link_terms`."""
-    # np.abs of a complex array may take a CPU-specific SIMD path; hypot
-    # rounds |h a| as scalar abs() does
-    p = np.hypot(re, im) ** 2
-    denom = p * v + noise_var
-    return denom, p / denom
-
-
-def _link_terms(h: np.ndarray, a: np.ndarray, v: np.ndarray, noise_var: float):
-    """:func:`link_terms` of link gains h, with a and v the gain and noise
-    variance of each link's parent."""
-    re, im = _product_parts(h, a)
-    return (re + 1j * im, *_link_info(re, im, v, noise_var))
+def _link_info(c: np.ndarray, p: np.ndarray, v: np.ndarray, noise_var: float):
+    """(d, q / d), q = c p and d = q v + noise_var, of links of power c = |h|^2
+    whose parents have gain power p = |a|^2 and noise variance v."""
+    q = c * p
+    denom = q * v + noise_var
+    return denom, q / denom
 
 
 def link_terms(scenario: DecentralizedScenario, gains, links):
-    """Per-link arrays (h a, d, |h a|^2 / d), d = |h a|^2 sigma_v^2 + sigma_n^2,
-    over the directed links at positions ``links`` (an index array or a
-    slice) of :meth:`Topology.directed_links`.
+    """Per-link arrays (h a, d, q / d), q = |h|^2 |a|^2, d = q sigma_v^2 + sigma_n^2,
+    a the parent's gain, over the directed links at positions ``links`` (an
+    index array or a slice) of :meth:`Topology.directed_links`.
 
     The last is the link's information term; a sink's information value
     sums it over the sink's links.  It is the one per-link rule: the plan,
-    the compressed model's R_w, the consensus streams and the measurement
-    take their terms from its core (:func:`_link_info` of
-    :func:`_product_parts`), so they agree to the last bit.
+    the compressed model's R_w and the consensus streams take d and the
+    term from :func:`_link_info` of the :func:`_power` values, so they
+    agree to the last bit and read a only through |a|.
     """
-    k = scenario.topology.indexed_links()[1][links]
-    return _link_terms(scenario.gain_by_link[links], _gain_values(gains, scenario.num_sensors)[k],
-                       scenario.noise_by_link[links], scenario.comm_noise_var)
+    a = _gain_values(gains, scenario.num_sensors)[scenario.topology.indexed_links()[1][links]]
+    h = scenario.gain_by_link[links]
+    return (_product(h, a), *_link_info(scenario.power_by_link[links], _power(a),
+                                        scenario.noise_by_link[links], scenario.comm_noise_var))
 
 
 def information_table(gains, scenario: DecentralizedScenario) -> np.ndarray:
     """Information values for all sinks, indexed by node - 1: the sum of each
     sink's :func:`link_terms` information terms, the inverse of its local ML
-    variance.  It reads those terms from the parts of h a, never forming h a."""
+    variance.  It gathers |a|^2 of the N sensors per link, never forming h a."""
     sinks, parents, _ = scenario.topology.indexed_links()
-    a = _gain_values(gains, scenario.num_sensors)
-    re, im = _product_parts(scenario.gain_by_link, a[parents])
-    _, info = _link_info(re, im, scenario.noise_by_link, scenario.comm_noise_var)
+    p = _power(_gain_values(gains, scenario.num_sensors))[parents]
+    _, info = _link_info(scenario.power_by_link, p, scenario.noise_by_link, scenario.comm_noise_var)
     return np.bincount(sinks, weights=info, minlength=scenario.topology.num_nodes)
 
 

@@ -19,11 +19,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diffusion import (CompressionPlan, GlobalModel, _dense_h, _gain_values, _link_terms,
+from .diffusion import (CompressionPlan, GlobalModel, _dense_h, _gain_values, _link_info,
                         _product, link_terms)
 from .errors import DegenerateGains, InvalidConfig, NoConvergence
 from .netgraph import is_int
-from .scenario import CentralizedScenario, DecentralizedScenario
+from .scenario import CentralizedScenario, DecentralizedScenario, _power
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gainopt import ConstraintSpec
@@ -62,9 +62,9 @@ def _covariance_terms(model: GlobalModel, a: np.ndarray):
     # (H a, R_w) of the gains: a compressed model's R_w is diagonal and comes
     # back as that diagonal (1-D), any other model's as the dense M x M matrix
     if model.row_gain is not None:
-        k = model.row_sensor
-        ha, r, _ = _link_terms(model.row_gain, a[k], model.sensor_noise_var[k], model.noise_var)
-        return ha, r
+        k, h, ak = model.row_sensor, model.row_gain, a[model.row_sensor]
+        r, _ = _link_info(_power(h), _power(ak), model.sensor_noise_var[k], model.noise_var)
+        return _product(h, ak), r
     return model.H @ a, combined_covariance(model, a)
 
 

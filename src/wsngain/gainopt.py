@@ -727,22 +727,23 @@ def _cyclic_run(model_at, a0, constraint, config) -> OptimizerTrace:
 
     Each outer cycle runs on model_at(a, m), m the previous cycle's model
     (None at the first); a model other than m itself starts a segment and
-    restarts the convergence test.  The cycle takes the exact auxiliary
-    vector first, so the info trace is anchored at info(a0) and rises
-    monotonically: info(a), the weights w = R_w^{-1} H a and the (H a, R_w)
-    they solve come from one _information_and_weights call (read through
-    this module at call time), and y = [1; -w] minimizes the lift's y^H R y
-    without a lift or Gram-Schmidt, in O(N) on a compressed model and one
-    M x M solve on a dense one.  Each cycle checks w by ||R_w w - H a|| /
-    ||H a|| on those terms (stationarity_residual is the largest).  The gain
-    update then builds the arrow (d, g) of y's tail -w and runs the inner
-    step on it once.  Every step lowers f(a) in exact arithmetic, so a
-    falling -f(a) means lost precision and raises NoDescent.
-    energy and select:K energy stop once |info_k - info_{k+1}| <= outer_tol;
-    the power-step families (quant, select:K:phase) can crawl past a saddle
-    with gains below outer_tol that do not shrink, so they stop on
-    _ascent_settled, as the phase ascent does.  A run stopped by its budget
-    calls model_at once more and reports the variance on its last gains' model.
+    restarts the convergence test.  The cycle takes the exact auxiliary vector
+    first, so the info trace is anchored at info(a0) and rises monotonically
+    within a segment (a new model may lower it): info(a), the weights w =
+    R_w^{-1} H a and the (H a, R_w) they solve come from one
+    _information_and_weights call (read through this module at call time), and
+    y = [1; -w] minimizes the lift's y^H R y without a lift or Gram-Schmidt,
+    in O(N) on a compressed model and one M x M solve on a dense one.  Each
+    cycle checks w by ||R_w w - H a|| / ||H a|| on those terms
+    (stationarity_residual is the largest).  The gain update then builds the
+    arrow (d, g) of y's tail -w and runs the inner step on it once.  Every
+    step lowers f(a) in exact arithmetic, so a falling -f(a) means lost
+    precision and raises NoDescent.  energy and select:K energy stop once
+    |info_k - info_{k+1}| <= outer_tol; the power-step families (quant,
+    select:K:phase) can crawl past a saddle with gains below outer_tol that do
+    not shrink, so they stop on _ascent_settled, as the phase ascent does.  A
+    run stopped by its budget calls model_at once more and reports the
+    variance on its last gains' model.
     """
     a = np.asarray(a0, dtype=complex).copy()
     m = None
@@ -851,10 +852,10 @@ def _start_design(model: GlobalModel, a0: np.ndarray, constraint: ConstraintSpec
     """The design under phase and quant:Q on a compressed model: the start a0.
 
     The information there is sum_k c_k p_k / (c_k v_k p_k + sigma_n^2) with
-    p_k = |a_k|^2, and the plan reads |a| only as well, so every
-    unit-modulus gain vector has the same variance.  The trace has one info
-    entry, no inner runs and ``converged`` True, since the start is already
-    optimal.
+    c_k = |h_k|^2 and p_k = |a_k|^2, as is the plan's: equal magnitudes give
+    one plan and one variance to the bit, so every unit-modulus gain vector
+    has the same variance.  The trace has one info entry, no inner runs and
+    ``converged`` True, since the start is already optimal.
     """
     variance = global_variance(model, a0)
     trace = OptimizerTrace((1.0 / variance,), (), GainVector(np.array(a0), constraint), variance,

@@ -20,6 +20,12 @@ from .errors import DisconnectedGraph, InvalidConfig, InvalidEdge
 from .netgraph import Topology, build_topology, is_int, seeded_rng
 
 
+def _power(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise: np.abs of a complex array may take a CPU-specific
+    SIMD path, and hypot rounds |x| as scalar abs() does."""
+    return np.hypot(x.real, x.imag) ** 2
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Default ranges used by the generators.
@@ -155,6 +161,14 @@ class DecentralizedScenario:
         v = np.asarray(self.sensor_noise_var, dtype=float)[self.topology.indexed_links()[1]]
         v.flags.writeable = False
         return v
+
+    @cached_property
+    def power_by_link(self) -> np.ndarray:
+        """Each directed link's power |h|^2, :func:`_power` of ``gain_by_link``.
+        Built on first use; read-only."""
+        c = _power(self.gain_by_link)
+        c.flags.writeable = False
+        return c
 
 
 def gen_centralized_scenario(

@@ -103,6 +103,23 @@ def test_model_rows_take_the_link_terms_bit_for_bit():
         assert _information_and_weights(model, a)[1].tobytes() == (ha / denom).tobytes(), seed
 
 
+def test_plan_and_r_w_read_the_gain_magnitudes_only_bit_for_bit():
+    # the per-link rule takes |a|^2 by hypot, so conjugated gains and their
+    # hypot magnitudes keep every bit of the table, the plan and R_w's
+    # diagonal: every unit-modulus gain vector has the same design
+    for seed in range(20):
+        scen = gen_decentralized_scenario(random_connected_topology(50, 0.15, seed), seed=seed)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        table = information_table(a, scen)
+        model, plan = decentralized_model(scen, a)
+        r_w = _information_and_weights(model, a)[3]
+        for b in (a.conj(), np.hypot(a.real, a.imag)):
+            assert information_table(b, scen).tobytes() == table.tobytes(), seed
+            assert decentralized_model(scen, b)[1] == plan, seed
+            assert _information_and_weights(model, b)[3].tobytes() == r_w.tobytes(), seed
+
+
 def test_compressed_border_takes_the_link_product_bit_for_bit():
     # g_k = conj(h_r) y_r in real arithmetic, each product rounded before its
     # sum, as diffusion._product forms it: numpy's complex * may fuse

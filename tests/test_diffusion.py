@@ -233,8 +233,8 @@ def test_link_products_round_each_product_before_the_sum():
 
 
 def test_information_table_sums_the_link_terms_bit_for_bit():
-    # information_table reads |h a|^2 from the parts of h a and never forms
-    # h a; its sums must keep every bit of bincount over link_terms
+    # information_table gathers |a|^2 of the sensors per link and never
+    # forms h a; its sums must keep every bit of bincount over link_terms
     rng = np.random.default_rng(33)
     for seed in range(8):
         n = int(rng.integers(2, 60))

@@ -91,7 +91,8 @@ def test_compare_allows_other_kernels_and_catches_moved_outcomes(tmp_path, capsy
 
     value = float(native[0].split()[5])
     code, out = compare(edited(3, lambda digest: "0" * 64))
-    assert code == 0 and out == ["4 jobs: 1 byte digests differ, widest headline gap 0 relative"]
+    assert code == 0 and out == [
+        "4 jobs: 1 byte digests differ (central-design 1), widest headline gap 0 relative"]
     assert compare(edited(5, lambda v: repr(value * (1 + 1e-13))))[0] == 0
     code, out = compare(edited(5, lambda v: repr(value * (1 + 1e-11))))
     assert code == 1 and out[1].startswith("central-design 3 0: headline")

@@ -81,8 +81,9 @@ def test_topology_index_arrays_are_built_once():
 
 
 def test_cached_link_indices_are_the_expressions_they_replace():
-    # indexed_links() and link_index's search keys are built once, read-only,
-    # and hold what the per-link readers used to recompute on every call
+    # indexed_links(), link_index's search keys and the scenario's per-link
+    # noise variances and powers are built once, read-only, and hold what
+    # the per-link readers used to recompute on every call
     for n in (2, 16, 50):
         for seed in range(10):
             topo = (build_topology(2, [(1, 2)]) if n == 2
@@ -101,9 +102,11 @@ def test_cached_link_indices_are_the_expressions_they_replace():
             assert np.array_equal(keys, sinks * (n + 1) + parents)
             assert np.all(np.diff(keys) > 0)  # link_index searches them
             scen = gen_decentralized_scenario(topo, seed=seed)
-            noise = scen.noise_by_link
+            noise, power, h = scen.noise_by_link, scen.power_by_link, scen.gain_by_link
             assert noise is scen.noise_by_link and not noise.flags.writeable
             assert noise.tobytes() == np.asarray(scen.sensor_noise_var, float)[parents - 1].tobytes()
+            assert power is scen.power_by_link and not power.flags.writeable
+            assert power.tobytes() == (np.hypot(h.real, h.imag) ** 2).tobytes()
             for sink, parent in [(1, 1), (n, n + 1), (0, 1)]:
                 with pytest.raises(InvalidEdge):
                     topo.link_index([sinks[0], sink], [parents[0], parent])

@@ -32,7 +32,7 @@ workload.  BLAS is pinned to one thread, as in ``perfbench/run.py``.
 ``--compare A B`` reads two files of such lines, from runs of the same
 seeds that differ in how floating point is computed (say, another set of
 BLAS kernels through ``OPENBLAS_CORETYPE``).  It prints how many byte
-digests differ and the widest headline gap, and exits 1 unless both
+digests differ, in total and per workload, and the widest headline gap, and exits 1 unless both
 files list the same jobs, every shape hash matches and every headline
 value agrees within HEADLINE_RTOL relative: the runs reached the same
 outcomes, whatever their last bits.
@@ -40,6 +40,7 @@ outcomes, whatever their last bits.
 
 import argparse
 import hashlib
+from collections import Counter
 import importlib.util
 import math
 import os
@@ -146,7 +147,7 @@ def compare(first: list, second: list) -> tuple[list, str]:
     problems = []
     if len(first) != len(second):
         problems.append(f"{len(first)} lines against {len(second)}")
-    bytes_differ, worst = 0, 0.0
+    moved, worst = Counter(), 0.0  # byte digests that differ, by workload
     for a, b in zip(first, second):
         (*job, digest_a, shape_a, values_a), (*job_b, digest_b, shape_b, values_b) = (
             a.split(), b.split())
@@ -154,7 +155,7 @@ def compare(first: list, second: list) -> tuple[list, str]:
         if job != job_b:
             problems.append(f"{name}: against {' '.join(job_b)}")
             continue
-        bytes_differ += digest_a != digest_b
+        moved[job[0]] += digest_a != digest_b
         if shape_a != shape_b:
             problems.append(f"{name}: shape {shape_a} against {shape_b}")
         values_a, values_b = values_a.split(","), values_b.split(",")
@@ -163,8 +164,10 @@ def compare(first: list, second: list) -> tuple[list, str]:
         worst = max(worst, gap)
         if not gap <= HEADLINE_RTOL:
             problems.append(f"{name}: headline {','.join(values_a)} against {','.join(values_b)}")
-    summary = (f"{min(len(first), len(second))} jobs: {bytes_differ} byte digests differ, "
-               f"widest headline gap {worst:.3g} relative")
+    by_workload = ", ".join(f"{name} {count}" for name, count in moved.items() if count)
+    summary = (f"{min(len(first), len(second))} jobs: {moved.total()} byte digests differ"
+               + (f" ({by_workload})" if by_workload else "")
+               + f", widest headline gap {worst:.3g} relative")
     return problems, summary
 
 
