@@ -81,6 +81,8 @@ def _result_json(gains: GainVector, trace, plan=None) -> dict:
         "outer_iters": trace.outer_iters,
         "inner_iters_total": trace.inner_iters_total,
         "converged": trace.converged,
+        "extrapolations_accepted": trace.extrapolations_accepted,
+        "extrapolations_rejected": trace.extrapolations_rejected,
         "restart_index": trace.restart_index,
         "segment_breaks": list(trace.segment_breaks),
         "stationarity_residual": trace.stationarity_residual,

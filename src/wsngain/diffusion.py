@@ -88,7 +88,9 @@ class GlobalModel:
     The compressed model is a scaled permutation: row r holds the link gain
     ``row_gain[r]`` in the column of sensor ``row_sensor[r]`` (0-based) and
     zeros elsewhere, so R_w is diagonal, with the :func:`link_terms`
-    entries |h_r|^2 |a_k|^2 v_k + noise_var (k = row_sensor[r]).
+    entries |h_r|^2 |a_k|^2 v_k + noise_var (k = row_sensor[r]), whose row
+    powers |h_r|^2 are kept as ``row_power`` (``power_by_link`` at the rows'
+    links), so no cycle takes them again.
     :func:`assemble_global_model` records only those rows and the ``plan``
     they came from, so a compressed model holds O(N) and its ``H`` is None;
     the information, weights, lift and inner quadratic take an O(N)
@@ -104,6 +106,7 @@ class GlobalModel:
     plan: CompressionPlan | None = field(default=None, repr=False)
     row_sensor: np.ndarray | None = field(default=None, repr=False)
     row_gain: np.ndarray | None = field(default=None, repr=False)
+    row_power: np.ndarray | None = field(default=None, repr=False)
 
     def __repr__(self) -> str:
         return f"GlobalModel(noise_var={self.noise_var!r})"
@@ -193,7 +196,7 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
     Row order is sink-major with parents ascending inside each sink.  The
     row for (sink i, parent k) holds h_{i,k} in column k and zeros
     elsewhere; the estimator is invariant to the row order.  The model
-    records only each row's sensor and gain and the plan, in O(N), and
+    records only each row's sensor, gain and power and the plan, in O(N), and
     no dense ``H`` (see :class:`GlobalModel`).
     """
     _, parents, links = plan.links(scenario.topology)
@@ -204,6 +207,7 @@ def assemble_global_model(plan: CompressionPlan, scenario: DecentralizedScenario
         plan=plan,
         row_sensor=parents - 1,
         row_gain=scenario.gain_by_link[links],
+        row_power=scenario.power_by_link[links],
     )
 
 

@@ -62,9 +62,9 @@ def _covariance_terms(model: GlobalModel, a: np.ndarray):
     # (H a, R_w) of the gains: a compressed model's R_w is diagonal and comes
     # back as that diagonal (1-D), any other model's as the dense M x M matrix
     if model.row_gain is not None:
-        k, h, ak = model.row_sensor, model.row_gain, a[model.row_sensor]
-        r, _ = _link_info(_power(h), _power(ak), model.sensor_noise_var[k], model.noise_var)
-        return _product(h, ak), r
+        k, ak = model.row_sensor, a[model.row_sensor]
+        r, _ = _link_info(model.row_power, _power(ak), model.sensor_noise_var[k], model.noise_var)
+        return _product(model.row_gain, ak), r
     return model.H @ a, combined_covariance(model, a)
 
 

@@ -14,10 +14,11 @@ quant and select:K:phase take power-method-like iterations on f's matrix
 shifted positive definite, and only they read the shift.  Under phase R_w
 is constant, info(a) = a^H B a, and the exact step a <- B a / |B a| is the
 unimodular power method (Soltanalian & Stoica, IEEE TSP 2014), which
-optimize and refine run instead of a cycle.  On the compressed
-decentralized model the information reads |a| only, so under phase and
-quant optimize and refine return their start.  (No step reads R's corner,
-so the paper's large constant there is left out.)
+optimize and refine run instead of a cycle, with SQUAREM extrapolations
+between its plain steps.  On the compressed decentralized model the
+information reads |a| only, so under phase and quant optimize and refine
+return their start.  (No step reads R's corner, so the paper's large
+constant there is left out.)
 A cycle never forms the lift: it takes w from the estimator, a quotient
 per row on the compressed decentralized model (R_w diagonal) and an M x M
 solve otherwise.  The lift (build_lifted) and its Gram-Schmidt solve
@@ -28,9 +29,9 @@ column); it is held as the two length-N vectors (d, g) and never formed,
 so the exact step, the shift and each power step cost O(N) plus the
 projection; the exact step and the shift share one safeguarded secular
 root finder.  The phase ascent, and the cycles of the power-step
-families, stop once a step gains at most outer_tol of information and the
-shrinking gains promise at most outer_tol more; the exact-step families
-stop on |delta info| <= outer_tol.
+families, stop once a (plain) step gains at most outer_tol of information
+and the shrinking gains promise at most outer_tol more; the exact-step
+families stop on |delta info| <= outer_tol.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ DESCENT_RTOL = 1e-9
 CHECK_ATOL = 1e-9
 LAMBDA_MARGIN = 1.05  # a safety factor: the shift sits strictly above the top eigenvalue
 INNER_ITERS = 50  # power steps per cycle; the phase ascent takes max_outer times as many
+_SQUAREM_FLOOR = -4.0  # the phase ascent's extrapolation length alpha is clipped here
+_SQUAREM_WARMUP = 10  # plain phase ascent steps before its first extrapolation
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
@@ -208,10 +211,11 @@ class OptimizerConfig:
     outer_tol under energy and select:K energy, and under quant and
     select:K:phase once _ascent_settled reads that gain as settled; each
     quant or select:K:phase cycle takes up to INNER_ITERS power steps.  The
-    phase ascent stops on _ascent_settled as well, within max_outer *
-    INNER_ITERS steps.  restarts counts the starts and seed draws the
-    random ones.  The counts and the seed are integers (not bool) and
-    outer_tol a finite positive number; anything else raises InvalidConfig.
+    phase ascent stops on _ascent_settled as well, on its plain steps,
+    within max_outer * INNER_ITERS steps (extrapolations included).
+    restarts counts the starts and seed draws the random ones.  The counts
+    and the seed are integers (not bool) and outer_tol a finite positive
+    number; anything else raises InvalidConfig.
     """
 
     outer_tol: float = 1e-8
@@ -237,7 +241,13 @@ class OptimizerTrace:
 
     ``info_per_outer`` holds the information value info(a) = 1 / variance
     at the start of each outer cycle (for the phase ascent, the objective
-    a^H B a at its start and after each step, which is the same value).
+    a^H B a, which is the same value, at its start, after each plain step
+    and after each kept extrapolation).  ``extrapolations_accepted`` and
+    ``extrapolations_rejected`` count the phase ascent's kept and dropped
+    extrapolations (_uqp_ascent); each takes one uqp_step call, and only a
+    dropped one's falls outside the info trace, so the run made
+    len(info_per_outer) - 1 + extrapolations_rejected calls.  Both are 0 for
+    the cycles and for _start_design.
     ``inner_objective`` holds one tuple per outer cycle: -f(a) with
     f(a) = sum d |a|^2 + 2 Re(g^H a) on that cycle's arrow (d, g), at the
     cycle's start and after every accepted step, so an
@@ -246,7 +256,7 @@ class OptimizerTrace:
     ascent records its whole run a^H B a as one tuple).
     ``converged`` is True when the run stopped on its tolerance (outer_tol
     on info per outer cycle, through _ascent_settled for the power-step
-    families and per phase ascent step) and
+    families and per plain phase ascent step) and
     False when it used up its iteration budget.  ``segment_breaks`` lists
     the cycles after the first that ran on new carriers (plan refresh).
     ``stationarity_residual`` is the largest relative residual
@@ -265,6 +275,8 @@ class OptimizerTrace:
     segment_breaks: tuple[int, ...] = ()
     stationarity_residual: float = 0.0
     converged: bool = False
+    extrapolations_accepted: int = 0
+    extrapolations_rejected: int = 0
 
     @property
     def outer_iters(self) -> int:
@@ -988,29 +1000,60 @@ def uqp_step(b_mat: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _uqp_ascent(b_mat: np.ndarray, a: np.ndarray, config: OptimizerConfig) -> OptimizerTrace:
-    """The unimodular ascent a <- e^{j arg(B a)} (uqp_step) from the unit-modulus a.
+    """The unimodular ascent a <- e^{j arg(B a)} (uqp_step) from the unit-modulus
+    a, with SQUAREM extrapolation (Varadhan & Roland, Scand. J. Statist. 2008).
 
-    Each step's image B a gives the objective a^H B a, the info trace, as
-    one vdot; it is non-decreasing as B is positive semidefinite.  Stops
-    once a step gains at most config.outer_tol and the shrinking gains
-    promise at most that much more (_ascent_settled; ``converged`` True),
-    or after max_outer * INNER_ITERS steps.  An end below INFO_FLOOR raises
-    DegenerateGains.
+    Each step's image B a gives the objective a^H B a as one vdot.  After
+    _SQUAREM_WARMUP plain steps, the ascent takes two plain steps x0 -> x1
+    -> x2 and then one extrapolation, over and over: with r = x1 - x0,
+    v = x2 - 2 x1 + x0 and alpha = max(-||r|| / ||v||, _SQUAREM_FLOOR), an
+    alpha < -1 proposes one step from e^{j arg(x0 - 2 alpha r + alpha^2 v)},
+    kept when its a^H B a is at least x2's and dropped otherwise (the ascent
+    goes on from x2).  The info trace holds the start, each plain step and
+    each kept extrapolation, so it never falls; a dropped one is left out,
+    so the run calls uqp_step len(trace) - 1 + extrapolations_rejected
+    times, at most max_outer * INNER_ITERS.  Stops once a plain step gains
+    at most config.outer_tol and the shrinking gains promise at most that
+    much more (_ascent_settled on the gains of consecutive plain steps,
+    skipping the extrapolations between them; ``converged`` True).  An end
+    below INFO_FLOOR raises DegenerateGains.
     """
     image = b_mat @ a
     objs = [float(np.vdot(a, image).real)]
-    gain = 0.0
-    for _ in range(config.max_outer * INNER_ITERS):  # at least one step: max_outer >= 1
+    left = config.max_outer * INNER_ITERS  # uqp_step calls left; max_outer >= 1
+    gain, plain, accepted, rejected = 0.0, 0, 0, 0
+    x0 = x1 = a
+    while left:
+        x0, x1 = x1, a
         a, image = uqp_step(b_mat, image)
+        left, plain = left - 1, plain + 1
         objs.append(float(np.vdot(a, image).real))
         gain, last = objs[-1] - objs[-2], gain
         converged = _ascent_settled(gain, last, config.outer_tol)
-        if converged:
+        if converged or not left:
             break
+        if plain <= _SQUAREM_WARMUP or (plain - _SQUAREM_WARMUP) % 2:
+            continue
+        r, v = x1 - x0, a - 2.0 * x1 + x0
+        nv = _norm(v)
+        alpha = max(-_norm(r) / nv, _SQUAREM_FLOOR) if nv else _SQUAREM_FLOOR
+        if alpha >= -1.0:
+            continue
+        x = _unit_phase(x0 - 2.0 * alpha * r + alpha * alpha * v)
+        x, x_image = uqp_step(b_mat, b_mat @ x)
+        left -= 1
+        obj = float(np.vdot(x, x_image).real)
+        if obj >= objs[-1]:
+            a, image = x, x_image
+            objs.append(obj)
+            accepted += 1
+        else:
+            rejected += 1
     if objs[-1] < INFO_FLOOR:
         raise DegenerateGains("effective gains carry no information")
     return OptimizerTrace(tuple(objs), (tuple(objs),), GainVector(a, ConstraintSpec.phase_only()),
-                          1.0 / objs[-1], wall_time_s=0.0, converged=converged)
+                          1.0 / objs[-1], wall_time_s=0.0, converged=converged,
+                          extrapolations_accepted=accepted, extrapolations_rejected=rejected)
 
 
 def optimize_phase_only_uqp(model: GlobalModel,
@@ -1018,7 +1061,9 @@ def optimize_phase_only_uqp(model: GlobalModel,
                             ) -> tuple[GainVector, OptimizerTrace]:
     """Phase-only design via the unimodular quadratic program, the design
     optimize runs under phase: builds B once (uqp_matrix) and runs
-    _uqp_ascent from each restart point.
+    _uqp_ascent, plain steps with SQUAREM extrapolations, from each restart
+    point.  The winning run's trace counts its kept and dropped
+    extrapolations.
     """
     t0 = time.perf_counter()
     b_mat = uqp_matrix(model)

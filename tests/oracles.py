@@ -445,6 +445,62 @@ def uqp_ascent_two_matvecs(b_mat, a, max_iters, stop_tol):
     return a, objs, settled
 
 
+def uqp_squarem_two_matvecs(b_mat, a, max_iters, stop_tol, warmup=10, floor=-4.0):
+    """The unimodular ascent of uqp_ascent_two_matvecs with SQUAREM
+    extrapolation (Varadhan & Roland 2008), forming B a twice per step.
+
+    After ``warmup`` plain steps T(x) = B x / |B x|, the steps come in
+    rounds: two plain steps x0 -> x1 -> x2, then a proposal.  With
+    r = x1 - x0, v = x2 - 2 x1 + x0 and alpha = max(-||r|| / ||v||, floor)
+    (floor when v = 0), an alpha < -1 proposes T(x0 - 2 alpha r + alpha^2 v
+    taken to the unit circle), kept when its a^H B a is at least x2's; the
+    next round starts where the ascent stands.  Stops after max_iters steps
+    of either kind, or on the stop rule of uqp_ascent_two_matvecs applied to
+    each plain step's gain (from the point it started at) and the previous
+    plain step's gain, skipping the proposals between them.  Returns
+    (a, objectives, settled, kinds): kinds holds one letter per step, "p"
+    plain, "a" a kept and "r" a dropped proposal; the objectives list the
+    start and every step but the dropped ones.
+    """
+    def unit(x):
+        mag = np.abs(x)
+        return np.where(mag == 0.0, 1.0, x / np.where(mag == 0.0, 1.0, mag))
+
+    def objective(x):
+        return float(np.vdot(x, b_mat @ x).real)
+
+    a = np.asarray(a, dtype=complex)
+    objs, kinds, rounds = [objective(a)], [], [a]
+    g, settled = 0.0, False
+    while len(kinds) < max_iters:
+        a = unit(b_mat @ a)
+        kinds.append("p")
+        objs.append(objective(a))
+        g, g_prev = objs[-1] - objs[-2], g
+        settled = g <= stop_tol and (g <= 0.0 or g * g <= stop_tol * (g_prev - g))
+        if settled:
+            break
+        rounds = [a] if kinds.count("p") <= warmup else rounds + [a]
+        if len(rounds) < 3 or len(kinds) == max_iters:
+            continue
+        x0, x1, x2 = rounds
+        rounds = [x2]
+        r, v = x1 - x0, x2 - 2.0 * x1 + x0
+        nv = float(np.linalg.norm(v))
+        alpha = max(-float(np.linalg.norm(r)) / nv, floor) if nv > 0.0 else floor
+        if not alpha < -1.0:
+            continue
+        proposal = unit(b_mat @ unit(x0 - 2.0 * alpha * r + alpha * alpha * v))
+        value = objective(proposal)
+        if value >= objs[-1]:
+            kinds.append("a")
+            objs.append(value)
+            a, rounds = proposal, [proposal]
+        else:
+            kinds.append("r")
+    return a, objs, settled, tuple(kinds)
+
+
 def dense_covariance(h_global, a, sensor_noise_var, noise_var):
     """R_w = H D V D^H H^H + sigma_n^2 I, materialized with D = Diag(a) and
     V = Diag(sensor_noise_var)."""

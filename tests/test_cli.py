@@ -34,9 +34,11 @@ def test_optimize_default_json_shape(capsys):
     assert rc == 0 and err == ""
     doc = json.loads(out)
     assert set(doc) == {"gains", "constraint", "variance", "info_trace",
-                        "outer_iters", "inner_iters_total", "converged", "restart_index",
+                        "outer_iters", "inner_iters_total", "converged",
+                        "extrapolations_accepted", "extrapolations_rejected", "restart_index",
                         "segment_breaks", "stationarity_residual", "wall_time_s"}
     assert doc["constraint"] == "energy"
+    assert doc["extrapolations_accepted"] == doc["extrapolations_rejected"] == 0
     assert len(doc["gains"]) == 6
     gains = np.array([re + 1j * im for re, im in doc["gains"]])
     assert np.linalg.norm(gains) ** 2 == pytest.approx(6.0, rel=1e-9)
@@ -76,6 +78,27 @@ def test_optimize_phase_constraint(capsys):
     assert doc["constraint"] == "phase"
     mags = [abs(complex(re, im)) for re, im in doc["gains"]]
     assert mags == pytest.approx([1.0] * 5)
+
+
+def test_optimize_reports_the_phase_ascents_extrapolations(tmp_path, capsys):
+    # a phase design's JSON carries its kept and dropped extrapolations, the
+    # library trace's counts; a decentralized phase design returns its start
+    # and extrapolates nothing
+    path = tmp_path / "scen.json"
+    run_cli(capsys, "gen-scenario", "--n", "30", "--m", "4", "--seed", "4", "--out", str(path))
+    rc, out, _ = run_cli(capsys, "optimize", "--scenario", str(path), "--constraint", "phase",
+                         "--seed", "1")
+    doc = json.loads(out)
+    _, trace = wsngain.optimize(wsngain.centralized_model(wsngain.load_scenario(str(path))),
+                                ConstraintSpec.phase_only(), wsngain.OptimizerConfig(seed=1))
+    assert rc == 0 and doc["info_trace"] == list(trace.info_per_outer)
+    assert doc["extrapolations_accepted"] == trace.extrapolations_accepted > 0
+    assert doc["extrapolations_rejected"] == trace.extrapolations_rejected
+    run_cli(capsys, "gen-scenario", "--kind", "decentralized", "--n", "7", "--seed", "5",
+            "--out", str(path))
+    rc, out, _ = run_cli(capsys, "optimize", "--scenario", str(path), "--constraint", "phase")
+    doc = json.loads(out)
+    assert rc == 0 and doc["extrapolations_accepted"] == doc["extrapolations_rejected"] == 0
 
 
 def test_gen_scenario_roundtrip_through_optimize(tmp_path, capsys):

@@ -120,6 +120,27 @@ def test_plan_and_r_w_read_the_gain_magnitudes_only_bit_for_bit():
             assert _information_and_weights(model, b)[3].tobytes() == r_w.tobytes(), seed
 
 
+def test_compressed_model_keeps_its_row_powers(monkeypatch):
+    # the model stores each row's |h|^2 (the scenario's power_by_link at the
+    # plan's links), the bytes of the per-link rule's hypot power of its
+    # gain, and R_w reads them: no cycle takes a power of the rows again
+    rng = np.random.default_rng(37)
+    for trial in range(10):
+        scen, a, model = _random_compressed(rng, trial)
+        assert model.row_power.tobytes() == (
+            np.hypot(model.row_gain.real, model.row_gain.imag) ** 2).tobytes(), trial
+        r_w = _information_and_weights(model, a)[3]
+        powers = []
+        power = estimator._power
+        monkeypatch.setattr(estimator, "_power", lambda x: powers.append(len(x)) or power(x))
+        assert _information_and_weights(model, a)[3].tobytes() == r_w.tobytes(), trial
+        assert len(powers) == 1  # |a|^2 of the gains; the row powers are stored
+        monkeypatch.undo()
+        doubled = dataclasses.replace(model, row_power=2.0 * model.row_power)
+        signal = r_w - model.noise_var
+        assert _close(_information_and_weights(doubled, a)[3] - model.noise_var, 2.0 * signal)
+
+
 def test_compressed_border_takes_the_link_product_bit_for_bit():
     # g_k = conj(h_r) y_r in real arithmetic, each product rounded before its
     # sum, as diffusion._product forms it: numpy's complex * may fuse

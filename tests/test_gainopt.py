@@ -8,7 +8,9 @@ to C1 and change nothing else.
 """
 
 import dataclasses
+import importlib.util
 import itertools
+import pathlib
 import warnings
 
 import numpy as np
@@ -1306,12 +1308,14 @@ def test_uqp_step_identity_fixed_points():
     assert np.allclose(image, a)
 
 
-@pytest.mark.parametrize("budget", [None, (1, 2)], ids=["default-budget", "tiny-budget"])
+@pytest.mark.parametrize("budget", [None, (1, 2), (1, 13)],
+                         ids=["default-budget", "tiny-budget", "extrapolation-budget"])
 @pytest.mark.parametrize("restarts", [1, 3])
 @pytest.mark.parametrize("n", [1, 5, 30, 60])
 def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget, monkeypatch):
     # the ascent forms B a once per step and reuses it for the objective and
-    # the next step; every reported value keeps the bits of the two-product form
+    # the next step; every reported value keeps the bits of the two-product
+    # form of the extrapolated ascent
     calls = []
     step = gainopt.uqp_step
     monkeypatch.setattr(gainopt, "uqp_step", lambda b, image: calls.append(1) or step(b, image))
@@ -1323,11 +1327,11 @@ def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget, m
     gains, trace = optimize_phase_only_uqp(model, config)
     b_mat = uqp_matrix(model)
     starts = _restart_points(n, ConstraintSpec.phase_only(), config, model)
-    runs = [oracles.uqp_ascent_two_matvecs(b_mat, a0, config.max_outer * gainopt.INNER_ITERS,
-                                           config.outer_tol)
+    runs = [oracles.uqp_squarem_two_matvecs(b_mat, a0, config.max_outer * gainopt.INNER_ITERS,
+                                            config.outer_tol)
             for a0 in starts]
     best = min(range(restarts), key=lambda idx: (1.0 / runs[idx][1][-1], idx))
-    a, objs, converged = runs[best]
+    a, objs, converged, kinds = runs[best]
     assert trace.restart_index == best
     assert gains.values.tobytes() == a.tobytes()
     # the phase-only path has no outer cycles: its whole ascent is one inner run
@@ -1336,9 +1340,18 @@ def test_uqp_ascent_matches_two_matvec_oracle_bit_for_bit(n, restarts, budget, m
     assert trace.info_per_outer == tuple(objs)
     assert trace.final_variance == 1.0 / objs[-1]
     assert trace.converged is converged
+    assert trace.extrapolations_accepted == kinds.count("a")
+    assert trace.extrapolations_rejected == kinds.count("r")
     # the benchmark's tracer counts uqp_step by wrapping gainopt.uqp_step:
-    # every ascent step of every restart must call it there, once
-    assert len(calls) == sum(len(objs) - 1 for _, objs, _ in runs)
+    # every step of every restart, plain or extrapolated, calls it there
+    # once; only a dropped extrapolation's call is missing from the trace
+    assert len(calls) == sum(len(kinds) for *_, kinds in runs)
+    assert len(kinds) == len(objs) - 1 + trace.extrapolations_rejected
+    assert len(kinds) <= config.max_outer * gainopt.INNER_ITERS
+    if n >= 30 and budget != (1, 2):  # 10 warm-up steps and a pair precede an extrapolation
+        assert trace.extrapolations_accepted > 0
+    if n >= 30 and budget == (1, 13):  # the budget ends on the first extrapolation
+        assert kinds == ("p",) * 12 + ("a",) and not converged
 
 
 @pytest.mark.parametrize("restarts", [1, 3])
@@ -1367,66 +1380,151 @@ def test_phase_design_is_the_unimodular_ascent(restarts, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 5, 30])
 def test_phase_refine_is_the_ascent_from_its_start(n):
-    # refine under phase runs the ascent from the given start on B, bit for
-    # bit, and never ends above the start's variance
+    # refine under phase runs the extrapolated ascent from the given start on
+    # B, bit for bit, and never ends above the start's variance
     rng = np.random.default_rng(n)
     config = OptimizerConfig()
     for seed in range(5):
         model = random_model(n, seed=60 + seed)
         a0 = ConstraintSpec.phase_only().random_point(n, rng)
         gains, trace = refine(model, a0, ConstraintSpec.phase_only(), config)
-        a, objs, converged = oracles.uqp_ascent_two_matvecs(
+        a, objs, converged, kinds = oracles.uqp_squarem_two_matvecs(
             uqp_matrix(model), a0, config.max_outer * gainopt.INNER_ITERS, config.outer_tol)
         assert gains.values.tobytes() == a.tobytes()
         assert trace.info_per_outer == tuple(objs) and trace.inner_objective == (tuple(objs),)
         assert trace.converged is converged and trace.restart_index == 0
+        assert (trace.extrapolations_accepted, trace.extrapolations_rejected) == (
+            kinds.count("a"), kinds.count("r"))
         assert trace.final_variance <= global_variance(model, a0) * (1 + 1e-12), seed
 
 
-def _settled_steps(objs, tol):
-    """1-based steps k at which an ascent with objectives objs may stop: the
+def _settled_steps(objs, kinds, tol):
+    """1-based trace steps k at which an ascent with objectives objs and step
+    kinds (oracles.uqp_squarem_two_matvecs) may stop: step k is plain, its
     gain g = objs[k] - objs[k-1] is at most tol, and g <= 0 or the gains'
-    geometric decay from the previous gain g' promises at most tol more,
-    g^2 / (g' - g) <= tol."""
-    gains = np.diff(objs)
-    return [k + 1 for k, g in enumerate(gains)
-            if g <= tol and (g <= 0 or g * g <= tol * ((gains[k - 1] if k else 0.0) - g))]
+    geometric decay from the previous plain step's gain g' (0 before the
+    first; kept extrapolations between them are skipped) promises at most
+    tol more, g^2 / (g' - g) <= tol."""
+    settled, last = [], 0.0
+    for k, kind in enumerate((kind for kind in kinds if kind != "r"), start=1):
+        if kind == "p":
+            g = objs[k] - objs[k - 1]
+            if g <= tol and (g <= 0 or g * g <= tol * (last - g)):
+                settled.append(k)
+            last = g
+    return settled
+
+
+def _phase_ascent_and_kinds(model, config):
+    """optimize_phase_only_uqp's trace, checked against the oracle's objectives
+    from the same start, and the oracle's step kinds."""
+    _, trace = optimize_phase_only_uqp(model, config)
+    *_, objs, _, kinds = oracles.uqp_squarem_two_matvecs(
+        uqp_matrix(model), ConstraintSpec.phase_only().initial_point(model.num_sensors),
+        config.max_outer * gainopt.INNER_ITERS, config.outer_tol)
+    assert trace.info_per_outer == tuple(objs)
+    return trace, kinds
 
 
 def test_uqp_ascent_stops_on_outer_tol(monkeypatch):
-    # the phase-only path stops at its first settled step: a looser
+    # the phase-only path stops at its first settled plain step: a looser
     # outer_tol stops sooner; a budget stop is not converged
     model = random_model(30, seed=7)
     steps = {}
     for tol in (1e-8, 1e-3):
-        _, trace = optimize_phase_only_uqp(model, OptimizerConfig(outer_tol=tol))
+        trace, kinds = _phase_ascent_and_kinds(model, OptimizerConfig(outer_tol=tol))
         objs = trace.info_per_outer
-        assert trace.converged and objs[-1] - objs[-2] <= tol
-        assert _settled_steps(objs, tol) == [len(objs) - 1]
+        assert trace.converged and kinds[-1] == "p" and objs[-1] - objs[-2] <= tol
+        assert _settled_steps(objs, kinds, tol) == [len(objs) - 1]
         steps[tol] = len(objs)
+        assert tol > 1e-8 or "a" in kinds  # the default tolerance's run extrapolates
     assert steps[1e-3] < steps[1e-8]
     # the first gain counts against a previous gain of 0: an outer_tol above
     # it does not stop the ascent at step 1
-    _, trace = optimize_phase_only_uqp(model, OptimizerConfig(outer_tol=1e3))
+    trace, kinds = _phase_ascent_and_kinds(model, OptimizerConfig(outer_tol=1e3))
     objs = trace.info_per_outer
     assert 0.0 < objs[1] - objs[0] <= 1e3
-    assert trace.converged and len(objs) > 2 and _settled_steps(objs, 1e3) == [len(objs) - 1]
+    assert trace.converged and len(objs) > 2 and _settled_steps(objs, kinds, 1e3) == [len(objs) - 1]
     monkeypatch.setattr(gainopt, "INNER_ITERS", 3)
-    _, trace = optimize_phase_only_uqp(model, OptimizerConfig(max_outer=1))
+    trace, kinds = _phase_ascent_and_kinds(model, OptimizerConfig(max_outer=1))
     objs = trace.info_per_outer
-    assert not trace.converged and len(objs) == 4 and _settled_steps(objs, 1e-8) == []
+    assert not trace.converged and len(objs) == 4 and _settled_steps(objs, kinds, 1e-8) == []
 
 
 def test_uqp_ascent_crawls_past_a_saddle():
-    # on this N = 30 draw the ascent gains under 1e-8 per step from step
-    # 527 on, slowing near a saddle for some 1,400 steps before it leaves
-    # for a better point; a test of the last gain alone stops at 16.68505
+    # on this N = 30 draw the plain ascent gains under 1e-8 per step from
+    # step 527 on, slowing near a saddle for some 1,400 steps before it
+    # leaves for a better point; a test of the last gain alone stops at
+    # 16.68505.  The extrapolated ascent leaves for that point in under
+    # 1,000 steps, extrapolations included
     model = random_model(30, seed=3611603448)
-    _, trace = optimize_phase_only_uqp(model)
-    objs = np.array(trace.info_per_outer)
+    config = OptimizerConfig()
+    _, objs, converged = oracles.uqp_ascent_two_matvecs(
+        uqp_matrix(model), np.ones(30, dtype=complex), config.max_outer * gainopt.INNER_ITERS,
+        config.outer_tol)
     first_small = int(np.argmax(np.diff(objs) <= 1e-8)) + 1
     assert 500 < first_small < 600 and objs[first_small] < 16.6851
-    assert trace.converged and len(objs) > 1900 and objs[-1] > 16.751
+    assert converged and len(objs) > 1900 and objs[-1] > 16.751
+    _, trace = optimize_phase_only_uqp(model, config)
+    calls = trace.outer_iters - 1 + trace.extrapolations_rejected
+    assert trace.converged and calls < 1000 and trace.info_per_outer[-1] > 16.751
+
+
+def test_uqp_ascent_drops_an_extrapolation_that_loses_ground(monkeypatch):
+    # no model's B has shown a dropped extrapolation, but a Gram matrix with
+    # heavy-tailed column scales plus a diagonal does on these draws: each
+    # dropped one costs a uqp_step call, stays out of the trace and is
+    # counted, and the ascent goes on from x2, bit for bit with the oracle
+    calls = []
+    step = gainopt.uqp_step
+    monkeypatch.setattr(gainopt, "uqp_step", lambda b, image: calls.append(1) or step(b, image))
+    config = OptimizerConfig()
+    for seed in (3, 18, 28, 61):
+        rng = np.random.default_rng(seed)
+        h = ((rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12)))
+             * rng.exponential(1.0, 12) ** 3)
+        b_mat = h.conj().T @ h + np.diag(rng.uniform(0.0, 1.0, 12))
+        a0 = np.exp(2j * np.pi * rng.random(12))
+        calls.clear()
+        trace = gainopt._uqp_ascent(b_mat, a0, config)
+        a, objs, converged, kinds = oracles.uqp_squarem_two_matvecs(
+            b_mat, a0, config.max_outer * gainopt.INNER_ITERS, config.outer_tol)
+        assert "r" in kinds and converged, seed
+        assert trace.final_gains.values.tobytes() == a.tobytes()
+        assert trace.info_per_outer == tuple(objs) and trace.converged
+        assert (trace.extrapolations_accepted, trace.extrapolations_rejected) == (
+            kinds.count("a"), kinds.count("r"))
+        assert len(calls) == len(kinds) == len(objs) - 1 + trace.extrapolations_rejected
+
+
+def test_extrapolated_ascent_keeps_the_plain_ascents_optimum_on_phase_sweep_draws(monkeypatch):
+    # the 180 phase designs of the phase-sweep benchmark's seed-1 jobs 0-19
+    # (N = 10, 30, 60, three draws each): the extrapolated ascent ends at
+    # most 1e-7 relative below the plain ascent from the same start, in
+    # fewer than half its uqp_step calls
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("job_digests", root / "tools" / "job_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    workload = tool.load_workloads(root).WORKLOADS["phase-sweep"]
+    designs = []
+    ascent = gainopt.optimize_phase_only_uqp
+    monkeypatch.setattr(gainopt, "optimize_phase_only_uqp",
+                        lambda model, config: designs.append((model, config, ascent(model, config)))
+                        or designs[-1][2])
+    for j in range(20):
+        workload.job(workload.build(1), j)
+    assert len(designs) == 180
+    calls = plain_calls = 0
+    for model, config, (_, trace) in designs:
+        assert config.restarts == 1  # the one start is the all-ones point
+        _, objs, _ = oracles.uqp_ascent_two_matvecs(
+            uqp_matrix(model), np.ones(model.num_sensors, dtype=complex),
+            config.max_outer * gainopt.INNER_ITERS, config.outer_tol)
+        assert trace.info_per_outer[-1] >= objs[-1] * (1 - 1e-7)
+        calls += trace.outer_iters - 1 + trace.extrapolations_rejected
+        plain_calls += len(objs) - 1
+    assert calls < plain_calls / 2
 
 
 def test_uqp_objective_nondecreasing():
