@@ -55,7 +55,9 @@ def combined_covariance(model: GlobalModel, gains) -> np.ndarray:
     a = _gain_values(gains, model.num_sensors)
     h = _dense_h(model)  # the compressed model's diagonal comes from _covariance_terms
     scaled = h * (np.abs(a) ** 2 * model.sensor_noise_var)[None, :]
-    return scaled @ h.conj().T + model.noise_var * np.eye(model.num_rows)
+    r_w = scaled @ h.conj().T
+    r_w.flat[::model.num_rows + 1] += model.noise_var  # sigma_n^2 I without forming I
+    return r_w
 
 
 def _covariance_terms(model: GlobalModel, a: np.ndarray):

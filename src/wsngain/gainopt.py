@@ -28,7 +28,8 @@ The inner quadratic is an arrow matrix (a diagonal plus one border row and
 column); it is held as the two length-N vectors (d, g) and never formed,
 so the exact step, the shift and each power step cost O(N) plus the
 projection; the exact step and the shift share one safeguarded secular
-root finder.  The phase ascent, and the cycles of the power-step
+root finder, and each of a cycle's exact solves starts from the
+multiplier its call site found one cycle earlier.  The phase ascent, and the cycles of the power-step
 families, stop once a (plain) step gains at most outer_tol of information
 and the shrinking gains promise at most outer_tol more; the exact-step
 families stop on |delta info| <= outer_tol.
@@ -363,8 +364,9 @@ def build_inner_quadratic(y_tail: np.ndarray, model: GlobalModel):
 
 
 def _secular_root(step, lo, hi, x):
-    """Root of an increasing function f on [lo, hi], searched from x by
-    model steps; step(x) returns (f(x) >= 0, the model's next point).
+    """Root of an increasing function f on [lo, hi], searched from any x in
+    the bracket by model steps; step(x) returns (f(x) >= 0, the model's next
+    point).
 
     The model must approach the root from above, so that a short step from
     a point with f >= 0 certifies that point.  Safeguard: every evaluated
@@ -555,7 +557,7 @@ def project(a_hat: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     scaled = _onto_sphere(out)
     if scaled is None:
         warnings.warn("zero vector projected onto the selection set", ZeroVectorWarning)
-        out[:k] = np.sqrt(n / k)
+        out[:k] = np.sqrt(n / min(k, n))
         return out
     return scaled
 
@@ -577,7 +579,8 @@ def _hard_case(e: np.ndarray, g: np.ndarray, n: int):
     return True, a
 
 
-def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
+def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int, memo: dict | None = None,
+                      site: str = "energy"):
     """Global minimizer of sum d |a|^2 + 2 Re(g^H a) over ||a||^2 = n, or
     None when every feasible point is one (g = 0 and d constant).
 
@@ -588,33 +591,46 @@ def _sphere_minimizer(d: np.ndarray, g: np.ndarray, n: int):
     [max(0, max_i(|g_i| / sqrt(n) - e_i)), ||g|| / sqrt(n)].  psi is
     concave and rising, so Newton steps on it approach the root from below
     and never pass it: _secular_root runs them on u = -s, where they come
-    from above.  The first step, from the upper end, can land below the
-    bracket; near the hard case (a tiny border entry at min d) the root may
-    then lie decades under the upper end, where u's bisection is geometric.
+    from above.  An evaluation forms t = |g| / (e + s) once: ||a||^2 = t.t
+    and the slope t.(t / (e + s)).
+    The search starts from the bracket's upper end, or warm: memo maps a
+    call site's name to the multiplier mu = s - min d (a = -g / (d + mu))
+    of its last solve, and a memo[site] whose s = mu + min d lies strictly
+    inside this bracket is the start.  Either way the search ends on the
+    same root to a few ulps; a solve with a memo records its mu there.  The
+    first step from the upper end can land below the bracket; near the hard
+    case (a tiny border entry at min d) the root may then lie decades under
+    the upper end, where u's bisection is geometric.
     Hard case: g = 0 wherever e = 0 and ||g / e|| <= sqrt(n) over the rest;
     then s = 0 and the remaining norm goes, real and positive, to the
-    lowest index with e = 0.  No point evaluated divides by zero.
+    lowest index with e = 0; the memo is left as it is.  No point evaluated
+    divides by zero.
     """
-    e = d - d.min()
+    d_min = float(d.min())
+    e = d - d_min
     hard, a = _hard_case(e, g, n)
     if hard:
         return a
 
-    g2 = np.abs(g) ** 2
+    g_abs = np.abs(g)
     root_n = math.sqrt(n)
 
     def newton(u):
-        inv = 1.0 / (e - u)
-        q = g2 * inv * inv
-        s2 = float(np.add.reduce(q))  # ||a||^2, as q.sum() forms it
+        gap = e - u
+        t = g_abs / gap
+        s2 = float(t.dot(t))  # ||a||^2
         nrm = math.sqrt(s2)
-        slope = float(q.dot(inv))  # -d(s2)/ds / 2
+        slope = float(t.dot(t / gap))  # -d(s2)/ds / 2
         # -(s - psi / psi') with psi' = slope / s2^(3/2)
         return nrm >= root_n, u + s2 * (1.0 - nrm / root_n) / slope
 
-    lo = max(0.0, float((np.sqrt(g2) / root_n - e).max()))
-    hi = math.sqrt(g2.sum()) / root_n
-    return -g / (e - _secular_root(newton, -hi, -lo, -hi))
+    lo = max(0.0, float((g_abs / root_n - e).max()))
+    hi = math.sqrt(g_abs.dot(g_abs)) / root_n
+    start = math.nan if memo is None else memo.get(site, math.nan) + d_min
+    u = _secular_root(newton, -hi, -lo, -start if lo < start < hi else -hi)
+    if memo is not None:
+        memo[site] = -u - d_min
+    return -g / (e - u)
 
 
 def _inner_value(a: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
@@ -635,10 +651,12 @@ def _support_known(a: np.ndarray, d: np.ndarray, g: np.ndarray, k: int) -> bool:
             and not _hard_case(d - d.min(), g, len(a))[0])
 
 
-def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: ConstraintSpec):
+def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: ConstraintSpec,
+                  memo: dict | None = None):
     """Exact select:K energy step from a: _sphere_minimizer on each of two
     supports, zero elsewhere; returns the one with the lower _inner_value,
-    or None when that is a itself.
+    or None when that is a itself.  Each of the three solves (sites "full",
+    "own" and "top") warm-starts from its own entry of memo, if given.
 
     The supports are a's own and the K largest entries of the full-sphere
     minimizer (the nonzeros of its projection, so project's tie rule
@@ -648,16 +666,17 @@ def _support_step(a: np.ndarray, d: np.ndarray, g: np.ndarray, constraint: Const
     point it came from, and a's support wins ties.
     """
     n = len(a)
-    starts = [a]
-    full = None if _support_known(a, d, g, constraint.k_active) else _sphere_minimizer(d, g, n)
+    starts = [(a, "own")]
+    full = (None if _support_known(a, d, g, constraint.k_active)
+            else _sphere_minimizer(d, g, n, memo, "full"))
     if full is not None:
         top = project(full, constraint)
         if not np.array_equal(top != 0, a != 0):
-            starts.append(top)
+            starts.append((top, "top"))
     best, best_f = None, math.inf
-    for start in starts:
+    for start, site in starts:
         support = start != 0
-        part = _sphere_minimizer(d[support], g[support], n)
+        part = _sphere_minimizer(d[support], g[support], n, memo, site)
         if part is None:
             x = start
         else:
@@ -677,7 +696,7 @@ def _exact_family(constraint: ConstraintSpec) -> bool:
 
 
 def inner_power_iterations(a0: np.ndarray, d: np.ndarray, g: np.ndarray,
-                           constraint: ConstraintSpec, max_iters: int):
+                           constraint: ConstraintSpec, max_iters: int, memo: dict | None = None):
     """The gain step of one outer cycle on the arrow Q of (d, g).
 
     Returns (a, objectives) where objectives holds -f(a) (_inner_value) at
@@ -686,7 +705,10 @@ def inner_power_iterations(a0: np.ndarray, d: np.ndarray, g: np.ndarray,
     energy and select:K energy: one exact step (max_iters is not read), the
     global minimizer of f on ||a||^2 = N from _sphere_minimizer, or under
     select:K energy _support_step's better of two supports, the current
-    one's never worse than a0.  Where a stays, one value is listed.
+    one's never worse than a0.  Where a stays, one value is listed (a0
+    itself, not a copy).  memo, if given, holds the multipliers the exact
+    solves warm-start from and record (_sphere_minimizer); the power steps
+    do not read it.
 
     phase, quant, select:K:phase: up to max_iters power-method-like steps
     a <- project((lambda - d) o a - g), lambda = shift_quadratic(d, g):
@@ -695,15 +717,17 @@ def inner_power_iterations(a0: np.ndarray, d: np.ndarray, g: np.ndarray,
     (a;1)^H Q~ (a;1) = lambda (1 + ||a||^2) - f(a), which lowers f where
     ||a|| stays.  Stops early once a step moves a by at most INNER_STOP.
     """
-    a = np.asarray(a0, dtype=complex).copy()
-    objs = [-_inner_value(a, d, g)]
     if _exact_family(constraint):
-        best = (_support_step(a, d, g, constraint) if constraint.kind == "select"
-                else _sphere_minimizer(d, g, len(a)))
+        a = np.asarray(a0, dtype=complex)
+        objs = [-_inner_value(a, d, g)]
+        best = (_support_step(a, d, g, constraint, memo) if constraint.kind == "select"
+                else _sphere_minimizer(d, g, len(a), memo))
         if best is not None:
             a = best
             objs.append(-_inner_value(a, d, g))
         return a, objs
+    a = np.asarray(a0, dtype=complex).copy()
+    objs = [-_inner_value(a, d, g)]
     w = shift_quadratic(d, g) - d
     for _ in range(max_iters):
         a_new = project(w * a - g, constraint)
@@ -748,9 +772,11 @@ def _cyclic_run(model_at, a0, constraint, config) -> OptimizerTrace:
     in O(N) on a compressed model and one M x M solve on a dense one.  Each
     cycle checks w by ||R_w w - H a|| / ||H a|| on those terms
     (stationarity_residual is the largest).  The gain update then builds the
-    arrow (d, g) of y's tail -w and runs the inner step on it once.  Every
-    step lowers f(a) in exact arithmetic, so a falling -f(a) means lost
-    precision and raises NoDescent.  energy and select:K energy stop once
+    arrow (d, g) of y's tail -w and runs the inner step on it once; the
+    exact step's solves warm-start from the multipliers the run's memo kept
+    from the cycle before, one per call site (inner_power_iterations).
+    Every step lowers f(a) in exact arithmetic, so a falling -f(a) means
+    lost precision and raises NoDescent.  energy and select:K energy stop once
     |info_k - info_{k+1}| <= outer_tol; the power-step families (quant,
     select:K:phase) can crawl past a saddle with gains below outer_tol that do
     not shrink, so they stop on _ascent_settled, as the phase ascent does.  A
@@ -764,6 +790,7 @@ def _cyclic_run(model_at, a0, constraint, config) -> OptimizerTrace:
     breaks: list[int] = []
     prev, gain = None, 0.0
     exact = _exact_family(constraint)
+    memo = {}  # the exact solves' multipliers, by call site
     stat_resid = 0.0
     converged = False
     for k in range(config.max_outer):
@@ -786,9 +813,10 @@ def _cyclic_run(model_at, a0, constraint, config) -> OptimizerTrace:
                 break
         prev = info
         d, g = build_inner_quadratic(-w, m)  # the tail of y = [1; -w]
-        a_new, objs = inner_power_iterations(a, d, g, constraint, INNER_ITERS)
+        a_new, objs = inner_power_iterations(a, d, g, constraint, INNER_ITERS, memo)
         # filling a select:K:phase start's support may raise f; the info check guards it
-        if not _nondecreasing(objs[int(np.count_nonzero(a_new) > np.count_nonzero(a)):]):
+        filled = not exact and np.count_nonzero(a_new) > np.count_nonzero(a)
+        if not _nondecreasing(objs[int(filled):]):
             raise NoDescent("inner objective -f(a) decreased")
         inner_runs.append(tuple(objs))
         a = a_new

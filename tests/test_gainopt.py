@@ -486,9 +486,11 @@ def test_project_zero_vector_warns():
     with pytest.warns(ZeroVectorWarning):
         out = project(np.zeros(3, dtype=complex), ConstraintSpec.fixed_energy())
     ConstraintSpec.fixed_energy().check(out)
-    with pytest.warns(ZeroVectorWarning):
-        out = project(np.zeros(3, dtype=complex), ConstraintSpec.sensor_select(2))
-    ConstraintSpec.sensor_select(2).check(out)
+    # K = N - 1, N and N + 3: K >= N fills every entry, with energy N, not N^2 / K
+    for k in (2, 3, 6):
+        with pytest.warns(ZeroVectorWarning):
+            out = project(np.zeros(3, dtype=complex), ConstraintSpec.sensor_select(k))
+        ConstraintSpec.sensor_select(k).check(out)
 
 
 def test_project_matches_sorted_oracle():
@@ -705,11 +707,8 @@ def test_inner_energy_step_hard_case_and_zero_border_by_hand():
         assert np.array_equal(a, a0) and len(objs) == 1
 
 
-@pytest.mark.parametrize("weak_scale", [1e-15, 1e-100])
-def test_sphere_minimizer_near_the_hard_case_takes_few_evaluations(weak_scale, monkeypatch):
-    # a quarter of the border scaled far down puts the root many decades
-    # under the bracket's upper end; each solve stays within 40 secular
-    # evaluations and lands on the bisection oracle's optimum
+def _count_secular_evaluations(monkeypatch):
+    """Patch _secular_root to append every point it evaluates to the list returned."""
     evaluations = []
     secular_root = gainopt._secular_root
 
@@ -720,20 +719,114 @@ def test_sphere_minimizer_near_the_hard_case_takes_few_evaluations(weak_scale, m
         return secular_root(counting, *args)
 
     monkeypatch.setattr(gainopt, "_secular_root", counted)
+    return evaluations
+
+
+def _near_hard_case_arrow(rng, weak_scale):
+    """A random arrow (d, g) with a quarter of its border scaled by weak_scale."""
+    n = int(rng.integers(2, 200))
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d = np.abs(g) ** 2 * rng.uniform(0.5, 1.5, n)
+    g[rng.choice(n, max(1, n // 4), replace=False)] *= weak_scale
+    return d, g
+
+
+@pytest.mark.parametrize("weak_scale", [1e-15, 1e-100])
+def test_sphere_minimizer_near_the_hard_case_takes_few_evaluations(weak_scale, monkeypatch):
+    # a quarter of the border scaled far down puts the root many decades
+    # under the bracket's upper end; each solve stays within 40 secular
+    # evaluations and lands on the bisection oracle's optimum
+    evaluations = _count_secular_evaluations(monkeypatch)
     rng = np.random.default_rng(21)
     for trial in range(2000):
-        n = int(rng.integers(2, 200))
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        d = np.abs(g) ** 2 * rng.uniform(0.5, 1.5, n)
-        g[rng.choice(n, max(1, n // 4), replace=False)] *= weak_scale
+        d, g = _near_hard_case_arrow(rng, weak_scale)
+        n = len(d)
         evaluations.clear()
         a = gainopt._sphere_minimizer(d, g, n)
         assert len(evaluations) <= 40, (trial, len(evaluations))
         if trial % 10 == 0:
-            want = oracles.sphere_minimizer_bisection(d, g, n)
-            f, f_want = (float(np.real(np.vdot(x, d * x) + 2.0 * np.vdot(g, x))) for x in (a, want))
+            f, f_want = _neg_f(d, g, a), _neg_f(d, g, oracles.sphere_minimizer_bisection(d, g, n))
             assert abs(np.vdot(a, a).real - n) <= 1e-12 * n
             assert abs(f - f_want) <= 1e-12 * abs(f_want), trial
+
+
+@pytest.mark.parametrize("weak_scale", [1.0, 1e-15, 1e-100])
+def test_warm_started_sphere_minimizer_changes_nothing(weak_scale, monkeypatch):
+    # a memo whose s = mu + min d lies strictly inside the bracket is the
+    # search's first point; one outside it or NaN leaves the cold start's
+    # very evaluations and bytes; from every memo (the bracket's ends, the
+    # root, a point inside, points outside, NaN) the solve stays within 40
+    # evaluations, lands on the cold solve's and the bisection oracle's
+    # optimum and records its own mu
+    evaluations = _count_secular_evaluations(monkeypatch)
+    rng = np.random.default_rng(22)
+    for trial in range(40):
+        d, g = _near_hard_case_arrow(rng, weak_scale)
+        n = len(d)
+        d_min, g_abs, root_n = float(d.min()), np.abs(g), np.sqrt(n)
+        lo = max(0.0, float((g_abs / root_n - (d - d_min)).max()))  # the bracket of s, as solved
+        hi = float(np.sqrt(g_abs.dot(g_abs))) / root_n
+        evaluations.clear()
+        memo = {}
+        cold = gainopt._sphere_minimizer(d, g, n, memo)
+        cold_points = list(evaluations)
+        assert cold.tobytes() == gainopt._sphere_minimizer(d, g, n).tobytes()
+        f_cold = _neg_f(d, g, cold)
+        f_want = _neg_f(d, g, oracles.sphere_minimizer_bisection(d, g, n))
+        assert abs(f_cold - f_want) <= 1e-12 * abs(f_want), trial
+        inside = {"root": memo["energy"], "draw": lo + (hi - lo) * rng.uniform() - d_min}
+        ends = {"lower end": lo - d_min, "upper end": hi - d_min}
+        outside = {"below": -hi - d_min, "above": 4.0 * hi - d_min, "NaN": np.nan}
+        for name, mu in {**inside, **ends, **outside}.items():
+            evaluations.clear()
+            memo = {"energy": mu}
+            a = gainopt._sphere_minimizer(d, g, n, memo)
+            assert len(evaluations) <= 40, (trial, name, len(evaluations))
+            if name in outside:
+                assert evaluations == cold_points and a.tobytes() == cold.tobytes(), (trial, name)
+            elif lo < mu + d_min < hi:
+                assert evaluations[0] == -(mu + d_min), (trial, name)
+            assert abs(np.vdot(a, a).real - n) <= 1e-12 * n
+            f = _neg_f(d, g, a)
+            assert abs(f - f_cold) <= 1e-12 * abs(f_cold), (trial, name)
+            assert abs(f - f_want) <= 1e-12 * abs(f_want), (trial, name)
+            assert np.isfinite(memo["energy"])
+
+
+def test_warm_starts_cut_the_secular_evaluations_of_a_design(monkeypatch):
+    # a speed guard that reads no clock: over fixed centralized designs
+    # (M = 4, N = 100, energy and select:20, 30 cycles) the exact solves,
+    # warm-started from the memo, take at most 4.5 secular evaluations each
+    # on average, fewer than the same solves from cold starts; taking the
+    # memo away changes no outer count and no variance beyond 1e-12
+    designs = [(centralized_model(gen_centralized_scenario(100, 4, seed=seed)),
+                ConstraintSpec.parse(text)) for seed in range(4) for text in ("energy", "select:20")]
+    config = OptimizerConfig(max_outer=30)
+    evaluations = _count_secular_evaluations(monkeypatch)
+    minimizer = gainopt._sphere_minimizer
+    solves = []
+
+    def run(solve):
+        monkeypatch.setattr(gainopt, "_sphere_minimizer", solve)
+        evaluations.clear()
+        solves.clear()
+        traces = [optimize(model, spec, config)[1] for model, spec in designs]
+        return traces, len(evaluations) / len(solves)
+
+    def warm(*args):
+        solves.append(1)
+        return minimizer(*args)
+
+    def cold(d, g, n, *memo):
+        solves.append(1)
+        return minimizer(d, g, n)
+
+    warm_traces, warm_mean = run(warm)
+    cold_traces, cold_mean = run(cold)
+    assert warm_mean <= 4.5 < cold_mean, (warm_mean, cold_mean)
+    assert [t.outer_iters for t in warm_traces] == [t.outer_iters for t in cold_traces]
+    for w, c in zip(warm_traces, cold_traces):
+        assert abs(w.final_variance - c.final_variance) <= 1e-12 * c.final_variance
 
 
 def _oracle_arrow(rng, trial, n):
@@ -800,9 +893,9 @@ def _recorded_support_steps(monkeypatch, designs):
     arrows = []
     step = gainopt._support_step
 
-    def recording(a, d, g, constraint):
+    def recording(a, d, g, constraint, *args, **kwargs):
         arrows.append((a.copy(), d.copy(), g.copy(), constraint))
-        return step(a, d, g, constraint)
+        return step(a, d, g, constraint, *args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(gainopt, "_support_step", recording)

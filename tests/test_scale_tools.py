@@ -30,11 +30,13 @@ def test_design_scale_reports_the_design_and_gates_its_rss():
     assert done.returncode == 0, done.stderr
     fields = dict(item.split("=") for item in done.stdout.split())
     assert set(fields) == {"N", "edges", "cycles", "breaks", "converged", "setup_seconds",
-                           "design_seconds", "refresh_seconds", "variance_gap", "max_rss_mb"}
+                           "design_seconds", "refresh_seconds", "secular_evals", "variance_gap",
+                           "max_rss_mb"}
     assert fields["N"] == "300" and 1 <= int(fields["cycles"]) <= 200
     assert float(fields["variance_gap"]) <= 1e-9
     assert 0 <= float(fields["refresh_seconds"]) <= float(fields["design_seconds"]) + 0.01
     assert int(fields["breaks"]) < int(fields["cycles"])
+    assert 1 <= float(fields["secular_evals"]) <= 40
     over = _run_tool("design_scale.py", "300", "1", "--max-rss-mb", "1")
     assert over.returncode == 1 and over.stdout.startswith("N=300 ")
 
@@ -43,7 +45,8 @@ def test_design_scale_fails_a_variance_off_the_returned_plan(monkeypatch, capsys
     spec = importlib.util.spec_from_file_location("design_scale", ROOT / "tools" / "design_scale.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    monkeypatch.setattr(gainopt, "decentralized_model", gainopt.decentralized_model)  # the tool wraps it
+    for wrapped in ("decentralized_model", "_secular_root"):  # the tool wraps both
+        monkeypatch.setattr(gainopt, wrapped, getattr(gainopt, wrapped))
 
     def misreported(*args):
         gains, trace, plan = gainopt.optimize_decentralized(*args)

@@ -8,12 +8,14 @@ it (seed SEED), then runs ``optimize_decentralized`` with the ``energy``
 constraint at ``OptimizerConfig()``, plan refresh on.  Prints one line: N,
 edges, outer cycles, plan changes, whether the design converged, the
 seconds taken by the graph and scenario draw and by the design, the part
-of the design's seconds spent refreshing the carrier plan, the relative
+of the design's seconds spent refreshing the carrier plan, the mean
+number of secular evaluations per exact-step root solve, the relative
 gap between the reported variance and the returned gains' variance under
 the returned plan, and the process's maximum resident set size
 (``ru_maxrss``) in MB.  The refresh time is measured by wrapping, for the
 run, the ``decentralized_model`` through which ``gainopt`` does all its
-refresh work.  Exits 1 when that gap exceeds VARIANCE_RTOL, or when, with
+refresh work, and the evaluations by wrapping ``gainopt._secular_root``.
+Exits 1 when that gap exceeds VARIANCE_RTOL, or when, with
 ``--max-rss-mb``, the maximum RSS reached the limit.
 """
 
@@ -27,6 +29,7 @@ from wsngain import (ConstraintSpec, assemble_global_model, gainopt, gen_decentr
                      global_variance, optimize_decentralized, random_connected_topology)
 
 REFRESH = "decentralized_model"
+SECULAR = "_secular_root"
 VARIANCE_RTOL = 1e-9  # reported variance against the returned plan's, relative
 
 
@@ -41,6 +44,18 @@ def _timed(fn, spent: list):
     return timed
 
 
+def _counted(root, tally: list):
+    """root, adding one to tally[0] per call and one to tally[1] per point it evaluates."""
+    def counted(step, *args):
+        tally[0] += 1
+
+        def counting(x):
+            tally[1] += 1
+            return step(x)
+        return root(counting, *args)
+    return counted
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int)
@@ -53,6 +68,8 @@ def main() -> int:
     scen = gen_decentralized_scenario(topo, seed=args.seed)
     refresh = [0.0]
     setattr(gainopt, REFRESH, _timed(getattr(gainopt, REFRESH), refresh))
+    secular = [0, 0]  # root solves, evaluations
+    setattr(gainopt, SECULAR, _counted(getattr(gainopt, SECULAR), secular))
     t1 = time.perf_counter()
     gains, trace, plan = optimize_decentralized(scen, ConstraintSpec.fixed_energy())
     t2 = time.perf_counter()
@@ -62,7 +79,8 @@ def main() -> int:
     print(f"N={n} edges={topo.num_edges} cycles={trace.outer_iters} "
           f"breaks={len(trace.segment_breaks)} converged={trace.converged} "
           f"setup_seconds={t1 - t0:.2f} design_seconds={t2 - t1:.2f} "
-          f"refresh_seconds={refresh[0]:.2f} variance_gap={gap:.1e} max_rss_mb={rss_mb:.0f}")
+          f"refresh_seconds={refresh[0]:.2f} secular_evals={secular[1] / max(secular[0], 1):.2f} "
+          f"variance_gap={gap:.1e} max_rss_mb={rss_mb:.0f}")
     return 0 if gap <= VARIANCE_RTOL and rss_mb < args.max_rss_mb else 1
 
 
