@@ -14,11 +14,14 @@ quant and select:K:phase take power-method-like iterations on f's matrix
 shifted positive definite, and only they read the shift.  Under phase R_w
 is constant, info(a) = a^H B a, and the exact step a <- B a / |B a| is the
 unimodular power method (Soltanalian & Stoica, IEEE TSP 2014), which
-optimize and refine run instead of a cycle, with SQUAREM extrapolations
+the phase designs run instead of a cycle, with SQUAREM extrapolations
 between its plain steps.  On the compressed decentralized model the
-information reads |a| only, so under phase and quant optimize and refine
-return their start.  (No step reads R's corner, so the paper's large
-constant there is left out.)
+information reads |a| only, so under phase and quant a design returns its
+start.  One start-and-run path (_drive) serves every design, optimize,
+refine, optimize_phase_only_uqp and optimize_decentralized alike: it
+applies that rule, or else runs the ascent or the cycle from each start,
+and returns the best run's gains, trace and model.  (No step reads R's corner, so the
+paper's large constant there is left out.)
 A cycle never forms the lift: it takes w from the estimator, a quotient
 per row on the compressed decentralized model (R_w diagonal) and an M x M
 solve otherwise.  The lift (build_lifted) and its Gram-Schmidt solve
@@ -248,7 +251,7 @@ class OptimizerTrace:
     extrapolations (_uqp_ascent); each takes one uqp_step call, and only a
     dropped one's falls outside the info trace, so the run made
     len(info_per_outer) - 1 + extrapolations_rejected calls.  Both are 0 for
-    the cycles and for _start_design.
+    the cycles and for the compressed rule's start (_drive).
     ``inner_objective`` holds one tuple per outer cycle: -f(a) with
     f(a) = sum d |a|^2 + 2 Re(g^H a) on that cycle's arrow (d, g), at the
     cycle's start and after every accepted step, so an
@@ -758,8 +761,9 @@ def _ascent_settled(gain: float, last: float, tol: float) -> bool:
     return gain <= tol and (gain <= 0.0 or gain * gain <= tol * (last - gain))
 
 
-def _cyclic_run(model_at, a0, constraint, config) -> OptimizerTrace:
-    """One full cyclic maximization from a0; returns its trace.
+def _cyclic_run(model_at, a0, constraint, config) -> tuple[OptimizerTrace, GlobalModel]:
+    """One full cyclic maximization from a0; returns its trace and the model
+    its variance is reported on, the run's last model_at result.
 
     Each outer cycle runs on model_at(a, m), m the previous cycle's model
     (None at the first); a model other than m itself starts a segment and
@@ -822,9 +826,10 @@ def _cyclic_run(model_at, a0, constraint, config) -> OptimizerTrace:
         a = a_new
     else:
         m = model_at(a, m)
-    return OptimizerTrace(tuple(infos), tuple(inner_runs), GainVector(a, constraint),
-                          global_variance(m, a), wall_time_s=0.0, segment_breaks=tuple(breaks),
-                          stationarity_residual=stat_resid, converged=converged)
+    trace = OptimizerTrace(tuple(infos), tuple(inner_runs), GainVector(a, constraint),
+                           global_variance(m, a), wall_time_s=0.0, segment_breaks=tuple(breaks),
+                           stationarity_residual=stat_resid, converged=converged)
+    return trace, m
 
 
 def _rotation_rounding(model: GlobalModel, relaxed: np.ndarray,
@@ -857,59 +862,71 @@ def _rotation_rounding(model: GlobalModel, relaxed: np.ndarray,
 
 
 def _restart_points(n, constraint, config, model):
-    """Initialization schedule: deterministic start, then random feasible draws.
+    """Initialization schedule, drawn lazily: the deterministic start, then
+    random feasible draws, config.restarts points in all.
 
     For quantized phases the second start is the solved phase-only
     relaxation rounded onto the grid at its best global phase
     (_rotation_rounding); rounding the continuous optimum reaches grid
     points that random draws and the frozen-phase iterations rarely find.
+    Only that start reads the model, and _drive draws nothing past the first
+    start where the compressed rule holds.
     """
-    points = [constraint.initial_point(n)]
+    yield constraint.initial_point(n)
+    r = 1
     if constraint.kind == "quant" and config.restarts > 1:
         relaxed, _ = optimize_phase_only_uqp(model, config)
-        points.append(_rotation_rounding(model, relaxed.values, constraint))
-    r = len(points)
-    while len(points) < config.restarts:
-        rng = np.random.default_rng((config.seed, r))
-        points.append(constraint.random_point(n, rng))
-        r += 1
-    return points[: config.restarts]
+        yield _rotation_rounding(model, relaxed.values, constraint)
+        r = 2
+    for r in range(r, config.restarts):
+        yield constraint.random_point(n, np.random.default_rng((config.seed, r)))
 
 
-def _best_of_starts(run_from, starts, t0):
-    """One run_from(a0) -> OptimizerTrace per start; the best (variance, start index) wins.
+def _drive(model, constraint, config, starts, t0):
+    """Every design's start-and-run path: one run from each start, the best one kept.
 
-    Returns (gains, trace) with the restart index set and the wall time counted from t0.
+    model is the design's fixed GlobalModel, or optimize_decentralized's
+    hook model_at(a, m), which refreshes the plan per cycle (_cyclic_run).
+    The compressed rule: under phase and quant:Q on a compressed model the
+    information is sum_k c_k p_k / (c_k v_k p_k + sigma_n^2) with c_k = |h_k|^2
+    and p_k = |a_k|^2, as is the plan's: equal magnitudes give one plan and
+    one variance to the bit, so every unit-modulus gain vector has the same
+    variance and the design is the first start, on the model the hook gives
+    it, with no further start drawn.  Its trace has one info entry, no inner
+    runs and ``converged`` True.  Otherwise phase runs the unimodular ascent
+    (_uqp_ascent) on one uqp_matrix from each start, and every other family
+    _cyclic_run.
+    Returns (gains, trace, model) of the best run, lexicographic on
+    (variance, start index): the trace carries that index and the wall time
+    counted from t0, and the model is the one its variance is reported on.
     """
-    runs = [run_from(a0) for a0 in starts]
-    best = min(range(len(runs)), key=lambda idx: (runs[idx].final_variance, idx))
-    trace = replace(runs[best], restart_index=best, wall_time_s=time.perf_counter() - t0)
-    return trace.final_gains, trace
-
-
-def _start_design(model: GlobalModel, a0: np.ndarray, constraint: ConstraintSpec,
-                  t0: float) -> tuple[GainVector, OptimizerTrace]:
-    """The design under phase and quant:Q on a compressed model: the start a0.
-
-    The information there is sum_k c_k p_k / (c_k v_k p_k + sigma_n^2) with
-    c_k = |h_k|^2 and p_k = |a_k|^2, as is the plan's: equal magnitudes give
-    one plan and one variance to the bit, so every unit-modulus gain vector
-    has the same variance.  The trace has one info entry, no inner runs and
-    ``converged`` True, since the start is already optimal.
-    """
-    variance = global_variance(model, a0)
-    trace = OptimizerTrace((1.0 / variance,), (), GainVector(np.array(a0), constraint), variance,
-                           wall_time_s=time.perf_counter() - t0, converged=True)
-    return trace.final_gains, trace
+    model_at = model if callable(model) else lambda a, m: model
+    starts = iter(starts)
+    a0 = next(starts)
+    m = model_at(a0, None) if constraint.kind in ("phase", "quant") else None
+    if m is not None and m.row_gain is not None:
+        variance = global_variance(m, a0)
+        runs = [(OptimizerTrace((1.0 / variance,), (), GainVector(np.array(a0), constraint),
+                                variance, wall_time_s=0.0, converged=True), m)]
+    elif constraint.kind == "phase":
+        b_mat = uqp_matrix(model)
+        runs = [(_uqp_ascent(b_mat, a, config), model) for a in (a0, *starts)]
+    else:
+        runs = [_cyclic_run(model_at, a, constraint, config) for a in (a0, *starts)]
+    best = min(range(len(runs)), key=lambda idx: (runs[idx][0].final_variance, idx))
+    trace, m = runs[best]
+    trace = replace(trace, restart_index=best, wall_time_s=time.perf_counter() - t0)
+    return trace.final_gains, trace, m
 
 
 def optimize(model: GlobalModel, constraint: ConstraintSpec,
              config: OptimizerConfig = OptimizerConfig()) -> tuple[GainVector, OptimizerTrace]:
     """Minimize estimation variance over the constrained gain vector.
 
-    phase runs optimize_phase_only_uqp's ascent; every other family the
-    cycle.  On a compressed model phase and quant:Q return the feasible
-    start at once, with no restart (_start_design).
+    _drive over the restart points (_restart_points): the cycle for every
+    family but phase, and on a compressed model under phase and quant:Q the
+    feasible start (the compressed rule).  phase on a dense model is
+    optimize_phase_only_uqp, reached through this module at call time.
 
     Parameters
     ----------
@@ -934,21 +951,18 @@ def optimize(model: GlobalModel, constraint: ConstraintSpec,
     phase ascent step) raises the information value.
     """
     t0 = time.perf_counter()
-    if model.row_gain is not None and constraint.kind in ("phase", "quant"):
-        return _start_design(model, constraint.initial_point(model.num_sensors), constraint, t0)
-    if constraint.kind == "phase":
+    if constraint.kind == "phase" and model.row_gain is None:
         return optimize_phase_only_uqp(model, config)
     starts = _restart_points(model.num_sensors, constraint, config, model)
-    return _best_of_starts(lambda a0: _cyclic_run(lambda a, m: model, a0, constraint, config),
-                           starts, t0)
+    return _drive(model, constraint, config, starts, t0)[:2]
 
 
 def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
            config: OptimizerConfig = OptimizerConfig()) -> tuple[GainVector, OptimizerTrace]:
     """Single run on a fixed model from a caller-provided feasible start
-    (warm start): the cyclic design, or under phase the unimodular ascent
-    (_uqp_ascent) on uqp_matrix(model).  On a compressed model phase and
-    quant:Q return the start (_start_design).
+    (warm start): _drive from that one start, so the cyclic design, or under
+    phase the unimodular ascent on uqp_matrix(model), and on a compressed
+    model under phase and quant:Q the start itself.
 
     Useful when one constraint family's solution is feasible for a looser one;
     monotone descent then guarantees the refined variance does not exceed the
@@ -957,13 +971,7 @@ def refine(model: GlobalModel, a0, constraint: ConstraintSpec,
     t0 = time.perf_counter()
     a0 = _gain_values(a0, model.num_sensors)
     constraint.check(a0)
-    if model.row_gain is not None and constraint.kind in ("phase", "quant"):
-        return _start_design(model, a0, constraint, t0)
-    if constraint.kind == "phase":
-        b_mat = uqp_matrix(model)
-        return _best_of_starts(lambda start: _uqp_ascent(b_mat, start, config), [a0], t0)
-    return _best_of_starts(lambda start: _cyclic_run(lambda a, m: model, start, constraint,
-                                                     config), [a0], t0)
+    return _drive(model, constraint, config, [a0], t0)[:2]
 
 
 def optimize_decentralized(scenario: DecentralizedScenario, constraint: ConstraintSpec,
@@ -972,29 +980,24 @@ def optimize_decentralized(scenario: DecentralizedScenario, constraint: Constrai
     """Gain design over a decentralized scenario.
 
     The compressed model depends on the gains through the carrier
-    assignment.  By default each cycle refreshes it once, by
-    decentralized_model(scenario, a, m), which returns the previous cycle's
-    model m itself, and so starts no segment, while the carriers hold.
-    refresh_plan=False, and phase and quant:Q (_start_design), run optimize
-    on the start's model.  Returns (gains, trace, plan): the winning run's
-    last plan, or the frozen one, under which the variance is reported.
+    assignment.  By default _drive runs the cycle on the hook
+    decentralized_model(scenario, a, m), which refreshes it once per cycle
+    and returns the previous cycle's model m itself, and so starts no
+    segment, while the carriers hold; under phase and quant:Q the hook's
+    model for the start is the design's (the compressed rule).
+    refresh_plan=False fixes the start's model for every run.  Returns
+    (gains, trace, plan): the plan of the model the winning run reports its
+    variance on, its last refresh or the frozen one.
     """
-    if not refresh_plan or constraint.kind in ("phase", "quant"):
-        model, plan = decentralized_model(scenario, constraint.initial_point(scenario.num_sensors))
-        return (*optimize(model, constraint, config), plan)
     t0 = time.perf_counter()
-    last = []  # each run's latest model; a run's first cycle passes m = None
-
-    def model_at(a, m):
-        if m is None:
-            last.append(None)
-        last[-1] = decentralized_model(scenario, a, m)[0]
-        return last[-1]
-
-    starts = _restart_points(scenario.num_sensors, constraint, config, None)
-    gains, trace = _best_of_starts(lambda a0: _cyclic_run(model_at, a0, constraint, config),
-                                   starts, t0)
-    return gains, trace, last[trace.restart_index].plan
+    n = scenario.num_sensors
+    if refresh_plan:
+        model = lambda a, m: decentralized_model(scenario, a, m)[0]
+    else:
+        model = decentralized_model(scenario, constraint.initial_point(n))[0]
+    starts = _restart_points(n, constraint, config, None)
+    gains, trace, model = _drive(model, constraint, config, starts, t0)
+    return gains, trace, model.plan
 
 
 def _unit_modulus_solve(model: GlobalModel, rhs: np.ndarray) -> np.ndarray:
@@ -1088,12 +1091,13 @@ def optimize_phase_only_uqp(model: GlobalModel,
                             config: OptimizerConfig = OptimizerConfig()
                             ) -> tuple[GainVector, OptimizerTrace]:
     """Phase-only design via the unimodular quadratic program, the design
-    optimize runs under phase: builds B once (uqp_matrix) and runs
-    _uqp_ascent, plain steps with SQUAREM extrapolations, from each restart
-    point.  The winning run's trace counts its kept and dropped
-    extrapolations.
+    optimize runs under phase on a dense model: _drive's ascent (_uqp_ascent,
+    plain steps with SQUAREM extrapolations, on one uqp_matrix) from each
+    restart point.  The winning run's trace counts its kept and dropped
+    extrapolations.  A compressed model, which holds no B, raises
+    InvalidConfig.
     """
     t0 = time.perf_counter()
-    b_mat = uqp_matrix(model)
+    _dense_h(model)  # a compressed model raises InvalidConfig here
     starts = _restart_points(model.num_sensors, ConstraintSpec.phase_only(), config, model)
-    return _best_of_starts(lambda a0: _uqp_ascent(b_mat, a0, config), starts, t0)
+    return _drive(model, ConstraintSpec.phase_only(), config, starts, t0)[:2]

@@ -180,11 +180,12 @@ def baseline_selection(model, k_active: int, policy: str) -> tuple[GainVector, f
     that minimizes the resulting variance under uniform fixed-energy gains
     on the current subset.  "min-sensor-noise" keeps the K sensors with
     the smallest observation noise.  Both then use uniform gains
-    sqrt(N / K) on the chosen support.
+    sqrt(N / K) on the chosen support.  K is an integer (netgraph.is_int)
+    with 1 <= K < N; anything else raises InvalidConfig.
     """
     n = model.num_sensors
-    if not 1 <= k_active < n:
-        raise InvalidConfig(f"need 1 <= K < N, got K={k_active}, N={n}")
+    if not (is_int(k_active) and 1 <= k_active < n):
+        raise InvalidConfig(f"need an integer 1 <= K < N, got K={k_active!r}, N={n}")
     if policy == "min-sensor-noise":
         support = np.argsort(model.sensor_noise_var, kind="stable")[:k_active]
     elif policy == "greedy":

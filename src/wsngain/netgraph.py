@@ -139,25 +139,34 @@ def _connected(num_nodes: int, adj: dict[int, set[int]]) -> bool:
     return len(seen) == num_nodes
 
 
+def _check_node_count(num_nodes) -> None:
+    """Raise InvalidConfig unless num_nodes is an integer (is_int) >= 2."""
+    if not is_int(num_nodes):
+        raise InvalidConfig(f"the node count must be an integer, got {num_nodes!r}")
+    if num_nodes < 2:
+        raise InvalidConfig(f"need at least 2 nodes, got {num_nodes}")
+
+
 def build_topology(num_nodes: int, edges) -> Topology:
     """Validate an edge list and build a :class:`Topology`.
 
     Parameters
     ----------
     num_nodes : int
-        Node count, at least 2.
+        Node count, an integer (is_int) of at least 2.
     edges : iterable of (int, int)
         Undirected edges over 1-based labels.
 
     Raises
     ------
+    InvalidConfig
+        On a node count that is not an integer of at least 2.
     InvalidEdge
         On a self-loop or an endpoint outside [1, num_nodes].
     DisconnectedGraph
         If some node is unreachable from node 1.
     """
-    if num_nodes < 2:
-        raise InvalidConfig(f"need at least 2 nodes, got {num_nodes}")
+    _check_node_count(num_nodes)
     canon = set()
     for i, j in edges:
         i, j = int(i), int(j)
@@ -187,10 +196,12 @@ def random_connected_topology(num_nodes: int, edge_probability: float, seed: int
     that one draw over every pair would.
 
     Deterministic given the seed, a non-negative integer (any other seed
-    raises InvalidConfig).  Raises :class:`GenerationFailed` after
+    raises InvalidConfig, as does a node count that is not an integer of at
+    least 2).  Raises :class:`GenerationFailed` after
     ``DEFAULT_RETRIES`` disconnected draws, which signals that
     ``edge_probability`` is too low for the requested size.
     """
+    _check_node_count(num_nodes)
     if not 0.0 < edge_probability <= 1.0:
         raise InvalidConfig(f"edge_probability must be in (0, 1], got {edge_probability}")
     rng = seeded_rng(seed)

@@ -179,13 +179,16 @@ def gen_centralized_scenario(
     seed: int = 0,
 ) -> CentralizedScenario:
     """Generate a centralized scenario, deterministic given the seed (a
-    non-negative integer; any other seed raises InvalidConfig).
+    non-negative integer; any other seed raises InvalidConfig).  The counts
+    N and M are integers (is_int), at least 1; anything else raises
+    InvalidConfig.
 
     Each sensor gets one distance d_i shared by all M antennas; phases are
     drawn independently per antenna, so H[m, i] = e^{j gamma_{m,i}} / d_i^alpha.
     """
-    if num_sensors < 1 or num_antennas < 1:
-        raise InvalidConfig("need at least one sensor and one antenna")
+    if not all(is_int(count) and count >= 1 for count in (num_sensors, num_antennas)):
+        raise InvalidConfig("need at least one sensor and one antenna, as integers, "
+                            f"got N={num_sensors!r}, M={num_antennas!r}")
     rng = seeded_rng(seed)
     d = rng.uniform(noise.d_range[0], noise.d_range[1], num_sensors)
     phases = rng.uniform(0.0, 2.0 * np.pi, (num_antennas, num_sensors))

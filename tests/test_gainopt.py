@@ -1263,8 +1263,8 @@ def test_a_new_segment_restarts_the_settled_gain_test():
         return dataclasses.replace(previous) if len(previous_models) == 3 else previous
 
     spec = ConstraintSpec.parse("select:10:phase")
-    trace = gainopt._cyclic_run(model_at, spec.initial_point(30), spec,
-                                OptimizerConfig(outer_tol=1e3))
+    trace, _ = gainopt._cyclic_run(model_at, spec.initial_point(30), spec,
+                                   OptimizerConfig(outer_tol=1e3))
     assert previous_models[0] is None and None not in previous_models[1:]
     infos = trace.info_per_outer
     assert 0.0 < infos[1] - infos[0] <= 1e3  # the first segment's first gain
@@ -1340,6 +1340,28 @@ def test_select_phase_refine_from_fewer_than_k_gains_keeps_its_information():
     a0[:2] = np.sqrt(10 / 4)
     _, trace = refine(model, a0, spec)
     assert trace.final_variance <= global_variance(model, a0) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["dense", "compressed"])
+@pytest.mark.parametrize("text", ["energy", "phase", "quant:8", "select:6", "select:6:phase"])
+def test_one_start_optimize_is_refine_from_the_initial_point(text, compressed):
+    # at restarts=1 optimize and refine run one design from the same start:
+    # equal gain bytes and equal traces, wall time aside
+    constraint = ConstraintSpec.parse(text)
+    config = OptimizerConfig(restarts=1)
+    for seed in range(3):
+        if compressed:
+            scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed=seed),
+                                              seed=seed)
+            model = decentralized_model(scen, np.ones(30))[0]
+        else:
+            model = random_model(30, seed=seed)
+        gains, trace = optimize(model, constraint, config)
+        want_gains, want = refine(model, constraint.initial_point(30), constraint, config)
+        assert gains.values.tobytes() == want_gains.values.tobytes(), seed
+        assert gains.constraint == want_gains.constraint == constraint
+        assert dataclasses.replace(trace, wall_time_s=0.0) == dataclasses.replace(
+            want, wall_time_s=0.0, final_gains=trace.final_gains), seed
 
 
 # ------------------------------------------------------------------ UQP path
@@ -1781,9 +1803,26 @@ def test_each_gain_vector_is_refreshed_once(monkeypatch):
         optimize_decentralized(scen, ConstraintSpec.parse(text),
                                OptimizerConfig(max_outer=max_outer, restarts=3))
         assert len(traces) == 3
-        assert len(refreshes) == sum(t.outer_iters + (not t.converged) for t in traces)
-        outcomes.update(t.converged for t in traces)
+        assert len(refreshes) == sum(t.outer_iters + (not t.converged) for t, _ in traces)
+        outcomes.update(t.converged for t, _ in traces)
     assert outcomes == {True, False}
+
+
+def test_decentralized_restarts_return_the_winning_runs_plan():
+    # with three starts the plan returned is the one the winning run ends
+    # on, whichever start won: the plan of the returned gains, under which
+    # the reported variance holds
+    earlier = 0
+    for seed, text, max_outer in itertools.product(range(6), ("energy", "select:10"), (3, 200)):
+        scen = gen_decentralized_scenario(random_connected_topology(30, 0.2, seed=seed), seed=seed)
+        gains, trace, plan = optimize_decentralized(
+            scen, ConstraintSpec.parse(text), OptimizerConfig(max_outer=max_outer, restarts=3))
+        model, want = decentralized_model(scen, gains)
+        assert plan == want, (seed, text, max_outer)
+        v = global_variance(model, gains)
+        assert abs(trace.final_variance - v) <= 1e-12 * v, (seed, text, max_outer)
+        earlier += trace.restart_index < 2
+    assert earlier >= 8  # (16 of the 24 designs) a start other than the last wins
 
 
 def test_optimize_decentralized_segments_descend_piecewise():

@@ -17,6 +17,7 @@ from wsngain import (
     InconsistentPlan,
     InvalidConfig,
     assign_carriers,
+    baseline_selection,
     build_lifted,
     build_topology,
     centralized_model,
@@ -162,12 +163,25 @@ def test_selection_config_needs_a_select_constraint():
                          constraint=ConstraintSpec.phase_only())
 
 
+@pytest.mark.parametrize("policy", ["greedy", "min-sensor-noise"])
+@pytest.mark.parametrize("k", [2.5, True, "2"])
+def test_selection_baseline_needs_an_integer_k(case, k, policy):
+    with raises(InvalidConfig, f"need an integer 1 <= K < N, got K={k!r}, N={N}"):
+        baseline_selection(case["dense"], k, policy)
+
+
 # ------------------------------------------------------ graphs and scenarios
 
 
 def test_build_topology_needs_two_nodes():
     with raises(InvalidConfig, "need at least 2 nodes, got 1"):
         build_topology(1, [])
+    # a node count is an integer, never a float or a bool
+    for count, build in ((3.0, lambda: build_topology(3.0, [(1, 2), (2, 3)])),
+                         (True, lambda: build_topology(True, [])),
+                         (5.0, lambda: random_connected_topology(5.0, 0.9, 1))):
+        with raises(InvalidConfig, f"the node count must be an integer, got {count!r}"):
+            build()
 
 
 @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
@@ -182,7 +196,7 @@ def test_centralized_scenario_rejects_a_channel_of_the_wrong_shape():
                             sensor_noise_var=np.ones(3), fc_noise_var=1.0, theta=1 + 0j)
 
 
-@pytest.mark.parametrize("n, m", [(0, 4), (3, 0)])
+@pytest.mark.parametrize("n, m", [(0, 4), (3, 0), (3.0, 2), (True, 1), (4, 2.0)])
 def test_centralized_generator_needs_a_sensor_and_an_antenna(n, m):
     with raises(InvalidConfig, "need at least one sensor and one antenna"):
         gen_centralized_scenario(n, m)
